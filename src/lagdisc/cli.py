@@ -69,8 +69,14 @@ class RunConfig:
                               "curve domain")
         if len(self.mesh) != 3:
             raise ConfigError("mesh: expected R,S,G")
-        if self.refinements < 1:
-            raise ConfigError("refinements: must be >= 1")
+        R, S, G = self.mesh
+        if not (_is_int(R) and _is_int(S) and R >= 2 and S >= 8):
+            raise ConfigError("mesh: R and S must be integers with R >= 2 "
+                              "and S >= 8")
+        if not ((_is_int(G) or isinstance(G, float)) and 0.2 <= G <= 1.0):
+            raise ConfigError("mesh: G must be a number in [0.2, 1]")
+        if not (_is_int(self.refinements) and self.refinements >= 1):
+            raise ConfigError("refinements: must be an integer >= 1")
         return self
 
     def build_example(self):
@@ -90,10 +96,15 @@ class RunConfig:
             return unit_ball()
         return curve_domain_from_map(example)
 
-    def meshes(self):
+    def meshes(self, levels=None):
+        """The first ``levels`` refinement levels (default: all of them)."""
         R, S, G = int(self.mesh[0]), int(self.mesh[1]), float(self.mesh[2])
         return [build_polar_mesh(R * 2 ** lev, S * 2 ** lev, G)
-                for lev in range(self.refinements)]
+                for lev in range(self.refinements if levels is None else levels)]
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _write_csv(path, header, rows):
@@ -200,7 +211,7 @@ def _cmd_masses(cfg, out):
 
 
 def _cmd_rigidity(cfg, out):
-    mesh = cfg.meshes()[0]
+    mesh = cfg.meshes(1)[0]
     scfg = SolverConfig(continuation=default_continuation(), grad_tol=1e-7,
                         max_iters=400)
     rows, results = [], []
@@ -221,7 +232,7 @@ def _cmd_rigidity(cfg, out):
 
 
 def _cmd_dump_mesh(cfg, out):
-    mesh = cfg.meshes()[0]
+    mesh = cfg.meshes(1)[0]
     mesh.dump_json(out / "mesh.json")
     _write_json(out / "summary.json",
                 {"command": cfg.command, "nodes": len(mesh.nodes),

@@ -302,10 +302,17 @@ def element_gradient(mesh, values):
     values = np.asarray(values)
     if values.shape[0] != len(mesh.nodes):
         raise ValueError("field must have one value per node")
-    v = values[mesh.triangles]          # (T, 3, ...)
-    dv = v[:, 1:] - v[:, :1]            # (T, 2, ...): v_a - v_0
-    g = mesh.hat_gradients[:, 1:]       # (T, 2, 2)
-    return np.einsum("tad,ta...->td...", g, dv)
+    # node axis last, so the products below run over all triangles at once
+    tris = mesh.triangles
+    vt = np.ascontiguousarray(np.moveaxis(values, 0, -1))   # (..., N)
+    v0 = np.take(vt, tris[:, 0], axis=-1)
+    dv1 = np.take(vt, tris[:, 1], axis=-1) - v0             # (..., T)
+    dv2 = np.take(vt, tris[:, 2], axis=-1) - v0
+    g = mesh.hat_gradients                                  # (T, 3, 2)
+    out = np.empty((len(tris), 2) + values.shape[1:], np.result_type(g, values))
+    for d in range(2):
+        out[:, d] = np.moveaxis(g[:, 1, d] * dv1 + g[:, 2, d] * dv2, -1, 0)
+    return out
 
 
 def interpolate_at_centroids(mesh, values):

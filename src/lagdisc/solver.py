@@ -30,9 +30,9 @@ from .mesh import DiscMesh, element_gradient
 __all__ = [
     "DegeneratePointCloud",
     "FlowState",
-    "LineSearchStalled",
     "RigidityReport",
     "SolverConfig",
+    "energy",
     "energy_and_gradient",
     "flat_disc_distance",
     "flow_frame_step",
@@ -46,10 +46,6 @@ __all__ = [
 
 
 class DegeneratePointCloud(ValueError):
-    pass
-
-
-class LineSearchStalled(RuntimeWarning):
     pass
 
 
@@ -131,6 +127,51 @@ def _stiffness_solver(mesh: DiscMesh):
 # --------------------------------------------------------------------------
 # energy and exact gradient
 # --------------------------------------------------------------------------
+def _energy_terms(u: DiscreteMap, domain, lam1, lam2, gradient):
+    """Penalized energy, its nodal gradient when ``gradient`` is true
+    (else ``None``), and per element the symplectic density q and
+    |grad u|^2.
+
+    The gradient is assembled with one ``bincount`` per component over the
+    Dirichlet contributions of local vertices 0, 1, 2 followed by the
+    symplectic ones, so every node sums its terms in a fixed order.
+    """
+    if not isinstance(domain, LevelSetDomain):
+        raise Unsupported("energy penalties need a level-set domain")
+    mesh = u.mesh
+    vals = u.values
+    a = mesh.areas
+    grad = element_gradient(mesh, vals)          # (T, 2, 4)
+    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
+    q = symplectic(e_x, e_y)
+
+    grad_sq = inner(e_x, e_x) + inner(e_y, e_y)
+    E = 0.5 * float(np.sum(a * grad_sq))
+    E += lam1 * float(np.sum(a * q * q))
+    w = _boundary_weights(mesh)
+    b = mesh.is_boundary
+    Fb = np.asarray(domain.F(vals[b]), float)
+    E += lam2 * float(np.sum(w[b] * Fb * Fb))
+    if not gradient:
+        return E, None, q, grad_sq
+
+    # component-major (4, T) copies keep the elementwise loops long
+    g = mesh.hat_gradients
+    ex, ey = np.ascontiguousarray(e_x.T), np.ascontiguousarray(e_y.T)
+    Iex, Iey = (np.ascontiguousarray(apply_I(e).T) for e in (e_x, e_y))
+    s = 2.0 * lam1 * a * q
+    weights = np.empty((vals.shape[1], 6, len(a)))
+    for ia in range(3):
+        gx, gy = g[:, ia, 0], g[:, ia, 1]
+        np.multiply(a, gx * ex + gy * ey, out=weights[:, ia])
+        np.multiply(s, -gx * Iey + gy * Iex, out=weights[:, 3 + ia])
+    idx = np.tile(mesh.triangles.T.ravel(), 2)
+    G = np.column_stack([np.bincount(idx, wc.ravel(), minlength=len(vals))
+                         for wc in weights])
+    G[b] += (2.0 * lam2 * w[b] * Fb)[:, None] * np.asarray(domain.gradF(vals[b]), float)
+    return E, G, q, grad_sq
+
+
 def energy_and_gradient(u: DiscreteMap, domain, lam1, lam2):
     """Penalized energy and its exact nodal gradient.
 
@@ -139,35 +180,13 @@ def energy_and_gradient(u: DiscreteMap, domain, lam1, lam2):
 
     Only level-set domains support the boundary penalty.
     """
-    if not isinstance(domain, LevelSetDomain):
-        raise Unsupported("energy penalties need a level-set domain")
-    mesh = u.mesh
-    vals = u.values
-    tris = mesh.triangles
-    a = mesh.areas
-    g = mesh.hat_gradients
-    grad = element_gradient(mesh, vals)          # (T, 2, 4)
-    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
-
-    E = 0.5 * float(np.sum(a * (inner(e_x, e_x) + inner(e_y, e_y))))
-    G = np.zeros_like(vals)
-    for ia in range(3):
-        contrib = a[:, None] * (g[:, ia, 0, None] * e_x + g[:, ia, 1, None] * e_y)
-        np.add.at(G, tris[:, ia], contrib)
-
-    q = symplectic(e_x, e_y)
-    E += lam1 * float(np.sum(a * q * q))
-    Ie_x, Ie_y = apply_I(e_x), apply_I(e_y)
-    for ia in range(3):
-        dq = -g[:, ia, 0, None] * Ie_y + g[:, ia, 1, None] * Ie_x
-        np.add.at(G, tris[:, ia], (2.0 * lam1 * a * q)[:, None] * dq)
-
-    w = _boundary_weights(mesh)
-    b = mesh.is_boundary
-    Fb = np.asarray(domain.F(vals[b]), float)
-    E += lam2 * float(np.sum(w[b] * Fb * Fb))
-    G[b] += (2.0 * lam2 * w[b] * Fb)[:, None] * np.asarray(domain.gradF(vals[b]), float)
+    E, G, _, _ = _energy_terms(u, domain, lam1, lam2, gradient=True)
     return E, G
+
+
+def energy(u: DiscreteMap, domain, lam1, lam2):
+    """The energy of :func:`energy_and_gradient` alone, bitwise equal to it."""
+    return _energy_terms(u, domain, lam1, lam2, gradient=False)[0]
 
 
 def _fd_gradient_check(u, domain, lam1, lam2, n_dirs, seed, step=1e-6):
@@ -178,8 +197,8 @@ def _fd_gradient_check(u, domain, lam1, lam2, n_dirs, seed, step=1e-6):
         d /= np.linalg.norm(d)
         up = replace(u, values=u.values + step * d)
         um = replace(u, values=u.values - step * d)
-        fd = (energy_and_gradient(up, domain, lam1, lam2)[0]
-              - energy_and_gradient(um, domain, lam1, lam2)[0]) / (2 * step)
+        fd = (energy(up, domain, lam1, lam2)
+              - energy(um, domain, lam1, lam2)) / (2 * step)
         if abs(fd - float(np.sum(G * d))) > 1e-6 * (1.0 + abs(E0)):
             raise RuntimeError("analytic gradient failed the finite-difference test")
 
@@ -202,9 +221,10 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 
     Boundary nodes are projected onto the constraint surface after every
     trial step and the termination criterion uses the boundary-tangential
-    gradient norm.  Energy decreases monotonically within each
-    continuation stage; a stalled line search returns the best state so
-    far with ``history.stalled = True``.
+    gradient norm.  Armijo trials evaluate the energy only; the gradient
+    is computed once per accepted state.  Energy decreases monotonically
+    within each continuation stage; a stalled line search returns the
+    best state so far with ``history.stalled = True``.
     """
     mesh = u0.mesh
     b = mesh.is_boundary
@@ -227,13 +247,11 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
         best_g = np.inf
         best_u = u
         for it in range(cfg.max_iters):
-            E, G = energy_and_gradient(u, domain, lam1, lam2)
+            E, G, q, grad_sq = _energy_terms(u, domain, lam1, lam2,
+                                             gradient=True)
             Gp = _tangential(domain, u.values, G, b)
             gnorm = float(np.linalg.norm(Gp))
-            grad_elem = element_gradient(mesh, u.values)
-            q = symplectic(grad_elem[:, 0, :], grad_elem[:, 1, :])
-            e2 = 0.5 * (inner(grad_elem[:, 0, :], grad_elem[:, 0, :])
-                        + inner(grad_elem[:, 1, :], grad_elem[:, 1, :]))
+            e2 = 0.5 * grad_sq
             history["rows"].append({
                 "iter": it_global, "E": E, "grad_norm": gnorm,
                 "lagrangian": float(np.max(np.abs(q) / (e2 + EPS))),
@@ -275,8 +293,7 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
             accepted = False
             while alpha > 1e-14:
                 trial = _project_boundary(domain, u.values + alpha * d, b)
-                E_t, _ = energy_and_gradient(replace(u, values=trial),
-                                             domain, lam1, lam2)
+                E_t = energy(replace(u, values=trial), domain, lam1, lam2)
                 if E_t <= E + cfg.armijo_c * alpha * slope:
                     u = replace(u, values=trial)
                     accepted = True
@@ -501,6 +518,9 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
     """Perturb the flat equatorial disc by admissible Hamiltonian flows of
     total amplitude ``eps``, relax, and test whether the image returns to a
     flat equatorial Lagrangian disc.
+
+    Returns ``(report, u_final, history)``: the :class:`RigidityReport`,
+    the relaxed map and the :func:`minimize` history.
 
     PASS requires flat-disc distance <= 1e-3, angle variance over
     elements <= 1e-6 and boundary great-circle defect <= 1e-3.  With the

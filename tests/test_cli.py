@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from lagdisc import cli
+from lagdisc.mesh import build_polar_mesh
 
 
 def run_cli(*args):
@@ -92,13 +94,52 @@ def test_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "a").exists()
 
 
-def test_determinism_bitwise(tmp_path):
+def test_string_refinements_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "dump-mesh", "refinements": "3"}))
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert "refinements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["1,8,1.0", "2,7,1.0", "4,16,0.1"])
+def test_mesh_out_of_bounds_exits_1(tmp_path, capsys, mesh):
+    code = run_cli("--command", "dump-mesh", "--mesh", mesh,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "mesh" in capsys.readouterr().err
+
+
+def _fake_rigidity(seed, eps, mesh, cfg):
+    report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": True})
+    return report, None, {"rows": []}
+
+
+@pytest.mark.parametrize("command", ["rigidity", "dump-mesh"])
+def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return build_polar_mesh(*args)
+
+    monkeypatch.setattr(cli, "build_polar_mesh", build)
+    monkeypatch.setattr(cli, "rigidity_experiment", _fake_rigidity)
+    assert run_cli("--command", command, "--mesh", "4,16,1.0",
+                   "--refinements", "3", "--out", str(tmp_path / "o")) == 0
+    assert built == [(4, 16, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--command", "stationarity", "--example", "sw:1,2", "--mesh", "8,32,1.0",
+     "--refinements", "2", "--seed", "7"),
+    ("--command", "rigidity", "--mesh", "12,48,1.0", "--seed", "3",
+     "--eps", "0.03"),
+], ids=["stationarity", "rigidity"])
+def test_determinism_bitwise(tmp_path, argv):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        assert run_cli("--command", "stationarity", "--example", "sw:1,2",
-                       "--mesh", "8,32,1.0", "--refinements", "2",
-                       "--seed", "7", "--out", str(out)) == 0
+        assert run_cli(*argv, "--out", str(out)) == 0
         outs.append((out / "report.csv").read_bytes()
                     + (out / "summary.json").read_bytes())
     assert outs[0] == outs[1]

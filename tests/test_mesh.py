@@ -65,6 +65,28 @@ def test_gradient_wrong_shape(mesh_cache):
         msh.element_gradient(mesh_cache(2, 8), np.zeros(5))
 
 
+def _einsum_element_gradient(mesh, values):
+    """Reference: the einsum formulation ``element_gradient`` replaced."""
+    values = np.asarray(values)
+    v = values[mesh.triangles]
+    dv = v[:, 1:] - v[:, :1]
+    g = mesh.hat_gradients[:, 1:]
+    return np.einsum("tad,ta...->td...", g, dv)
+
+
+@pytest.mark.parametrize("size", [(6, 24), (12, 48)])
+def test_gradient_bitwise_matches_einsum(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    n = len(m.nodes)
+    fields = [rng.normal(size=n), rng.normal(size=(n, 4)),
+              rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))]
+    for vals in fields:
+        got = msh.element_gradient(m, vals)
+        want = _einsum_element_gradient(m, vals)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # weak divergence residual
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
 from lagdisc import solver as sol
-from lagdisc.algebra import symplectic
+from lagdisc.algebra import apply_I, inner, symplectic
+from lagdisc.mesh import element_gradient
 from conftest import random_unitary
 
 BALL = dom.unit_ball()
@@ -68,6 +69,51 @@ def test_energy_needs_level_set(mesh_cache):
     u = fam.sample(fam.nonminimal_map(), mesh_cache(4, 16))
     with pytest.raises(dom.Unsupported):
         sol.energy_and_gradient(u, d, 1.0, 1.0)
+    with pytest.raises(dom.Unsupported):
+        sol.energy(u, d, 1.0, 1.0)
+
+
+def _add_at_energy_and_gradient(u, domain, lam1, lam2):
+    """Reference: the ``np.add.at`` scatter assembly that the ``bincount``
+    assembly replaced, term for term in the same order."""
+    mesh = u.mesh
+    vals = u.values
+    tris = mesh.triangles
+    a = mesh.areas
+    g = mesh.hat_gradients
+    grad = element_gradient(mesh, vals)
+    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
+    E = 0.5 * float(np.sum(a * (inner(e_x, e_x) + inner(e_y, e_y))))
+    G = np.zeros_like(vals)
+    for ia in range(3):
+        contrib = a[:, None] * (g[:, ia, 0, None] * e_x + g[:, ia, 1, None] * e_y)
+        np.add.at(G, tris[:, ia], contrib)
+    q = symplectic(e_x, e_y)
+    E += lam1 * float(np.sum(a * q * q))
+    Ie_x, Ie_y = apply_I(e_x), apply_I(e_y)
+    for ia in range(3):
+        dq = -g[:, ia, 0, None] * Ie_y + g[:, ia, 1, None] * Ie_x
+        np.add.at(G, tris[:, ia], (2.0 * lam1 * a * q)[:, None] * dq)
+    w = sol._boundary_weights(mesh)
+    b = mesh.is_boundary
+    Fb = np.asarray(domain.F(vals[b]), float)
+    E += lam2 * float(np.sum(w[b] * Fb * Fb))
+    G[b] += (2.0 * lam2 * w[b] * Fb)[:, None] * np.asarray(domain.gradF(vals[b]), float)
+    return E, G
+
+
+@pytest.mark.parametrize("size", [(6, 24), (12, 48)])
+def test_energy_and_gradient_bitwise_matches_add_at(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
+    for lam1, lam2 in sol.default_continuation():
+        vals = u0.values + 0.1 * rng.normal(size=u0.values.shape)
+        u = replace(u0, values=vals, exact_frames=None, source=None)
+        E, G = sol.energy_and_gradient(u, BALL, lam1, lam2)
+        E_ref, G_ref = _add_at_energy_and_gradient(u, BALL, lam1, lam2)
+        assert E == E_ref
+        assert np.array_equal(G, G_ref)
+        assert sol.energy(u, BALL, lam1, lam2) == E
 
 
 # ---------------------------------------------------------------------------
