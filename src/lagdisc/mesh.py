@@ -120,18 +120,16 @@ class DiscMesh:
     def node_theta(self):
         return np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
 
-    def incident_triangles(self):
-        """List of triangle-index arrays, one per node (cached)."""
-        if "incident" not in self._cache:
-            lists = [[] for _ in range(len(self.nodes))]
-            for t, tri in enumerate(self.triangles):
-                for i in tri:
-                    lists[i].append(t)
-            self._cache["incident"] = [np.array(l, dtype=int) for l in lists]
-        return self._cache["incident"]
-
     # -- validation ------------------------------------------------------
     def validate(self):
+        """Check the mesh and return it; raise :class:`InvalidParameter` if not.
+
+        Checks that every triangle has area at least 1e-14 (so it is
+        counterclockwise and not degenerate), that every boundary node lies
+        on the unit circle to 1e-12, that the boundary edges form one closed
+        cycle, and that every triangle edge is shared by exactly one
+        triangle if it is a boundary edge and by exactly two otherwise.
+        """
         if np.any(self.areas < 1e-14):
             raise InvalidParameter("mesh has a non-positive or degenerate triangle")
         r = self.node_r[self.is_boundary]
@@ -141,17 +139,19 @@ class DiscMesh:
         be = self.boundary_edges
         if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
             raise InvalidParameter("boundary edges do not form a single closed cycle")
-        # conformity: interior edges shared by exactly 2 triangles
-        edges = {}
-        for tri in self.triangles:
-            for a in range(3):
-                key = (min(tri[a], tri[(a + 1) % 3]), max(tri[a], tri[(a + 1) % 3]))
-                edges[key] = edges.get(key, 0) + 1
-        bset = {(min(i, j), max(i, j)) for i, j in be}
-        for key, count in edges.items():
-            want = 1 if key in bset else 2
-            if count != want:
-                raise InvalidParameter(f"edge {key} shared by {count} triangles")
+        # conformity: count each undirected edge, encoded as i*N + j with i < j
+        n = len(self.nodes)
+        tris = self.triangles
+        edges = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
+                        .reshape(-1, 2), axis=1)
+        keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+        bsorted = np.sort(be.reshape(-1, 2), axis=1)
+        want = np.where(np.isin(keys, bsorted[:, 0] * n + bsorted[:, 1]), 1, 2)
+        bad = np.flatnonzero(counts != want)
+        if bad.size:
+            i, j = divmod(int(keys[bad[0]]), n)
+            raise InvalidParameter(
+                f"edge {(i, j)} shared by {int(counts[bad[0]])} triangles")
         return self
 
     # -- serialization -----------------------------------------------------
@@ -255,35 +255,28 @@ def build_polar_mesh(n_rings, n_sectors, grading=1.0):
     theta = 2 * np.pi * np.arange(n_sectors) / n_sectors
     nodes = np.empty((1 + n_rings * n_sectors, 2))
     nodes[0] = 0.0
-    for k in range(1, n_rings + 1):
-        idx = 1 + (k - 1) * n_sectors
-        nodes[idx:idx + n_sectors, 0] = radii[k - 1] * np.cos(theta)
-        nodes[idx:idx + n_sectors, 1] = radii[k - 1] * np.sin(theta)
+    nodes[1:, 0] = (radii[:, None] * np.cos(theta)).ravel()
+    nodes[1:, 1] = (radii[:, None] * np.sin(theta)).ravel()
 
-    def node(k, j):
-        return 1 + (k - 1) * n_sectors + (j % n_sectors)
+    # node(k, j) = 1 + (k - 1) * n_sectors + j mod n_sectors on ring k >= 1
+    j = np.arange(n_sectors)
+    j1 = (j + 1) % n_sectors
+    fan = np.column_stack([np.zeros(n_sectors, dtype=int), 1 + j, 1 + j1])
+    # CCW quad of ring k, sector j: inner theta_j, outer theta_j,
+    # outer theta_j+1, inner theta_j+1; its two triangles follow each other
+    k = np.arange(1, n_rings)[:, None]
+    p0, p1 = 1 + (k - 1) * n_sectors + j, 1 + k * n_sectors + j
+    p2, p3 = 1 + k * n_sectors + j1, 1 + (k - 1) * n_sectors + j1
+    even = (j + k) % 2 == 0
+    first = np.stack([p0, p1, np.where(even, p2, p3)], axis=-1)
+    second = np.stack([np.where(even, p0, p1), p2, p3], axis=-1)
+    quads = np.stack([first, second], axis=2).reshape(-1, 3)
+    triangles = np.concatenate([fan, quads])
 
-    tris = []
-    for j in range(n_sectors):
-        tris.append((0, node(1, j), node(1, j + 1)))
-    for k in range(1, n_rings):
-        for j in range(n_sectors):
-            # CCW quad: inner theta_j, outer theta_j, outer theta_j+1, inner theta_j+1
-            p0, p1 = node(k, j), node(k + 1, j)
-            p2, p3 = node(k + 1, j + 1), node(k, j + 1)
-            if (j + k) % 2 == 0:
-                tris.append((p0, p1, p2))
-                tris.append((p0, p2, p3))
-            else:
-                tris.append((p0, p1, p3))
-                tris.append((p1, p2, p3))
-    triangles = np.array(tris, dtype=int)
-
-    boundary_edges = np.array(
-        [(node(n_rings, j), node(n_rings, j + 1)) for j in range(n_sectors)],
-        dtype=int)
+    outer = 1 + (n_rings - 1) * n_sectors
+    boundary_edges = np.column_stack([outer + j, outer + j1])
     is_boundary = np.zeros(len(nodes), dtype=bool)
-    is_boundary[1 + (n_rings - 1) * n_sectors:] = True
+    is_boundary[outer:] = True
 
     mesh = DiscMesh(nodes, triangles, boundary_edges, is_boundary,
                     polar_info={"n_rings": n_rings, "n_sectors": n_sectors,
@@ -354,20 +347,24 @@ def weak_divergence_residual(mesh, w, exclude=()):
     g = mesh.hat_gradients
     n = len(mesh.nodes)
 
-    # per-node accumulators in fixed index order
-    integral = np.zeros(n, dtype=w.dtype)
-    grad_sq = np.zeros(n)
-    w_sq = np.zeros(n)
+    # per-node accumulators: one bincount each over the contributions of
+    # local vertices 0, 1, 2 in triangle order, a fixed summation order
+    idx = mesh.triangles.T.ravel()
     w2 = np.sum(np.abs(w) ** 2, axis=-1)
+    dots = np.concatenate([
+        a * np.einsum("td,td->t", g[:, aidx].astype(w.dtype), w)
+        for aidx in range(3)])
+    if np.iscomplexobj(dots):
+        integral = np.empty(n, dtype=dots.dtype)
+        integral.real = np.bincount(idx, dots.real, minlength=n)
+        integral.imag = np.bincount(idx, dots.imag, minlength=n)
+    else:
+        integral = np.bincount(idx, dots, minlength=n)
+    grad_sq = np.bincount(idx, np.concatenate(
+        [a * np.sum(g[:, aidx] ** 2, axis=-1) for aidx in range(3)]), minlength=n)
+    w_sq = np.bincount(idx, np.tile(a * w2, 3), minlength=n)
     contrib_ok = np.ones(n, dtype=bool)
-    for aidx in range(3):
-        idx = mesh.triangles[:, aidx]
-        dot = np.einsum("td,td->t", g[:, aidx].astype(w.dtype), w)
-        np.add.at(integral, idx, a * dot)
-        np.add.at(grad_sq, idx, a * np.sum(g[:, aidx] ** 2, axis=-1))
-        np.add.at(w_sq, idx, a * w2)
-        bad = ~ok_tri
-        np.logical_and.at(contrib_ok, idx[bad], False)
+    contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
 
     test = contrib_ok & ~mesh.is_boundary
     for center, radius in exclude:

@@ -389,20 +389,49 @@ def boundary_conditions_report(u: DiscreteMap, domain, collar_r0=0.7, max_k=4):
 # --------------------------------------------------------------------------
 # stationarity functional
 # --------------------------------------------------------------------------
-def stationarity_integral(u: DiscreteMap, f, subdomain=None):
-    """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega."""
-    mesh = u.mesh
-    sub = subdomain or FullDisc()
-    m = sub.contains(mesh.centroids)
-    grad = element_gradient(mesh, u.values)
-    u_c = interpolate_at_centroids(mesh, u.values)
-    H = f.hessian(u_c[m])
+# elements per Hessian block in the stationarity quadrature
+HESSIAN_BLOCK = 4096
+
+
+def _stationarity_terms(e, u_c, areas, f):
+    """Midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> and the max
+    Frobenius norm of Hess f over the given elements.
+
+    ``e`` holds the contiguous (T, 4) frames d_x u and d_y u, ``u_c`` the
+    (T, 4) centroid values.  The Hessian is evaluated in blocks of
+    ``HESSIAN_BLOCK`` elements; the per-element integrands go into
+    full-length arrays that are summed once, so the result does not
+    depend on the blocking.
+    """
+    n = len(u_c)
+    integrand = np.empty((2, n))
+    h_norm = np.empty(n)
+    for s in range(0, n, HESSIAN_BLOCK):
+        blk = slice(s, s + HESSIAN_BLOCK)
+        H = f.hessian(u_c[blk])
+        for k in range(2):
+            He = np.einsum("tij,tj->ti", H, e[k][blk])
+            integrand[k, blk] = inner(apply_I(He), e[k][blk])
+        h_norm[blk] = np.sqrt(np.sum(H * H, axis=(-2, -1)))
     total = 0.0
     for k in range(2):
-        e = grad[m, k, :]
-        He = np.einsum("tij,tj->ti", H, e)
-        total += np.sum(mesh.areas[m] * inner(apply_I(He), e))
-    return float(total)
+        total += np.sum(areas * integrand[k])
+    return float(total), float(np.max(h_norm, initial=0.0))
+
+
+def _omega_elements(u: DiscreteMap, m):
+    """Frames, centroid values and areas of the elements in mask ``m``."""
+    mesh = u.mesh
+    grad = element_gradient(mesh, u.values)
+    u_c = interpolate_at_centroids(mesh, u.values)
+    return [grad[m, k, :] for k in range(2)], u_c[m], mesh.areas[m]
+
+
+def stationarity_integral(u: DiscreteMap, f, subdomain=None):
+    """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega."""
+    sub = subdomain or FullDisc()
+    m = sub.contains(u.mesh.centroids)
+    return _stationarity_terms(*_omega_elements(u, m), f)[0]
 
 
 def _check_support_clear(f, pts4, what):
@@ -465,6 +494,8 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
     with midpoint quadrature per triangle and the Frobenius matrix norm.
+    The Hessians are evaluated in blocks of ``HESSIAN_BLOCK`` elements, so
+    peak memory no longer grows with the element count times the batch.
     """
     mesh = u.mesh
     sub = subdomain or FullDisc()
@@ -482,22 +513,13 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     wall_pts = u.values[wall]
     wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
 
-    grad = element_gradient(mesh, u.values)
-    u_c = interpolate_at_centroids(mesh, u.values)
-    grad_sq = float(np.sum(mesh.areas[m]
-                           * (inner(grad[m, 0], grad[m, 0])
-                              + inner(grad[m, 1], grad[m, 1]))))
+    e, u_c, areas = _omega_elements(u, m)
+    grad_sq = float(np.sum(areas * (inner(e[0], e[0]) + inner(e[1], e[1]))))
     worst = 0.0
     for f in fs:
         _check_admissible(f, domain, wall_pts, wall_normals)
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
-        H = f.hessian(u_c[m])
-        total = 0.0
-        for k in range(2):
-            e = grad[m, k, :]
-            He = np.einsum("tij,tj->ti", H, e)
-            total += np.sum(mesh.areas[m] * inner(apply_I(He), e))
-        h_inf = float(np.max(np.sqrt(np.sum(H * H, axis=(-2, -1)))))
+        total, h_inf = _stationarity_terms(e, u_c, areas, f)
         worst = max(worst, abs(total) / (h_inf * grad_sq + EPS))
     return worst
 

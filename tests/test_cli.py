@@ -134,7 +134,10 @@ def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
      "--refinements", "2", "--seed", "7"),
     ("--command", "rigidity", "--mesh", "12,48,1.0", "--seed", "3",
      "--eps", "0.03"),
-], ids=["stationarity", "rigidity"])
+    # 4512 and 18240 elements: the Hessian batches cross block boundaries
+    ("--command", "verify-example", "--example", "sw:1,2", "--mesh", "24,96,1.0",
+     "--refinements", "2"),
+], ids=["stationarity", "rigidity", "verify-example"])
 def test_determinism_bitwise(tmp_path, argv):
     outs = []
     for name in ("r1", "r2"):

@@ -34,6 +34,114 @@ def test_mesh_invariants(mesh_cache):
     m.validate()  # cycle + conformity
 
 
+def _loop_build_polar_mesh(n_rings, n_sectors, grading):
+    """Reference: the per-ring, per-sector loops ``build_polar_mesh`` replaced."""
+    radii = (np.arange(1, n_rings + 1) / n_rings) ** (1.0 / grading)
+    theta = 2 * np.pi * np.arange(n_sectors) / n_sectors
+    nodes = np.empty((1 + n_rings * n_sectors, 2))
+    nodes[0] = 0.0
+    for k in range(1, n_rings + 1):
+        idx = 1 + (k - 1) * n_sectors
+        nodes[idx:idx + n_sectors, 0] = radii[k - 1] * np.cos(theta)
+        nodes[idx:idx + n_sectors, 1] = radii[k - 1] * np.sin(theta)
+
+    def node(k, j):
+        return 1 + (k - 1) * n_sectors + (j % n_sectors)
+
+    tris = []
+    for j in range(n_sectors):
+        tris.append((0, node(1, j), node(1, j + 1)))
+    for k in range(1, n_rings):
+        for j in range(n_sectors):
+            p0, p1 = node(k, j), node(k + 1, j)
+            p2, p3 = node(k + 1, j + 1), node(k, j + 1)
+            if (j + k) % 2 == 0:
+                tris.append((p0, p1, p2))
+                tris.append((p0, p2, p3))
+            else:
+                tris.append((p0, p1, p3))
+                tris.append((p1, p2, p3))
+    triangles = np.array(tris, dtype=int)
+    boundary_edges = np.array(
+        [(node(n_rings, j), node(n_rings, j + 1)) for j in range(n_sectors)],
+        dtype=int)
+    is_boundary = np.zeros(len(nodes), dtype=bool)
+    is_boundary[1 + (n_rings - 1) * n_sectors:] = True
+    return nodes, triangles, boundary_edges, is_boundary
+
+
+@pytest.mark.parametrize("args", [(2, 8, 1.0), (3, 12, 0.5), (7, 30, 0.3),
+                                  (24, 96, 1.0)])
+def test_build_bitwise_matches_loops(args):
+    m = msh.build_polar_mesh(*args)
+    got = (m.nodes, m.triangles, m.boundary_edges, m.is_boundary)
+    for a, b in zip(got, _loop_build_polar_mesh(*args)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def _dict_validate(mesh):
+    """Reference: the per-triangle dict edge count ``validate`` replaced."""
+    if np.any(mesh.areas < 1e-14):
+        raise msh.InvalidParameter("mesh has a non-positive or degenerate triangle")
+    r = mesh.node_r[mesh.is_boundary]
+    if np.any(np.abs(r - 1.0) > 1e-12):
+        raise msh.InvalidParameter("boundary node off the unit circle")
+    be = mesh.boundary_edges
+    if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
+        raise msh.InvalidParameter("boundary edges do not form a single closed cycle")
+    edges = {}
+    for tri in mesh.triangles:
+        for a in range(3):
+            key = (min(tri[a], tri[(a + 1) % 3]), max(tri[a], tri[(a + 1) % 3]))
+            edges[key] = edges.get(key, 0) + 1
+    bset = {(min(i, j), max(i, j)) for i, j in be}
+    for key, count in edges.items():
+        want = 1 if key in bset else 2
+        if count != want:
+            raise msh.InvalidParameter(f"edge {key} shared by {count} triangles")
+    return mesh
+
+
+def _with(mesh, nodes=None, triangles=None, is_boundary=None):
+    return msh.DiscMesh(mesh.nodes if nodes is None else nodes,
+                        mesh.triangles if triangles is None else triangles,
+                        mesh.boundary_edges,
+                        mesh.is_boundary if is_boundary is None else is_boundary)
+
+
+def _broken_meshes():
+    m = msh.build_polar_mesh(4, 16, 1.0)
+    tris = m.triangles
+    yield "duplicated", _with(m, triangles=np.vstack([tris, tris[40:41]]))
+    yield "dropped", _with(m, triangles=np.delete(tris, 40, axis=0))
+    # a triangle outside the disc glued onto the boundary edge (i, j)
+    i, j = m.boundary_edges[3]
+    mid = 0.6 * (m.nodes[i] + m.nodes[j])
+    nodes = np.vstack([m.nodes, mid])
+    yield "boundary edge in two triangles", _with(
+        m, nodes=nodes, triangles=np.vstack([tris, [j, i, len(m.nodes)]]),
+        is_boundary=np.append(m.is_boundary, False))
+
+
+@pytest.mark.parametrize("size", [(2, 8), (3, 12), (6, 24), (9, 40)])
+def test_validate_matches_dict_loop_on_valid_meshes(mesh_cache, size):
+    m = mesh_cache(*size)
+    assert m.validate() is m
+    assert _dict_validate(m) is m
+
+
+@pytest.mark.parametrize("case", ["duplicated", "dropped",
+                                  "boundary edge in two triangles"])
+def test_validate_rejects_nonconforming_mesh(case):
+    bad = dict(_broken_meshes())[case]
+    with pytest.raises(msh.InvalidParameter,
+                       match=r"^edge \(\d+, \d+\) shared by \d+ triangles$"):
+        bad.validate()
+    with pytest.raises(msh.InvalidParameter, match="shared by"):
+        _dict_validate(bad)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -127,6 +235,48 @@ def test_weak_divergence_refinement_factor(mesh_cache):
     r1 = msh.weak_divergence_residual(m1, w_of(m1))
     r2 = msh.weak_divergence_residual(m2, w_of(m2))
     assert r1 / r2 >= 1.8
+
+
+def _add_at_weak_divergence_residual(mesh, w, exclude=()):
+    """Reference: the ``np.add.at`` accumulation the ``bincount`` one replaced."""
+    w = np.asarray(w)
+    ok_tri = msh._triangles_clear_of(mesh, exclude)
+    a = mesh.areas
+    g = mesh.hat_gradients
+    n = len(mesh.nodes)
+    integral = np.zeros(n, dtype=w.dtype)
+    grad_sq = np.zeros(n)
+    w_sq = np.zeros(n)
+    w2 = np.sum(np.abs(w) ** 2, axis=-1)
+    contrib_ok = np.ones(n, dtype=bool)
+    for aidx in range(3):
+        idx = mesh.triangles[:, aidx]
+        dot = np.einsum("td,td->t", g[:, aidx].astype(w.dtype), w)
+        np.add.at(integral, idx, a * dot)
+        np.add.at(grad_sq, idx, a * np.sum(g[:, aidx] ** 2, axis=-1))
+        np.add.at(w_sq, idx, a * w2)
+        np.logical_and.at(contrib_ok, idx[~ok_tri], False)
+    test = contrib_ok & ~mesh.is_boundary
+    for center, radius in exclude:
+        center = np.asarray(center, float)
+        d = np.hypot(mesh.nodes[:, 0] - center[0], mesh.nodes[:, 1] - center[1])
+        test &= d > radius
+    den = np.sqrt(w_sq[test]) * np.sqrt(grad_sq[test]) + msh.EPS
+    return float(np.max(np.abs(integral[test]) / den))
+
+
+@pytest.mark.parametrize("size", [(8, 32), (24, 96)])
+def test_weak_divergence_bitwise_matches_add_at(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    t = len(m.triangles)
+    real = rng.normal(size=(t, 2))
+    cplx = rng.normal(size=(t, 2)) + 1j * rng.normal(size=(t, 2))
+    sw = sw_cone(1, 2).angle_flux_field(m.centroids)
+    ball = [((0.0, 0.0), 0.1)]
+    for w, exclude in [(real, ()), (cplx, ()), (sw, ball), (cplx, ball),
+                       (real, [((0.3, -0.2), 0.25)])]:
+        got = msh.weak_divergence_residual(m, w, exclude)
+        assert got == _add_at_weak_divergence_residual(m, w, exclude)
 
 
 def test_weak_divergence_empty_test_set(mesh_cache):

@@ -321,6 +321,89 @@ def test_stationarity_cross_validation_with_angle_pairing(mesh_cache):
     assert diffs[-1] <= 1e-2
 
 
+def _unblocked_stationarity_integral(u, f, subdomain=None):
+    """Reference: the one-shot (T, 4, 4) Hessian quadrature before blocking."""
+    mesh = u.mesh
+    sub = subdomain or res.FullDisc()
+    m = sub.contains(mesh.centroids)
+    grad = element_gradient(mesh, u.values)
+    u_c = interpolate_at_centroids(mesh, u.values)
+    H = f.hessian(u_c[m])
+    total = 0.0
+    for k in range(2):
+        e = grad[m, k, :]
+        He = np.einsum("tij,tj->ti", H, e)
+        total += np.sum(mesh.areas[m] * alg.inner(alg.apply_I(He), e))
+    return float(total)
+
+
+def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
+    """Reference: ``stationarity_test`` with one (T, 4, 4) Hessian per f."""
+    mesh = u.mesh
+    sub = subdomain or res.FullDisc()
+    m = sub.contains(mesh.centroids)
+    if not np.any(m):
+        raise ValueError("subdomain contains no triangles")
+    boundary_pts = sub.interior_boundary_samples()
+    if len(boundary_pts):
+        u_at = u.mesh.interpolate(u.values, boundary_pts)
+    else:
+        u_at = np.empty((0, 4))
+    wall = mesh.is_boundary & sub.contains(mesh.nodes)
+    wall_pts = u.values[wall]
+    wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
+    grad = element_gradient(mesh, u.values)
+    u_c = interpolate_at_centroids(mesh, u.values)
+    grad_sq = float(np.sum(mesh.areas[m]
+                           * (alg.inner(grad[m, 0], grad[m, 0])
+                              + alg.inner(grad[m, 1], grad[m, 1]))))
+    worst = 0.0
+    for f in fs:
+        res._check_admissible(f, domain, wall_pts, wall_normals)
+        res._check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
+        H = f.hessian(u_c[m])
+        total = 0.0
+        for k in range(2):
+            e = grad[m, k, :]
+            He = np.einsum("tij,tj->ti", H, e)
+            total += np.sum(mesh.areas[m] * alg.inner(alg.apply_I(He), e))
+        h_inf = float(np.max(np.sqrt(np.sum(H * H, axis=(-2, -1)))))
+        worst = max(worst, abs(total) / (h_inf * grad_sq + alg.EPS))
+    return worst
+
+
+@pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
+def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
+    m = mesh_cache(48, 192)
+    assert len(m.triangles) % res.HESSIAN_BLOCK != 0
+    assert len(m.triangles) > res.HESSIAN_BLOCK
+    if batch == "ball_mixed":
+        u = fam.sample(fam.sw_cone(1, 2), m)
+        domain = BALL
+        fs = res.ball_mixed_batch(domain, seed=5)
+    else:
+        nm = fam.nonminimal_map()
+        u = fam.sample(nm, m)
+        domain = dom.curve_domain_from_map(nm)
+        fs = res.curve_report_batch(domain, nm, seed=5)
+    for sub in (res.FullDisc(), res.HalfPlane(0.0)):
+        for f in fs:
+            assert res.stationarity_integral(u, f, sub) == \
+                _unblocked_stationarity_integral(u, f, sub)
+        # the test functions whose support avoids the image of the cut
+        cut = m.interpolate(u.values, sub.interior_boundary_samples())
+        clear = []
+        for f in fs:
+            try:
+                res._check_support_clear(f, cut, "the cut")
+            except res.SupportViolation:
+                continue
+            clear.append(f)
+        assert clear
+        assert res.stationarity_test(u, domain, clear, sub) == \
+            _unblocked_stationarity_test(u, domain, clear, sub)
+
+
 def test_subdomain_specs():
     full = res.FullDisc()
     assert full.contains(np.array([[0.0, 0.0]]))[0]
