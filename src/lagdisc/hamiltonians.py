@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra
-from .algebra import apply_I, apply_J, complex_scale, inner
+from .algebra import EPS, apply_I, apply_J, complex_scale, inner
+from .mesh import InvalidParameter
 
 __all__ = [
     "FlowNotInvertible",
@@ -34,9 +35,9 @@ __all__ = [
     "Profile",
     "TubeTooLarge",
     "admissibility_residual",
+    "bump_kernel",
     "combine",
     "constant_profile",
-    "even_bump",
     "flow_adapted",
     "hopf_invariant_quadratic",
     "interior_bump",
@@ -48,13 +49,6 @@ __all__ = [
     "windowed_wave",
     "z1_arc_hamiltonian",
 ]
-
-EPS = np.finfo(float).eps
-
-
-class InvalidParameter(ValueError):
-    pass
-
 
 class FlowNotInvertible(RuntimeError):
     pass
@@ -158,6 +152,24 @@ def smooth_cutoff_profile(s0, s1):
 # --------------------------------------------------------------------------
 # interior bumps
 # --------------------------------------------------------------------------
+def bump_kernel(s):
+    """phi(s) = exp(-1/(1 - s)) for s < 1 and 0 otherwise, with phi' and phi''.
+
+    The one smooth compactly supported kernel behind every bump: interior
+    bumps take s = |z - c|^2/R^2, the odd profile and the z1-arc bump
+    s = u^2, the normal-wave envelope s = |x|^2/R^2.
+    """
+    s = np.asarray(s, float)
+    phi, d1, d2 = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+    m = s < 1.0
+    w = 1.0 / (1.0 - s[m])
+    p = np.exp(-w)
+    phi[m] = p
+    d1[m] = -p * w * w
+    d2[m] = p * (w ** 4) - 2.0 * p * (w ** 3)
+    return phi, d1, d2
+
+
 def interior_bump(center, radius, amplitude=1.0):
     """amplitude * exp(-1/(1 - |z-c|^2/R^2)) inside the ball, 0 outside."""
     if radius <= 0:
@@ -170,23 +182,16 @@ def interior_bump(center, radius, amplitude=1.0):
         d = np.asarray(z, float) - center
         return np.sum(d * d, axis=-1) / R2, d
 
-    def _phi(s):
-        out = np.zeros_like(s)
-        m = s < 1.0
-        out[m] = np.exp(-1.0 / (1.0 - s[m]))
-        return out
-
     def value(z):
         s, _ = _s(z)
-        return A * _phi(s)
+        return A * bump_kernel(s)[0]
 
     def gradient(z):
         s, d = _s(z)
         out = np.zeros_like(d)
         m = s < 1.0
         if np.any(m):
-            w = 1.0 / (1.0 - s[m])
-            dphi = -np.exp(-w) * w * w
+            _, dphi, _ = bump_kernel(s[m])
             out[m] = (A * dphi * 2.0 / R2)[..., None] * d[m]
         return out
 
@@ -196,10 +201,7 @@ def interior_bump(center, radius, amplitude=1.0):
         out = np.zeros(shape)
         m = s < 1.0
         if np.any(m):
-            w = 1.0 / (1.0 - s[m])
-            phi = np.exp(-w)
-            dphi = -phi * w * w
-            d2phi = phi * (w ** 4) - 2.0 * phi * (w ** 3)
+            _, dphi, d2phi = bump_kernel(s[m])
             dm = d[m]
             outer = dm[..., :, None] * dm[..., None, :]
             eye = np.eye(4)
@@ -242,23 +244,19 @@ def radial_invariant(profile, domain=None, name="radial"):
                        name=name)
 
 
-_QUAD_GRADS = None
-_QUAD_HESS = None
-
-
 def _quad_basis():
-    """Gradients/Hessians of |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
-    global _QUAD_GRADS, _QUAD_HESS
-    if _QUAD_HESS is None:
-        H = np.zeros((4, 4, 4))
-        H[0, 0, 0] = H[0, 1, 1] = 2.0
-        H[1, 2, 2] = H[1, 3, 3] = 2.0
-        H[2, 0, 2] = H[2, 2, 0] = 1.0
-        H[2, 1, 3] = H[2, 3, 1] = 1.0
-        H[3, 0, 3] = H[3, 3, 0] = 1.0
-        H[3, 1, 2] = H[3, 2, 1] = -1.0
-        _QUAD_HESS = H
-    return _QUAD_HESS
+    """Hessians of |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
+    H = np.zeros((4, 4, 4))
+    H[0, 0, 0] = H[0, 1, 1] = 2.0
+    H[1, 2, 2] = H[1, 3, 3] = 2.0
+    H[2, 0, 2] = H[2, 2, 0] = 1.0
+    H[2, 1, 3] = H[2, 3, 1] = 1.0
+    H[3, 0, 3] = H[3, 3, 0] = 1.0
+    H[3, 1, 2] = H[3, 2, 1] = -1.0
+    return H
+
+
+_QUAD_HESS = _quad_basis()
 
 
 def _quad_eval(z, c):
@@ -272,7 +270,7 @@ def _quad_eval(z, c):
     g[..., 1] = 2 * c[0] * y1 + c[2] * y2 - c[3] * x2
     g[..., 2] = 2 * c[1] * x2 + c[2] * x1 - c[3] * y1
     g[..., 3] = 2 * c[1] * y2 + c[2] * y1 + c[3] * x1
-    H = np.tensordot(np.asarray(c, float), _quad_basis(), axes=1)
+    H = np.tensordot(np.asarray(c, float), _QUAD_HESS, axes=1)
     return Q, g, H
 
 
@@ -375,28 +373,41 @@ def odd_bump(delta, amplitude=1.0):
     delta = float(delta)
 
     def beta(t):
-        t = np.asarray(t, float)
-        u = t / delta
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        out[m] = u[m] * np.exp(-1.0 / (1.0 - u[m] ** 2))
-        return amplitude * out
+        u = np.asarray(t, float) / delta
+        return amplitude * (u * bump_kernel(u * u)[0])
 
     return beta
 
 
-def even_bump(delta, amplitude=1.0):
-    delta = float(delta)
+def _plateau(rho2, r_in, r_out):
+    """Smooth cutoff of a squared distance: 1 for rho2 <= r_in^2, 0 for
+    rho2 >= r_out^2, the C^infinity blend exp(-1/x)/(exp(-1/x) + exp(-1/(1-x)))
+    in between."""
+    x = np.clip((r_out ** 2 - rho2) / (r_out ** 2 - r_in ** 2), 0.0, 1.0)
+    xm = 1.0 - x
+    hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
+    hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
+    return hx / (hx + hm)
 
-    def beta(t):
-        t = np.asarray(t, float)
-        u = t / delta
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-        return amplitude * out
 
-    return beta
+def _centred_differences(fn, z, step, symmetrize=False):
+    """Centred differences of ``fn`` along the four coordinate axes at the
+    rows of ``z``, stacked on a new last axis; a single point stays single.
+
+    With ``symmetrize`` the result (a Hessian from a gradient) is replaced
+    by its symmetric part.
+    """
+    z = np.asarray(z, float)
+    y = np.atleast_2d(z)
+    out = []
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = step
+        out.append((fn(y + e) - fn(y - e)) / (2 * step))
+    d = np.stack(out, axis=-1)
+    if symmetrize:
+        d = 0.5 * (d + np.swapaxes(d, 1, 2))
+    return d[0] if z.ndim == 1 else d
 
 
 def phase_for_tangent(domain, p, v):
@@ -543,22 +554,12 @@ def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
     probe = p + r_out * probe / np.linalg.norm(probe, axis=1, keepdims=True)
     tube.time_of(probe)                           # FlowNotInvertible on failure
 
-    span2 = r_out ** 2 - r_in ** 2
-
-    def _eta(y):
-        rho2 = np.sum((np.atleast_2d(y) - p) ** 2, axis=-1)
-        x = np.clip((r_out ** 2 - rho2) / span2, 0.0, 1.0)
-        xm = 1.0 - x
-        hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
-        hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
-        return hx / (hx + hm)
-
     def value(z):
         z = np.asarray(z, float)
         single = z.ndim == 1
         y = np.atleast_2d(z)
         out = np.zeros(len(y))
-        eta = _eta(y)
+        eta = _plateau(np.sum((y - p) ** 2, axis=-1), r_in, r_out)
         m = eta > 0
         if np.any(m):
             t = tube.time_of(y[m], strict=False)
@@ -566,27 +567,10 @@ def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
         return out[0] if single else out
 
     def gradient(z):
-        z = np.asarray(z, float)
-        single = z.ndim == 1
-        y = np.atleast_2d(z)
-        g = np.empty((len(y), 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = fd_step
-            g[:, k] = (value(y + e) - value(y - e)) / (2 * fd_step)
-        return g[0] if single else g
+        return _centred_differences(value, z, fd_step)
 
     def hessian(z):
-        z = np.asarray(z, float)
-        single = z.ndim == 1
-        y = np.atleast_2d(z)
-        H = np.empty((len(y), 4, 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = fd_step
-            H[:, :, k] = (gradient(y + e) - gradient(y - e)) / (2 * fd_step)
-        H = 0.5 * (H + np.swapaxes(H, 1, 2))
-        return H[0] if single else H
+        return _centred_differences(gradient, z, fd_step, symmetrize=True)
 
     # admissibility samples: central flow arc (it stays on the boundary)
     samples = tube.c[np.abs(tube.t) <= 0.9 * delta]
@@ -596,8 +580,6 @@ def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
                       admissibility_tag=("boundary_tangent", domain),
                       boundary_samples=samples, name=name)
     ham.tube = tube
-    ham.anchor = (p, complex(g0))
-    ham.delta = float(delta)
     return ham
 
 
@@ -614,41 +596,12 @@ def admissibility_residual(f, domain, pts):
 # --------------------------------------------------------------------------
 # test functions adapted to the z1-unit-circle constraint curve
 # --------------------------------------------------------------------------
-class _Bump1D:
-    """exp(-1/(1-u^2)) bump with two derivatives, u = (x - c)/w."""
-
-    def __init__(self, center, width):
-        self.c, self.w = float(center), float(width)
-
-    def _u(self, x):
-        return (np.asarray(x, float) - self.c) / self.w
-
-    def f(self, x):
-        u = self._u(x)
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-        return out
-
-    def d1(self, x):
-        u = self._u(x)
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        um = u[m]
-        q = 1.0 - um ** 2
-        out[m] = np.exp(-1.0 / q) * (-2.0 * um / (q * q)) / self.w
-        return out
-
-    def d2(self, x):
-        u = self._u(x)
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        um = u[m]
-        q = 1.0 - um ** 2
-        b = np.exp(-1.0 / q)
-        out[m] = b * (4.0 * um * um / q ** 4
-                      - 2.0 / (q * q) - 8.0 * um * um / q ** 3) / self.w ** 2
-        return out
+def _arc_bump(x, center, width):
+    """exp(-1/(1-u^2)) with u = (x - center)/width, and its first two
+    derivatives in x."""
+    u = (np.asarray(x, float) - center) / width
+    b, d1, d2 = bump_kernel(u * u)
+    return b, 2.0 * u * d1 / width, (4.0 * u * u * d2 + 2.0 * d1) / width ** 2
 
 
 def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
@@ -665,43 +618,27 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
         raise InvalidParameter("phi-arc must avoid 0 and stay inside (-1, 1)")
-    B = _Bump1D(center, width)
     w_in, w_out = r_window
-    span2 = w_out ** 2 - w_in ** 2
 
     def _eta(R):
-        rho2 = (np.asarray(R, float) - 1.0) ** 2
-        x = np.clip((w_out ** 2 - rho2) / span2, 0.0, 1.0)
-        xm = 1.0 - x
-        hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
-        hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
-        return hx / (hx + hm)
+        return _plateau((np.asarray(R, float) - 1.0) ** 2, w_in, w_out)
 
-    def _deta(R, h=1e-6):
-        return (_eta(np.asarray(R, float) + h) - _eta(np.asarray(R, float) - h)) / (2 * h)
-
-    def _arc(phi):
-        return (phi > lo) & (phi < hi)
-
-    def _A(phi):
-        m = _arc(phi)
-        out = np.zeros_like(phi)
-        out[m] = -(1.0 - phi[m] ** 2) * B.d1(phi[m]) / phi[m]
-        return out
-
-    def _dA(phi):
-        m = _arc(phi)
-        out = np.zeros_like(phi)
-        pm = phi[m]
-        out[m] = (2.0 * pm * B.d1(pm) / pm
-                  - (1.0 - pm ** 2) * (B.d2(pm) * pm - B.d1(pm)) / pm ** 2)
-        return out
+    def _terms(phi):
+        """A, A', B and B' at phi; A vanishes off the arc."""
+        b, b1, b2 = _arc_bump(phi, center, width)
+        A, dA = np.zeros_like(phi), np.zeros_like(phi)
+        m = (phi > lo) & (phi < hi)
+        pm, b1m = phi[m], b1[m]
+        A[m] = -(1.0 - pm ** 2) * b1m / pm
+        dA[m] = (2.0 * pm * b1m / pm
+                 - (1.0 - pm ** 2) * (b2[m] * pm - b1m) / pm ** 2)
+        return A, dA, b, b1
 
     def value(z):
         z = np.asarray(z, float)
         R = np.hypot(z[..., 0], z[..., 1])
-        phi = np.arctan2(z[..., 1], z[..., 0])
-        return _eta(R) * (_A(phi) * (R - 1.0) + B.f(phi))
+        A, _, b, _ = _terms(np.arctan2(z[..., 1], z[..., 0]))
+        return _eta(R) * (A * (R - 1.0) + b)
 
     def gradient(z):
         z = np.asarray(z, float)
@@ -711,31 +648,18 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
         out = np.zeros(z.shape)
         m = eta > 0.0                      # support sits in an annulus around R=1
         if np.any(m):
-            Rm, pm = R[m], phi[m]
-            W = _A(pm) * (Rm - 1.0) + B.f(pm)
-            fR = _deta(Rm) * W + eta[m] * _A(pm)
-            fphi = eta[m] * (_dA(pm) * (Rm - 1.0) + B.d1(pm))
+            Rm, pm, h = R[m], phi[m], 1e-6
+            A, dA, b, b1 = _terms(pm)
+            deta = (_eta(Rm + h) - _eta(Rm - h)) / (2 * h)
+            fR = deta * (A * (Rm - 1.0) + b) + eta[m] * A
+            fphi = eta[m] * (dA * (Rm - 1.0) + b1)
             c, s = np.cos(pm), np.sin(pm)
-            gx = np.zeros_like(R)
-            gy = np.zeros_like(R)
-            gx[m] = c * fR - s * fphi / Rm
-            gy[m] = s * fR + c * fphi / Rm
-            out[..., 0] = gx
-            out[..., 1] = gy
+            out[..., 0][m] = c * fR - s * fphi / Rm
+            out[..., 1][m] = s * fR + c * fphi / Rm
         return out
 
     def hessian(z):
-        z = np.asarray(z, float)
-        single = z.ndim == 1
-        y = np.atleast_2d(z)
-        H = np.empty((len(y), 4, 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = fd_step
-            H[:, :, k] = (np.atleast_2d(gradient(y + e))
-                          - np.atleast_2d(gradient(y - e))) / (2 * fd_step)
-        H = 0.5 * (H + np.swapaxes(H, 1, 2))
-        return H[0] if single else H
+        return _centred_differences(gradient, z, fd_step, symmetrize=True)
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),

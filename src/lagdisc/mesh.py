@@ -14,10 +14,11 @@ repeated runs produce bitwise-identical numbers.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .algebra import EPS
 
 __all__ = [
     "DiscMesh",
@@ -26,13 +27,12 @@ __all__ = [
     "InvalidParameter",
     "build_polar_mesh",
     "element_gradient",
+    "exclusion_masks",
     "interpolate_at_centroids",
     "boundary_trace_pairing",
     "loop_integrals",
     "weak_divergence_residual",
 ]
-
-EPS = np.finfo(float).eps
 
 
 class InvalidParameter(ValueError):
@@ -175,59 +175,47 @@ class DiscMesh:
     def locate(self, points):
         """Triangle index and barycentric coordinates for disc points.
 
-        Only available on meshes built by :func:`build_polar_mesh`.
-        Points must lie in the closed unit disc.
+        Only available on meshes built by :func:`build_polar_mesh`.  Points
+        must lie in the closed unit disc; ``r > 1 + 1e-12`` raises
+        :class:`InvalidLoop`.  Each point is tested against the triangles
+        of its polar cell (ring k, sector j), then of cells k - 1 and
+        k + 1, and takes the first triangle whose smallest barycentric
+        coordinate is largest.  A point on the circle between two boundary
+        nodes lies outside the polygonal mesh; it takes that outer-ring
+        triangle too.  Barycentrics are clamped to >= 0 and renormalised.
         """
         if self.polar_info is None:
             raise InvalidParameter("locate() requires a structured polar mesh")
         pts = np.atleast_2d(np.asarray(points, float))
         info = self.polar_info
-        n_s = info["n_sectors"]
-        radii = info["radii"]
+        n_s, n_rings = info["n_sectors"], info["n_rings"]
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
         if np.any(r > 1 + 1e-12):
             raise InvalidLoop("point outside the closed unit disc")
         dth = 2 * np.pi / n_s
         j = np.minimum((th / dth).astype(int), n_s - 1)
-        k = np.searchsorted(radii, r * (1 - 1e-15))  # 0 -> fan, else annulus k
-        tri_idx = np.empty(len(pts), dtype=int)
-        bary = np.empty((len(pts), 3))
-        for i in range(len(pts)):
-            cands = self._cell_triangles(int(k[i]), int(j[i]), n_s, info["n_rings"])
-            # neighbours guard against searchsorted ties on ring radii
-            extra = []
-            for kk in (k[i] - 1, k[i] + 1):
-                if 0 <= kk <= info["n_rings"] - 1:
-                    extra.extend(self._cell_triangles(int(kk), int(j[i]), n_s,
-                                                      info["n_rings"]))
-            best, best_bar, best_min = -1, None, -np.inf
-            for t in list(cands) + extra:
-                b = self._barycentric(t, pts[i])
-                m = b.min()
-                if m > best_min:
-                    best, best_bar, best_min = t, b, m
-            if best_min < -1e-9:
-                raise InvalidLoop(f"point {pts[i]} not located in mesh")
-            tri_idx[i] = best
-            bary[i] = np.clip(best_bar, 0.0, None)
-            bary[i] /= bary[i].sum()
-        return tri_idx, bary
-
-    def _cell_triangles(self, k, j, n_s, n_rings):
-        if k <= 0:
-            return [j]
-        if k >= n_rings:
-            k = n_rings - 1
-        base = n_s + 2 * ((k - 1) * n_s + j)
-        return [base, base + 1]
-
-    def _barycentric(self, t, p):
-        tri = self.triangles[t]
-        a, b, c = self.nodes[tri]
-        m = np.column_stack([b - a, c - a])
-        lam = np.linalg.solve(m, p - a)
-        return np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+        k = np.searchsorted(info["radii"], r * (1 - 1e-15))  # 0 -> fan, else annulus k
+        # two candidate slots per cell, for cells k, k - 1, k + 1 in that
+        # order (the neighbours guard against searchsorted ties on ring
+        # radii); the fan cell k = 0 has one triangle, so its second slot
+        # and the slots of cells outside 0..n_rings - 1 are invalid
+        cells = np.stack([np.minimum(k, n_rings - 1), k - 1, k + 1], axis=1)[..., None]
+        jj, slot = j[:, None, None], np.arange(2)
+        cand = np.where(cells <= 0, jj, n_s + 2 * ((cells - 1) * n_s + jj) + slot)
+        valid = (cells >= 0) & (cells < n_rings) & ((cells > 0) | (slot == 0))
+        cand = np.where(valid, cand, cand[:, :1, :1]).reshape(len(pts), 6)
+        a, b, c = np.moveaxis(self.nodes[self.triangles[cand]], 2, 0)
+        lam = np.linalg.solve(np.stack([b - a, c - a], axis=-1),
+                              (pts[:, None] - a)[..., None])[..., 0]
+        bary = np.stack([1.0 - lam[..., 0] - lam[..., 1],
+                         lam[..., 0], lam[..., 1]], axis=-1)
+        score = np.where(valid.reshape(len(pts), 6), bary.min(axis=-1), -np.inf)
+        best = np.argmax(score, axis=1)
+        rows = np.arange(len(pts))
+        out = np.clip(bary[rows, best], 0.0, None)
+        out /= out.sum(axis=1, keepdims=True)
+        return cand[rows, best], out
 
     def interpolate(self, values, points):
         """P1-interpolate nodal values at arbitrary disc points."""
@@ -313,17 +301,22 @@ def interpolate_at_centroids(mesh, values):
     return np.asarray(values)[mesh.triangles].mean(axis=1)
 
 
-def _triangles_clear_of(mesh, exclude):
-    """Mask of triangles whose vertices and centroid avoid all exclusion balls."""
-    ok = np.ones(len(mesh.triangles), dtype=bool)
-    cent = mesh.centroids
-    p = mesh.nodes[mesh.triangles]
+def exclusion_masks(mesh, exclude):
+    """Nodes and triangles clear of a list of exclusion balls.
+
+    ``exclude`` holds ``(center, radius)`` pairs.  Returns ``(node_ok,
+    tri_ok)``: a node is clear when its distance to every center exceeds
+    that radius, a triangle when its three vertices and its centroid are.
+    """
+    node_ok = np.ones(len(mesh.nodes), dtype=bool)
+    cent_ok = np.ones(len(mesh.triangles), dtype=bool)
     for center, radius in exclude:
         center = np.asarray(center, float)
-        d_c = np.hypot(cent[:, 0] - center[0], cent[:, 1] - center[1])
-        d_v = np.hypot(p[..., 0] - center[0], p[..., 1] - center[1]).min(axis=1)
-        ok &= (d_c > radius) & (d_v > radius)
-    return ok
+        node_ok &= np.hypot(mesh.nodes[:, 0] - center[0],
+                            mesh.nodes[:, 1] - center[1]) > radius
+        cent_ok &= np.hypot(mesh.centroids[:, 0] - center[0],
+                            mesh.centroids[:, 1] - center[1]) > radius
+    return node_ok, cent_ok & node_ok[mesh.triangles].all(axis=1)
 
 
 def weak_divergence_residual(mesh, w, exclude=()):
@@ -338,11 +331,12 @@ def weak_divergence_residual(mesh, w, exclude=()):
     constants score at rounding level.
 
     Hat functions at boundary nodes, at nodes inside an exclusion ball,
-    or whose support meets an exclusion ball are skipped.  Returns 0 with
-    a warning when no test function remains.
+    or whose support meets an exclusion ball (see :func:`exclusion_masks`)
+    are skipped.  Raises :class:`InvalidParameter` when no test function
+    remains, since an empty maximum would read as a perfect 0.
     """
     w = np.asarray(w)
-    ok_tri = _triangles_clear_of(mesh, exclude)
+    node_ok, ok_tri = exclusion_masks(mesh, exclude)
     a = mesh.areas
     g = mesh.hat_gradients
     n = len(mesh.nodes)
@@ -366,14 +360,9 @@ def weak_divergence_residual(mesh, w, exclude=()):
     contrib_ok = np.ones(n, dtype=bool)
     contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
 
-    test = contrib_ok & ~mesh.is_boundary
-    for center, radius in exclude:
-        center = np.asarray(center, float)
-        d = np.hypot(mesh.nodes[:, 0] - center[0], mesh.nodes[:, 1] - center[1])
-        test &= d > radius
+    test = contrib_ok & ~mesh.is_boundary & node_ok
     if not np.any(test):
-        warnings.warn("weak_divergence_residual: empty test set")
-        return 0.0
+        raise InvalidParameter("weak_divergence_residual: empty test set")
     den = np.sqrt(w_sq[test]) * np.sqrt(grad_sq[test]) + EPS
     return float(np.max(np.abs(integral[test]) / den))
 

@@ -27,7 +27,7 @@ from . import hamiltonians as hams
 from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
                       norm, symplectic, wedge_norm)
 from .families import DiscreteMap, ExampleMap, sample
-from .mesh import (boundary_trace_pairing, element_gradient,
+from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
                    interpolate_at_centroids, loop_integrals,
                    weak_divergence_residual)
 
@@ -192,21 +192,9 @@ def _element_frames(u: DiscreteMap):
     return grad[:, 0, :], grad[:, 1, :]
 
 
-def _clear_node_mask(u: DiscreteMap, radius=0.0):
-    mask = np.ones(len(u.mesh.nodes), dtype=bool)
-    for pt in u.singular_points:
-        d = np.hypot(u.mesh.nodes[:, 0] - pt[0], u.mesh.nodes[:, 1] - pt[1])
-        mask &= d > max(radius, 1e-12)
-    return mask
-
-
-def _clear_triangle_mask(u: DiscreteMap, radius=0.0):
-    mask = np.ones(len(u.mesh.triangles), dtype=bool)
-    node_ok = _clear_node_mask(u, radius)
-    bad_nodes = ~node_ok
-    if bad_nodes.any():
-        mask &= ~np.any(bad_nodes[u.mesh.triangles], axis=1)
-    return mask
+def _singular_balls(u: DiscreteMap):
+    """Exclusion balls of radius 1e-12 around the declared singular points."""
+    return [(pt, 1e-12) for pt in u.singular_points]
 
 
 def pointwise_geometry_report(u: DiscreteMap):
@@ -216,14 +204,13 @@ def pointwise_geometry_report(u: DiscreteMap):
     closed-form family, otherwise the per-element P1 frames.  Triangles
     or nodes incident to declared singular points are excluded.
     """
+    node_ok, tri_ok = exclusion_masks(u.mesh, _singular_balls(u))
     if u.exact_frames is not None:
         e_x, e_y = u.exact_frames
-        mask = _clear_node_mask(u)
-        e_x, e_y = e_x[mask], e_y[mask]
+        e_x, e_y = e_x[node_ok], e_y[node_ok]
     else:
         e_x, e_y = _element_frames(u)
-        tmask = _clear_triangle_mask(u)
-        e_x, e_y = e_x[tmask], e_y[tmask]
+        e_x, e_y = e_x[tri_ok], e_y[tri_ok]
     e2lam = 0.5 * (inner(e_x, e_x) + inner(e_y, e_y))
     den = e2lam + EPS
     lag = float(np.max(np.abs(symplectic(e_x, e_y)) / den))
@@ -246,13 +233,10 @@ def structural_residual(u: DiscreteMap, gbar, exclude=()):
     gbar = np.asarray(gbar, complex)
     mesh = u.mesh
     if u.exact_frames is not None:
-        mask = _clear_node_mask(u)
+        mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
         e_x, e_y = u.exact_frames
         energy = inner(e_x, e_x) + inner(e_y, e_y)
         mask &= energy > 1e-12
-        for center, radius in exclude:
-            d = np.hypot(mesh.nodes[:, 0] - center[0], mesh.nodes[:, 1] - center[1])
-            mask &= d > radius
         if np.any(mask):
             _, ang = lagrangian_angle(e_x[mask], e_y[mask])
             if np.max(np.abs(ang - gbar[mask])) > 1e-6:
@@ -299,10 +283,7 @@ def angle_harmonicity(gbar, mesh, exclude=()):
                 weak_divergence_residual(mesh, w_perp, exclude))
 
     gbar = np.asarray(gbar, complex)
-    mask = np.ones(len(mesh.nodes), dtype=bool)
-    for center, radius in exclude:
-        d = np.hypot(mesh.nodes[:, 0] - center[0], mesh.nodes[:, 1] - center[1])
-        mask &= d > radius
+    mask, _ = exclusion_masks(mesh, exclude)
     if np.any(np.abs(np.abs(gbar[mask]) - 1.0) > 1e-6):
         raise NotUnitModulus("angle field is not unit modulus")
 

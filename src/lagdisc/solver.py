@@ -7,10 +7,9 @@ nodes are additionally reprojected after every trial step, and the
 termination gradient has its boundary-normal component removed, so flat
 equatorial discs are exact critical points of the discrete scheme.
 
-Descent directions can be preconditioned by the (component-diagonal)
-P1 stiffness-plus-mass operator, which is equivariant under the unitary
-group and cuts iteration counts by two orders of magnitude; plain
-gradient descent remains available.
+Descent directions are preconditioned by the (component-diagonal) P1
+stiffness-plus-mass operator, which is equivariant under the unitary
+group and cuts iteration counts by two orders of magnitude.
 """
 
 from __future__ import annotations
@@ -45,6 +44,14 @@ __all__ = [
 ]
 
 
+# Armijo sufficient-decrease constant and backtracking factor
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+# random directions (and their seed) of the finite-difference gradient check
+FD_DIRECTIONS = 20
+FD_SEED = 0
+
+
 class DegeneratePointCloud(ValueError):
     pass
 
@@ -55,13 +62,8 @@ class SolverConfig:
     penalty_boundary: float = 100.0
     max_iters: int = 400
     grad_tol: float = 1e-7
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     continuation: list | None = None          # list of (lam1, lam2) stages
-    preconditioner: str = "dirichlet"         # "dirichlet" or "none"
     fd_check: bool = True
-    fd_directions: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.penalty_lagrangian <= 0 or self.penalty_boundary <= 0:
@@ -90,14 +92,12 @@ class FlowState:
 # mesh-level cached quantities
 # --------------------------------------------------------------------------
 def _boundary_weights(mesh: DiscMesh):
+    """Per node, half the length of each incident boundary edge."""
     if "boundary_weights" not in mesh._cache:
-        w = np.zeros(len(mesh.nodes))
-        p = mesh.nodes
-        for i, j in mesh.boundary_edges:
-            L = np.hypot(*(p[j] - p[i]))
-            w[i] += 0.5 * L
-            w[j] += 0.5 * L
-        mesh._cache["boundary_weights"] = w
+        be = mesh.boundary_edges
+        L = np.hypot(*(mesh.nodes[be[:, 1]] - mesh.nodes[be[:, 0]]).T)
+        mesh._cache["boundary_weights"] = np.bincount(
+            be.ravel(), np.repeat(0.5 * L, 2), minlength=len(mesh.nodes))
     return mesh._cache["boundary_weights"]
 
 
@@ -188,10 +188,10 @@ def energy(u: DiscreteMap, domain, lam1, lam2):
     return _energy_terms(u, domain, lam1, lam2, gradient=False)[0]
 
 
-def _fd_gradient_check(u, domain, lam1, lam2, n_dirs, seed, step=1e-6):
+def _fd_gradient_check(u, domain, lam1, lam2, step=1e-6):
     E0, G = energy_and_gradient(u, domain, lam1, lam2)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_dirs):
+    rng = np.random.default_rng(FD_SEED)
+    for _ in range(FD_DIRECTIONS):
         d = rng.normal(size=u.values.shape)
         d /= np.sqrt(np.sum(d * d))
         up = replace(u, values=u.values + step * d)
@@ -235,10 +235,9 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     history = {"rows": [], "stalled": False, "stages": []}
     stages = cfg.stages()
     if cfg.fd_check:
-        _fd_gradient_check(u, domain, stages[0][0], stages[0][1],
-                           cfg.fd_directions, cfg.seed)
+        _fd_gradient_check(u, domain, stages[0][0], stages[0][1])
 
-    solver = _stiffness_solver(mesh) if cfg.preconditioner == "dirichlet" else None
+    solver = _stiffness_solver(mesh)
     it_global = 0
     for lam1, lam2 in stages:
         alpha = 1.0
@@ -272,10 +271,7 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
             if gnorm > 10.0 * best_g and best_g < 1e-3:
                 u = best_u
                 break
-            if solver is not None:
-                d = -np.column_stack([solver.solve(Gp[:, c]) for c in range(4)])
-            else:
-                d = -Gp
+            d = -np.column_stack([solver.solve(Gp[:, c]) for c in range(4)])
             d = _tangential(domain, u.values, d, b)
             slope = float(np.sum(Gp * d))
             if slope >= 0:
@@ -293,11 +289,11 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
             while alpha > 1e-14:
                 trial = _project_boundary(domain, u.values + alpha * d, b)
                 E_t = energy(replace(u, values=trial), domain, lam1, lam2)
-                if E_t <= E + cfg.armijo_c * alpha * slope:
+                if E_t <= E + ARMIJO_C * alpha * slope:
                     u = replace(u, values=trial)
                     accepted = True
                     break
-                alpha *= cfg.armijo_shrink
+                alpha *= ARMIJO_SHRINK
             if not accepted:
                 u = best_u
                 history["stalled"] = True
@@ -428,10 +424,7 @@ def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12,
     order and exists to exercise detection tests.
     """
     x, y = u.mesh.nodes[:, 0], u.mesh.nodes[:, 1]
-    s = (x * x + y * y) / envelope_radius ** 2
-    env = np.zeros_like(s)
-    m = s < 1
-    env[m] = np.exp(-1.0 / (1.0 - s[m]))
+    env = hams.bump_kernel((x * x + y * y) / envelope_radius ** 2)[0]
     b = env * np.cos(np.pi * x / wavelength)
     b = b / np.max(np.abs(b))
     vals = u.values.copy()
@@ -562,5 +555,4 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
         final_boundary_violation=last["boundary_violation"],
         iterations=len(history["rows"]), stalled=history["stalled"],
         config={"stages": cfg.stages(), "grad_tol": cfg.grad_tol,
-                "max_iters": cfg.max_iters,
-                "preconditioner": cfg.preconditioner}), u_final, history
+                "max_iters": cfg.max_iters}), u_final, history

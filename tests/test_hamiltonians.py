@@ -81,6 +81,113 @@ def test_bump_invalid_radius():
         hams.interior_bump(np.zeros(4), -0.1)
 
 
+def test_bump_kernel_derivatives():
+    s = np.linspace(-2.0, 0.95, 2001)
+    phi, d1, d2 = hams.bump_kernel(s)
+    h = 1e-6
+    p_plus, d1_plus, _ = hams.bump_kernel(s + h)
+    p_minus, d1_minus, _ = hams.bump_kernel(s - h)
+    assert np.max(np.abs((p_plus - p_minus) / (2 * h) - d1)) <= 1e-8 * np.max(np.abs(d1))
+    assert np.max(np.abs((d1_plus - d1_minus) / (2 * h) - d2)) <= 1e-7 * np.max(np.abs(d2))
+    out = hams.bump_kernel(np.array([1.0, 1.5, 7.0]))
+    assert all(np.all(k == 0.0) for k in out)
+    assert hams.bump_kernel(0.0)[0] == np.exp(-1.0)
+
+
+def _old_interior_bump(center, radius, amplitude):
+    """Reference: interior_bump with its own copy of the kernel."""
+    center = np.asarray(center, float)
+    R2, A = float(radius) ** 2, float(amplitude)
+
+    def _s(z):
+        d = np.asarray(z, float) - center
+        return np.sum(d * d, axis=-1) / R2, d
+
+    def value(z):
+        s, _ = _s(z)
+        out = np.zeros_like(s)
+        m = s < 1.0
+        out[m] = np.exp(-1.0 / (1.0 - s[m]))
+        return A * out
+
+    def gradient(z):
+        s, d = _s(z)
+        out = np.zeros_like(d)
+        m = s < 1.0
+        w = 1.0 / (1.0 - s[m])
+        out[m] = (A * (-np.exp(-w) * w * w) * 2.0 / R2)[..., None] * d[m]
+        return out
+
+    def hessian(z):
+        s, d = _s(z)
+        out = np.zeros(s.shape + (4, 4))
+        m = s < 1.0
+        w = 1.0 / (1.0 - s[m])
+        phi = np.exp(-w)
+        dphi = -phi * w * w
+        d2phi = phi * (w ** 4) - 2.0 * phi * (w ** 3)
+        dm = d[m]
+        outer = dm[..., :, None] * dm[..., None, :]
+        out[m] = (A * d2phi * (2.0 / R2) ** 2)[..., None, None] * outer \
+            + (A * dphi * 2.0 / R2)[..., None, None] * np.eye(4)
+        return out
+
+    return value, gradient, hessian
+
+
+def test_interior_bump_bitwise_matches_own_kernel(rng):
+    z = rng.uniform(-1.0, 1.0, size=(2000, 4))
+    for center, radius, amp in [(np.zeros(4), 0.45, 1.0),
+                                (np.array([0.1, -0.2, 0.3, 0.0]), 0.9, -1.3)]:
+        f = hams.interior_bump(center, radius, amp)
+        for got, want in zip((f.value, f.gradient, f.hessian),
+                             _old_interior_bump(center, radius, amp)):
+            assert np.array_equal(got(z), want(z))
+            assert np.array_equal(got(z[0]), want(z[0]))
+
+
+def _old_bump_1d(x, c, w):
+    """Reference: the z1-arc bump exp(-1/(1-u^2)) with hand-derived derivatives."""
+    u = (np.asarray(x, float) - c) / w
+    f, d1, d2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    m = np.abs(u) < 1.0
+    um = u[m]
+    q = 1.0 - um ** 2
+    b = np.exp(-1.0 / q)
+    f[m] = np.exp(-1.0 / (1.0 - um ** 2))
+    d1[m] = b * (-2.0 * um / (q * q)) / w
+    d2[m] = b * (4.0 * um * um / q ** 4 - 2.0 / (q * q) - 8.0 * um * um / q ** 3) / w ** 2
+    return f, d1, d2
+
+
+@pytest.mark.parametrize("center,width", [(0.45, 0.35), (-0.6, 0.25), (0.35, 0.25)])
+def test_arc_bump_matches_hand_derivatives(center, width):
+    x = np.linspace(-1.0, 1.0, 4001)
+    got = hams._arc_bump(x, center, width)
+    want = _old_bump_1d(x, center, width)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_plateau_cutoff():
+    rho = np.linspace(0.0, 1.0, 1001)
+    eta = hams._plateau(rho ** 2, 0.3, 0.6)
+    assert np.all(eta[rho <= 0.3] == 1.0) and np.all(eta[rho >= 0.6] == 0.0)
+    assert np.all((eta >= 0.0) & (eta <= 1.0)) and np.all(np.diff(eta) <= 0.0)
+    assert 0.0 < hams._plateau(0.45 ** 2, 0.3, 0.6) < 1.0
+
+
+def test_centred_differences_exact_on_quadratics(rng):
+    f = hams.hopf_invariant_quadratic([0.3, -1.0, 0.5, 0.2])
+    z = rng.normal(size=(30, 4))
+    g = hams._centred_differences(f.value, z, 1e-3)
+    assert np.max(np.abs(g - f.gradient(z))) <= 1e-10
+    H = hams._centred_differences(f.gradient, z, 1e-3, symmetrize=True)
+    assert np.max(np.abs(H - f.hessian(z))) <= 1e-10
+    assert hams._centred_differences(f.gradient, z[0], 1e-3).shape == (4, 4)
+
+
 # ---------------------------------------------------------------------------
 # radially invariant functions
 # ---------------------------------------------------------------------------

@@ -237,10 +237,23 @@ def test_weak_divergence_refinement_factor(mesh_cache):
     assert r1 / r2 >= 1.8
 
 
+def _triangles_clear_of(mesh, exclude):
+    """Reference: triangles whose vertices and centroid avoid all balls."""
+    ok = np.ones(len(mesh.triangles), dtype=bool)
+    cent = mesh.centroids
+    p = mesh.nodes[mesh.triangles]
+    for center, radius in exclude:
+        center = np.asarray(center, float)
+        d_c = np.hypot(cent[:, 0] - center[0], cent[:, 1] - center[1])
+        d_v = np.hypot(p[..., 0] - center[0], p[..., 1] - center[1]).min(axis=1)
+        ok &= (d_c > radius) & (d_v > radius)
+    return ok
+
+
 def _add_at_weak_divergence_residual(mesh, w, exclude=()):
     """Reference: the ``np.add.at`` accumulation the ``bincount`` one replaced."""
     w = np.asarray(w)
-    ok_tri = msh._triangles_clear_of(mesh, exclude)
+    ok_tri = _triangles_clear_of(mesh, exclude)
     a = mesh.areas
     g = mesh.hat_gradients
     n = len(mesh.nodes)
@@ -282,9 +295,8 @@ def test_weak_divergence_bitwise_matches_add_at(mesh_cache, rng, size):
 def test_weak_divergence_empty_test_set(mesh_cache):
     m = mesh_cache(2, 8)
     w = np.zeros((len(m.triangles), 2))
-    with pytest.warns(UserWarning):
-        assert msh.weak_divergence_residual(m, w,
-                                            exclude=[((0.0, 0.0), 2.0)]) == 0.0
+    with pytest.raises(msh.InvalidParameter, match="empty test set"):
+        msh.weak_divergence_residual(m, w, exclude=[((0.0, 0.0), 2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +411,125 @@ def test_locate_and_interpolate(mesh_cache, rng):
     vals = 2.0 * m.nodes[:, 0] - m.nodes[:, 1]
     interp = m.interpolate(vals, pts)
     assert np.max(np.abs(interp - (2.0 * pts[:, 0] - pts[:, 1]))) <= 1e-12
+
+
+def _loop_locate(mesh, points):
+    """Reference: the per-point ``locate`` loop with per-candidate solves."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    info = mesh.polar_info
+    n_s, n_rings = info["n_sectors"], info["n_rings"]
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
+    j = np.minimum((th / (2 * np.pi / n_s)).astype(int), n_s - 1)
+    k = np.searchsorted(info["radii"], r * (1 - 1e-15))
+
+    def cell(k, j):
+        if k <= 0:
+            return [j]
+        k = min(k, n_rings - 1)
+        base = n_s + 2 * ((k - 1) * n_s + j)
+        return [base, base + 1]
+
+    tri_idx = np.empty(len(pts), dtype=int)
+    bary = np.empty((len(pts), 3))
+    for i in range(len(pts)):
+        cands = cell(int(k[i]), int(j[i]))
+        for kk in (k[i] - 1, k[i] + 1):
+            if 0 <= kk <= n_rings - 1:
+                cands = cands + cell(int(kk), int(j[i]))
+        best, best_bar, best_min = -1, None, -np.inf
+        for t in cands:
+            a, b, c = mesh.nodes[mesh.triangles[t]]
+            lam = np.linalg.solve(np.column_stack([b - a, c - a]), pts[i] - a)
+            bar = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+            if bar.min() > best_min:
+                best, best_bar, best_min = t, bar, bar.min()
+        if best_min < -1e-9:
+            raise msh.InvalidLoop(f"point {pts[i]} not located in mesh")
+        tri_idx[i] = best
+        bary[i] = np.clip(best_bar, 0.0, None)
+        bary[i] /= bary[i].sum()
+    return tri_idx, bary
+
+
+@pytest.mark.parametrize("size", [(2, 8, 1.0), (8, 32, 1.0), (12, 48, 0.5)])
+def test_locate_bitwise_matches_loop(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    n = 400
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    th = rng.uniform(0.0, 2 * np.pi, n)
+    pts = np.concatenate([
+        np.column_stack([r * np.cos(th), r * np.sin(th)]),
+        m.nodes,                                   # ring radii and sector rays
+        0.5 * (m.nodes[m.triangles[:, 0]] + m.nodes[m.triangles[:, 1]]),
+        m.centroids,
+    ])
+    located = []
+    for i, p in enumerate(pts):
+        try:
+            want = _loop_locate(m, p)
+        except msh.InvalidLoop:      # on the rim, outside the polygonal mesh
+            continue
+        got = m.locate(p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        located.append(i)
+    assert set(range(n, len(pts))) <= set(located)
+    assert len(located) >= len(pts) - n // 2
+    # one batched call gives the same answers as point-by-point calls
+    tri, bary = m.locate(pts[located])
+    want_tri, want_bary = _loop_locate(m, pts[located])
+    assert np.array_equal(tri, want_tri) and np.array_equal(bary, want_bary)
+
+
+def test_locate_on_circle_between_boundary_nodes(mesh_cache):
+    m = mesh_cache(8, 32)
+    n_s = 32
+    th = 2 * np.pi * (np.arange(n_s) + np.array([[0.25], [0.5], [0.9]])) / n_s
+    pts = np.column_stack([np.cos(th.ravel()), np.sin(th.ravel())])
+    with pytest.raises(msh.InvalidLoop):
+        _loop_locate(m, pts[:1])                 # outside the polygonal mesh
+    tri, bary = m.locate(pts)
+    outer = len(m.triangles) - 2 * n_s           # first outer-ring triangle
+    assert np.all(tri >= outer)
+    assert np.all(m.is_boundary[m.triangles[tri]].sum(axis=1) == 2)
+    assert np.all(bary >= 0.0) and np.allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # the located value is that of the nearest boundary chord, O(h^2) off
+    vals = m.nodes[:, 0]
+    assert np.max(np.abs(m.interpolate(vals, pts) - pts[:, 0])) <= (2 * np.pi / n_s) ** 2
+    with pytest.raises(msh.InvalidLoop):
+        m.locate([[1.0 + 1e-9, 0.0]])
+
+
+def _clear_node_mask(mesh, singular_points, radius=0.0):
+    """Reference: residuals' old node mask around singular points."""
+    mask = np.ones(len(mesh.nodes), dtype=bool)
+    for pt in singular_points:
+        d = np.hypot(mesh.nodes[:, 0] - pt[0], mesh.nodes[:, 1] - pt[1])
+        mask &= d > max(radius, 1e-12)
+    return mask
+
+
+def _clear_triangle_mask(mesh, singular_points):
+    """Reference: residuals' old triangle mask around singular points."""
+    bad_nodes = ~_clear_node_mask(mesh, singular_points)
+    return ~np.any(bad_nodes[mesh.triangles], axis=1)
+
+
+@pytest.mark.parametrize("size", [(2, 8, 1.0), (12, 48, 1.0), (16, 64, 0.5)])
+def test_exclusion_masks_match_old_masks(mesh_cache, size):
+    m = mesh_cache(*size)
+    singular = [[np.zeros(2)], [np.zeros(2), m.nodes[5]], [np.array([0.31, -0.2])]]
+    for pts in singular:
+        node_ok, tri_ok = msh.exclusion_masks(m, [(p, 1e-12) for p in pts])
+        assert np.array_equal(node_ok, _clear_node_mask(m, pts))
+        assert np.array_equal(tri_ok, _clear_triangle_mask(m, pts))
+    balls = [[], [((0.0, 0.0), 0.1)], [((0.0, 0.0), 0.1), ((0.3, -0.2), 0.25)],
+             [(np.array([0.5, 0.5]), 0.3)], [((0.0, 0.0), 2.0)]]
+    for exclude in balls:
+        node_ok, tri_ok = msh.exclusion_masks(m, exclude)
+        assert np.array_equal(tri_ok, _triangles_clear_of(m, exclude))
+        want = np.ones(len(m.nodes), dtype=bool)
+        for center, radius in exclude:             # the old inline ball loop
+            d = np.hypot(m.nodes[:, 0] - center[0], m.nodes[:, 1] - center[1])
+            want &= d > radius
+        assert np.array_equal(node_ok, want)

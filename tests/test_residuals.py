@@ -404,6 +404,26 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
             _unblocked_stationarity_test(u, domain, clear, sub)
 
 
+def test_localized_stationarity_cut_between_boundary_nodes(mesh_cache):
+    # x = 0.3 meets the circle between two boundary nodes of a 96-sector
+    # mesh, so both end samples of the cut lie outside the polygonal mesh
+    m = mesh_cache(24, 96)
+    k = np.arccos(0.3) * 96 / (2 * np.pi)
+    assert abs(k - round(k)) > 0.1
+    cone = fam.sw_cone(1, 2)
+    u = fam.sample(cone, m)
+    sub = res.HalfPlane(0.3)
+    cut = m.interpolate(u.values, sub.interior_boundary_samples())
+    assert len(cut) == 64
+    fs = []
+    for x, y in [(0.7, 0.0), (0.55, 0.35), (0.55, -0.35)]:
+        center = cone.value_xy(np.array([x]), np.array([y]))[0]
+        gap = float(np.min(np.linalg.norm(cut - center, axis=1)))
+        fs.append(hams.interior_bump(center, min(0.2, 0.8 * gap), 1.0))
+    v = res.stationarity_test(u, BALL, fs, subdomain=sub)
+    assert np.isfinite(v) and 0.0 <= v <= 1e-3
+
+
 def test_subdomain_specs():
     full = res.FullDisc()
     assert full.contains(np.array([[0.0, 0.0]]))[0]

@@ -8,7 +8,7 @@ from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
 from lagdisc import solver as sol
 from lagdisc.algebra import apply_I, inner, symplectic
-from lagdisc.mesh import element_gradient
+from lagdisc.mesh import build_polar_mesh, element_gradient
 from conftest import random_unitary
 
 BALL = dom.unit_ball()
@@ -114,6 +114,19 @@ def test_energy_and_gradient_bitwise_matches_add_at(mesh_cache, rng, size):
         assert E == E_ref
         assert np.array_equal(G, G_ref)
         assert sol.energy(u, BALL, lam1, lam2) == E
+
+
+@pytest.mark.parametrize("size", [(2, 8, 1.0), (12, 48, 0.5), (48, 192, 1.0)])
+def test_boundary_weights_bitwise_match_edge_loop(size):
+    m = build_polar_mesh(*size)          # fresh mesh: nothing cached yet
+    want = np.zeros(len(m.nodes))
+    for i, j in m.boundary_edges:        # reference: the old per-edge loop
+        L = np.hypot(*(m.nodes[j] - m.nodes[i]))
+        want[i] += 0.5 * L
+        want[j] += 0.5 * L
+    got = sol._boundary_weights(m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.all(got[~m.is_boundary] == 0.0)
 
 
 # ---------------------------------------------------------------------------

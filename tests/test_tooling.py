@@ -1,0 +1,62 @@
+"""Guards for the names the benchmark's span recorder wraps.
+
+``bench/spans.py`` patches public names of every module from outside the
+package (``bench/run.py --trace 1``); a rename under ``src/`` breaks it
+without failing any other test.  This loads the recorder from its file,
+installs and uninstalls it around a few calls, and checks that every
+``__all__`` entry of every module resolves.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+
+import lagdisc
+from lagdisc import hamiltonians as hams
+from lagdisc import mesh as msh
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("lagdisc_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorder_installs_and_uninstalls():
+    rec = _load_spans().Recorder()
+    try:
+        rec.install()
+        originals = list(rec._patches)
+        assert originals
+        msh.build_polar_mesh(2, 8)
+        f = hams.z1_arc_hamiltonian(0.45, 0.35)
+        f.hessian(np.array([[0.9, 0.4, 0.0, 0.0]]))
+    finally:
+        rec.uninstall()
+    for owner, attr, original in originals:
+        assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
+    totals = rec.totals()
+    assert totals["mesh.build_polar_mesh"]["calls"] == 1
+    assert totals["mesh.validate"]["calls"] == 1
+    assert totals["hamiltonians.hessian.z1_arc"]["points"] == 1
+
+
+def test_every_public_name_resolves():
+    names = [m.name for m in pkgutil.iter_modules(lagdisc.__path__)]
+    assert {"hamiltonians", "mesh", "residuals", "solver"} <= set(names)
+    for name in names:
+        module = importlib.import_module(f"lagdisc.{name}")
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), f"lagdisc.{name}.{public}"
+
+
+def test_one_invalid_parameter_and_eps():
+    from lagdisc import algebra
+    assert hams.InvalidParameter is msh.InvalidParameter
+    assert hams.EPS is algebra.EPS and msh.EPS is algebra.EPS
