@@ -56,6 +56,9 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"command: unknown command {self.command!r}")
+        for key in ("example", "domain", "output_dir"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key}: must be a string")
         kind = self.example.split(":")[0]
         if kind not in ("flat", "sw", "nonminimal"):
             raise ConfigError(f"example: unknown example {self.example!r}")
@@ -67,16 +70,21 @@ class RunConfig:
         if kind == "nonminimal" and self.domain != "curve":
             raise ConfigError("example: the nonminimal example requires the "
                               "curve domain")
-        if len(self.mesh) != 3:
+        if not (isinstance(self.mesh, (list, tuple)) and len(self.mesh) == 3):
             raise ConfigError("mesh: expected R,S,G")
         R, S, G = self.mesh
         if not (_is_int(R) and _is_int(S) and R >= 2 and S >= 8):
             raise ConfigError("mesh: R and S must be integers with R >= 2 "
                               "and S >= 8")
-        if not ((_is_int(G) or isinstance(G, float)) and 0.2 <= G <= 1.0):
+        if not (_is_real(G) and 0.2 <= G <= 1.0):
             raise ConfigError("mesh: G must be a number in [0.2, 1]")
         if not (_is_int(self.refinements) and self.refinements >= 1):
             raise ConfigError("refinements: must be an integer >= 1")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(_is_int(s) for s in self.seeds)):
+            raise ConfigError("seeds: must be a non-empty list of integers")
+        if not (_is_real(self.eps) and 0.0 <= self.eps <= 0.1):
+            raise ConfigError("eps: must be a number in [0, 0.1]")
         return self
 
     def build_example(self):
@@ -105,6 +113,10 @@ class RunConfig:
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return _is_int(x) or isinstance(x, float)
 
 
 def _write_csv(path, header, rows):
@@ -287,19 +299,14 @@ def parse_args(argv=None) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: {exc}")
     cfg = RunConfig()
-    for key in ("command", "example", "domain", "refinements", "eps"):
-        if key in data:
-            setattr(cfg, key, data[key])
-    if "mesh" in data:
-        cfg.mesh = tuple(data["mesh"])
-    if "seeds" in data:
-        cfg.seeds = list(data["seeds"])
-    if "output_dir" in data:
-        cfg.output_dir = data["output_dir"]
-    unknown = set(data) - {"command", "example", "domain", "refinements",
-                           "mesh", "seeds", "output_dir", "eps"}
+    keys = ("command", "example", "domain", "mesh", "refinements", "seeds",
+            "output_dir", "eps")
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+    for key in keys:
+        if key in data:
+            setattr(cfg, key, data[key])
 
     if ns.command:
         cfg.command = ns.command

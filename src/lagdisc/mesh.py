@@ -7,6 +7,11 @@ Rotation-equivariant fields then produce exactly cancelling sums in the
 boundary pairing below, which is what pushes those quadratures to
 rounding level instead of O(h^2).
 
+:class:`DiscMesh` caches its per-mesh quantities: areas, hat gradients
+and, built on first use, the sparse ``D_x``, ``D_y``, stiffness, lumped
+mass and boundary weights.  The residuals keep fixed-order ``bincount``
+accumulators, so meshes that only feed them never build the operators.
+
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
 """
@@ -14,9 +19,11 @@ repeated runs produce bitwise-identical numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import EPS
 
@@ -68,49 +75,76 @@ class DiscMesh:
     boundary_edges: np.ndarray
     is_boundary: np.ndarray
     polar_info: dict | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    # -- derived quantities, cached ------------------------------------
-    @property
+    # -- derived quantities, computed once per mesh ----------------------
+    @cached_property
     def areas(self):
-        if "areas" not in self._cache:
-            p = self.nodes[self.triangles]
-            e1 = p[:, 1] - p[:, 0]
-            e2 = p[:, 2] - p[:, 0]
-            self._cache["areas"] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        return self._cache["areas"]
+        p = self.nodes[self.triangles]
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
+        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    @property
+    @cached_property
     def hat_gradients(self):
         """(T, 3, 2) array: gradient of the hat function of each local vertex."""
-        if "hat_gradients" not in self._cache:
-            p = self.nodes[self.triangles]
-            g = np.empty((len(self.triangles), 3, 2))
-            for a in range(3):
-                edge = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
-                g[:, a, 0] = -edge[:, 1]
-                g[:, a, 1] = edge[:, 0]
-            g /= (2.0 * self.areas)[:, None, None]
-            self._cache["hat_gradients"] = g
-        return self._cache["hat_gradients"]
+        p = self.nodes[self.triangles]
+        g = np.empty((len(self.triangles), 3, 2))
+        for a in range(3):
+            edge = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+            g[:, a, 0] = -edge[:, 1]
+            g[:, a, 1] = edge[:, 0]
+        g /= (2.0 * self.areas)[:, None, None]
+        return g
 
-    @property
+    @cached_property
     def centroids(self):
-        if "centroids" not in self._cache:
-            self._cache["centroids"] = self.nodes[self.triangles].mean(axis=1)
-        return self._cache["centroids"]
+        return self.nodes[self.triangles].mean(axis=1)
 
-    @property
+    @cached_property
     def h_max(self):
         """Longest edge length; the mesh-size parameter of all reports."""
-        if "h_max" not in self._cache:
-            p = self.nodes[self.triangles]
-            h = 0.0
-            for a in range(3):
-                e = p[:, (a + 1) % 3] - p[:, a]
-                h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
-            self._cache["h_max"] = h
-        return self._cache["h_max"]
+        p = self.nodes[self.triangles]
+        h = 0.0
+        for a in range(3):
+            e = p[:, (a + 1) % 3] - p[:, a]
+            h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
+        return h
+
+    # -- sparse operators (built only on meshes that use them) ------------
+    @cached_property
+    def gradient_operators(self):
+        """``(D_x, D_y)``: CSR (T, N) maps from nodal values to the
+        per-triangle partial derivatives, ``D_d[t, v] = hat_gradients[t, a, d]``
+        for the local vertex a of triangle t at node v."""
+        shape = (len(self.triangles), len(self.nodes))
+        rows = np.repeat(np.arange(shape[0]), 3)
+        cols = self.triangles.ravel()
+        g = self.hat_gradients
+        return tuple(sp.csr_matrix((g[:, :, d].ravel(), (rows, cols)), shape=shape)
+                     for d in range(2))
+
+    @cached_property
+    def stiffness(self):
+        """P1 stiffness ``K = D_x^T A D_x + D_y^T A D_y`` (A = diag(areas)),
+        CSR (N, N); assembled as ``B^T B`` with ``B = sqrt(A) D`` so it is
+        exactly symmetric."""
+        root_a = sp.diags(np.sqrt(self.areas))
+        Bx, By = (root_a @ D for D in self.gradient_operators)
+        return (Bx.T @ Bx + By.T @ By).tocsr()
+
+    @cached_property
+    def lumped_mass(self):
+        """(N,) row-sum lumped P1 mass: a third of each incident triangle's area."""
+        return np.bincount(self.triangles.ravel(), np.repeat(self.areas / 3.0, 3),
+                           minlength=len(self.nodes))
+
+    @cached_property
+    def boundary_weights(self):
+        """(N,) per node, half the length of each incident boundary edge."""
+        be = self.boundary_edges
+        L = np.hypot(*(self.nodes[be[:, 1]] - self.nodes[be[:, 0]]).T)
+        return np.bincount(be.ravel(), np.repeat(0.5 * L, 2),
+                           minlength=len(self.nodes))
 
     @property
     def node_r(self):

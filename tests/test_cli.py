@@ -109,6 +109,19 @@ def test_mesh_out_of_bounds_exits_1(tmp_path, capsys, mesh):
     assert "mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"seeds": 3}, {"seeds": [1.5]}, {"eps": "0.05"}, {"eps": 0.5},
+    {"mesh": 5}, {"example": 5}, {"output_dir": 5},
+], ids=["seeds-int", "seeds-float", "eps-string", "eps-large", "mesh-int",
+        "example-int", "output_dir-int"])
+def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.chdir(tmp_path)          # no --out: it would mask output_dir
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "rigidity", **bad}))
+    assert run_cli("--config", str(cfg)) == 1
+    assert f"{next(iter(bad))}:" in capsys.readouterr().err
+
+
 def _fake_rigidity(seed, eps, mesh, cfg):
     report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": True})
     return report, None, {"rows": []}

@@ -196,6 +196,46 @@ def test_gradient_bitwise_matches_einsum(mesh_cache, rng, size):
 
 
 # ---------------------------------------------------------------------------
+# sparse operators
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("size", [(6, 24), (12, 48)])
+def test_stiffness_symmetric_and_kills_constants(mesh_cache, size):
+    m = mesh_cache(*size)
+    K = m.stiffness
+    assert K.shape == (len(m.nodes), len(m.nodes))
+    assert (K != K.T).nnz == 0
+    assert np.max(np.abs(K @ np.ones(len(m.nodes)))) <= 1e-13 * abs(K).max()
+
+
+@pytest.mark.parametrize("size", [(6, 24), (12, 48)])
+def test_stiffness_quadratic_form_is_dirichlet_energy(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    for _ in range(3):
+        u = rng.normal(size=(len(m.nodes), 4))
+        g = msh.element_gradient(m, u)                      # (T, 2, 4)
+        want = np.sum(m.areas * np.sum(g * g, axis=(1, 2)))
+        assert abs(np.sum(u * (m.stiffness @ u)) - want) <= 1e-12 * want
+
+
+def test_lumped_mass_sums_to_area(mesh_cache):
+    m = mesh_cache(12, 48)
+    assert np.all(m.lumped_mass > 0)
+    assert m.lumped_mass.sum() == pytest.approx(m.areas.sum(), rel=1e-14)
+
+
+def test_gradient_operators_affine_exact(mesh_cache, rng):
+    m = mesh_cache(5, 20)
+    D_x, D_y = m.gradient_operators
+    assert D_x.shape == D_y.shape == (len(m.triangles), len(m.nodes))
+    u = 2.0 * m.nodes[:, 0] - 3.0 * m.nodes[:, 1] + 1.0
+    assert np.allclose(D_x @ u, 2.0, atol=1e-13)
+    assert np.allclose(D_y @ u, -3.0, atol=1e-13)
+    v = rng.normal(size=(len(m.nodes), 4))
+    g = msh.element_gradient(m, v)
+    assert np.allclose(np.stack([D_x @ v, D_y @ v], axis=1), g, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # weak divergence residual
 # ---------------------------------------------------------------------------
 def test_weak_divergence_constant_field(mesh_cache):

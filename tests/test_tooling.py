@@ -47,6 +47,30 @@ def test_span_recorder_installs_and_uninstalls():
     assert totals["hamiltonians.hessian.z1_arc"]["points"] == 1
 
 
+def test_recorder_times_the_solver_layers():
+    """The preconditioner factor must come from ``solver.spla`` and the
+    gradients from ``solver.element_gradient``, or their per-layer metrics
+    silently read 0."""
+    from dataclasses import replace
+
+    from lagdisc import domains as dom
+    from lagdisc import families as fam
+    from lagdisc import solver as sol
+
+    u0 = fam.sample(fam.flat_disc(np.eye(2)), msh.build_polar_mesh(6, 24))
+    noise = 0.01 * np.random.default_rng(0).normal(size=u0.values.shape)
+    u = replace(u0, values=u0.values + noise, exact_frames=None, source=None)
+    rec = _load_spans().Recorder()
+    try:
+        rec.install()
+        sol.minimize(u, dom.unit_ball(), sol.SolverConfig(max_iters=2, fd_check=False))
+    finally:
+        rec.uninstall()
+    totals = rec.totals()
+    assert totals["solver.precond_solve"]["calls"] >= 1
+    assert totals["mesh.element_gradient"]["calls"] >= 1
+
+
 def test_every_public_name_resolves():
     names = [m.name for m in pkgutil.iter_modules(lagdisc.__path__)]
     assert {"hamiltonians", "mesh", "residuals", "solver"} <= set(names)
