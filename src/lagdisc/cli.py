@@ -298,6 +298,9 @@ def parse_args(argv=None) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected a JSON object, got "
+                              f"{type(data).__name__}")
     cfg = RunConfig()
     keys = ("command", "example", "domain", "mesh", "refinements", "seeds",
             "output_dir", "eps")

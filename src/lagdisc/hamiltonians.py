@@ -152,22 +152,25 @@ def smooth_cutoff_profile(s0, s1):
 # --------------------------------------------------------------------------
 # interior bumps
 # --------------------------------------------------------------------------
-def bump_kernel(s):
-    """phi(s) = exp(-1/(1 - s)) for s < 1 and 0 otherwise, with phi' and phi''.
+def bump_kernel(s, third=False):
+    """phi(s) = exp(-1/(1 - s)) for s < 1 and 0 otherwise, with phi' and phi''
+    (and the third derivative after them when ``third``).
 
     The one smooth compactly supported kernel behind every bump: interior
     bumps take s = |z - c|^2/R^2, the odd profile and the z1-arc bump
     s = u^2, the normal-wave envelope s = |x|^2/R^2.
     """
     s = np.asarray(s, float)
-    phi, d1, d2 = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+    out = tuple(np.zeros_like(s) for _ in range(4 if third else 3))
     m = s < 1.0
     w = 1.0 / (1.0 - s[m])
     p = np.exp(-w)
-    phi[m] = p
-    d1[m] = -p * w * w
-    d2[m] = p * (w ** 4) - 2.0 * p * (w ** 3)
-    return phi, d1, d2
+    out[0][m] = p
+    out[1][m] = -p * w * w
+    out[2][m] = p * (w ** 4) - 2.0 * p * (w ** 3)
+    if third:
+        out[3][m] = p * (6.0 * w ** 5 - 6.0 * w ** 4 - w ** 6)
+    return out
 
 
 def interior_bump(center, radius, amplitude=1.0):
@@ -379,15 +382,28 @@ def odd_bump(delta, amplitude=1.0):
     return beta
 
 
-def _plateau(rho2, r_in, r_out):
+def _plateau(rho2, r_in, r_out, derivatives=False):
     """Smooth cutoff of a squared distance: 1 for rho2 <= r_in^2, 0 for
-    rho2 >= r_out^2, the C^infinity blend exp(-1/x)/(exp(-1/x) + exp(-1/(1-x)))
-    in between."""
-    x = np.clip((r_out ** 2 - rho2) / (r_out ** 2 - r_in ** 2), 0.0, 1.0)
+    rho2 >= r_out^2, the C^infinity blend P(x) = h(x)/(h(x) + h(1-x)) with
+    h(x) = exp(-1/x) in between, x = (r_out^2 - rho2)/(r_out^2 - r_in^2).
+
+    With ``derivatives`` it returns P and its first two derivatives in
+    rho2, from P' = P Q L and P'' = P Q ((Q - P) L^2 + L'), where
+    Q = 1 - P and L = 1/x^2 + 1/(1-x)^2.
+    """
+    span = r_out ** 2 - r_in ** 2
+    x = np.clip((r_out ** 2 - rho2) / span, 0.0, 1.0)
     xm = 1.0 - x
     hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
     hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
-    return hx / (hx + hm)
+    P = hx / (hx + hm)
+    if not derivatives:
+        return P
+    Q = hm / (hx + hm)
+    x, xm = np.maximum(x, EPS), np.maximum(xm, EPS)
+    L = 1.0 / x ** 2 + 1.0 / xm ** 2
+    dL = 2.0 / xm ** 3 - 2.0 / x ** 3
+    return P, -P * Q * L / span, P * Q * ((Q - P) * L * L + dL) / span ** 2
 
 
 def _centred_differences(fn, z, step, symmetrize=False):
@@ -597,15 +613,16 @@ def admissibility_residual(f, domain, pts):
 # test functions adapted to the z1-unit-circle constraint curve
 # --------------------------------------------------------------------------
 def _arc_bump(x, center, width):
-    """exp(-1/(1-u^2)) with u = (x - center)/width, and its first two
+    """exp(-1/(1-u^2)) with u = (x - center)/width, and its first three
     derivatives in x."""
     u = (np.asarray(x, float) - center) / width
-    b, d1, d2 = bump_kernel(u * u)
-    return b, 2.0 * u * d1 / width, (4.0 * u * u * d2 + 2.0 * d1) / width ** 2
+    b, d1, d2, d3 = bump_kernel(u * u, third=True)
+    return (b, 2.0 * u * d1 / width, (4.0 * u * u * d2 + 2.0 * d1) / width ** 2,
+            (8.0 * u ** 3 * d3 + 12.0 * u * d2) / width ** 3)
 
 
 def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
-                       fd_step=1e-5, name=None):
+                       name=None):
     """Test function of z1 alone, tangent to the curve {(e^{-ia}, ib)}.
 
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
@@ -613,53 +630,80 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     [center - width, center + width] (which must avoid phi = 0 and stay
     inside (-1, 1)), and A = -(1 - phi^2) B'/phi.  Along the constraint
     curve the Hamiltonian field I grad f is then orthogonal to the
-    normal field X exactly.
+    normal field X exactly.  The window eta is the plateau cutoff of
+    (R - 1)^2 with radii ``r_window``.
+
+    Gradient and Hessian are closed forms: the partial derivatives of f
+    in (R, phi), from those of the plateau and of the bump, pushed to
+    Cartesian coordinates by the polar chain rule.  The Hessian is
+    exactly symmetric.
     """
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
         raise InvalidParameter("phi-arc must avoid 0 and stay inside (-1, 1)")
     w_in, w_out = r_window
 
-    def _eta(R):
-        return _plateau((np.asarray(R, float) - 1.0) ** 2, w_in, w_out)
-
     def _terms(phi):
-        """A, A', B and B' at phi; A vanishes off the arc."""
-        b, b1, b2 = _arc_bump(phi, center, width)
-        A, dA = np.zeros_like(phi), np.zeros_like(phi)
+        """A, A', A'' and B, B', B'' at phi; A vanishes off the arc."""
+        b, b1, b2, b3 = _arc_bump(phi, center, width)
+        A = np.zeros((3,) + phi.shape)
         m = (phi > lo) & (phi < hi)
-        pm, b1m = phi[m], b1[m]
-        A[m] = -(1.0 - pm ** 2) * b1m / pm
-        dA[m] = (2.0 * pm * b1m / pm
-                 - (1.0 - pm ** 2) * (b2[m] * pm - b1m) / pm ** 2)
-        return A, dA, b, b1
+        pm, b1m, b2m = phi[m], b1[m], b2[m]
+        # A = -g B' with g = (1 - phi^2)/phi, g' = -(1 + phi^2)/phi^2 and
+        # g'' = 2/phi^3
+        g = (1.0 - pm ** 2) / pm
+        g1 = -(1.0 + pm ** 2) / pm ** 2
+        A[0][m] = -g * b1m
+        A[1][m] = -(g1 * b1m + g * b2m)
+        A[2][m] = -(2.0 / pm ** 3 * b1m + 2.0 * g1 * b2m + g * b3[m])
+        return A, (b, b1, b2)
 
     def value(z):
         z = np.asarray(z, float)
         R = np.hypot(z[..., 0], z[..., 1])
-        A, _, b, _ = _terms(np.arctan2(z[..., 1], z[..., 0]))
-        return _eta(R) * (A * (R - 1.0) + b)
+        (A, _, _), (b, _, _) = _terms(np.arctan2(z[..., 1], z[..., 0]))
+        return _plateau((R - 1.0) ** 2, w_in, w_out) * (A * (R - 1.0) + b)
+
+    def _polar_partials(z, second):
+        """Support mask of the window, then cos, sin, R and the partials
+        f_R, f_phi (and f_RR, f_Rphi, f_phiphi when ``second``) on it."""
+        R = np.hypot(z[..., 0], z[..., 1])
+        m = (R - 1.0) ** 2 < w_out ** 2
+        Rm, pm = R[m], np.arctan2(z[..., 1][m], z[..., 0][m])
+        d = Rm - 1.0
+        eta, e1, e2 = _plateau(d * d, w_in, w_out, derivatives=True)
+        eta_R, eta_RR = 2.0 * d * e1, 4.0 * d * d * e2 + 2.0 * e1
+        (A, A1, A2), (b, b1, b2) = _terms(pm)
+        g, g_phi = A * d + b, A1 * d + b1
+        partials = [eta_R * g + eta * A, eta * g_phi]
+        if second:
+            partials += [eta_RR * g + 2.0 * eta_R * A,
+                         eta_R * g_phi + eta * A1,
+                         eta * (A2 * d + b2)]
+        return m, np.cos(pm), np.sin(pm), Rm, partials
 
     def gradient(z):
         z = np.asarray(z, float)
-        R = np.hypot(z[..., 0], z[..., 1])
-        phi = np.arctan2(z[..., 1], z[..., 0])
-        eta = _eta(R)
         out = np.zeros(z.shape)
-        m = eta > 0.0                      # support sits in an annulus around R=1
-        if np.any(m):
-            Rm, pm, h = R[m], phi[m], 1e-6
-            A, dA, b, b1 = _terms(pm)
-            deta = (_eta(Rm + h) - _eta(Rm - h)) / (2 * h)
-            fR = deta * (A * (Rm - 1.0) + b) + eta[m] * A
-            fphi = eta[m] * (dA * (Rm - 1.0) + b1)
-            c, s = np.cos(pm), np.sin(pm)
-            out[..., 0][m] = c * fR - s * fphi / Rm
-            out[..., 1][m] = s * fR + c * fphi / Rm
+        m, c, s, R, (fR, fphi) = _polar_partials(z, second=False)
+        out[..., 0][m] = c * fR - s * fphi / R
+        out[..., 1][m] = s * fR + c * fphi / R
         return out
 
     def hessian(z):
-        return _centred_differences(gradient, z, fd_step, symmetrize=True)
+        z = np.asarray(z, float)
+        out = np.zeros(z.shape + (4,))
+        m, c, s, R, (fR, fphi, fRR, fRphi, fpp) = _polar_partials(z, second=True)
+        # second derivatives in (x1, y1) from the polar partials
+        radial = fR / R + fpp / R ** 2
+        twist = fRphi / R - fphi / R ** 2
+        cs, c2, s2 = c * s, c * c, s * s
+        out[..., 0, 0][m] = c2 * fRR + s2 * radial - 2.0 * cs * twist
+        out[..., 1, 1][m] = s2 * fRR + c2 * radial + 2.0 * cs * twist
+        xy = cs * (fRR - radial) + (c2 - s2) * twist
+        out[..., 0, 1][m] = xy
+        out[..., 1, 0][m] = xy
+        return out
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),

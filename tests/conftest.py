@@ -29,3 +29,41 @@ def random_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
+    """Gradient of the z1-arc test function f = eta(R) (A(phi)(R - 1) + B(phi))
+    with A = a_sign (1 - phi^2) B'/phi, computed as it was before the closed
+    form: A' by hand and the window derivative eta'(R) by an h = 1e-6
+    centred difference of the plateau."""
+    from lagdisc import hamiltonians as hams
+
+    lo, hi = center - width, center + width
+    w_in, w_out = r_window
+
+    def eta(R):
+        return hams._plateau((R - 1.0) ** 2, w_in, w_out)
+
+    def gradient(z):
+        z = np.asarray(z, float)
+        R = np.hypot(z[..., 0], z[..., 1])
+        phi = np.arctan2(z[..., 1], z[..., 0])
+        e = eta(R)
+        out = np.zeros(z.shape)
+        m = e > 0.0
+        Rm, pm, h = R[m], phi[m], 1e-6
+        b, b1, b2 = hams._arc_bump(pm, center, width)[:3]
+        A, dA = np.zeros_like(pm), np.zeros_like(pm)
+        k = (pm > lo) & (pm < hi)
+        p, q = pm[k], b1[k]
+        A[k] = a_sign * (1.0 - p ** 2) * q / p
+        dA[k] = a_sign * (-2.0 * q + (1.0 - p ** 2) * (b2[k] * p - q) / p ** 2)
+        deta = (eta(Rm + h) - eta(Rm - h)) / (2 * h)
+        fR = deta * (A * (Rm - 1.0) + b) + e[m] * A
+        fphi = e[m] * (dA * (Rm - 1.0) + b1)
+        c, s = np.cos(pm), np.sin(pm)
+        out[..., 0][m] = c * fR - s * fphi / Rm
+        out[..., 1][m] = s * fR + c * fphi / Rm
+        return out
+
+    return gradient

@@ -111,15 +111,22 @@ def test_mesh_out_of_bounds_exits_1(tmp_path, capsys, mesh):
 
 @pytest.mark.parametrize("bad", [
     {"seeds": 3}, {"seeds": [1.5]}, {"eps": "0.05"}, {"eps": 0.5},
-    {"mesh": 5}, {"example": 5}, {"output_dir": 5},
+    {"mesh": 5}, {"example": 5}, {"output_dir": 5}, 5, [[1]],
 ], ids=["seeds-int", "seeds-float", "eps-string", "eps-large", "mesh-int",
-        "example-int", "output_dir-int"])
+        "example-int", "output_dir-int", "not-object-int", "not-object-list"])
 def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
+    """A wrongly typed key, or a file whose JSON is not an object at all,
+    is a configuration error naming its culprit."""
     monkeypatch.chdir(tmp_path)          # no --out: it would mask output_dir
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"command": "rigidity", **bad}))
+    if isinstance(bad, dict):
+        cfg.write_text(json.dumps({"command": "rigidity", **bad}))
+        culprit = next(iter(bad))
+    else:
+        cfg.write_text(json.dumps(bad))
+        culprit = "config"
     assert run_cli("--config", str(cfg)) == 1
-    assert f"{next(iter(bad))}:" in capsys.readouterr().err
+    assert f"{culprit}:" in capsys.readouterr().err
 
 
 def _fake_rigidity(seed, eps, mesh, cfg):

@@ -3,7 +3,7 @@ import pytest
 
 from lagdisc import algebra as alg
 from lagdisc import domains as dom
-from lagdisc.families import flat_disc, nonminimal_map
+from lagdisc.families import flat_disc, nonminimal_map, sample
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,65 @@ def test_curve_normal_off_curve_rejected():
     d = dom.curve_domain_from_map(nonminimal_map())
     with pytest.raises(dom.NotOnBoundary):
         d.normal_at(np.array([0.0, 0, 0, 0.5]))
+
+
+def _reference_normal_at(d, z):
+    """Reference: one scalar golden-section search per point."""
+    z = np.asarray(z, float)
+    if z.ndim == 2:
+        return np.stack([_reference_normal_at(d, row) for row in z])
+    k = int(np.argmin(alg.norm(d.curve_points - z)))
+    span = 2 * np.pi / len(d.theta_grid)
+    t0 = d.theta_grid[0]
+
+    def f(t):
+        p = d._curve_spline(np.mod(t - t0, 2 * np.pi) + t0)
+        return float(np.sum((p - z) ** 2))
+
+    phi = (np.sqrt(5) - 1) / 2
+    a, b = d.theta_grid[k] - span, d.theta_grid[k] + span
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(60):
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - phi * (b - a)
+            f1 = f(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + phi * (b - a)
+            f2 = f(c2)
+    t = 0.5 * (a + b)
+    if np.linalg.norm(d.curve_at(t) - z) > d.curve_tol:
+        raise dom.NotOnBoundary("point is not on the stored boundary curve")
+    return d.normal_at_theta(t)
+
+
+@pytest.mark.parametrize("rings,sectors", [(24, 96), (48, 192)])
+def test_curve_normal_batch_matches_scalar_search(mesh_cache, rings, sectors):
+    nm = nonminimal_map()
+    d = dom.curve_domain_from_map(nm)
+    m = mesh_cache(rings, sectors)
+    pts = sample(nm, m).values[m.is_boundary]
+    want = _reference_normal_at(d, pts)
+    assert np.array_equal(d.normal_at(pts), want)
+    for i in (0, sectors // 3, sectors - 1):
+        assert np.array_equal(d.normal_at(pts[i]), want[i])
+    # leading axes are kept
+    assert np.array_equal(d.normal_at(pts.reshape(2, -1, 4)),
+                          want.reshape(2, -1, 4))
+    assert d.normal_at(np.empty((0, 4))).shape == (0, 4)
+
+
+def test_curve_normal_batch_rejects_one_off_curve_row():
+    nm = nonminimal_map()
+    d = dom.curve_domain_from_map(nm)
+    th = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    pts = nm.value(np.ones_like(th), th)
+    d.normal_at(pts)
+    pts[17, 3] += 1e-3
+    with pytest.raises(dom.NotOnBoundary):
+        d.normal_at(pts)
 
 
 def test_curve_projection_unsupported():

@@ -6,6 +6,10 @@ from lagdisc import domains as dom
 from lagdisc import hamiltonians as hams
 from lagdisc.families import nonminimal_map
 from lagdisc.solver import flow_frame_step
+from conftest import z1_arc_reference_gradient
+
+# sign of A = sign * (1 - phi^2) B'/phi in the z1-arc test functions
+Z1_ARC_SIGN = -1.0
 
 BALL = dom.unit_ball()
 
@@ -405,6 +409,61 @@ def test_z1_arc_fd_gradient(rng):
         worst = max(worst, float(np.max(np.abs(fd - g[:, k])
                                         / (1.0 + np.abs(g[:, k])))))
     assert worst <= 1e-5
+
+
+def test_plateau_derivatives_match_centred_differences():
+    rho2 = np.linspace(0.0, 0.2, 4001)
+    eta, d1, d2 = hams._plateau(rho2, 0.15, 0.4, derivatives=True)
+    assert np.array_equal(eta, hams._plateau(rho2, 0.15, 0.4))
+    h = 1e-7
+    up = hams._plateau(rho2 + h, 0.15, 0.4, derivatives=True)
+    dn = hams._plateau(rho2 - h, 0.15, 0.4, derivatives=True)
+    assert np.max(np.abs((up[0] - dn[0]) / (2 * h) - d1)) <= 1e-7 * np.max(np.abs(d1))
+    assert np.max(np.abs((up[1] - dn[1]) / (2 * h) - d2)) <= 1e-7 * np.max(np.abs(d2))
+    # flat (all derivatives zero) on the plateau and outside the window
+    flat = (rho2 <= 0.15 ** 2) | (rho2 >= 0.4 ** 2)
+    assert np.all(d1[flat] == 0.0) and np.all(d2[flat] == 0.0)
+    assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+
+
+def test_bump_kernel_third_derivative():
+    s = np.linspace(-2.0, 0.995, 6001)
+    k = hams.bump_kernel(s, third=True)
+    for got, want in zip(k, hams.bump_kernel(s)):
+        assert np.array_equal(got, want)
+    h = 1e-7
+    fd = (hams.bump_kernel(s + h)[2] - hams.bump_kernel(s - h)[2]) / (2 * h)
+    assert np.max(np.abs(fd - k[3])) <= 1e-7 * np.max(np.abs(k[3]))
+
+
+def _z1_arc_points(rng):
+    # off the curve, and on the image of the non-minimal map (R = 1)
+    off = rng.normal(size=(400, 4)) * 0.25 + np.array([0.9, 0.35, 0.0, 0.0])
+    x, y = rng.uniform(-1, 1, size=(2, 400))
+    return np.vstack([off, nonminimal_map().value_xy(x, y)])
+
+
+@pytest.mark.parametrize("center,width", [(0.45, 0.35), (-0.6, 0.25), (0.35, 0.25)])
+def test_z1_arc_gradient_matches_fd_plateau_reference(rng, center, width):
+    pts = _z1_arc_points(rng)
+    f = hams.z1_arc_hamiltonian(center, width)
+    want = z1_arc_reference_gradient(center, width, a_sign=Z1_ARC_SIGN)(pts)
+    got = f.gradient(pts)
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    assert np.array_equal(f.gradient(pts[3]), got[3])
+
+
+@pytest.mark.parametrize("center,width", [(0.45, 0.35), (-0.6, 0.25), (0.35, 0.25)])
+def test_z1_arc_hessian_matches_differences_of_gradient(rng, center, width):
+    pts = _z1_arc_points(rng)
+    f = hams.z1_arc_hamiltonian(center, width)
+    H = f.hessian(pts)
+    fd = hams._centred_differences(f.gradient, pts, 1e-6)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+    assert np.array_equal(H, np.swapaxes(H, -1, -2))
+    # only the z1 block is nonzero; a single point stays single
+    assert np.all(H[:, 2:, :] == 0.0) and np.all(H[:, :, 2:] == 0.0)
+    assert np.array_equal(f.hessian(pts[5]), H[5])
 
 
 def test_z1_arc_invalid_arc():

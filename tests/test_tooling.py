@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 import lagdisc
+from lagdisc import domains as dom
+from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import mesh as msh
 
@@ -37,6 +39,9 @@ def test_span_recorder_installs_and_uninstalls():
         msh.build_polar_mesh(2, 8)
         f = hams.z1_arc_hamiltonian(0.45, 0.35)
         f.hessian(np.array([[0.9, 0.4, 0.0, 0.0]]))
+        nm = fam.nonminimal_map()
+        th = np.linspace(0.0, 2 * np.pi, 37, endpoint=False)
+        dom.curve_domain_from_map(nm).normal_at(nm.value(np.ones_like(th), th))
     finally:
         rec.uninstall()
     for owner, attr, original in originals:
@@ -44,7 +49,11 @@ def test_span_recorder_installs_and_uninstalls():
     totals = rec.totals()
     assert totals["mesh.build_polar_mesh"]["calls"] == 1
     assert totals["mesh.validate"]["calls"] == 1
+    assert totals["hamiltonians.hessian.z1_arc"]["calls"] == 1
     assert totals["hamiltonians.hessian.z1_arc"]["points"] == 1
+    # one batched curve lookup is one span carrying every query point
+    assert totals["domains.curve.normal_at"]["calls"] == 1
+    assert totals["domains.curve.normal_at"]["points"] == 37
 
 
 def test_recorder_times_the_solver_layers():
@@ -53,8 +62,6 @@ def test_recorder_times_the_solver_layers():
     silently read 0."""
     from dataclasses import replace
 
-    from lagdisc import domains as dom
-    from lagdisc import families as fam
     from lagdisc import solver as sol
 
     u0 = fam.sample(fam.flat_disc(np.eye(2)), msh.build_polar_mesh(6, 24))
