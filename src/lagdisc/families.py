@@ -191,7 +191,20 @@ class NonMinimalMap(ExampleMap):
     The Lagrangian angle e^{-ix} is non-constant, so the map is not
     minimal, yet it is stationary for the curve-constrained boundary
     problem built from the field ``X = gbar J d_tau u + G I d_tau u``
-    along the image of the boundary circle.
+    with G = -y along the image of the boundary circle.
+
+    Why G = -y: along the Hamiltonian field I grad f the Dirichlet
+    energy varies by
+
+        dE = -int_D <I grad f(u), Lap u> + oint <I grad f(u), d_nu u>.
+
+    Here Lap u = -(z1, 0), so for f of z1 (R = |z1|, phi = arg z1, and
+    R = 1 on the image) the interior term is int_D d_x(f o u) =
+    oint cos(theta) f(u) = -oint y^2 f_phi.  On the boundary
+    gbar J d_tau u = d_nu u, so <I grad f, X> = 0 reads x f_R = G y f_phi
+    and the boundary term is -oint x f_R = -oint G y f_phi.  The two
+    cancel for every admissible f exactly when G = -y; with G = +y they
+    add.
     """
 
     kind = "nonminimal"
@@ -223,14 +236,15 @@ class NonMinimalMap(ExampleMap):
         return out
 
     def boundary_X(self, theta):
-        """Constraint-normal field X = gbar J d_tau u + G I d_tau u on u(dD^2)."""
+        """Constraint-normal field X = gbar J d_tau u + G I d_tau u on u(dD^2),
+        G = -y (see the class docstring)."""
         theta = np.asarray(theta, float)
         x, y = np.cos(theta), np.sin(theta)
         e = self.frame(np.ones_like(theta), theta)
         d_tau = -np.sin(theta)[..., None] * e.e_x + np.cos(theta)[..., None] * e.e_y
         gbar = np.exp(-1j * x)
         return (algebra.complex_scale(gbar, algebra.apply_J(d_tau))
-                + y[..., None] * algebra.apply_I(d_tau))
+                - y[..., None] * algebra.apply_I(d_tau))
 
 
 def flat_disc(U):

@@ -628,9 +628,11 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
     B(phi)) where B is a smooth bump supported in the phi-arc
     [center - width, center + width] (which must avoid phi = 0 and stay
-    inside (-1, 1)), and A = -(1 - phi^2) B'/phi.  Along the constraint
-    curve the Hamiltonian field I grad f is then orthogonal to the
-    normal field X exactly.  The window eta is the plateau cutoff of
+    inside (-1, 1)), and A = (1 - phi^2) B'/phi.  On the curve, where
+    R = 1 and phi = -x, <I grad f, X> = 0 reads x f_R = G y f_phi with
+    G = -y (see :class:`lagdisc.families.NonMinimalMap`), that is
+    A = (1 - phi^2) B'/phi: the Hamiltonian field I grad f is orthogonal
+    to the normal field X exactly.  The window eta is the plateau cutoff of
     (R - 1)^2 with radii ``r_window``.
 
     Gradient and Hessian are closed forms: the partial derivatives of f
@@ -649,13 +651,13 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
         A = np.zeros((3,) + phi.shape)
         m = (phi > lo) & (phi < hi)
         pm, b1m, b2m = phi[m], b1[m], b2[m]
-        # A = -g B' with g = (1 - phi^2)/phi, g' = -(1 + phi^2)/phi^2 and
+        # A = g B' with g = (1 - phi^2)/phi, g' = -(1 + phi^2)/phi^2 and
         # g'' = 2/phi^3
         g = (1.0 - pm ** 2) / pm
         g1 = -(1.0 + pm ** 2) / pm ** 2
-        A[0][m] = -g * b1m
-        A[1][m] = -(g1 * b1m + g * b2m)
-        A[2][m] = -(2.0 / pm ** 3 * b1m + 2.0 * g1 * b2m + g * b3[m])
+        A[0][m] = g * b1m
+        A[1][m] = g1 * b1m + g * b2m
+        A[2][m] = 2.0 / pm ** 3 * b1m + 2.0 * g1 * b2m + g * b3[m]
         return A, (b, b1, b2)
 
     def value(z):

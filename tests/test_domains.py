@@ -69,7 +69,8 @@ def test_curve_normal_at_quarter_turn():
     p = nm.value(1.0, np.pi / 2)
     assert np.allclose(p, [1, 0, 0, 1], atol=1e-14)
     n = d.normal_at(p)
-    assert np.allclose(n, np.array([-1.0, 0, 0, 1.0]) / np.sqrt(2), atol=1e-9)
+    # X(pi/2) = (1, 0, 0, 1), see test_nonminimal_boundary_X_oracle
+    assert np.allclose(n, np.array([1.0, 0, 0, 1.0]) / np.sqrt(2), atol=1e-9)
 
 
 def test_curve_normal_off_curve_rejected():

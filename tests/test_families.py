@@ -142,7 +142,7 @@ def test_nonminimal_angle_flux_constant():
 
 
 def test_nonminimal_boundary_X_oracle():
-    # finite-difference oracle for X = gbar J d_tau u + G I d_tau u
+    # finite-difference oracle for X = gbar J d_tau u + G I d_tau u, G = -y
     nm = fam.nonminimal_map()
     th = np.linspace(0, 2 * np.pi, 97)
     h = 1e-6
@@ -151,12 +151,13 @@ def test_nonminimal_boundary_X_oracle():
     x, y = np.cos(th), np.sin(th)
     gbar = np.exp(-1j * x)
     X_fd = (alg.complex_scale(gbar, alg.apply_J(d_tau))
-            + y[:, None] * alg.apply_I(d_tau))
+            - y[:, None] * alg.apply_I(d_tau))
     X = nm.boundary_X(th)
     assert np.max(np.abs(X - X_fd)) <= 1e-8
-    # value at theta = pi/2 (frozen from the oracle): (-1, 0, 0, 1)
+    # value at theta = pi/2, where d_nu u = (0, i) and I d_tau u = (-1, 0):
+    # X = (0, i) - (-1, 0) = (1, 0, 0, 1)
     Xq = nm.boundary_X(np.pi / 2)
-    assert np.allclose(Xq, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(Xq, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
     assert abs(np.linalg.norm(Xq) - np.sqrt(2)) <= 1e-12
     # tangency along the whole boundary
     assert np.max(np.abs(alg.inner(X, d_tau))) <= 1e-6
