@@ -626,19 +626,16 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     """Test function of z1 alone, tangent to the curve {(e^{-ia}, ib)}.
 
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
-    B(phi)) where B is a smooth bump supported in the phi-arc
+    B(phi)) where eta is the plateau cutoff of (R - 1)^2 with radii
+    ``r_window``, B is a smooth bump supported in the phi-arc
     [center - width, center + width] (which must avoid phi = 0 and stay
-    inside (-1, 1)), and A = (1 - phi^2) B'/phi.  On the curve, where
-    R = 1 and phi = -x, <I grad f, X> = 0 reads x f_R = G y f_phi with
-    G = -y (see :class:`lagdisc.families.NonMinimalMap`), that is
-    A = (1 - phi^2) B'/phi: the Hamiltonian field I grad f is orthogonal
-    to the normal field X exactly.  The window eta is the plateau cutoff of
-    (R - 1)^2 with radii ``r_window``.
+    inside (-1, 1)), and A = (1 - phi^2) B'/phi.  On the curve R = 1 and
+    phi = -x, so this A solves x f_R = G y f_phi with G = -y, which is
+    <I grad f, X> = 0 (see :class:`lagdisc.families.NonMinimalMap`).
 
-    Gradient and Hessian are closed forms: the partial derivatives of f
-    in (R, phi), from those of the plateau and of the bump, pushed to
-    Cartesian coordinates by the polar chain rule.  The Hessian is
-    exactly symmetric.
+    Gradient and Hessian are closed forms: the partials of f in (R, phi)
+    pushed to Cartesian coordinates by the polar chain rule.  The Hessian
+    is exactly symmetric.
     """
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
