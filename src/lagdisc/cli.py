@@ -32,7 +32,7 @@ from . import residuals as res
 from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
 from .mesh import build_polar_mesh
-from .solver import SolverConfig, default_continuation, rigidity_experiment
+from .solver import SolverConfig, rigidity_experiment
 
 COMMANDS = ("verify-example", "boundary-report", "stationarity", "masses",
             "rigidity", "dump-mesh")
@@ -78,6 +78,8 @@ class RunConfig:
                               "and S >= 8")
         if not (_is_real(G) and 0.2 <= G <= 1.0):
             raise ConfigError("mesh: G must be a number in [0.2, 1]")
+        if self.command == "rigidity" and S % 4:
+            raise ConfigError("mesh: rigidity needs S % 4 == 0 (odd maps)")
         if not (_is_int(self.refinements) and self.refinements >= 1):
             raise ConfigError("refinements: must be an integer >= 1")
         if not (isinstance(self.seeds, list) and self.seeds
@@ -224,11 +226,9 @@ def _cmd_masses(cfg, out):
 
 def _cmd_rigidity(cfg, out):
     mesh = cfg.meshes(1)[0]
-    scfg = SolverConfig(continuation=default_continuation(), grad_tol=1e-7,
-                        max_iters=400)
     rows, results = [], []
     for seed in cfg.seeds:
-        rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh, scfg)
+        rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh, SolverConfig())
         results.append(rep.to_dict())
         for r in hist["rows"]:
             rows.append((seed, r["iter"], r["E"], r["grad_norm"],

@@ -414,16 +414,9 @@ def _centred_differences(fn, z, step, symmetrize=False):
     by its symmetric part.
     """
     z = np.asarray(z, float)
-    y = np.atleast_2d(z)
-    out = []
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = step
-        out.append((fn(y + e) - fn(y - e)) / (2 * step))
-    d = np.stack(out, axis=-1)
-    if symmetrize:
-        d = 0.5 * (d + np.swapaxes(d, 1, 2))
-    return d[0] if z.ndim == 1 else d
+    d = np.stack([(fn(z + e) - fn(z - e)) / (2 * step)
+                  for e in step * np.eye(4)], axis=-1)
+    return 0.5 * (d + np.swapaxes(d, -1, -2)) if symmetrize else d
 
 
 def phase_for_tangent(domain, p, v):
@@ -529,8 +522,12 @@ class _FlowTube:
         return self.t[cell] + tau * dt
 
 
+# centred-difference step of the flow-adapted gradient and Hessian
+FLOW_FD_STEP = 3e-6
+
+
 def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
-                 fd_step=3e-6, name="flow_adapted"):
+                 name="flow_adapted"):
     """Test function eta(y) * beta(t(y)) transported along the g0*J*N flow.
 
     ``anchor`` is ``(p, g0)`` with p on the domain boundary and g0 a unit
@@ -542,7 +539,7 @@ def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
     grad f = beta'(t) grad t is parallel to the flow direction.
 
     Gradient and Hessian are centered finite differences of the value
-    (step ``fd_step``); this construction is a stress input for the
+    (step ``FLOW_FD_STEP``); this construction is a stress input for the
     stationarity tester, not a precision object.
     """
     if domain.kind != "levelset":
@@ -572,21 +569,20 @@ def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
 
     def value(z):
         z = np.asarray(z, float)
-        single = z.ndim == 1
-        y = np.atleast_2d(z)
+        y = z.reshape(-1, 4)
         out = np.zeros(len(y))
         eta = _plateau(np.sum((y - p) ** 2, axis=-1), r_in, r_out)
         m = eta > 0
         if np.any(m):
             t = tube.time_of(y[m], strict=False)
             out[m] = eta[m] * beta_profile(t)
-        return out[0] if single else out
+        return out.reshape(z.shape[:-1])[()]
 
     def gradient(z):
-        return _centred_differences(value, z, fd_step)
+        return _centred_differences(value, z, FLOW_FD_STEP)
 
     def hessian(z):
-        return _centred_differences(gradient, z, fd_step, symmetrize=True)
+        return _centred_differences(gradient, z, FLOW_FD_STEP, symmetrize=True)
 
     # admissibility samples: central flow arc (it stays on the boundary)
     samples = tube.c[np.abs(tube.t) <= 0.9 * delta]

@@ -109,6 +109,14 @@ def test_mesh_out_of_bounds_exits_1(tmp_path, capsys, mesh):
     assert "mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mesh", ["4,18,1.0", "12,50,1.0"])
+def test_rigidity_mesh_without_half_turn_exits_1(tmp_path, capsys, mesh):
+    code = run_cli("--command", "rigidity", "--mesh", mesh,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "mesh: rigidity" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [
     {"seeds": 3}, {"seeds": [1.5]}, {"eps": "0.05"}, {"eps": 0.5},
     {"mesh": 5}, {"example": 5}, {"output_dir": 5}, 5, [[1]],

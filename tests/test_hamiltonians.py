@@ -334,6 +334,16 @@ def test_flow_adapted_fd_gradient(flow_f, rng):
     assert fd_gradient_error(flow_f, pts, step=1e-4) <= 1e-5
 
 
+def test_flow_adapted_keeps_leading_axes(flow_f, rng):
+    pts = np.array([1.0, 0, 0, 0]) + rng.normal(size=(6, 4)) * 0.08
+    for fn in (flow_f.value, flow_f.gradient, flow_f.hessian):
+        flat = fn(pts)
+        batched = fn(pts.reshape(2, 3, 4))
+        assert batched.shape == (2, 3) + flat.shape[1:]
+        assert np.array_equal(batched, flat.reshape(batched.shape))
+        assert np.shape(fn(pts[4])) == flat.shape[1:]
+
+
 def test_flow_adapted_tube_too_large():
     p = np.array([1.0, 0, 0, 0])
     with pytest.raises(hams.TubeTooLarge):

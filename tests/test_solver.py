@@ -15,8 +15,7 @@ BALL = dom.unit_ball()
 
 
 def small_cfg(**kw):
-    defaults = dict(continuation=sol.default_continuation(), grad_tol=1e-9,
-                    max_iters=200)
+    defaults = dict(grad_tol=1e-9, max_iters=200)
     defaults.update(kw)
     return sol.SolverConfig(**defaults)
 
@@ -159,6 +158,14 @@ def test_minimize_requires_projection_tube(mesh_cache):
     bad = replace(u0, values=2.5 * u0.values, exact_frames=None, source=None)
     with pytest.raises(ValueError):
         sol.minimize(bad, BALL, small_cfg())
+
+
+def test_minimize_rejects_start_that_is_not_odd(mesh_cache):
+    m = mesh_cache(8, 32)
+    u0 = fam.sample(fam.sw_cone(1, 2), m)
+    assert np.max(np.abs(u0.values + u0.values[m.antipodal])) > 1.0
+    with pytest.raises(ValueError, match="odd"):
+        sol.minimize(u0, BALL, small_cfg())
 
 
 def test_minimize_perturbed_recovers(mesh_cache, rng):
@@ -314,6 +321,22 @@ def test_rigidity_small_mesh_pass(mesh_cache):
     assert rep.circle_defect <= 1e-3
 
 
+@pytest.mark.parametrize("seed,iters,reasons", [
+    (3, [209, 4, 6], ["converged"] * 3),
+    (2, [205, 3, 400], ["converged", "converged", "max_iters"]),
+])
+def test_rigidity_stage_reasons(mesh_cache, seed, iters, reasons):
+    rep, u, hist = sol.rigidity_experiment(seed=seed, eps=0.05,
+                                           mesh=mesh_cache(12, 48))
+    assert [s["iters"] for s in rep.stages] == iters
+    assert [s["reason"] for s in rep.stages] == reasons
+    assert rep.stages == hist["stages"]
+    assert rep.passed
+    # the descent never leaves the centrally odd maps
+    sigma = u.mesh.antipodal
+    assert np.max(np.abs(u.values + u.values[sigma])) <= 1e-12
+
+
 def test_rigidity_control_without_lagrangian_penalty(mesh_cache):
     rep, _, _ = sol.rigidity_experiment(seed=2, eps=0.05,
                                         mesh=mesh_cache(12, 48),
@@ -329,6 +352,6 @@ def test_rigidity_rejects_large_eps(mesh_cache):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        sol.SolverConfig(penalty_lagrangian=-1.0)
+        sol.SolverConfig(continuation=[(-1.0, 100.0)])
     with pytest.raises(ValueError):
         sol.SolverConfig(grad_tol=0.0)
