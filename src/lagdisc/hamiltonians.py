@@ -98,8 +98,12 @@ def combine(coeffs, hams, name="combo"):
 # scalar profiles P(s) with two derivatives
 # --------------------------------------------------------------------------
 class Profile:
-    def __init__(self, f, d1, d2):
+    """P(s) with its first two derivatives.  ``support``, when set, is an s1
+    with P = P' = P'' = 0 for every s >= s1."""
+
+    def __init__(self, f, d1, d2, support=None):
         self.f, self.d1, self.d2 = f, d1, d2
+        self.support = support
 
     def __call__(self, s):
         return self.f(s)
@@ -146,7 +150,15 @@ def smooth_cutoff_profile(s0, s1):
         inside = (t > 0) & (t < 1)
         return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w ** 2, 0.0)
 
-    return Profile(f, d1, d2)
+    return Profile(f, d1, d2, support=float(s1))
+
+
+def _add_identity(H, b):
+    """H + b I for a (..., 4, 4) array H, in place and on the diagonal only
+    (bitwise the sum with b * np.eye(4), up to the sign of zeros)."""
+    for i in range(4):
+        H[..., i, i] += b
+    return H
 
 
 # --------------------------------------------------------------------------
@@ -207,9 +219,9 @@ def interior_bump(center, radius, amplitude=1.0):
             _, dphi, d2phi = bump_kernel(s[m])
             dm = d[m]
             outer = dm[..., :, None] * dm[..., None, :]
-            eye = np.eye(4)
-            out[m] = (A * d2phi * (2.0 / R2) ** 2)[..., None, None] * outer \
-                + (A * dphi * 2.0 / R2)[..., None, None] * eye
+            out[m] = _add_identity(
+                (A * d2phi * (2.0 / R2) ** 2)[..., None, None] * outer,
+                A * dphi * 2.0 / R2)
         return out
 
     return Hamiltonian(value, gradient, hessian,
@@ -238,9 +250,8 @@ def radial_invariant(profile, domain=None, name="radial"):
         z = np.asarray(z, float)
         s = np.sum(z * z, axis=-1)
         outer = z[..., :, None] * z[..., None, :]
-        eye = np.eye(4)
-        return 4.0 * P.d2(s)[..., None, None] * outer \
-            + 2.0 * P.d1(s)[..., None, None] * eye
+        return _add_identity(4.0 * P.d2(s)[..., None, None] * outer,
+                             2.0 * P.d1(s))
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
@@ -313,11 +324,12 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
         s = np.sum(z * z, axis=-1)
         outer_zz = z[..., :, None] * z[..., None, :]
         cross = z[..., :, None] * gQ[..., None, :] + gQ[..., :, None] * z[..., None, :]
-        eye = np.eye(4)
-        return (4.0 * P.d2(s) * Q)[..., None, None] * outer_zz \
-            + (2.0 * P.d1(s) * Q)[..., None, None] * eye \
-            + (2.0 * P.d1(s))[..., None, None] * cross \
-            + P.f(s)[..., None, None] * HQ
+        d1 = 2.0 * P.d1(s)
+        H = _add_identity((4.0 * P.d2(s) * Q)[..., None, None] * outer_zz,
+                          d1 * Q)
+        H += d1[..., None, None] * cross
+        H += P.f(s)[..., None, None] * HQ
+        return H
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
@@ -330,9 +342,15 @@ def windowed_wave(k, profile, axis=0, name=None):
     The radial window makes the function compactly supported inside the
     unit ball (hence trivially admissible there); the oscillation makes
     it sensitive to short-scale non-Hamiltonian perturbations that the
-    smooth families cannot see against their Hessian normalization.
+    smooth families cannot see against their Hessian normalization.  The
+    profile must declare a ``support`` s1 in (0, 1) (as
+    :func:`smooth_cutoff_profile` does), and the support ball has radius
+    sqrt(s1).
     """
     P = profile
+    if P.support is None or not 0.0 < P.support < 1.0:
+        raise InvalidParameter("windowed_wave needs a profile supported in "
+                               "0 < s < 1")
     e_axis = np.zeros(4)
     e_axis[axis] = 1.0
 
@@ -355,15 +373,15 @@ def windowed_wave(k, profile, axis=0, name=None):
         cos_ = np.cos(k * z[..., axis])
         outer_zz = z[..., :, None] * z[..., None, :]
         cross = z[..., :, None] * e_axis[None, :] + e_axis[:, None] * z[..., None, :]
-        eye = np.eye(4)
-        return ((4.0 * P.d2(s) * sin_)[..., None, None] * outer_zz
-                + (2.0 * P.d1(s) * sin_)[..., None, None] * eye
-                + (2.0 * P.d1(s) * cos_)[..., None, None] * cross
-                + (-k * np.sin(k * z[..., axis]) * P.f(s))[..., None, None]
-                * np.outer(e_axis, e_axis))
+        d1 = 2.0 * P.d1(s)
+        H = _add_identity((4.0 * P.d2(s) * sin_)[..., None, None] * outer_zz,
+                          d1 * sin_)
+        H += (d1 * cos_)[..., None, None] * cross
+        H[..., axis, axis] += -k * np.sin(k * z[..., axis]) * P.f(s)
+        return H
 
     return Hamiltonian(value, gradient, hessian,
-                       support_hint=(np.zeros(4), 0.97),
+                       support_hint=(np.zeros(4), float(np.sqrt(P.support))),
                        admissibility_tag="interior",
                        name=name or f"wave(k={k:g},axis={axis})")
 
@@ -467,9 +485,17 @@ class _FlowTube:
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def psi_grid(self, y):
-        """psi[j, i] = <y_i - c_j, d_j> on the time grid; (n_t, k)."""
+        """psi[j, i] = <y_i - c_j, d_j> on the time grid; (n_t, k).
+
+        <y_i, d_j> is summed elementwise in a fixed order (a matrix product
+        sums in an order that depends on the batch size), so each query
+        point gets the same value whatever batch it comes in.
+        """
         y = np.atleast_2d(y)
-        return self.d @ y.T - np.sum(self.c * self.d, axis=1)[:, None]
+        dy = self.d[:, 0, None] * y[:, 0]
+        for i in range(1, 4):
+            dy = dy + self.d[:, i, None] * y[:, i]
+        return dy - np.sum(self.c * self.d, axis=1)[:, None]
 
     def _hermite(self, cell, tau):
         """Position/velocity/acceleration of the dense output inside cells."""

@@ -27,8 +27,8 @@ from . import hamiltonians as hams
 from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
                       norm, symplectic, wedge_norm)
 from .families import DiscreteMap, ExampleMap, sample
-from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
-                   interpolate_at_centroids, loop_integrals,
+from .mesh import (InvalidParameter, boundary_trace_pairing, element_gradient,
+                   exclusion_masks, interpolate_at_centroids, loop_integrals,
                    weak_divergence_residual)
 
 __all__ = [
@@ -373,46 +373,91 @@ def boundary_conditions_report(u: DiscreteMap, domain, collar_r0=0.7, max_k=4):
 # elements per Hessian block in the stationarity quadrature
 HESSIAN_BLOCK = 4096
 
+# the upper triangle (i <= j) of a 4x4 matrix, row-major, as row and column
+# indices and as flat indices into the (16,) raveled matrix
+_UPPER_I, _UPPER_J = np.triu_indices(4)
+_UPPER_FLAT = 4 * _UPPER_I + _UPPER_J
+# a_i e_j + a_j e_i counts a diagonal entry of sym(a (x) e) twice
+_UPPER_HALF_DIAG = np.where(_UPPER_I == _UPPER_J, 0.5, 1.0)
 
-def _stationarity_terms(e, u_c, areas, f):
+
+def _frame_block(grad):
+    """sum_k sym((-I e_k) (x) e_k) for (b, 2, 4) frames e_k = grad[:, k], as
+    its (b, 10) upper triangle with the off-diagonal entries doubled."""
+    acc = 0.0
+    for k in range(2):
+        e = grad[:, k]
+        a = -apply_I(e)
+        acc = acc + (a[:, _UPPER_I] * e[:, _UPPER_J]
+                     + a[:, _UPPER_J] * e[:, _UPPER_I])
+    return _UPPER_HALF_DIAG * acc
+
+
+def _frame_tensor(u: DiscreteMap, m):
+    """Centroid values, frame tensors and ||grad u||^2_{L2} of the elements
+    in mask ``m``.
+
+    The frame tensor of element t is S_t = area_t sum_k sym((-I e_k) (x) e_k)
+    for the frames e_k = d_k u, stored as its (T, 10) upper triangle with the
+    off-diagonal entries doubled, so that <H, S_t>_F is the row-wise sum of
+    H's upper triangle times S_t.  It is built in blocks of ``HESSIAN_BLOCK``
+    elements.
+    """
+    mesh = u.mesh
+    grad = element_gradient(mesh, u.values)[m]
+    areas = mesh.areas[m]
+    grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
+                                    + inner(grad[:, 1], grad[:, 1]))))
+    S = np.empty((len(areas), len(_UPPER_FLAT)))
+    for s in range(0, len(areas), HESSIAN_BLOCK):
+        blk = slice(s, s + HESSIAN_BLOCK)
+        S[blk] = areas[blk, None] * _frame_block(grad[blk])
+    # free the (T, 2, 4) frames before the centroid values are built
+    del grad
+    return interpolate_at_centroids(mesh, u.values)[m], S, grad_sq
+
+
+def _stationarity_terms(u_c, S, f):
     """Midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> and the max
-    Frobenius norm of Hess f over the given elements.
+    Frobenius norm of Hess f over the elements with centroid values ``u_c``
+    and frame tensors ``S`` (see :func:`_frame_tensor`).
 
-    ``e`` holds the contiguous (T, 4) frames d_x u and d_y u, ``u_c`` the
-    (T, 4) centroid values.  The Hessian is evaluated in blocks of
-    ``HESSIAN_BLOCK`` elements; the per-element integrands go into
-    full-length arrays that are summed once, so the result does not
-    depend on the blocking.
+    For symmetric H, <I(H e), e> = <H, sym((-I e) (x) e)>_F, so each
+    element's integrand, area included, is the 10-term contraction of the
+    upper triangle of H = Hess f(u_c) with its row of S.  The Hessian is
+    evaluated in blocks of ``HESSIAN_BLOCK`` rows.  When ``f.support_hint =
+    (c, r)`` is set, only the rows with |u_c - c|^2 <= (1 + 1e-9) r^2, a
+    superset of the support, are evaluated.  The integrands and norms go
+    into zero-filled full-length arrays that are summed once, so the result
+    is that of evaluating every row and does not depend on the blocking.
     """
     n = len(u_c)
-    integrand = np.empty((2, n))
-    h_norm = np.empty(n)
-    for s in range(0, n, HESSIAN_BLOCK):
-        blk = slice(s, s + HESSIAN_BLOCK)
-        H = f.hessian(u_c[blk])
-        for k in range(2):
-            He = np.einsum("tij,tj->ti", H, e[k][blk])
-            integrand[k, blk] = inner(apply_I(He), e[k][blk])
-        h_norm[blk] = np.sqrt(np.sum(H * H, axis=(-2, -1)))
-    total = 0.0
-    for k in range(2):
-        total += np.sum(areas * integrand[k])
-    return float(total), float(np.max(h_norm, initial=0.0))
-
-
-def _omega_elements(u: DiscreteMap, m):
-    """Frames, centroid values and areas of the elements in mask ``m``."""
-    mesh = u.mesh
-    grad = element_gradient(mesh, u.values)
-    u_c = interpolate_at_centroids(mesh, u.values)
-    return [grad[m, k, :] for k in range(2)], u_c[m], mesh.areas[m]
+    if f.support_hint is None:
+        rows = [slice(s, s + HESSIAN_BLOCK) for s in range(0, n, HESSIAN_BLOCK)]
+    else:
+        center, radius = f.support_hint
+        # column by column, so no (T, 4) temporary is made per function
+        dist2 = 0.0
+        for i, c in enumerate(np.asarray(center, float)):
+            dist2 = dist2 + (u_c[:, i] - c) ** 2
+        inside = np.flatnonzero(dist2 <= (1.0 + 1e-9) * radius ** 2)
+        rows = [inside[s:s + HESSIAN_BLOCK]
+                for s in range(0, len(inside), HESSIAN_BLOCK)]
+    integrand = np.zeros(n)
+    h_norm = np.zeros(n)
+    for r in rows:
+        H = f.hessian(u_c[r])
+        upper = H.reshape(-1, 16)[:, _UPPER_FLAT]
+        integrand[r] = np.einsum("ti,ti->t", upper, S[r])
+        h_norm[r] = np.sqrt(np.sum(H * H, axis=(-2, -1)))
+    return float(np.sum(integrand)), float(np.max(h_norm, initial=0.0))
 
 
 def stationarity_integral(u: DiscreteMap, f, subdomain=None):
     """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega."""
     sub = subdomain or FullDisc()
-    m = sub.contains(u.mesh.centroids)
-    return _stationarity_terms(*_omega_elements(u, m), f)[0]
+    u_c, S, _ = _frame_tensor(u, sub.contains(u.mesh.centroids))
+    return _stationarity_terms(u_c, S, f)[0]
 
 
 def _check_support_clear(f, pts4, what):
@@ -475,9 +520,19 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
     with midpoint quadrature per triangle and the Frobenius matrix norm.
-    The Hessians are evaluated in blocks of ``HESSIAN_BLOCK`` elements, so
-    peak memory no longer grows with the element count times the batch.
+    An empty batch raises :class:`InvalidParameter` instead of reading as
+    a perfect 0.
+
+    The frames enter only through one (T, 10) frame tensor per call, the
+    upper triangle of area_t sum_k sym((-I d_k u) (x) d_k u), because
+    <I(H e), e> = <H, sym((-I e) (x) e)>_F for symmetric H; each f then
+    costs its Hessians in blocks of ``HESSIAN_BLOCK`` elements and one
+    10-term contraction per element.  A test function with a support ball
+    is evaluated only on the elements whose centroid image lies in it,
+    which gives exactly the value of evaluating every element.
     """
+    if len(fs) == 0:
+        raise InvalidParameter("stationarity_test: empty test set")
     mesh = u.mesh
     sub = subdomain or FullDisc()
     m = sub.contains(mesh.centroids)
@@ -494,13 +549,12 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     wall_pts = u.values[wall]
     wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
 
-    e, u_c, areas = _omega_elements(u, m)
-    grad_sq = float(np.sum(areas * (inner(e[0], e[0]) + inner(e[1], e[1]))))
+    u_c, S, grad_sq = _frame_tensor(u, m)
     worst = 0.0
     for f in fs:
         _check_admissible(f, domain, wall_pts, wall_normals)
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
-        total, h_inf = _stationarity_terms(e, u_c, areas, f)
+        total, h_inf = _stationarity_terms(u_c, S, f)
         worst = max(worst, abs(total) / (h_inf * grad_sq + EPS))
     return worst
 

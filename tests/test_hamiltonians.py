@@ -263,6 +263,75 @@ def test_windowed_wave_fd(rng):
     assert hessian_asymmetry(f, pts) <= 1e-12
 
 
+def test_windowed_wave_support_from_profile():
+    f = hams.windowed_wave(10.0, hams.smooth_cutoff_profile(0.75, 0.92))
+    assert f.support_hint[1] == np.sqrt(0.92)
+    # a profile without a declared support, or one reaching the sphere, would
+    # make the interior tag false: 1 at |z| = 0.99 gives a nonzero value there
+    for P in (hams.poly_profile([1.0]), hams.smooth_cutoff_profile(0.5, 1.2),
+              hams.smooth_cutoff_profile(-0.5, 0.0)):
+        with pytest.raises(hams.InvalidParameter):
+            hams.windowed_wave(10.0, P)
+
+
+# ---------------------------------------------------------------------------
+# Hessians with the identity term on the diagonal only, against the
+# full-matrix expressions they replace
+# ---------------------------------------------------------------------------
+def _old_radial_hessian(P, z):
+    s = np.sum(z * z, axis=-1)
+    outer = z[..., :, None] * z[..., None, :]
+    return 4.0 * P.d2(s)[..., None, None] * outer \
+        + 2.0 * P.d1(s)[..., None, None] * np.eye(4)
+
+
+def _old_hopf_hessian(c, P, z):
+    Q, gQ, HQ = hams._quad_eval(z, c)
+    if P is None:
+        return np.broadcast_to(HQ, Q.shape + (4, 4)).copy()
+    s = np.sum(z * z, axis=-1)
+    outer_zz = z[..., :, None] * z[..., None, :]
+    cross = z[..., :, None] * gQ[..., None, :] + gQ[..., :, None] * z[..., None, :]
+    return (4.0 * P.d2(s) * Q)[..., None, None] * outer_zz \
+        + (2.0 * P.d1(s) * Q)[..., None, None] * np.eye(4) \
+        + (2.0 * P.d1(s))[..., None, None] * cross \
+        + P.f(s)[..., None, None] * HQ
+
+
+def _old_wave_hessian(k, P, axis, z):
+    e_axis = np.zeros(4)
+    e_axis[axis] = 1.0
+    s = np.sum(z * z, axis=-1)
+    sin_ = np.sin(k * z[..., axis]) / k
+    cos_ = np.cos(k * z[..., axis])
+    outer_zz = z[..., :, None] * z[..., None, :]
+    cross = z[..., :, None] * e_axis[None, :] + e_axis[:, None] * z[..., None, :]
+    return ((4.0 * P.d2(s) * sin_)[..., None, None] * outer_zz
+            + (2.0 * P.d1(s) * sin_)[..., None, None] * np.eye(4)
+            + (2.0 * P.d1(s) * cos_)[..., None, None] * cross
+            + (-k * np.sin(k * z[..., axis]) * P.f(s))[..., None, None]
+            * np.outer(e_axis, e_axis))
+
+
+@pytest.mark.parametrize("profile", ["none", "poly", "cutoff"])
+def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
+    P = {"none": None, "poly": hams.poly_profile([0.3, -1.0, 0.5, 2.0]),
+         "cutoff": hams.smooth_cutoff_profile(0.4, 0.95)}[profile]
+    z = rng.uniform(-0.8, 0.8, size=(3000, 4))
+    c = [0.3, 0.1, -0.7, 0.2]
+    pairs = [(hams.hopf_invariant_quadratic(c, profile=P, domain=BALL),
+              lambda x: _old_hopf_hessian(np.asarray(c), P, x))]
+    if P is not None:
+        pairs.append((hams.radial_invariant(P, domain=BALL),
+                      lambda x: _old_radial_hessian(P, x)))
+    if profile == "cutoff":
+        pairs.append((hams.windowed_wave(26.0, P, axis=2),
+                      lambda x: _old_wave_hessian(26.0, P, 2, x)))
+    for f, old in pairs:
+        assert np.array_equal(f.hessian(z), old(z))
+        assert np.array_equal(f.hessian(z[0]), old(z[0]))
+
+
 # ---------------------------------------------------------------------------
 # symplectic structure of the generated fields
 # ---------------------------------------------------------------------------
@@ -342,6 +411,31 @@ def test_flow_adapted_keeps_leading_axes(flow_f, rng):
         assert batched.shape == (2, 3) + flat.shape[1:]
         assert np.array_equal(batched, flat.reshape(batched.shape))
         assert np.shape(fn(pts[4])) == flat.shape[1:]
+
+
+def test_flow_adapted_hessian_independent_of_batch(flow_f, rng):
+    # the stationarity quadrature hands each function the rows of its support
+    # ball in blocks, so a row's Hessian must not depend on its batch
+    pts = np.array([1.0, 0, 0, 0]) + rng.normal(size=(40, 4)) * 0.08
+    single = np.stack([flow_f.hessian(p[None])[0] for p in pts])
+    assert np.array_equal(flow_f.hessian(pts), single)
+    assert np.array_equal(flow_f.hessian(pts[:7]), single[:7])
+
+
+@pytest.mark.parametrize("kind", ["bump", "wave", "flow"])
+def test_hessian_vanishes_just_outside_support_hint(flow_f, rng, kind):
+    # the contract the stationarity quadrature's support restriction needs
+    f = {"bump": hams.interior_bump(np.array([0.1, -0.2, 0.3, 0.0]), 0.4, 1.7),
+         "wave": hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.75, 0.92)),
+         "flow": flow_f}[kind]
+    center, radius = f.support_hint
+    dirs = rng.normal(size=(200, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = np.repeat([1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.3], 50)
+    pts = center + (radius * scale)[:, None] * dirs
+    assert np.all(f.hessian(pts) == 0.0)
+    inside = center + 0.9 * radius * dirs
+    assert np.any(f.hessian(inside) != 0.0)
 
 
 def test_flow_adapted_tube_too_large():
@@ -505,3 +599,5 @@ def test_profiles():
     assert np.max(np.abs(fd2 - P.d2(s))) <= 1e-4
     with pytest.raises(hams.InvalidParameter):
         hams.smooth_cutoff_profile(0.9, 0.4)
+    assert P.support == 0.95
+    assert hams.poly_profile([1.0]).support is None

@@ -372,24 +372,44 @@ def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
     return worst
 
 
-@pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
-def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
+def _integral_rounding_scale(u, f, subdomain):
+    """sum_t area_t ||Hess f||_F (|e_x|^2 + |e_y|^2) over omega: the size of
+    the terms whose summation order the frame-tensor contraction changes."""
+    mesh = u.mesh
+    m = subdomain.contains(mesh.centroids)
+    grad = element_gradient(mesh, u.values)[m]
+    H = f.hessian(interpolate_at_centroids(mesh, u.values)[m])
+    h_norm = np.sqrt(np.sum(H * H, axis=(-2, -1)))
+    energy = alg.inner(grad[:, 0], grad[:, 0]) + alg.inner(grad[:, 1], grad[:, 1])
+    return float(np.sum(mesh.areas[m] * h_norm * energy))
+
+
+def _stationarity_case(mesh_cache, batch):
     m = mesh_cache(48, 192)
-    assert len(m.triangles) % res.HESSIAN_BLOCK != 0
-    assert len(m.triangles) > res.HESSIAN_BLOCK
     if batch == "ball_mixed":
         u = fam.sample(fam.sw_cone(1, 2), m)
-        domain = BALL
-        fs = res.ball_mixed_batch(domain, seed=5)
-    else:
-        nm = fam.nonminimal_map()
-        u = fam.sample(nm, m)
-        domain = dom.curve_domain_from_map(nm)
-        fs = res.curve_report_batch(domain, nm, seed=5)
+        return u, BALL, res.ball_mixed_batch(BALL, seed=5)
+    nm = fam.nonminimal_map()
+    domain = dom.curve_domain_from_map(nm)
+    return fam.sample(nm, m), domain, res.curve_report_batch(domain, nm, seed=5)
+
+
+@pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
+def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
+    # The frame-tensor contraction sums each element's integrand in another
+    # order than the reference's einsum, inner product and per-k area sums;
+    # every term is bounded by area_t ||H_t||_F (|e_x|^2 + |e_y|^2), so the two
+    # agree to 1e-12 of that sum, and the normalized test (whose denominator
+    # h_inf * grad_sq bounds the sum) to 1e-12 absolute.
+    u, domain, fs = _stationarity_case(mesh_cache, batch)
+    m = u.mesh
+    assert len(m.triangles) % res.HESSIAN_BLOCK != 0
+    assert len(m.triangles) > res.HESSIAN_BLOCK
     for sub in (res.FullDisc(), res.HalfPlane(0.0)):
         for f in fs:
-            assert res.stationarity_integral(u, f, sub) == \
-                _unblocked_stationarity_integral(u, f, sub)
+            ref = _unblocked_stationarity_integral(u, f, sub)
+            assert abs(res.stationarity_integral(u, f, sub) - ref) <= \
+                1e-12 * _integral_rounding_scale(u, f, sub)
         # the test functions whose support avoids the image of the cut
         cut = m.interpolate(u.values, sub.interior_boundary_samples())
         clear = []
@@ -400,8 +420,56 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
                 continue
             clear.append(f)
         assert clear
-        assert res.stationarity_test(u, domain, clear, sub) == \
-            _unblocked_stationarity_test(u, domain, clear, sub)
+        assert abs(res.stationarity_test(u, domain, clear, sub)
+                   - _unblocked_stationarity_test(u, domain, clear, sub)) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
+def test_stationarity_independent_of_block_size(mesh_cache, monkeypatch, batch):
+    u, domain, fs = _stationarity_case(mesh_cache, batch)
+    sub = res.HalfPlane(0.0)
+    cut = u.mesh.interpolate(u.values, sub.interior_boundary_samples())
+    clear = [f for f in fs if f.support_hint is not None
+             and np.min(alg.norm(cut - f.support_hint[0])) > f.support_hint[1]]
+    assert clear
+    runs = [(res.stationarity_test(u, domain, fs),
+             res.stationarity_test(u, domain, clear, sub))]
+    monkeypatch.setattr(res, "HESSIAN_BLOCK", 1000)
+    runs.append((res.stationarity_test(u, domain, fs),
+                 res.stationarity_test(u, domain, clear, sub)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["bump", "wave", "flow"])
+def test_support_restriction_is_exact(mesh_cache, kind):
+    # the quadrature evaluates a function with a support ball only on the
+    # elements whose centroid image lies in it; the zero-filled rest must give
+    # exactly the value of evaluating every element
+    m = mesh_cache(24, 96)
+    u = fam.sample(fam.sw_cone(1, 2), m)
+    if kind == "bump":
+        f = hams.interior_bump(np.array([0.2, 0.1, -0.15, 0.1]), 0.3, 1.4)
+    elif kind == "wave":
+        f = hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.3, 0.5))
+    else:
+        p = np.array([1.0, 0, 0, 0])
+        f = hams.flow_adapted(BALL, (p, 1.0 + 0j), hams.odd_bump(0.25), 0.25)
+    center, radius = f.support_hint
+    u_c = interpolate_at_centroids(m, u.values)
+    inside = alg.norm(u_c - center) <= radius
+    assert 0 < np.count_nonzero(inside) < len(u_c)
+    unhinted = hams.Hamiltonian(f.value, f.gradient, f.hessian,
+                                admissibility_tag=f.admissibility_tag)
+    for sub in (res.FullDisc(), res.HalfPlane(0.0)):
+        value = res.stationarity_integral(u, f, sub)
+        assert value != 0.0
+        assert value == res.stationarity_integral(u, unhinted, sub)
+
+
+def test_stationarity_empty_batch_raises(mesh_cache):
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
+    with pytest.raises(res.InvalidParameter):
+        res.stationarity_test(u, BALL, [])
 
 
 def test_localized_stationarity_cut_between_boundary_nodes(mesh_cache):
