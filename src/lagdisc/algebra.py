@@ -109,8 +109,19 @@ def complex_scale(g, v):
 
 
 def inner(a, b):
-    """Euclidean inner product of R^4, batched over leading axes."""
-    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
+    """Euclidean inner product of R^4, batched over leading axes.
+
+    ``a`` and ``b`` are real with a last axis of length 4.  The sum runs in
+    the fixed order ``((a0 b0 + a1 b1) + a2 b2) + a3 b3``, the order in which
+    ``np.sum(a * b, axis=-1)`` adds a real length-4 axis, so the two agree
+    bitwise (up to the sign of a zero: four products of -0.0 sum to -0.0
+    here and to +0.0 in ``np.sum``, which starts from +0.0); the explicit
+    sum avoids the reduction's per-row overhead.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+            + a[..., 2] * b[..., 2]) + a[..., 3] * b[..., 3]
 
 
 def norm(v):

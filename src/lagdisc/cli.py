@@ -11,7 +11,8 @@ rigidity         the flat-disc rigidity experiment over a seed list
 dump-mesh        write the mesh as JSON
 
 Outputs land in --out as report.csv / summary.json / mesh.json.  Exit
-codes: 0 success, 1 usage or configuration error, 2 assertion failure.
+codes: 0 success, 1 usage or configuration error, 2 a built-in check
+failed, 3 the pipeline raised (the message names the exception class).
 A JSON config file supplies defaults; flags override it.  Identical
 config and seed produce bitwise-identical outputs.
 """
@@ -343,9 +344,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # assertion-level failures from the pipelines
-        print(f"failure: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a pipeline raised: not a failed check
+        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -322,8 +322,9 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
             return np.broadcast_to(HQ, shape).copy()
         z = np.asarray(z, float)
         s = np.sum(z * z, axis=-1)
-        outer_zz = z[..., :, None] * z[..., None, :]
-        cross = z[..., :, None] * gQ[..., None, :] + gQ[..., :, None] * z[..., None, :]
+        outer_zz = np.einsum("...i,...j->...ij", z, z)
+        cross = (np.einsum("...i,...j->...ij", z, gQ)
+                 + np.einsum("...i,...j->...ij", gQ, z))
         d1 = 2.0 * P.d1(s)
         H = _add_identity((4.0 * P.d2(s) * Q)[..., None, None] * outer_zz,
                           d1 * Q)

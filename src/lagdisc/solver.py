@@ -15,11 +15,19 @@ operators.  Descent directions are preconditioned componentwise by the P1
 stiffness-plus-lumped-mass operator, factored once per :func:`minimize`
 call and solved for all four components at once; it is equivariant under
 the unitary group and cuts iteration counts by two orders of magnitude.
+
+Each energy evaluation makes one ``element_gradient`` pass and keeps the
+per-element state (frames, symplectic density, |grad u|^2, boundary
+constraint values) that the gradient is built from.  The descent carries
+the state of the accepted Armijo trial into the next iteration, so an
+iteration costs one such pass per trial; the state is recomputed only at
+a stage start, where the penalties change the energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,6 +85,9 @@ class SolverConfig:
     fd_check: bool = True
 
     def __post_init__(self):
+        if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be a positive integer")
         if not self.continuation or any(lam <= 0 for stage in self.continuation
                                         for lam in stage):
             raise ValueError("continuation needs stages with positive penalties")
@@ -94,15 +105,21 @@ class FlowState:
 # --------------------------------------------------------------------------
 # energy and exact gradient
 # --------------------------------------------------------------------------
-def _energy_terms(u: DiscreteMap, domain, lam1, lam2, gradient):
-    """Penalized energy, its nodal gradient when ``gradient`` is true
-    (else ``None``), and per element the symplectic density q and
-    |grad u|^2.
+class _EnergyState(NamedTuple):
+    """The penalized energy of one map and the per-element quantities its
+    gradient is built from."""
 
-    The gradient is ``K u`` (Dirichlet) plus ``D_y^T(s I e_x) -
-    D_x^T(s I e_y)`` with ``s = 2 lam1 a q`` (symplectic penalty) plus the
-    boundary penalty term, from the mesh's cached operators.
-    """
+    E: float
+    grad: np.ndarray        # (T, 2, 4) element frames (e_x, e_y)
+    q: np.ndarray           # symplectic density u*omega per element
+    grad_sq: np.ndarray     # |grad u|^2 per element
+    Fb: np.ndarray          # constraint F at the boundary nodes
+
+
+def _energy_state(u: DiscreteMap, domain, lam1, lam2):
+    """The energy of :func:`energy_and_gradient` and the element state that
+    :func:`_energy_gradient` builds its gradient from; one
+    ``element_gradient`` pass."""
     if not isinstance(domain, LevelSetDomain):
         raise Unsupported("energy penalties need a level-set domain")
     mesh = u.mesh
@@ -119,14 +136,26 @@ def _energy_terms(u: DiscreteMap, domain, lam1, lam2, gradient):
     b = mesh.is_boundary
     Fb = np.asarray(domain.F(vals[b]), float)
     E += lam2 * float(np.sum(w[b] * Fb * Fb))
-    if not gradient:
-        return E, None, q, grad_sq
+    return _EnergyState(E, grad, q, grad_sq, Fb)
 
+
+def _energy_gradient(u: DiscreteMap, domain, lam1, lam2, st: _EnergyState):
+    """The nodal gradient of the energy at ``u``, from its state ``st``.
+
+    The gradient is ``K u`` (Dirichlet) plus ``D_y^T(s I e_x) -
+    D_x^T(s I e_y)`` with ``s = 2 lam1 a q`` (symplectic penalty) plus the
+    boundary penalty term, from the mesh's cached operators.
+    """
+    mesh = u.mesh
+    vals = u.values
+    w = mesh.boundary_weights
+    b = mesh.is_boundary
     D_x, D_y = mesh.gradient_operators
-    s = (2.0 * lam1 * a * q)[:, None]
-    G = mesh.stiffness @ vals + D_y.T @ (s * apply_I(e_x)) - D_x.T @ (s * apply_I(e_y))
-    G[b] += (2.0 * lam2 * w[b] * Fb)[:, None] * np.asarray(domain.gradF(vals[b]), float)
-    return E, G, q, grad_sq
+    s = (2.0 * lam1 * mesh.areas * st.q)[:, None]
+    G = (mesh.stiffness @ vals + D_y.T @ (s * apply_I(st.grad[:, 0, :]))
+         - D_x.T @ (s * apply_I(st.grad[:, 1, :])))
+    G[b] += (2.0 * lam2 * w[b] * st.Fb)[:, None] * np.asarray(domain.gradF(vals[b]), float)
+    return G
 
 
 def energy_and_gradient(u: DiscreteMap, domain, lam1, lam2):
@@ -137,13 +166,13 @@ def energy_and_gradient(u: DiscreteMap, domain, lam1, lam2):
 
     Only level-set domains support the boundary penalty.
     """
-    E, G, _, _ = _energy_terms(u, domain, lam1, lam2, gradient=True)
-    return E, G
+    st = _energy_state(u, domain, lam1, lam2)
+    return st.E, _energy_gradient(u, domain, lam1, lam2, st)
 
 
 def energy(u: DiscreteMap, domain, lam1, lam2):
     """The energy of :func:`energy_and_gradient` alone, bitwise equal to it."""
-    return _energy_terms(u, domain, lam1, lam2, gradient=False)[0]
+    return _energy_state(u, domain, lam1, lam2).E
 
 
 def _fd_gradient_check(u, domain, lam1, lam2, step=1e-6):
@@ -187,6 +216,15 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     each ``history["stages"]`` entry records the penalties, the iterations
     and the ``"reason"`` it ended: ``"converged"``, ``"max_iters"`` or
     ``"line_search"`` (no Armijo step found).
+
+    The energy state of the accepted trial (its energy and the element
+    quantities of :func:`energy_and_gradient`) is carried into the next
+    iteration, which builds its gradient and history row from it, so the
+    results are bitwise those of re-evaluating every iterate.  Each stage
+    entry also counts its ``"energy_evals"`` (the stage-start state and
+    every Armijo trial, one ``element_gradient`` pass each) and its
+    ``"backtracks"`` (rejected trials):
+    ``energy_evals == 1 + accepted steps + backtracks``.
     """
     mesh = u0.mesh
     b = mesh.is_boundary
@@ -209,17 +247,19 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc())
     for lam1, lam2 in cfg.continuation:
         alpha = 1.0
-        it = -1
         reason = "max_iters"
+        st = _energy_state(u, domain, lam1, lam2)    # lam changes E
+        evals, backtracks = 1, 0
         for it in range(cfg.max_iters):
-            E, G, q, grad_sq = _energy_terms(u, domain, lam1, lam2,
-                                             gradient=True)
+            # st is the state of u: the stage start or the accepted trial
+            E = st.E
+            G = _energy_gradient(u, domain, lam1, lam2, st)
             Gp = odd(_tangential(domain, u.values, G, b))
             gnorm = float(np.sqrt(np.sum(Gp * Gp)))
             history["rows"].append({
                 "iter": len(history["rows"]), "E": E, "grad_norm": gnorm,
-                "lagrangian": float(np.max(np.abs(q) / (0.5 * grad_sq + EPS))),
-                "boundary_violation": float(np.max(np.abs(domain.F(u.values[b])))),
+                "lagrangian": float(np.max(np.abs(st.q) / (0.5 * st.grad_sq + EPS))),
+                "boundary_violation": float(np.max(np.abs(st.Fb))),
             })
             if gnorm <= cfg.grad_tol:
                 reason = "converged"
@@ -233,17 +273,22 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
             d_max = float(np.max(np.linalg.norm(d, axis=1)))
             alpha = min(alpha * 2.0, MAX_MOVE / max(d_max, 1e-30), 4.0)
             while alpha > 1e-14:
-                trial = _project_boundary(domain, u.values + alpha * d, b)
-                E_t = energy(replace(u, values=trial), domain, lam1, lam2)
-                if E_t <= E + ARMIJO_C * alpha * slope:
-                    u = replace(u, values=trial)
+                trial = replace(u, values=_project_boundary(
+                    domain, u.values + alpha * d, b))
+                st = _energy_state(trial, domain, lam1, lam2)
+                evals += 1
+                if st.E <= E + ARMIJO_C * alpha * slope:
+                    u = trial
                     break
+                backtracks += 1
                 alpha *= ARMIJO_SHRINK
             else:
                 reason = "line_search"
                 break
         history["stages"].append({"lam1": lam1, "lam2": lam2,
-                                  "iters": it + 1, "reason": reason})
+                                  "iters": it + 1, "reason": reason,
+                                  "energy_evals": evals,
+                                  "backtracks": backtracks})
     return u, history
 
 
@@ -436,7 +481,8 @@ class RigidityReport:
     final_lagrangian: float
     final_boundary_violation: float
     iterations: int
-    stages: list        # per stage: lam1, lam2, iters and the reason it ended
+    stages: list        # per stage: lam1, lam2, iters, the reason it ended,
+                        # energy_evals and backtracks
     config: dict
 
     def to_dict(self):

@@ -75,6 +75,20 @@ def test_symplectic_is_inner_with_I(rng):
     assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs) + 1)
 
 
+def test_inner_bitwise_matches_sum_reduction(rng):
+    """The fixed-order sum equals numpy's length-4 reduction bitwise."""
+    frames = rng.normal(size=(18240, 2, 4))
+    e_x, e_y = frames[:, 0, :], frames[:, 1, :]       # strided (T, 4) views
+    stacks = rng.normal(size=(2, 5, 7, 4))
+    pairs = [(e_x, e_y), (e_x, e_x), (e_y, e_y), (stacks[0], stacks[1]),
+             (frames[7, 0], frames[7, 1])]
+    for a, b in pairs:
+        got = alg.inner(a, b)
+        want = np.sum(a * b, axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_holomorphic_area_examples():
     assert alg.holomorphic_area(vec(1, 0, 0, 0), vec(0, 0, 1, 0)) == 1 + 0j
     # frame of the (1,2) cone at r=1, theta=pi/2: equals e2lam * gbar = -2i

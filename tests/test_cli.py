@@ -142,6 +142,28 @@ def _fake_rigidity(seed, eps, mesh, cfg):
     return report, None, {"rows": []}
 
 
+def test_failing_check_exits_2(tmp_path, monkeypatch):
+    def failing(seed, eps, mesh, cfg):
+        report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": False})
+        return report, None, {"rows": []}
+
+    monkeypatch.setattr(cli, "rigidity_experiment", failing)
+    out = tmp_path / "o"
+    assert run_cli("--command", "rigidity", "--mesh", "4,16,1.0",
+                   "--out", str(out)) == 2
+    assert json.loads((out / "summary.json").read_text())["pass"] is False
+
+
+def test_pipeline_exception_exits_3(tmp_path, monkeypatch, capsys):
+    def raising(seed, eps, mesh, cfg):
+        raise FloatingPointError("descent diverged")
+
+    monkeypatch.setattr(cli, "rigidity_experiment", raising)
+    assert run_cli("--command", "rigidity", "--mesh", "4,16,1.0",
+                   "--out", str(tmp_path / "o")) == 3
+    assert "FloatingPointError: descent diverged" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["rigidity", "dump-mesh"])
 def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
     built = []

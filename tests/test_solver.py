@@ -144,14 +144,6 @@ def test_minimize_flat_disc_immediate(mesh_cache):
     assert abs(hist["rows"][-1]["E"] - float(np.sum(m.areas))) <= 1e-10
 
 
-def test_minimize_max_iters_zero(mesh_cache):
-    m = mesh_cache(8, 32)
-    u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    u_star, hist = sol.minimize(u0, BALL, small_cfg(max_iters=0, fd_check=False))
-    assert np.array_equal(u_star.values, u0.values)
-    assert hist["rows"] == []
-
-
 def test_minimize_requires_projection_tube(mesh_cache):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
@@ -168,16 +160,19 @@ def test_minimize_rejects_start_that_is_not_odd(mesh_cache):
         sol.minimize(u0, BALL, small_cfg())
 
 
-def test_minimize_perturbed_recovers(mesh_cache, rng):
-    m = mesh_cache(12, 48)
+def _perturbed_start(m, rng, eps=0.05):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     fs = sol.random_sphere_tangent_hamiltonians(rng, BALL, count=3)
     scales = []
     for f in fs:
         gmax = float(np.max(np.linalg.norm(f.gradient(u0.values), axis=1)))
-        scales.append((0.05 / 3) / max(gmax, 1e-9))
-    state = sol.perturb_by_hamiltonian_flows(u0, fs, scales, BALL)
-    u_star, hist = sol.minimize(state.u, BALL, small_cfg(grad_tol=1e-8))
+        scales.append((eps / 3) / max(gmax, 1e-9))
+    return sol.perturb_by_hamiltonian_flows(u0, fs, scales, BALL).u
+
+
+def test_minimize_perturbed_recovers(mesh_cache, rng):
+    u_start = _perturbed_start(mesh_cache(12, 48), rng)
+    u_star, hist = sol.minimize(u_start, BALL, small_cfg(grad_tol=1e-8))
     last = hist["rows"][-1]
     assert last["E"] <= np.pi + 1e-3
     assert last["lagrangian"] <= 1e-6
@@ -188,6 +183,109 @@ def test_minimize_perturbed_recovers(mesh_cache, rng):
         Es = [r["E"] for r in hist["rows"][start:stop]]
         assert all(b <= a + 1e-12 for a, b in zip(Es, Es[1:]))
         start = stop
+
+
+@pytest.mark.parametrize("fd_check", [False, True])
+def test_minimize_counts_one_element_gradient_per_energy_eval(
+        mesh_cache, rng, monkeypatch, fd_check):
+    start = _perturbed_start(mesh_cache(8, 32), rng)
+    calls = []
+
+    def counted(mesh, values):
+        calls.append(1)
+        return element_gradient(mesh, values)
+
+    monkeypatch.setattr(sol, "element_gradient", counted)
+    _, hist = sol.minimize(start, BALL, small_cfg(grad_tol=1e-7,
+                                                  fd_check=fd_check))
+    stages = hist["stages"]
+    # both ways a stage ends after an accepted step or after none
+    assert {"converged", "max_iters"} <= {s["reason"] for s in stages}
+    for s in stages:
+        # every iteration steps, except the last of a stage that converged
+        # or found no Armijo step
+        accepted = s["iters"] - (s["reason"] != "max_iters")
+        assert s["energy_evals"] == 1 + accepted + s["backtracks"]
+    assert sum(s["iters"] for s in stages) == len(hist["rows"])
+    fd_calls = 1 + 2 * sol.FD_DIRECTIONS if fd_check else 0
+    assert len(calls) == sum(s["energy_evals"] for s in stages) + fd_calls
+
+
+def _reference_minimize(u0, domain, cfg):
+    """Reference: the descent that evaluates the energy and gradient of
+    every iterate afresh instead of carrying the accepted trial's state."""
+    mesh = u0.mesh
+    b = mesh.is_boundary
+    sigma = mesh.antipodal
+
+    def odd(x):
+        return 0.5 * (x - x[sigma])
+
+    u = replace(u0, values=sol._project_boundary(domain, u0.values, b),
+                exact_frames=None, source=None)
+    history = {"rows": [], "stages": []}
+    factor = sol.spla.splu((mesh.stiffness
+                            + sol.sp.diags(mesh.lumped_mass)).tocsc())
+    for lam1, lam2 in cfg.continuation:
+        alpha = 1.0
+        reason = "max_iters"
+        for it in range(cfg.max_iters):
+            E, G = sol.energy_and_gradient(u, domain, lam1, lam2)
+            grad = element_gradient(mesh, u.values)
+            e_x, e_y = grad[:, 0, :], grad[:, 1, :]
+            q = symplectic(e_x, e_y)
+            grad_sq = inner(e_x, e_x) + inner(e_y, e_y)
+            Gp = odd(sol._tangential(domain, u.values, G, b))
+            gnorm = float(np.sqrt(np.sum(Gp * Gp)))
+            history["rows"].append({
+                "iter": len(history["rows"]), "E": E, "grad_norm": gnorm,
+                "lagrangian": float(np.max(np.abs(q) / (0.5 * grad_sq + sol.EPS))),
+                "boundary_violation": float(np.max(np.abs(domain.F(u.values[b])))),
+            })
+            if gnorm <= cfg.grad_tol:
+                reason = "converged"
+                break
+            d = -factor.solve(Gp)
+            d = odd(sol._tangential(domain, u.values, d, b))
+            slope = float(np.sum(Gp * d))
+            if slope >= 0:
+                d = -Gp
+                slope = -gnorm ** 2
+            d_max = float(np.max(np.linalg.norm(d, axis=1)))
+            alpha = min(alpha * 2.0, sol.MAX_MOVE / max(d_max, 1e-30), 4.0)
+            while alpha > 1e-14:
+                trial = sol._project_boundary(domain, u.values + alpha * d, b)
+                if sol.energy(replace(u, values=trial), domain, lam1, lam2) \
+                        <= E + sol.ARMIJO_C * alpha * slope:
+                    u = replace(u, values=trial)
+                    break
+                alpha *= sol.ARMIJO_SHRINK
+            else:
+                reason = "line_search"
+                break
+        history["stages"].append({"lam1": lam1, "lam2": lam2,
+                                  "iters": it + 1, "reason": reason})
+    return u, history
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_minimize_bitwise_matches_reevaluating_reference(mesh_cache, monkeypatch,
+                                                          seed):
+    starts = []
+    minimize = sol.minimize
+
+    def recording(u0, domain, cfg):
+        starts.append(u0)
+        return minimize(u0, domain, cfg)
+
+    monkeypatch.setattr(sol, "minimize", recording)
+    _, u, hist = sol.rigidity_experiment(seed=seed, eps=0.05,
+                                         mesh=mesh_cache(12, 48))
+    u_ref, hist_ref = _reference_minimize(starts[0], BALL, sol.SolverConfig())
+    assert u.values.tobytes() == u_ref.values.tobytes()
+    assert hist["rows"] == hist_ref["rows"]
+    assert [{k: s[k] for k in ("lam1", "lam2", "iters", "reason")}
+            for s in hist["stages"]] == hist_ref["stages"]
 
 
 def test_minimize_unitary_equivariance(mesh_cache, rng):
@@ -355,3 +453,11 @@ def test_solver_config_validation():
         sol.SolverConfig(continuation=[(-1.0, 100.0)])
     with pytest.raises(ValueError):
         sol.SolverConfig(grad_tol=0.0)
+
+
+@pytest.mark.parametrize("max_iters", [0, 2.5, True])
+def test_solver_config_rejects_bad_max_iters(max_iters):
+    # max_iters=0 left the history without rows, and rigidity_experiment
+    # failed on history["rows"][-1]
+    with pytest.raises(ValueError, match="max_iters"):
+        sol.SolverConfig(max_iters=max_iters)
