@@ -10,9 +10,12 @@ masses           degree/flux record of the angle field at the origin
 rigidity         the flat-disc rigidity experiment over a seed list
 dump-mesh        write the mesh as JSON
 
-Outputs land in --out as report.csv / summary.json / mesh.json.  Exit
-codes: 0 success, 1 usage or configuration error, 2 a built-in check
-failed, 3 the pipeline raised (the message names the exception class).
+Every command writes summary.json to --out: its numbers, the config keys
+it read, "command" and "pass".  All but masses and dump-mesh also write
+the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
+0 success, 1 usage or configuration error (a negative seed and an sw:p,q
+that is not a coprime positive pair included), 2 a built-in check failed,
+3 the pipeline raised (the message names the exception class).
 A JSON config file supplies defaults; flags override it.  Identical
 config and seed produce bitwise-identical outputs.
 """
@@ -24,7 +27,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +37,6 @@ from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
 from .mesh import build_polar_mesh
 from .solver import SolverConfig, rigidity_experiment
-
-COMMANDS = ("verify-example", "boundary-report", "stationarity", "masses",
-            "rigidity", "dump-mesh")
 
 
 class ConfigError(ValueError):
@@ -58,8 +58,8 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"command: unknown command {self.command!r}")
         for key in ("example", "domain", "output_dir"):
-            if not isinstance(getattr(self, key), str):
-                raise ConfigError(f"{key}: must be a string")
+            if not (isinstance(getattr(self, key), str) and getattr(self, key)):
+                raise ConfigError(f"{key}: must be a non-empty string")
         kind = self.example.split(":")[0]
         if kind not in ("flat", "sw", "nonminimal"):
             raise ConfigError(f"example: unknown example {self.example!r}")
@@ -84,8 +84,9 @@ class RunConfig:
         if not (_is_int(self.refinements) and self.refinements >= 1):
             raise ConfigError("refinements: must be an integer >= 1")
         if not (isinstance(self.seeds, list) and self.seeds
-                and all(_is_int(s) for s in self.seeds)):
-            raise ConfigError("seeds: must be a non-empty list of integers")
+                and all(_is_int(s) and s >= 0 for s in self.seeds)):
+            raise ConfigError("seeds: must be a non-empty list of integers "
+                              ">= 0")
         if not (_is_real(self.eps) and 0.0 <= self.eps <= 0.1):
             raise ConfigError("eps: must be a number in [0, 0.1]")
         return self
@@ -97,15 +98,10 @@ class RunConfig:
         if kind == "sw":
             try:
                 p, q = (int(t) for t in self.example.split(":")[1].split(","))
-            except (IndexError, ValueError):
-                raise ConfigError(f"example: cannot parse {self.example!r}")
-            return sw_cone(p, q)
+                return sw_cone(p, q)
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"example: {self.example!r}: {exc}")
         return nonminimal_map()
-
-    def build_domain(self, example):
-        if self.domain == "ball":
-            return unit_ball()
-        return curve_domain_from_map(example)
 
     def meshes(self, levels=None):
         """The first ``levels`` refinement levels (default: all of them)."""
@@ -122,31 +118,16 @@ def _is_real(x):
     return _is_int(x) or isinstance(x, float)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(c) if isinstance(c, float) else c for c in row])
+_BOUNDARY_CHECKS = ("legendrian", "conormal", "neumann_trace")
+_LEVEL_HEADER = ("example", "domain", "h", "check", "value")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _cmd_verify_example(cfg, out):
-    example = cfg.build_example()
-    domain = cfg.build_domain(example)
+def _cmd_verify_example(cfg, example, domain):
     reports = [res.full_report(example, m, domain) for m in cfg.meshes()]
     rows = [r for rep in reports for r in rep.csv_rows()]
-    _write_csv(out / "report.csv", ("example", "domain", "h", "check", "value"),
-               rows)
     failures = []
     floor = 1e-12
-    persistent = {"legendrian", "conormal", "neumann_trace"} \
-        if example.kind == "nonminimal" else set()
+    persistent = set(_BOUNDARY_CHECKS) if example.kind == "nonminimal" else set()
     for check in res.ResidualReport.CHECKS:
         vals = [getattr(rep, check) for rep in reports]
         if check in persistent:
@@ -154,79 +135,52 @@ def _cmd_verify_example(cfg, out):
         for a, b in zip(vals, vals[1:]):
             if not (b <= a or b <= floor):
                 failures.append(f"{check} did not decrease: {a} -> {b}")
-    summary = {
-        "command": cfg.command, "example": cfg.example, "domain": cfg.domain,
-        "levels": [rep.to_dict() for rep in reports],
-        "failures": failures, "pass": not failures,
-    }
-    _write_json(out / "summary.json", summary)
-    return 0 if not failures else 2
+    return ((_LEVEL_HEADER, rows),
+            {"levels": [rep.to_dict() for rep in reports], "failures": failures},
+            not failures)
 
 
-def _cmd_boundary_report(cfg, out):
-    example = cfg.build_example()
-    domain = cfg.build_domain(example)
-    rows, levels = [], []
+def _cmd_boundary_report(cfg, example, domain):
+    levels = []
     for m in cfg.meshes():
-        u = sample(example, m)
-        leg, con, neu = res.boundary_conditions_report(u, domain)
-        levels.append({"h": m.h_max, "legendrian": leg, "conormal": con,
-                       "neumann_trace": neu})
-        for check, v in (("legendrian", leg), ("conormal", con),
-                         ("neumann_trace", neu)):
-            rows.append((cfg.example, cfg.domain, m.h_max, check, v))
-    _write_csv(out / "report.csv", ("example", "domain", "h", "check", "value"),
-               rows)
-    _write_json(out / "summary.json",
-                {"command": cfg.command, "example": cfg.example,
-                 "domain": cfg.domain, "levels": levels, "pass": True})
-    return 0
+        values = res.boundary_conditions_report(sample(example, m), domain)
+        levels.append({"h": m.h_max, **dict(zip(_BOUNDARY_CHECKS, values))})
+    rows = [(cfg.example, cfg.domain, lev["h"], check, lev[check])
+            for lev in levels for check in _BOUNDARY_CHECKS]
+    return (_LEVEL_HEADER, rows), {"levels": levels}, True
 
 
-def _cmd_stationarity(cfg, out):
-    example = cfg.build_example()
-    domain = cfg.build_domain(example)
+def _cmd_stationarity(cfg, example, domain):
     if domain.kind == "levelset":
         fs = res.ball_mixed_batch(domain, seed=cfg.seeds[0])
     else:
         fs = res.curve_report_batch(domain, example, seed=cfg.seeds[0])
-    rows, vals, hs = [], [], []
-    for m in cfg.meshes():
-        u = sample(example, m)
-        v = res.stationarity_test(u, domain, fs)
-        rows.append((cfg.example, cfg.domain, m.h_max, "stationarity", v))
-        vals.append(v)
-        hs.append(m.h_max)
+    meshes = cfg.meshes()
+    vals = [res.stationarity_test(sample(example, m), domain, fs) for m in meshes]
+    hs = [m.h_max for m in meshes]
+    rows = [(cfg.example, cfg.domain, h, "stationarity", v)
+            for h, v in zip(hs, vals)]
     order = res.fit_order(hs, vals)
-    _write_csv(out / "report.csv", ("example", "domain", "h", "check", "value"),
-               rows)
-    ok = bool(order >= 0.8 or np.isinf(order))
-    _write_json(out / "summary.json",
-                {"command": cfg.command, "example": cfg.example,
-                 "domain": cfg.domain, "values": vals, "hs": hs,
-                 "order": None if np.isinf(order) else order, "pass": ok})
-    return 0 if ok else 2
+    return ((_LEVEL_HEADER, rows),
+            {"values": vals, "hs": hs,
+             "order": None if np.isinf(order) else order},
+            bool(order >= 0.8 or np.isinf(order)))
 
 
-def _cmd_masses(cfg, out):
-    example = cfg.build_example()
+def _cmd_masses(cfg, example, domain):
     if not example.singular_points:
         raise ConfigError("example: no singular point to measure")
     rec = res.singular_masses(example.angle_flux_field, example.singular_points[0],
                               radii=(0.2, 0.35, 0.5))
-    ok = bool(rec.near_integer and rec.degree_spread <= 1e-8
-              and abs(rec.flux_mass) <= 1e-8)
-    _write_json(out / "summary.json",
-                {"command": cfg.command, "example": cfg.example,
-                 "degree": rec.degree, "flux_mass": rec.flux_mass,
-                 "degree_spread": rec.degree_spread,
-                 "flux_spread": rec.flux_spread,
-                 "radii": list(rec.radii_used), "pass": ok})
-    return 0 if ok else 2
+    return (None,
+            {"degree": rec.degree, "flux_mass": rec.flux_mass,
+             "degree_spread": rec.degree_spread, "flux_spread": rec.flux_spread,
+             "radii": list(rec.radii_used)},
+            bool(rec.near_integer and rec.degree_spread <= 1e-8
+                 and abs(rec.flux_mass) <= 1e-8))
 
 
-def _cmd_rigidity(cfg, out):
-    mesh = cfg.meshes(1)[0]
+def _cmd_rigidity(cfg, mesh):
     rows, results = [], []
     for seed in cfg.seeds:
         rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh, SolverConfig())
@@ -234,43 +188,64 @@ def _cmd_rigidity(cfg, out):
         for r in hist["rows"]:
             rows.append((seed, r["iter"], r["E"], r["grad_norm"],
                          r["lagrangian"], r["boundary_violation"]))
-    _write_csv(out / "report.csv",
-               ("seed", "iter", "E", "grad_norm", "lagrangian",
-                "boundary_violation"), rows)
-    ok = all(r["passed"] for r in results)
-    _write_json(out / "summary.json",
-                {"command": cfg.command, "eps": cfg.eps,
-                 "seeds": list(cfg.seeds), "results": results, "pass": ok})
-    return 0 if ok else 2
+    return ((("seed", "iter", "E", "grad_norm", "lagrangian",
+              "boundary_violation"), rows),
+            {"results": results}, all(r["passed"] for r in results))
 
 
-def _cmd_dump_mesh(cfg, out):
-    mesh = cfg.meshes(1)[0]
-    mesh.dump_json(out / "mesh.json")
-    _write_json(out / "summary.json",
-                {"command": cfg.command, "nodes": len(mesh.nodes),
-                 "triangles": len(mesh.triangles),
-                 "boundary_edges": len(mesh.boundary_edges), "pass": True})
-    return 0
+def _cmd_dump_mesh(cfg, mesh):
+    return (None,
+            {"nodes": len(mesh.nodes), "triangles": len(mesh.triangles),
+             "boundary_edges": len(mesh.boundary_edges)},
+            True)
 
 
-_DISPATCH = {
-    "verify-example": _cmd_verify_example,
-    "boundary-report": _cmd_boundary_report,
-    "stationarity": _cmd_stationarity,
-    "masses": _cmd_masses,
-    "rigidity": _cmd_rigidity,
-    "dump-mesh": _cmd_dump_mesh,
+# command -> (function, the RunConfig fields summary.json echoes).  A command
+# that echoes "example" is called with the example and the domain (None
+# unless it echoes "domain" too); the others with the first-level mesh.
+_COMMANDS = {
+    "verify-example": (_cmd_verify_example, ("example", "domain")),
+    "boundary-report": (_cmd_boundary_report, ("example", "domain")),
+    "stationarity": (_cmd_stationarity, ("example", "domain")),
+    "masses": (_cmd_masses, ("example",)),
+    "rigidity": (_cmd_rigidity, ("eps", "seeds")),
+    "dump-mesh": (_cmd_dump_mesh, ()),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one validated command; returns the process exit code."""
+    """Execute one validated command, write its files; returns the exit code."""
     cfg.validate()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    code = _DISPATCH[cfg.command](cfg, out)
+    command, keys = _COMMANDS[cfg.command]
+    if "example" in keys:
+        example = cfg.build_example()
+        domain = None
+        if "domain" in keys:
+            domain = (unit_ball() if cfg.domain == "ball"
+                      else curve_domain_from_map(example))
+        table, summary, ok = command(cfg, example, domain)
+    else:
+        mesh = cfg.meshes(1)[0]
+        table, summary, ok = command(cfg, mesh)
+        if cfg.command == "dump-mesh":
+            mesh.dump_json(out / "mesh.json")
+    if table is not None:
+        header, rows = table
+        with open(out / "report.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([repr(c) if isinstance(c, float) else c for c in row]
+                        for row in rows)
+    summary.update({key: getattr(cfg, key) for key in ("command",) + keys})
+    summary["pass"] = ok
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    code = 0 if ok else 2
     print(f"{cfg.command}: exit {code} ({time.time() - t0:.1f}s), "
           f"outputs in {out}")
     return code
@@ -279,17 +254,16 @@ def run(cfg: RunConfig) -> int:
 def parse_args(argv=None) -> RunConfig:
     ap = argparse.ArgumentParser(prog="lagdisc", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", type=str, default=None, help="JSON config file")
-    ap.add_argument("--command", type=str, default=None, choices=COMMANDS)
-    ap.add_argument("--example", type=str, default=None,
-                    help="flat | sw:p,q | nonminimal")
-    ap.add_argument("--domain", type=str, default=None, help="ball | curve")
-    ap.add_argument("--mesh", type=str, default=None, help="R,S,G")
-    ap.add_argument("--refinements", type=int, default=None)
-    ap.add_argument("--seed", type=int, action="append", default=None,
+    ap.add_argument("--config", type=str, help="JSON config file")
+    ap.add_argument("--command", type=str, choices=COMMANDS)
+    ap.add_argument("--example", type=str, help="flat | sw:p,q | nonminimal")
+    ap.add_argument("--domain", type=str, help="ball | curve")
+    ap.add_argument("--mesh", type=str, help="R,S,G")
+    ap.add_argument("--refinements", type=int)
+    ap.add_argument("--seed", dest="seeds", type=int, action="append",
                     help="repeatable")
-    ap.add_argument("--eps", type=float, default=None)
-    ap.add_argument("--out", type=str, default=None)
+    ap.add_argument("--eps", type=float)
+    ap.add_argument("--out", dest="output_dir", type=str)
     ns = ap.parse_args(argv)
 
     data = {}
@@ -302,36 +276,22 @@ def parse_args(argv=None) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config: expected a JSON object, got "
                               f"{type(data).__name__}")
-    cfg = RunConfig()
-    keys = ("command", "example", "domain", "mesh", "refinements", "seeds",
-            "output_dir", "eps")
+    if ns.mesh is not None:
+        try:
+            r, s, g = ns.mesh.split(",")
+            ns.mesh = (int(r), int(s), float(g))
+        except ValueError:
+            raise ConfigError(f"mesh: cannot parse {ns.mesh!r}")
+    keys = [f.name for f in fields(RunConfig)]
     unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    for key in keys:
-        if key in data:
+    cfg = RunConfig()
+    for key in keys:            # a flag overrides the config file
+        if getattr(ns, key) is not None:
+            setattr(cfg, key, getattr(ns, key))
+        elif key in data:
             setattr(cfg, key, data[key])
-
-    if ns.command:
-        cfg.command = ns.command
-    if ns.example:
-        cfg.example = ns.example
-    if ns.domain:
-        cfg.domain = ns.domain
-    if ns.mesh:
-        try:
-            r, s, g = ns.mesh.split(",")
-            cfg.mesh = (int(r), int(s), float(g))
-        except ValueError:
-            raise ConfigError(f"mesh: cannot parse {ns.mesh!r}")
-    if ns.refinements is not None:
-        cfg.refinements = ns.refinements
-    if ns.seed:
-        cfg.seeds = list(ns.seed)
-    if ns.eps is not None:
-        cfg.eps = ns.eps
-    if ns.out:
-        cfg.output_dir = ns.out
     if not cfg.command:
         raise ConfigError("command: required (flag --command or config file)")
     return cfg

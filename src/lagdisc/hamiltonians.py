@@ -233,27 +233,44 @@ def interior_bump(center, radius, amplitude=1.0):
 # --------------------------------------------------------------------------
 # phase-invariant families (tangent to all spheres |z| = const)
 # --------------------------------------------------------------------------
-def radial_invariant(profile, domain=None, name="radial"):
-    """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere."""
-    P = profile
+def _profiled(P, c=None):
+    """value, gradient, hessian of P(|z|^2) * Q(z) by the product rule, with
+    Q the quadratic form of coefficients c (Q = 1 when c is None)."""
 
     def value(z):
         z = np.asarray(z, float)
-        return P.f(np.sum(z * z, axis=-1))
+        v = P.f(np.sum(z * z, axis=-1))
+        return v if c is None else v * _quad_eval(z, c)[0]
 
     def gradient(z):
         z = np.asarray(z, float)
         s = np.sum(z * z, axis=-1)
-        return 2.0 * P.d1(s)[..., None] * z
+        g = P.d1(s)[..., None] * 2.0 * z
+        if c is None:
+            return g
+        Q, gQ, _ = _quad_eval(z, c)
+        return g * Q[..., None] + P.f(s)[..., None] * gQ
 
     def hessian(z):
         z = np.asarray(z, float)
         s = np.sum(z * z, axis=-1)
-        outer = z[..., :, None] * z[..., None, :]
-        return _add_identity(4.0 * P.d2(s)[..., None, None] * outer,
-                             2.0 * P.d1(s))
+        Q, gQ, HQ = (1.0, None, None) if c is None else _quad_eval(z, c)
+        outer_zz = np.einsum("...i,...j->...ij", z, z)
+        d1 = 2.0 * P.d1(s)
+        H = _add_identity((4.0 * P.d2(s) * Q)[..., None, None] * outer_zz,
+                          d1 * Q)
+        if c is not None:
+            H += d1[..., None, None] * (np.einsum("...i,...j->...ij", z, gQ)
+                                        + np.einsum("...i,...j->...ij", gQ, z))
+            H += P.f(s)[..., None, None] * HQ
+        return H
 
-    return Hamiltonian(value, gradient, hessian,
+    return value, gradient, hessian
+
+
+def radial_invariant(profile, domain=None, name="radial"):
+    """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere."""
+    return Hamiltonian(*_profiled(profile),
                        admissibility_tag=("boundary_tangent", domain),
                        name=name)
 
@@ -298,39 +315,18 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
     c = np.asarray(c, float)
     if c.shape != (4,):
         raise InvalidParameter("need 4 real coefficients")
-    P = profile
+    if profile is not None:
+        value, gradient, hessian = _profiled(profile, c)
+    else:
+        def value(z):
+            return _quad_eval(z, c)[0]
 
-    def value(z):
-        Q, _, _ = _quad_eval(z, c)
-        if P is None:
-            return Q
-        z = np.asarray(z, float)
-        return P.f(np.sum(z * z, axis=-1)) * Q
+        def gradient(z):
+            return _quad_eval(z, c)[1]
 
-    def gradient(z):
-        Q, gQ, _ = _quad_eval(z, c)
-        if P is None:
-            return gQ
-        z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
-        return P.d1(s)[..., None] * 2.0 * z * Q[..., None] + P.f(s)[..., None] * gQ
-
-    def hessian(z):
-        Q, gQ, HQ = _quad_eval(z, c)
-        if P is None:
-            shape = Q.shape + (4, 4)
-            return np.broadcast_to(HQ, shape).copy()
-        z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
-        outer_zz = np.einsum("...i,...j->...ij", z, z)
-        cross = (np.einsum("...i,...j->...ij", z, gQ)
-                 + np.einsum("...i,...j->...ij", gQ, z))
-        d1 = 2.0 * P.d1(s)
-        H = _add_identity((4.0 * P.d2(s) * Q)[..., None, None] * outer_zz,
-                          d1 * Q)
-        H += d1[..., None, None] * cross
-        H += P.f(s)[..., None, None] * HQ
-        return H
+        def hessian(z):
+            Q, _, HQ = _quad_eval(z, c)
+            return np.broadcast_to(HQ, Q.shape + (4, 4)).copy()
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),

@@ -118,10 +118,12 @@ def test_rigidity_mesh_without_half_turn_exits_1(tmp_path, capsys, mesh):
 
 
 @pytest.mark.parametrize("bad", [
-    {"seeds": 3}, {"seeds": [1.5]}, {"eps": "0.05"}, {"eps": 0.5},
-    {"mesh": 5}, {"example": 5}, {"output_dir": 5}, 5, [[1]],
-], ids=["seeds-int", "seeds-float", "eps-string", "eps-large", "mesh-int",
-        "example-int", "output_dir-int", "not-object-int", "not-object-list"])
+    {"seeds": 3}, {"seeds": [1.5]}, {"seeds": [-1]}, {"eps": "0.05"},
+    {"eps": 0.5}, {"mesh": 5}, {"example": 5}, {"output_dir": 5},
+    {"output_dir": ""}, 5, [[1]],
+], ids=["seeds-int", "seeds-float", "seeds-negative", "eps-string",
+        "eps-large", "mesh-int", "example-int", "output_dir-int",
+        "output_dir-empty", "not-object-int", "not-object-list"])
 def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
     """A wrongly typed key, or a file whose JSON is not an object at all,
     is a configuration error naming its culprit."""
@@ -135,6 +137,14 @@ def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
         culprit = "config"
     assert run_cli("--config", str(cfg)) == 1
     assert f"{culprit}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example", ["sw:2,4", "sw:0,1"])
+def test_invalid_sw_example_exits_1(tmp_path, capsys, example):
+    code = run_cli("--command", "masses", "--example", example,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"example: {example!r}" in capsys.readouterr().err
 
 
 def _fake_rigidity(seed, eps, mesh, cfg):
@@ -187,15 +197,43 @@ def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
     # 4512 and 18240 elements: the Hessian batches cross block boundaries
     ("--command", "verify-example", "--example", "sw:1,2", "--mesh", "24,96,1.0",
      "--refinements", "2"),
-], ids=["stationarity", "rigidity", "verify-example"])
+    ("--command", "boundary-report", "--example", "nonminimal", "--domain",
+     "curve", "--mesh", "8,32,1.0", "--refinements", "2"),
+    ("--command", "masses", "--example", "sw:2,3"),
+    ("--command", "dump-mesh", "--mesh", "3,8,1.0"),
+], ids=["stationarity", "rigidity", "verify-example", "boundary-report",
+        "masses", "dump-mesh"])
 def test_determinism_bitwise(tmp_path, argv):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert run_cli(*argv, "--out", str(out)) == 0
-        outs.append((out / "report.csv").read_bytes()
-                    + (out / "summary.json").read_bytes())
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outs[0] == outs[1]
+
+
+_FILES = {
+    "verify-example": {"report.csv", "summary.json"},
+    "boundary-report": {"report.csv", "summary.json"},
+    "stationarity": {"report.csv", "summary.json"},
+    "masses": {"summary.json"},
+    "rigidity": {"report.csv", "summary.json"},
+    "dump-mesh": {"mesh.json", "summary.json"},
+}
+
+
+def test_each_command_writes_its_files(tmp_path):
+    assert set(_FILES) == set(cli.COMMANDS)
+    for command, files in _FILES.items():
+        out = tmp_path / command
+        example = "sw:2,3" if command == "masses" else "sw:1,2"
+        code = run_cli("--command", command, "--example", example,
+                       "--mesh", "4,16,1.0", "--refinements", "2",
+                       "--out", str(out))
+        assert {p.name for p in out.iterdir()} == files, command
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["command"] == command
+        assert code == (0 if summary["pass"] is True else 2), command
 
 
 def test_rigidity_command(tmp_path):

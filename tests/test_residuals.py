@@ -270,6 +270,25 @@ def test_stationarity_support_violation(mesh_cache):
         res.stationarity_test(u, BALL, [bad], subdomain=res.HalfPlane(0.0))
 
 
+def test_stationarity_subdomain_off_the_wall(mesh_cache):
+    # the sector misses the disc boundary, so it has no wall samples: the
+    # boundary condition holds vacuously and the support check rejects f
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
+    f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
+    with pytest.raises(res.SupportViolation):
+        res.stationarity_test(u, BALL, [f],
+                              subdomain=res.AnnularSector(0.2, 0.8, 0, 1))
+
+
+@pytest.mark.parametrize("R,S", [(8, 32), (24, 96), (48, 192)])
+def test_sector_wall_count_is_rounding_independent(mesh_cache, R, S):
+    # the sector is closed at r1 = 1: every boundary node with theta in
+    # [0, pi) is a wall sample, whether or not its radius rounds below 1
+    m = mesh_cache(R, S)
+    sector = res.AnnularSector(0.2, 1.0, 0.0, np.pi)
+    assert np.count_nonzero(m.is_boundary & sector.contains(m.nodes)) == S // 2
+
+
 def test_stationarity_inadmissible(mesh_cache, rng):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
