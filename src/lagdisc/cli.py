@@ -15,7 +15,9 @@ it read, "command" and "pass".  All but masses and dump-mesh also write
 the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
 0 success, 1 usage or configuration error (a negative seed and an sw:p,q
 that is not a coprime positive pair included), 2 a built-in check failed,
-3 the pipeline raised (the message names the exception class).
+3 the pipeline raised (the message names the exception class); --out
+is created only once the command has returned, so exits 1 and 3 create
+no directory.
 A JSON config file supplies defaults; flags override it.  Identical
 config and seed produce bitwise-identical outputs.
 """
@@ -217,8 +219,6 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: RunConfig) -> int:
     """Execute one validated command, write its files; returns the exit code."""
     cfg.validate()
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     command, keys = _COMMANDS[cfg.command]
     if "example" in keys:
@@ -231,8 +231,11 @@ def run(cfg: RunConfig) -> int:
     else:
         mesh = cfg.meshes(1)[0]
         table, summary, ok = command(cfg, mesh)
-        if cfg.command == "dump-mesh":
-            mesh.dump_json(out / "mesh.json")
+    # only now: a command that raises leaves no directory behind
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if cfg.command == "dump-mesh":
+        mesh.dump_json(out / "mesh.json")
     if table is not None:
         header, rows = table
         with open(out / "report.csv", "w", newline="") as fh:

@@ -11,17 +11,15 @@ is exact, not a heuristic (see :func:`minimize`), and it removes the even
 translated-disc valley of the discrete energy.
 
 The energy gradient is ``K u`` plus ``D^T`` products of the mesh's sparse
-operators.  Descent directions are preconditioned componentwise by the P1
-stiffness-plus-lumped-mass operator, factored once per :func:`minimize`
-call and solved for all four components at once; it is equivariant under
-the unitary group and cuts iteration counts by two orders of magnitude.
+operators.  The descent is Polak-Ribiere+ conjugate gradients,
+preconditioned componentwise by the P1 stiffness-plus-lumped-mass
+operator, factored once per :func:`minimize` call and solved for all four
+components at once; it is equivariant under the unitary group.
 
 Each energy evaluation makes one ``element_gradient`` pass and keeps the
 per-element state (frames, symplectic density, |grad u|^2, boundary
-constraint values) that the gradient is built from.  The descent carries
-the state of the accepted Armijo trial into the next iteration, so an
-iteration costs one such pass per trial; the state is recomputed only at
-a stage start, where the penalties change the energy.
+constraint values) that the gradient, the exact line search and the
+acceptance test of :func:`minimize` are built from.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import hamiltonians as hams
+from . import residuals as res
 from .algebra import EPS, apply_I, inner, lagrangian_angle, symplectic, wedge_norm
 from .domains import LevelSetDomain, Unsupported
 from .families import DiscreteMap, flat_disc, sample
@@ -57,16 +56,9 @@ __all__ = [
 ]
 
 
-# Armijo sufficient-decrease constant and backtracking factor
-ARMIJO_C = 1e-4
-ARMIJO_SHRINK = 0.5
 # random directions (and their seed) of the finite-difference gradient check
 FD_DIRECTIONS = 20
 FD_SEED = 0
-# trust cap: no descent step moves a node farther.  Without it the steps
-# grow until the last continuation stage stops converging (rigidity seed 1
-# at 48x192: 287 -> 612 iterations).
-MAX_MOVE = 0.05
 
 
 class DegeneratePointCloud(ValueError):
@@ -202,36 +194,95 @@ def _tangential(domain, values, field, b_mask):
     return out
 
 
+def _quartic_step(mesh, st: _EnergyState, d, lam1):
+    """The step of an exact line search along ``d`` from the map of ``st``.
+
+    P1 frames are linear in the nodal values and the symplectic density is
+    bilinear in the frames, so without the boundary terms E(u + alpha d) -
+    E(u) is the quartic c1 alpha + c2 alpha^2 + c3 alpha^3 + c4 alpha^4,
+    with coefficients summed over elements from one ``element_gradient``
+    pass of ``d``.  Returns its minimizer on alpha > 0, or None when the
+    quartic does not descend along ``d``.
+    """
+    a = mesh.areas
+    dg = element_gradient(mesh, d)
+    e_x, e_y = st.grad[:, 0, :], st.grad[:, 1, :]
+    d_x, d_y = dg[:, 0, :], dg[:, 1, :]
+    g1 = inner(e_x, d_x) + inner(e_y, d_y)
+    g2 = inner(d_x, d_x) + inner(d_y, d_y)
+    q1 = symplectic(e_x, d_y) + symplectic(d_x, e_y)
+    q2 = symplectic(d_x, d_y)
+    c1 = float(np.sum(a * (g1 + 2.0 * lam1 * st.q * q1)))
+    if not c1 < 0.0:
+        return None
+    c2 = float(np.sum(a * (0.5 * g2 + lam1 * (q1 * q1 + 2.0 * st.q * q2))))
+    c3 = 2.0 * lam1 * float(np.sum(a * q1 * q2))
+    c4 = lam1 * float(np.sum(a * q2 * q2))
+    # c4 >= 0, and c4 = 0 forces c3 = 0 and c2 > 0, so with c1 < 0 the
+    # quartic's minimizer on alpha > 0 is a real root of its derivative.
+    # Real parts of complex roots only add worse candidates; rounding can
+    # still push a tiny root below 0 and leave none.
+    roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1]).real
+    steps = roots[roots > 0.0]
+    if not steps.size:
+        return None
+    return float(steps[np.argmin(
+        (((c4 * steps + c3) * steps + c2) * steps + c1) * steps)])
+
+
+def _energy_change(mesh, st: _EnergyState, new: _EnergyState, lam1, lam2):
+    """E(new) - E(st) summed from per-element and per-boundary-node
+    differences, never as a difference of the two totals, so that it
+    resolves changes far below ulp(E)."""
+    w = mesh.boundary_weights[mesh.is_boundary]
+    per_element = mesh.areas * (0.5 * (new.grad_sq - st.grad_sq)
+                                + lam1 * (new.q - st.q) * (new.q + st.q))
+    return (float(np.sum(per_element))
+            + lam2 * float(np.sum(w * (new.Fb - st.Fb) * (new.Fb + st.Fb))))
+
+
 def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
-    """Preconditioned projected gradient descent over centrally odd maps,
-    with Armijo backtracking.
+    """Preconditioned Polak-Ribiere+ conjugate gradients over centrally odd
+    maps, with an exact line search on the energy's quartic restriction.
 
     The start must be odd under the mesh's half turn sigma
-    (:attr:`DiscMesh.antipodal`) to 1e-12, else ``ValueError``.  The
-    termination gradient and the search direction are the odd parts of
-    the boundary-tangential ones; on a domain with F(-z) = F(z) the
-    gradient at an odd map is odd, so this drops only rounding noise.
-    Boundary nodes are reprojected after every trial step.  Energy falls
-    monotonically within a stage, so a stage ends on its lowest state;
-    each ``history["stages"]`` entry records the penalties, the iterations
-    and the ``"reason"`` it ended: ``"converged"``, ``"max_iters"`` or
-    ``"line_search"`` (no Armijo step found).
+    (:attr:`DiscMesh.antipodal`) to 1e-12, else ``ValueError``.  Gradients
+    and directions are the odd parts of the boundary-tangential ones; on a
+    domain with F(-z) = F(z) the gradient at an odd map is odd, so this
+    drops only rounding noise.
 
-    The energy state of the accepted trial (its energy and the element
-    quantities of :func:`energy_and_gradient`) is carried into the next
-    iteration, which builds its gradient and history row from it, so the
-    results are bitwise those of re-evaluating every iterate.  Each stage
-    entry also counts its ``"energy_evals"`` (the stage-start state and
-    every Armijo trial, one ``element_gradient`` pass each) and its
-    ``"backtracks"`` (rejected trials):
-    ``energy_evals == 1 + accepted steps + backtracks``.
+    Each iteration preconditions the projected gradient Gp by the K+M
+    factor, z = odd(tangential(factor.solve(Gp))), and steps along
+    d = odd(tangential(-z + beta d_prev)) with the Polak-Ribiere+ weight
+    beta = max(0, <z, Gp - Gp_prev> / <z_prev, Gp_prev>); a stage starts
+    along -z, and so does every iteration whose d is not a descent
+    direction.  The step length is the positive minimizer of the quartic
+    of :func:`_quartic_step`.  The trial's boundary nodes are reprojected,
+    and the trial is accepted when its true energy change dE (summed per
+    element, :func:`_energy_change`) is negative or, when dE <= ulp(E)
+    leaves the energy unable to decide, when the slope
+    phi'(alpha) = <Gp_trial, d> meets the approximate Wolfe condition
+    0.9 phi'(0) <= phi'(alpha) <= -0.8 phi'(0) (Hager and Zhang).  A
+    rejected CG direction is retried once along -z.
+
+    Energy does not rise within a stage by more than ulp(E) per step, and
+    a stage ends on its last state.  Each ``history["stages"]`` entry
+    records the penalties, the ``"iters"``, the ``"reason"`` it ended
+    (``"converged"``, ``"max_iters"`` or ``"line_search"``: neither
+    direction gave an accepted trial), its ``"energy_evals"`` (the stage
+    start plus every trial) and its ``"restarts"`` (iterations that
+    replaced the CG direction by -z).  The stage start costs one
+    ``element_gradient`` pass, and every trial two: one for the quartic
+    along its direction and one for its state, which with its gradient
+    is carried into the next iteration when accepted.
     """
     mesh = u0.mesh
     b = mesh.is_boundary
     sigma = mesh.antipodal
 
-    def odd(x):
-        return 0.5 * (x - x[sigma])
+    def project(values, field):
+        field = _tangential(domain, values, field, b)
+        return 0.5 * (field - field[sigma])
 
     if np.any(np.abs(np.asarray(domain.F(u0.values[b]))) > 0.5):
         raise ValueError("boundary nodes outside the projection tube")
@@ -246,49 +297,58 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 
     factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc())
     for lam1, lam2 in cfg.continuation:
-        alpha = 1.0
         reason = "max_iters"
         st = _energy_state(u, domain, lam1, lam2)    # lam changes E
-        evals, backtracks = 1, 0
+        Gp = project(u.values, _energy_gradient(u, domain, lam1, lam2, st))
+        evals, restarts = 1, 0
+        d = None
         for it in range(cfg.max_iters):
-            # st is the state of u: the stage start or the accepted trial
-            E = st.E
-            G = _energy_gradient(u, domain, lam1, lam2, st)
-            Gp = odd(_tangential(domain, u.values, G, b))
+            # st and Gp belong to u: the stage start or the accepted trial
             gnorm = float(np.sqrt(np.sum(Gp * Gp)))
             history["rows"].append({
-                "iter": len(history["rows"]), "E": E, "grad_norm": gnorm,
+                "iter": len(history["rows"]), "E": st.E, "grad_norm": gnorm,
                 "lagrangian": float(np.max(np.abs(st.q) / (0.5 * st.grad_sq + EPS))),
                 "boundary_violation": float(np.max(np.abs(st.Fb))),
             })
             if gnorm <= cfg.grad_tol:
                 reason = "converged"
                 break
-            d = -factor.solve(Gp)
-            d = odd(_tangential(domain, u.values, d, b))
-            slope = float(np.sum(Gp * d))
-            if slope >= 0:
-                d = -Gp
-                slope = -gnorm ** 2
-            d_max = float(np.max(np.linalg.norm(d, axis=1)))
-            alpha = min(alpha * 2.0, MAX_MOVE / max(d_max, 1e-30), 4.0)
-            while alpha > 1e-14:
+            z = project(u.values, factor.solve(Gp))
+            steepest = -z
+            if d is None:
+                d = steepest
+            else:
+                beta = max(0.0, float(np.sum(z * (Gp - Gp_prev)))
+                           / float(np.sum(z_prev * Gp_prev)))
+                d = project(u.values, steepest + beta * d)
+                if float(np.sum(Gp * d)) >= 0.0:
+                    d = steepest
+                    restarts += 1
+            for retry, d in enumerate((d,) if d is steepest else (d, steepest)):
+                restarts += retry
+                alpha = _quartic_step(mesh, st, d, lam1)
+                if alpha is None:
+                    continue
                 trial = replace(u, values=_project_boundary(
                     domain, u.values + alpha * d, b))
-                st = _energy_state(trial, domain, lam1, lam2)
+                st_trial = _energy_state(trial, domain, lam1, lam2)
                 evals += 1
-                if st.E <= E + ARMIJO_C * alpha * slope:
-                    u = trial
+                dE = _energy_change(mesh, st, st_trial, lam1, lam2)
+                if dE > np.spacing(st.E):
+                    continue
+                Gp_trial = project(trial.values, _energy_gradient(
+                    trial, domain, lam1, lam2, st_trial))
+                slope0, slope = float(np.sum(Gp * d)), float(np.sum(Gp_trial * d))
+                if dE < 0.0 or 0.9 * slope0 <= slope <= -0.8 * slope0:
                     break
-                backtracks += 1
-                alpha *= ARMIJO_SHRINK
             else:
                 reason = "line_search"
                 break
+            u, st, z_prev, Gp_prev, Gp = trial, st_trial, z, Gp, Gp_trial
         history["stages"].append({"lam1": lam1, "lam2": lam2,
                                   "iters": it + 1, "reason": reason,
                                   "energy_evals": evals,
-                                  "backtracks": backtracks})
+                                  "restarts": restarts})
     return u, history
 
 
@@ -480,9 +540,10 @@ class RigidityReport:
     final_energy: float
     final_lagrangian: float
     final_boundary_violation: float
+    stationarity_certificate: float     # not part of passed
     iterations: int
     stages: list        # per stage: lam1, lam2, iters, the reason it ended,
-                        # energy_evals and backtracks
+                        # energy_evals and restarts (see minimize)
     config: dict
 
     def to_dict(self):
@@ -502,7 +563,12 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
     maps (``n_sectors % 4 == 0``) with no loss (see :func:`minimize`).
 
     PASS requires flat-disc distance <= 1e-3, angle variance over
-    elements <= 1e-6 and boundary great-circle defect <= 1e-3.  With the
+    elements <= 1e-6 and boundary great-circle defect <= 1e-3.  The report
+    also carries a certificate that PASS does not read: the
+    :func:`~lagdisc.residuals.stationarity_test` value of the relaxed map
+    over ``ball_mixed_batch(domain, seed=seed)``, whose interior bumps are
+    the part of the weak stationarity functional that does not vanish
+    pointwise on flat discs.  With the
     Lagrangian penalty disabled the relaxation is a control run: the
     report carries the measured Lagrangian drift and never claims PASS.
     """
@@ -539,6 +605,8 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
         angle_variance=var, circle_defect=circ, plane_is_lagrangian=plane_lag,
         final_energy=last["E"], final_lagrangian=last["lagrangian"],
         final_boundary_violation=last["boundary_violation"],
+        stationarity_certificate=res.stationarity_test(
+            u_final, domain, res.ball_mixed_batch(domain, seed=seed)),
         iterations=len(history["rows"]), stages=history["stages"],
         config={"stages": list(cfg.continuation), "grad_tol": cfg.grad_tol,
                 "max_iters": cfg.max_iters}), u_final, history

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -70,8 +71,10 @@ def test_masses_sw(tmp_path):
 
 
 def test_masses_flat_is_config_error(tmp_path):
+    # the error is found while the command builds its inputs: no --out yet
     assert run_cli("--command", "masses", "--example", "flat",
                    "--out", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_boundary_report_nonminimal_curve(tmp_path):
@@ -171,6 +174,7 @@ def test_pipeline_exception_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "rigidity_experiment", raising)
     assert run_cli("--command", "rigidity", "--mesh", "4,16,1.0",
                    "--out", str(tmp_path / "o")) == 3
+    assert not (tmp_path / "o").exists()
     assert "FloatingPointError: descent diverged" in capsys.readouterr().err
 
 
@@ -243,5 +247,10 @@ def test_rigidity_command(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
+    result, = summary["results"]
+    assert math.isfinite(result["stationarity_certificate"])
+    assert [s["reason"] for s in result["stages"]] == ["converged"] * 3
+    assert all(set(s) == {"lam1", "lam2", "iters", "reason", "energy_evals",
+                          "restarts"} for s in result["stages"])
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "seed,iter,E,grad_norm,lagrangian,boundary_violation"
