@@ -49,16 +49,3 @@ print(f"  clean disc:     {res.stationarity_test(u, ball, fs):.2e}")
 print(f"  perturbed disc: {res.stationarity_test(up, ball, fs):.2e}"
       "  (the tester flags it)")
 
-print()
-print("a flow-adapted test function anchored on the boundary circle")
-p = np.array([1.0, 0, 0, 0])
-g0 = hams.phase_for_tangent(ball, p, np.array([0.0, 0, 1.0, 0]))
-f = hams.flow_adapted(ball, (p, g0), hams.odd_bump(0.25), 0.25)
-print(f"  anchor phase g0 = {g0:.2f}; admissibility residual on the flow arc:"
-      f" {hams.admissibility_residual(f, ball, f.boundary_samples):.1e}")
-m = build_polar_mesh(16, 64, 1.0)
-v = res.stationarity_test(fam.sample(fam.flat_disc(np.eye(2)), m), ball, [f])
-print(f"  stationarity value against the flat disc: {v:.2e}")
-print("  (the transported profile is symmetric under componentwise"
-      " conjugation,\n   whose fixed plane carries this disc, so the"
-      " integrand vanishes pointwise)")

@@ -13,11 +13,12 @@ dump-mesh        write the mesh as JSON
 Every command writes summary.json to --out: its numbers, the config keys
 it read, "command" and "pass".  All but masses and dump-mesh also write
 the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
-0 success, 1 usage or configuration error (a negative seed and an sw:p,q
-that is not a coprime positive pair included), 2 a built-in check failed,
-3 the pipeline raised (the message names the exception class); --out
-is created only once the command has returned, so exits 1 and 3 create
-no directory.
+0 success, 1 usage or configuration error (a negative seed, an sw:p,q
+that is not a coprime positive pair, one refinement level for
+verify-example or stationarity and more than one stationarity seed
+included), 2 a built-in check failed, 3 the pipeline raised (the message
+names the exception class); --out is created only once the command has
+returned, so exits 1 and 3 create no directory.
 A JSON config file supplies defaults; flags override it.  Identical
 config and seed produce bitwise-identical outputs.
 """
@@ -85,10 +86,15 @@ class RunConfig:
             raise ConfigError("mesh: rigidity needs S % 4 == 0 (odd maps)")
         if not (_is_int(self.refinements) and self.refinements >= 1):
             raise ConfigError("refinements: must be an integer >= 1")
+        if (self.command in ("verify-example", "stationarity")
+                and self.refinements < 2):
+            raise ConfigError(f"refinements: {self.command} needs at least 2")
         if not (isinstance(self.seeds, list) and self.seeds
                 and all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise ConfigError("seeds: must be a non-empty list of integers "
                               ">= 0")
+        if self.command == "stationarity" and len(self.seeds) > 1:
+            raise ConfigError("seeds: stationarity takes exactly one seed")
         if not (_is_real(self.eps) and 0.0 <= self.eps <= 0.1):
             raise ConfigError("eps: must be a number in [0, 0.1]")
         return self
@@ -208,7 +214,7 @@ def _cmd_dump_mesh(cfg, mesh):
 _COMMANDS = {
     "verify-example": (_cmd_verify_example, ("example", "domain")),
     "boundary-report": (_cmd_boundary_report, ("example", "domain")),
-    "stationarity": (_cmd_stationarity, ("example", "domain")),
+    "stationarity": (_cmd_stationarity, ("example", "domain", "seeds")),
     "masses": (_cmd_masses, ("example",)),
     "rigidity": (_cmd_rigidity, ("eps", "seeds")),
     "dump-mesh": (_cmd_dump_mesh, ()),

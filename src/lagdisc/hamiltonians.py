@@ -15,9 +15,8 @@ Families:
 * quadratics invariant under z -> e^{it} z (phase-invariant), optionally
   multiplied by a radial profile -- these generate flows tangent to
   every sphere around the origin;
-* a flow-adapted construction: transport a one-variable profile along
-  the flow of the field g0 * J * N so that its gradient is parallel to
-  the flow direction on the central flow line.
+* windowed waves: oscillatory interior probes;
+* functions of z1 adapted to the z1-unit-circle constraint curve.
 """
 
 from __future__ import annotations
@@ -25,37 +24,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra
-from .algebra import EPS, apply_I, apply_J, complex_scale, inner
+from .algebra import EPS, apply_I, inner
 from .mesh import InvalidParameter
 
 __all__ = [
-    "FlowNotInvertible",
     "Hamiltonian",
     "InvalidParameter",
     "Profile",
-    "TubeTooLarge",
     "admissibility_residual",
     "bump_kernel",
     "combine",
     "constant_profile",
-    "flow_adapted",
     "hopf_invariant_quadratic",
     "interior_bump",
-    "odd_bump",
-    "phase_for_tangent",
     "poly_profile",
     "radial_invariant",
     "smooth_cutoff_profile",
     "windowed_wave",
     "z1_arc_hamiltonian",
 ]
-
-class FlowNotInvertible(RuntimeError):
-    pass
-
-
-class TubeTooLarge(ValueError):
-    pass
 
 
 class Hamiltonian:
@@ -169,8 +156,8 @@ def bump_kernel(s, third=False):
     (and the third derivative after them when ``third``).
 
     The one smooth compactly supported kernel behind every bump: interior
-    bumps take s = |z - c|^2/R^2, the odd profile and the z1-arc bump
-    s = u^2, the normal-wave envelope s = |x|^2/R^2.
+    bumps take s = |z - c|^2/R^2, the z1-arc bump s = u^2, the
+    normal-wave envelope s = |x|^2/R^2.
     """
     s = np.asarray(s, float)
     out = tuple(np.zeros_like(s) for _ in range(4 if third else 3))
@@ -383,20 +370,19 @@ def windowed_wave(k, profile, axis=0, name=None):
                        name=name or f"wave(k={k:g},axis={axis})")
 
 
+def admissibility_residual(f, domain, pts):
+    """max over pts of |<I grad f, N>| / (|grad f| + eps); pts on the boundary."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    grad = np.atleast_2d(f.gradient(pts))
+    normals = domain.normal_at(pts)
+    num = np.abs(inner(apply_I(grad), normals))
+    den = algebra.norm(grad) + EPS
+    return float(np.max(num / den))
+
+
 # --------------------------------------------------------------------------
-# flow-adapted construction
+# test functions adapted to the z1-unit-circle constraint curve
 # --------------------------------------------------------------------------
-def odd_bump(delta, amplitude=1.0):
-    """Smooth odd profile supported in (-delta, delta)."""
-    delta = float(delta)
-
-    def beta(t):
-        u = np.asarray(t, float) / delta
-        return amplitude * (u * bump_kernel(u * u)[0])
-
-    return beta
-
-
 def _plateau(rho2, r_in, r_out, derivatives=False):
     """Smooth cutoff of a squared distance: 1 for rho2 <= r_in^2, 0 for
     rho2 >= r_out^2, the C^infinity blend P(x) = h(x)/(h(x) + h(1-x)) with
@@ -421,216 +407,6 @@ def _plateau(rho2, r_in, r_out, derivatives=False):
     return P, -P * Q * L / span, P * Q * ((Q - P) * L * L + dL) / span ** 2
 
 
-def _centred_differences(fn, z, step, symmetrize=False):
-    """Centred differences of ``fn`` along the four coordinate axes at the
-    rows of ``z``, stacked on a new last axis; a single point stays single.
-
-    With ``symmetrize`` the result (a Hessian from a gradient) is replaced
-    by its symmetric part.
-    """
-    z = np.asarray(z, float)
-    d = np.stack([(fn(z + e) - fn(z - e)) / (2 * step)
-                  for e in step * np.eye(4)], axis=-1)
-    return 0.5 * (d + np.swapaxes(d, -1, -2)) if symmetrize else d
-
-
-def phase_for_tangent(domain, p, v):
-    """Unit complex g0 with v = g0 * J * N(p); fails if v is off that circle."""
-    w = domain.normal_extension(np.asarray(p, float))
-    w = apply_J(w)
-    v = np.asarray(v, float)
-    v = v / np.linalg.norm(v)
-    g0 = complex(inner(v, w) + 1j * inner(v, apply_I(w)))
-    if abs(abs(g0) - 1.0) > 1e-8:
-        raise InvalidParameter("tangent direction is not of the form g0*J*N(p)")
-    g0 /= abs(g0)
-    resid = np.linalg.norm(v - complex_scale(g0, w))
-    if resid > 1e-8:
-        raise InvalidParameter("tangent direction is not of the form g0*J*N(p)")
-    return g0
-
-
-class _FlowTube:
-    """RK4 central flow line of z' = g0 J N(z) with cubic Hermite dense output."""
-
-    def __init__(self, domain, p, g0, t_max, dt):
-        self.domain = domain
-        self.g0 = complex(g0)
-        steps = int(np.ceil(t_max / dt))
-        self.dt = t_max / steps
-
-        def field(z):
-            return complex_scale(self.g0, apply_J(domain.normal_extension(z)))
-
-        fwd = [np.asarray(p, float)]
-        for _ in range(steps):
-            fwd.append(self._rk4(field, fwd[-1], self.dt))
-        bwd = [np.asarray(p, float)]
-        for _ in range(steps):
-            bwd.append(self._rk4(field, bwd[-1], -self.dt))
-        pts = np.array(bwd[::-1] + fwd[1:])
-        self.t = np.linspace(-t_max, t_max, 2 * steps + 1)
-        self.c = pts
-        self.d = field(pts)  # unit speed: |J N| = 1
-
-    @staticmethod
-    def _rk4(field, y, h):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def psi_grid(self, y):
-        """psi[j, i] = <y_i - c_j, d_j> on the time grid; (n_t, k).
-
-        <y_i, d_j> is summed elementwise in a fixed order (a matrix product
-        sums in an order that depends on the batch size), so each query
-        point gets the same value whatever batch it comes in.
-        """
-        y = np.atleast_2d(y)
-        dy = self.d[:, 0, None] * y[:, 0]
-        for i in range(1, 4):
-            dy = dy + self.d[:, i, None] * y[:, i]
-        return dy - np.sum(self.c * self.d, axis=1)[:, None]
-
-    def _hermite(self, cell, tau):
-        """Position/velocity/acceleration of the dense output inside cells."""
-        dt = self.dt if len(self.t) < 2 else self.t[1] - self.t[0]
-        c0, c1 = self.c[cell], self.c[cell + 1]
-        d0, d1 = self.d[cell], self.d[cell + 1]
-        t2, t3 = tau * tau, tau * tau * tau
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + tau
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        pos = (h00[:, None] * c0 + (h10 * dt)[:, None] * d0
-               + h01[:, None] * c1 + (h11 * dt)[:, None] * d1)
-        g00 = (6 * t2 - 6 * tau) / dt
-        g10 = 3 * t2 - 4 * tau + 1
-        g01 = (-6 * t2 + 6 * tau) / dt
-        g11 = 3 * t2 - 2 * tau
-        vel = (g00[:, None] * c0 + g10[:, None] * d0
-               + g01[:, None] * c1 + g11[:, None] * d1)
-        a00 = (12 * tau - 6) / dt ** 2
-        a10 = (6 * tau - 4) / dt
-        a01 = (-12 * tau + 6) / dt ** 2
-        a11 = (6 * tau - 2) / dt
-        acc = (a00[:, None] * c0 + a10[:, None] * d0
-               + a01[:, None] * c1 + a11[:, None] * d1)
-        return pos, vel, acc
-
-    def time_of(self, y, strict=True):
-        """Invert the time coordinate: t with <y - c(t), c'(t)> = 0."""
-        y = np.atleast_2d(np.asarray(y, float))
-        psi = self.psi_grid(y)                    # (n_t, k)
-        if strict and np.any(np.diff(psi, axis=0) > 1e-12):
-            raise FlowNotInvertible("time coordinate is not monotone for a query")
-        neg = psi < 0
-        if np.any(~neg.any(axis=0)) or np.any(neg[0]):
-            raise FlowNotInvertible("query point leaves the invertible tube")
-        first_neg = neg.argmax(axis=0)
-        cell = first_neg - 1
-        dt = self.t[1] - self.t[0]
-        p0 = np.take_along_axis(psi, cell[None, :], axis=0)[0]
-        p1 = np.take_along_axis(psi, first_neg[None, :], axis=0)[0]
-        tau = p0 / np.maximum(p0 - p1, EPS)        # linear initial guess in [0,1]
-        for _ in range(8):
-            pos, vel, acc = self._hermite(cell, tau)
-            diff = y - pos
-            val = np.sum(diff * vel, axis=1)
-            der = -np.sum(vel * vel, axis=1) + np.sum(diff * acc, axis=1)
-            step = val / np.where(np.abs(der) < EPS, -EPS, der)
-            tau = np.clip(tau - step, 0.0, 1.0)
-        return self.t[cell] + tau * dt
-
-
-# centred-difference step of the flow-adapted gradient and Hessian
-FLOW_FD_STEP = 3e-6
-
-
-def flow_adapted(domain, anchor, beta_profile, delta, cutoff=None,
-                 name="flow_adapted"):
-    """Test function eta(y) * beta(t(y)) transported along the g0*J*N flow.
-
-    ``anchor`` is ``(p, g0)`` with p on the domain boundary and g0 a unit
-    complex phase; the flow direction at p is ``g0 * J * N(p)``.
-    ``beta_profile`` is a scalar profile supported in (-delta, delta);
-    ``cutoff = (r_in, r_out)`` is a spatial plateau bump around p with
-    eta = 1 for |y - p| <= r_in.  The plateau must contain the central
-    flow arc carrying the support of beta, so that on that arc
-    grad f = beta'(t) grad t is parallel to the flow direction.
-
-    Gradient and Hessian are centered finite differences of the value
-    (step ``FLOW_FD_STEP``); this construction is a stress input for the
-    stationarity tester, not a precision object.
-    """
-    if domain.kind != "levelset":
-        raise InvalidParameter("flow_adapted needs a level-set domain")
-    p, g0 = anchor
-    p = np.asarray(p, float)
-    if abs(float(domain.F(p))) > 1e-10:
-        raise InvalidParameter("anchor point must lie on the domain boundary")
-    if cutoff is None:
-        cutoff = (1.3 * delta, 2.4 * delta)
-    r_in, r_out = map(float, cutoff)
-    if not 0 < r_in < r_out:
-        raise InvalidParameter("cutoff radii must satisfy 0 < r_in < r_out")
-
-    tube = _FlowTube(domain, p, g0, t_max=max(3.0 * delta, 1.3 * r_out),
-                     dt=delta / 64.0)
-
-    # build-time checks: plateau contains the support arc; tube invertible
-    arc = tube.c[np.abs(tube.t) <= delta]
-    arc_radius = float(np.max(np.linalg.norm(arc - p, axis=1)))
-    if arc_radius >= r_in:
-        raise TubeTooLarge("support arc of beta leaves the eta = 1 plateau")
-    rng = np.random.default_rng(0)
-    probe = rng.normal(size=(64, 4))
-    probe = p + r_out * probe / np.linalg.norm(probe, axis=1, keepdims=True)
-    tube.time_of(probe)                           # FlowNotInvertible on failure
-
-    def value(z):
-        z = np.asarray(z, float)
-        y = z.reshape(-1, 4)
-        out = np.zeros(len(y))
-        eta = _plateau(np.sum((y - p) ** 2, axis=-1), r_in, r_out)
-        m = eta > 0
-        if np.any(m):
-            t = tube.time_of(y[m], strict=False)
-            out[m] = eta[m] * beta_profile(t)
-        return out.reshape(z.shape[:-1])[()]
-
-    def gradient(z):
-        return _centred_differences(value, z, FLOW_FD_STEP)
-
-    def hessian(z):
-        return _centred_differences(gradient, z, FLOW_FD_STEP, symmetrize=True)
-
-    # admissibility samples: central flow arc (it stays on the boundary)
-    samples = tube.c[np.abs(tube.t) <= 0.9 * delta]
-
-    ham = Hamiltonian(value, gradient, hessian,
-                      support_hint=(p, r_out),
-                      admissibility_tag=("boundary_tangent", domain),
-                      boundary_samples=samples, name=name)
-    ham.tube = tube
-    return ham
-
-
-def admissibility_residual(f, domain, pts):
-    """max over pts of |<I grad f, N>| / (|grad f| + eps); pts on the boundary."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    grad = np.atleast_2d(f.gradient(pts))
-    normals = domain.normal_at(pts)
-    num = np.abs(inner(apply_I(grad), normals))
-    den = algebra.norm(grad) + EPS
-    return float(np.max(num / den))
-
-
-# --------------------------------------------------------------------------
-# test functions adapted to the z1-unit-circle constraint curve
-# --------------------------------------------------------------------------
 def _arc_bump(x, center, width):
     """exp(-1/(1-u^2)) with u = (x - center)/width, and its first three
     derivatives in x."""

@@ -658,10 +658,13 @@ def fit_order(hs, values, floor=1e-13):
     """Least-squares slope of log(value) against log(h).
 
     Values at or below ``floor`` mean the quantity has hit rounding
-    level; if all are floored the order is reported as infinity.
+    level; if all are floored the order is reported as infinity.  Fewer
+    than two distinct h have no slope and raise :class:`InvalidParameter`.
     """
     hs = np.asarray(hs, float)
     values = np.asarray(values, float)
+    if len(np.unique(hs)) < 2:
+        raise InvalidParameter("fit_order: needs at least two distinct h")
     if np.all(values <= floor):
         return np.inf
     values = np.maximum(values, floor)

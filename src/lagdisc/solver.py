@@ -74,7 +74,6 @@ class SolverConfig:
     max_iters: int = 400                      # per continuation stage
     grad_tol: float = 1e-7
     continuation: list = field(default_factory=default_continuation)  # of (lam1, lam2)
-    fd_check: bool = True
 
     def __post_init__(self):
         if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
@@ -292,8 +291,7 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
                 exact_frames=None, source=None)
 
     history = {"rows": [], "stages": []}
-    if cfg.fd_check:
-        _fd_gradient_check(u, domain, *cfg.continuation[0])
+    _fd_gradient_check(u, domain, *cfg.continuation[0])
 
     factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc())
     for lam1, lam2 in cfg.continuation:

@@ -31,6 +31,19 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def centred_differences(fn, z, step, symmetrize=False):
+    """Centred differences of ``fn`` along the four coordinate axes at the
+    rows of ``z``, stacked on a new last axis; a single point stays single.
+
+    With ``symmetrize`` the result (a Hessian from a gradient) is replaced
+    by its symmetric part.
+    """
+    z = np.asarray(z, float)
+    d = np.stack([(fn(z + e) - fn(z - e)) / (2 * step)
+                  for e in step * np.eye(4)], axis=-1)
+    return 0.5 * (d + np.swapaxes(d, -1, -2)) if symmetrize else d
+
+
 def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
     """Gradient of the z1-arc test function f = eta(R) (A(phi)(R - 1) + B(phi))
     with A = a_sign (1 - phi^2) B'/phi, computed as it was before the closed

@@ -104,6 +104,27 @@ def test_string_refinements_exits_1(tmp_path, capsys):
     assert "refinements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-example", "stationarity"])
+def test_single_refinement_level_exits_1(tmp_path, capsys, command):
+    # one level leaves no decrease to check and no order to fit
+    code = run_cli("--command", command, "--mesh", "8,32,1.0",
+                   "--refinements", "1", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "refinements:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_stationarity_takes_one_seed_and_echoes_it(tmp_path, capsys):
+    argv = ("--command", "stationarity", "--mesh", "4,16,1.0",
+            "--refinements", "2", "--seed", "7")
+    assert run_cli(*argv, "--seed", "8", "--out", str(tmp_path / "a")) == 1
+    assert "seeds:" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    run_cli(*argv, "--out", str(tmp_path / "b"))
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["seeds"] == [7]
+
+
 @pytest.mark.parametrize("mesh", ["1,8,1.0", "2,7,1.0", "4,16,0.1"])
 def test_mesh_out_of_bounds_exits_1(tmp_path, capsys, mesh):
     code = run_cli("--command", "dump-mesh", "--mesh", mesh,

@@ -20,7 +20,7 @@ from lagdisc import domains as dom
 from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
-from conftest import z1_arc_reference_gradient
+from conftest import centred_differences, z1_arc_reference_gradient
 
 
 def continuum_stationarity(example, f, n_r=400, n_theta=1600, block=40):
@@ -52,7 +52,7 @@ def _z1_arc_with_old_sign(center, width):
     grad = z1_arc_reference_gradient(center, width, a_sign=-1.0)
     return hams.Hamiltonian(
         None, grad,
-        lambda z: hams._centred_differences(grad, z, 1e-5, symmetrize=True))
+        lambda z: centred_differences(grad, z, 1e-5, symmetrize=True))
 
 
 @pytest.mark.parametrize("center,width,raw,normalized", [

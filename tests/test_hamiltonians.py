@@ -6,7 +6,7 @@ from lagdisc import domains as dom
 from lagdisc import hamiltonians as hams
 from lagdisc.families import nonminimal_map
 from lagdisc.solver import flow_frame_step
-from conftest import z1_arc_reference_gradient
+from conftest import centred_differences, z1_arc_reference_gradient
 
 BALL = dom.unit_ball()
 
@@ -182,11 +182,11 @@ def test_plateau_cutoff():
 def test_centred_differences_exact_on_quadratics(rng):
     f = hams.hopf_invariant_quadratic([0.3, -1.0, 0.5, 0.2])
     z = rng.normal(size=(30, 4))
-    g = hams._centred_differences(f.value, z, 1e-3)
+    g = centred_differences(f.value, z, 1e-3)
     assert np.max(np.abs(g - f.gradient(z))) <= 1e-10
-    H = hams._centred_differences(f.gradient, z, 1e-3, symmetrize=True)
+    H = centred_differences(f.gradient, z, 1e-3, symmetrize=True)
     assert np.max(np.abs(H - f.hessian(z))) <= 1e-10
-    assert hams._centred_differences(f.gradient, z[0], 1e-3).shape == (4, 4)
+    assert centred_differences(f.gradient, z[0], 1e-3).shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -361,73 +361,13 @@ def test_rk4_frame_flow_preserves_omega_to_high_order():
 
 
 # ---------------------------------------------------------------------------
-# flow-adapted construction
+# support hints and interior admissibility
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def flow_f():
-    p = np.array([1.0, 0, 0, 0])
-    return hams.flow_adapted(BALL, (p, 1.0 + 0j), hams.odd_bump(0.25), 0.25)
-
-
-def test_flow_adapted_admissibility(flow_f):
-    resid = hams.admissibility_residual(flow_f, BALL, flow_f.boundary_samples)
-    assert resid <= 1e-6
-
-
-def test_flow_adapted_gradient_parallel_to_flow(flow_f):
-    samples = flow_f.boundary_samples
-    flow_dir = alg.complex_scale(1.0 + 0j,
-                                 alg.apply_J(BALL.normal_extension(samples)))
-    grads = flow_f.gradient(samples)
-    w = alg.wedge_norm(grads, flow_dir) / (alg.norm(grads) + 1e-300)
-    assert np.max(w) <= 1e-8
-
-
-def test_flow_adapted_matches_exact_ball_flow(flow_f):
-    p = np.array([1.0, 0, 0, 0])
-    t = flow_f.tube.t
-    exact = np.cos(t)[:, None] * p + np.sin(t)[:, None] * alg.apply_J(p)
-    assert np.max(np.linalg.norm(flow_f.tube.c - exact, axis=1)) <= 1e-10
-
-
-def test_flow_adapted_zero_profile():
-    p = np.array([1.0, 0, 0, 0])
-    f0 = hams.flow_adapted(BALL, (p, 1.0 + 0j),
-                           lambda t: np.zeros_like(np.asarray(t, float)), 0.25)
-    pts = p + np.random.default_rng(0).normal(size=(50, 4)) * 0.15
-    assert np.max(np.abs(f0.value(pts))) == 0.0
-
-
-def test_flow_adapted_fd_gradient(flow_f, rng):
-    pts = np.array([1.0, 0, 0, 0]) + rng.normal(size=(50, 4)) * 0.08
-    assert fd_gradient_error(flow_f, pts, step=1e-4) <= 1e-5
-
-
-def test_flow_adapted_keeps_leading_axes(flow_f, rng):
-    pts = np.array([1.0, 0, 0, 0]) + rng.normal(size=(6, 4)) * 0.08
-    for fn in (flow_f.value, flow_f.gradient, flow_f.hessian):
-        flat = fn(pts)
-        batched = fn(pts.reshape(2, 3, 4))
-        assert batched.shape == (2, 3) + flat.shape[1:]
-        assert np.array_equal(batched, flat.reshape(batched.shape))
-        assert np.shape(fn(pts[4])) == flat.shape[1:]
-
-
-def test_flow_adapted_hessian_independent_of_batch(flow_f, rng):
-    # the stationarity quadrature hands each function the rows of its support
-    # ball in blocks, so a row's Hessian must not depend on its batch
-    pts = np.array([1.0, 0, 0, 0]) + rng.normal(size=(40, 4)) * 0.08
-    single = np.stack([flow_f.hessian(p[None])[0] for p in pts])
-    assert np.array_equal(flow_f.hessian(pts), single)
-    assert np.array_equal(flow_f.hessian(pts[:7]), single[:7])
-
-
-@pytest.mark.parametrize("kind", ["bump", "wave", "flow"])
-def test_hessian_vanishes_just_outside_support_hint(flow_f, rng, kind):
+@pytest.mark.parametrize("kind", ["bump", "wave"])
+def test_hessian_vanishes_just_outside_support_hint(rng, kind):
     # the contract the stationarity quadrature's support restriction needs
     f = {"bump": hams.interior_bump(np.array([0.1, -0.2, 0.3, 0.0]), 0.4, 1.7),
-         "wave": hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.75, 0.92)),
-         "flow": flow_f}[kind]
+         "wave": hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.75, 0.92))}[kind]
     center, radius = f.support_hint
     dirs = rng.normal(size=(200, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -438,50 +378,10 @@ def test_hessian_vanishes_just_outside_support_hint(flow_f, rng, kind):
     assert np.any(f.hessian(inside) != 0.0)
 
 
-def test_flow_adapted_tube_too_large():
-    p = np.array([1.0, 0, 0, 0])
-    with pytest.raises(hams.TubeTooLarge):
-        hams.flow_adapted(BALL, (p, 1.0 + 0j), hams.odd_bump(0.25), 0.25,
-                          cutoff=(0.2, 0.5))
-
-
-def test_flow_adapted_needs_level_set():
-    d = dom.curve_domain_from_map(nonminimal_map())
-    with pytest.raises(hams.InvalidParameter):
-        hams.flow_adapted(d, (d.curve_points[0], 1.0 + 0j),
-                          hams.odd_bump(0.2), 0.2)
-
-
-def test_flow_adapted_anchor_off_boundary():
-    with pytest.raises(hams.InvalidParameter):
-        hams.flow_adapted(BALL, (np.array([0.5, 0, 0, 0]), 1.0 + 0j),
-                          hams.odd_bump(0.2), 0.2)
-
-
 def test_interior_bump_admissibility_zero(rng):
     # a bump supported in |z| <= 0.5 has vanishing gradient on the sphere
     f = hams.interior_bump(np.zeros(4), 0.5, 1.0)
     assert hams.admissibility_residual(f, BALL, sphere_points(rng)) == 0.0
-
-
-def test_flow_adapted_in_stationarity_tester(flow_f, mesh_cache):
-    # the transported profile passes the tester's admissibility gate and is
-    # a valid stress input; against this flat disc its integrand vanishes
-    # identically (conjugation symmetry fixes the disc's plane)
-    from lagdisc import families as fam
-    from lagdisc import residuals as res
-    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
-    v = res.stationarity_test(u, BALL, [flow_f])
-    assert np.isfinite(v) and v <= 1e-12
-
-
-def test_phase_for_tangent_roundtrip():
-    p = np.array([1.0, 0, 0, 0])
-    for g0 in (1.0 + 0j, 0.6 + 0.8j, -1j):
-        v = alg.complex_scale(g0, alg.apply_J(BALL.normal_extension(p)))
-        assert abs(hams.phase_for_tangent(BALL, p, v) - g0) <= 1e-10
-    with pytest.raises(hams.InvalidParameter):
-        hams.phase_for_tangent(BALL, p, p)  # the normal itself is not g0*J*N
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +459,7 @@ def test_z1_arc_hessian_matches_differences_of_gradient(rng, center, width):
     pts = _z1_arc_points(rng)
     f = hams.z1_arc_hamiltonian(center, width)
     H = f.hessian(pts)
-    fd = hams._centred_differences(f.gradient, pts, 1e-6)
+    fd = centred_differences(f.gradient, pts, 1e-6)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
     assert np.array_equal(H, np.swapaxes(H, -1, -2))
     # only the z1 block is nonzero; a single point stays single

@@ -459,7 +459,7 @@ def test_stationarity_independent_of_block_size(mesh_cache, monkeypatch, batch):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("kind", ["bump", "wave", "flow"])
+@pytest.mark.parametrize("kind", ["bump", "wave"])
 def test_support_restriction_is_exact(mesh_cache, kind):
     # the quadrature evaluates a function with a support ball only on the
     # elements whose centroid image lies in it; the zero-filled rest must give
@@ -468,11 +468,8 @@ def test_support_restriction_is_exact(mesh_cache, kind):
     u = fam.sample(fam.sw_cone(1, 2), m)
     if kind == "bump":
         f = hams.interior_bump(np.array([0.2, 0.1, -0.15, 0.1]), 0.3, 1.4)
-    elif kind == "wave":
-        f = hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.3, 0.5))
     else:
-        p = np.array([1.0, 0, 0, 0])
-        f = hams.flow_adapted(BALL, (p, 1.0 + 0j), hams.odd_bump(0.25), 0.25)
+        f = hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.3, 0.5))
     center, radius = f.support_hint
     u_c = interpolate_at_centroids(m, u.values)
     inside = alg.norm(u_c - center) <= radius
@@ -559,3 +556,10 @@ def test_report_serialization(mesh_cache):
 def test_fit_order_floor():
     assert np.isinf(res.fit_order([0.1, 0.05], [1e-15, 1e-14]))
     assert res.fit_order([0.1, 0.05], [1e-2, 5e-3]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("hs,vals", [([0.1], [1e-2]), ([0.1, 0.1], [1e-2, 5e-3]),
+                                     ([0.1], [1e-15])])
+def test_fit_order_needs_two_distinct_h(hs, vals):
+    with pytest.raises(res.InvalidParameter):
+        res.fit_order(hs, vals)

@@ -185,9 +185,8 @@ def test_minimize_perturbed_recovers(mesh_cache, rng):
         start = stop
 
 
-@pytest.mark.parametrize("fd_check", [False, True])
 def test_minimize_counts_two_element_gradient_passes_per_trial(
-        mesh_cache, rng, monkeypatch, fd_check):
+        mesh_cache, rng, monkeypatch):
     start = _perturbed_start(mesh_cache(8, 32), rng)
     calls = []
 
@@ -196,8 +195,7 @@ def test_minimize_counts_two_element_gradient_passes_per_trial(
         return element_gradient(mesh, values)
 
     monkeypatch.setattr(sol, "element_gradient", counted)
-    _, hist = sol.minimize(start, BALL, small_cfg(grad_tol=1e-7,
-                                                  fd_check=fd_check))
+    _, hist = sol.minimize(start, BALL, small_cfg(grad_tol=1e-7))
     stages = hist["stages"]
     for s in stages:
         # every iteration steps once, except the last of a stage that
@@ -207,8 +205,9 @@ def test_minimize_counts_two_element_gradient_passes_per_trial(
         assert s["restarts"] == 0
     assert sum(s["iters"] for s in stages) == len(hist["rows"])
     # the stage start costs one pass, every trial two: the quartic along
-    # its direction and its state
-    fd_calls = 1 + 2 * sol.FD_DIRECTIONS if fd_check else 0
+    # its direction and its state; the finite-difference gradient check
+    # before the first stage costs one pass and two per direction
+    fd_calls = 1 + 2 * sol.FD_DIRECTIONS
     assert len(calls) == sum(2 * s["energy_evals"] - 1 for s in stages) + fd_calls
 
 
@@ -299,7 +298,7 @@ def test_stage_that_cannot_descend_ends_on_line_search(mesh_cache, rng,
         return energy_change(*args) if len(changes) <= 3 else 1.0
 
     monkeypatch.setattr(sol, "_energy_change", rising_after_three)
-    _, hist = sol.minimize(start, BALL, small_cfg(fd_check=False))
+    _, hist = sol.minimize(start, BALL, small_cfg())
     first, *rest = hist["stages"]
     assert first["reason"] == "line_search"
     assert first["iters"] == 4
@@ -331,7 +330,7 @@ def test_summation_order_moves_no_iteration_count(mesh_cache, monkeypatch):
     stage ends (it once turned rigidity seed 4 at 48x192 from 225/7/400
     iterations into 225/5/5)."""
     start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(4))
-    cfg = sol.SolverConfig(fd_check=False)
+    cfg = sol.SolverConfig()
     runs = []
     for gradient in (sol._energy_gradient, _reordered_energy_gradient):
         monkeypatch.setattr(sol, "_energy_gradient", gradient)
@@ -353,7 +352,7 @@ def test_minimize_unitary_equivariance(mesh_cache, rng):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     f = hams.hopf_invariant_quadratic([0.4, -0.2, 0.6, 0.1], domain=BALL)
     state = sol.perturb_by_hamiltonian_flows(u0, [f], [0.03], BALL)
-    cfg = small_cfg(grad_tol=1e-10, fd_check=False)
+    cfg = small_cfg(grad_tol=1e-10)
     u_a, hist_a = sol.minimize(state.u, BALL, cfg)
     U = random_unitary(rng)
     Ur = np.zeros((4, 4))

@@ -71,7 +71,7 @@ def test_recorder_times_the_solver_layers():
     rec = _load_spans().Recorder()
     try:
         rec.install()
-        sol.minimize(u, dom.unit_ball(), sol.SolverConfig(max_iters=2, fd_check=False))
+        sol.minimize(u, dom.unit_ball(), sol.SolverConfig(max_iters=2))
     finally:
         rec.uninstall()
     totals = rec.totals()
