@@ -1,7 +1,12 @@
 """Admissible Hamiltonian test functions on C^2.
 
 A Hamiltonian carries value/gradient/Hessian callables (all batched over
-(..., 4) arrays), an optional support ball, and an admissibility tag:
+(..., 4) arrays), an optional support ball, and an admissibility tag.
+The value is (...,), the gradient (..., 4), and the Hessian, being
+symmetric, comes packed: its upper triangle as (..., 10) in
+``np.triu_indices(4)`` order (:data:`UPPER_I`, :data:`UPPER_J`), which
+:func:`unpack_hessian` turns back into the (..., 4, 4) matrix.  The
+admissibility tag is one of:
 
 * ``"interior"`` -- compactly supported away from the constraint
   boundary, so the generated field I grad(f) is trivially tangent there;
@@ -31,6 +36,9 @@ __all__ = [
     "Hamiltonian",
     "InvalidParameter",
     "Profile",
+    "UPPER_I",
+    "UPPER_J",
+    "UPPER_WEIGHTS",
     "admissibility_residual",
     "bump_kernel",
     "combine",
@@ -40,13 +48,42 @@ __all__ = [
     "poly_profile",
     "radial_invariant",
     "smooth_cutoff_profile",
+    "unpack_hessian",
     "windowed_wave",
     "z1_arc_hamiltonian",
 ]
 
+# the packed Hessian: entry k is H[UPPER_I[k], UPPER_J[k]], the upper
+# triangle (i <= j) row-major
+UPPER_I, UPPER_J = np.triu_indices(4)
+# the 4 diagonal slots, H[i, i] = Hu[_DIAG[i]]
+_DIAG = np.flatnonzero(UPPER_I == UPPER_J)
+# how often each entry occurs in the matrix, so that
+# ||H||_F^2 = (Hu * Hu) @ UPPER_WEIGHTS
+UPPER_WEIGHTS = np.where(UPPER_I == UPPER_J, 1.0, 2.0)
+
+
+def unpack_hessian(Hu):
+    """The symmetric (..., 4, 4) matrix of a packed (..., 10) Hessian."""
+    Hu = np.asarray(Hu)
+    H = np.empty(Hu.shape[:-1] + (4, 4), Hu.dtype)
+    H[..., UPPER_I, UPPER_J] = Hu
+    H[..., UPPER_J, UPPER_I] = Hu
+    return H
+
+
+def _outer(a, b):
+    """The packed a (x) b, a_i b_j for i <= j, of (..., 4) arrays."""
+    return a[..., UPPER_I] * b[..., UPPER_J]
+
 
 class Hamiltonian:
-    """Scalar function on C^2 with gradient and Hessian callables."""
+    """Scalar function on C^2 with gradient and Hessian callables.
+
+    ``value(z)`` is (...,), ``gradient(z)`` (..., 4) and ``hessian(z)`` the
+    packed (..., 10) upper triangle of the symmetric Hessian (see
+    :func:`unpack_hessian`), for points z of shape (..., 4).
+    """
 
     def __init__(self, value, gradient, hessian, support_hint=None,
                  admissibility_tag="interior", boundary_samples=None, name=""):
@@ -141,10 +178,9 @@ def smooth_cutoff_profile(s0, s1):
 
 
 def _add_identity(H, b):
-    """H + b I for a (..., 4, 4) array H, in place and on the diagonal only
+    """H + b I for a packed (..., 10) H, in place and on the diagonal only
     (bitwise the sum with b * np.eye(4), up to the sign of zeros)."""
-    for i in range(4):
-        H[..., i, i] += b
+    H[..., _DIAG] += np.asarray(b)[..., None]
     return H
 
 
@@ -199,15 +235,13 @@ def interior_bump(center, radius, amplitude=1.0):
 
     def hessian(z):
         s, d = _s(z)
-        shape = s.shape + (4, 4)
-        out = np.zeros(shape)
+        out = np.zeros(s.shape + (10,))
         m = s < 1.0
         if np.any(m):
             _, dphi, d2phi = bump_kernel(s[m])
             dm = d[m]
-            outer = dm[..., :, None] * dm[..., None, :]
             out[m] = _add_identity(
-                (A * d2phi * (2.0 / R2) ** 2)[..., None, None] * outer,
+                (A * d2phi * (2.0 / R2) ** 2)[..., None] * _outer(dm, dm),
                 A * dphi * 2.0 / R2)
         return out
 
@@ -223,6 +257,7 @@ def interior_bump(center, radius, amplitude=1.0):
 def _profiled(P, c=None):
     """value, gradient, hessian of P(|z|^2) * Q(z) by the product rule, with
     Q the quadratic form of coefficients c (Q = 1 when c is None)."""
+    HQ = None if c is None else _quad_hessian(c)
 
     def value(z):
         z = np.asarray(z, float)
@@ -235,21 +270,18 @@ def _profiled(P, c=None):
         g = P.d1(s)[..., None] * 2.0 * z
         if c is None:
             return g
-        Q, gQ, _ = _quad_eval(z, c)
+        Q, gQ = _quad_eval(z, c)
         return g * Q[..., None] + P.f(s)[..., None] * gQ
 
     def hessian(z):
         z = np.asarray(z, float)
         s = np.sum(z * z, axis=-1)
-        Q, gQ, HQ = (1.0, None, None) if c is None else _quad_eval(z, c)
-        outer_zz = np.einsum("...i,...j->...ij", z, z)
+        Q, gQ = (1.0, None) if c is None else _quad_eval(z, c)
         d1 = 2.0 * P.d1(s)
-        H = _add_identity((4.0 * P.d2(s) * Q)[..., None, None] * outer_zz,
-                          d1 * Q)
+        H = _add_identity((4.0 * P.d2(s) * Q)[..., None] * _outer(z, z), d1 * Q)
         if c is not None:
-            H += d1[..., None, None] * (np.einsum("...i,...j->...ij", z, gQ)
-                                        + np.einsum("...i,...j->...ij", gQ, z))
-            H += P.f(s)[..., None, None] * HQ
+            H += d1[..., None] * (_outer(z, gQ) + _outer(gQ, z))
+            H += P.f(s)[..., None] * HQ
         return H
 
     return value, gradient, hessian
@@ -262,23 +294,20 @@ def radial_invariant(profile, domain=None, name="radial"):
                        name=name)
 
 
-def _quad_basis():
-    """Hessians of |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
-    H = np.zeros((4, 4, 4))
-    H[0, 0, 0] = H[0, 1, 1] = 2.0
-    H[1, 2, 2] = H[1, 3, 3] = 2.0
-    H[2, 0, 2] = H[2, 2, 0] = 1.0
-    H[2, 1, 3] = H[2, 3, 1] = 1.0
-    H[3, 0, 3] = H[3, 3, 0] = 1.0
-    H[3, 1, 2] = H[3, 2, 1] = -1.0
-    return H
-
-
-_QUAD_HESS = _quad_basis()
+def _quad_hessian(c):
+    """The constant packed Hess Q of Q = sum c_k f_k, for the quadratics
+    f_k = |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
+    H = np.zeros((4, 4))
+    H[0, 0] = H[1, 1] = 2.0 * c[0]
+    H[2, 2] = H[3, 3] = 2.0 * c[1]
+    H[0, 2] = H[1, 3] = c[2]
+    H[0, 3] = c[3]
+    H[1, 2] = -c[3]
+    return H[UPPER_I, UPPER_J]
 
 
 def _quad_eval(z, c):
-    """Q, grad Q, (constant) Hess Q for Q = sum c_k f_k."""
+    """Q and grad Q for Q = sum c_k f_k (see :func:`_quad_hessian`)."""
     z = np.asarray(z, float)
     x1, y1, x2, y2 = (z[..., i] for i in range(4))
     Q = (c[0] * (x1 * x1 + y1 * y1) + c[1] * (x2 * x2 + y2 * y2)
@@ -288,8 +317,7 @@ def _quad_eval(z, c):
     g[..., 1] = 2 * c[0] * y1 + c[2] * y2 - c[3] * x2
     g[..., 2] = 2 * c[1] * x2 + c[2] * x1 - c[3] * y1
     g[..., 3] = 2 * c[1] * y2 + c[2] * y1 + c[3] * x1
-    H = np.tensordot(np.asarray(c, float), _QUAD_HESS, axes=1)
-    return Q, g, H
+    return Q, g
 
 
 def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
@@ -311,9 +339,11 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
         def gradient(z):
             return _quad_eval(z, c)[1]
 
+        HQ = _quad_hessian(c)
+
         def hessian(z):
-            Q, _, HQ = _quad_eval(z, c)
-            return np.broadcast_to(HQ, Q.shape + (4, 4)).copy()
+            """The constant Hess Q at every point, as a read-only view."""
+            return np.broadcast_to(HQ, np.shape(z)[:-1] + (10,))
 
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
@@ -337,6 +367,7 @@ def windowed_wave(k, profile, axis=0, name=None):
                                "0 < s < 1")
     e_axis = np.zeros(4)
     e_axis[axis] = 1.0
+    axis_slot = _DIAG[axis]
 
     def value(z):
         z = np.asarray(z, float)
@@ -355,13 +386,11 @@ def windowed_wave(k, profile, axis=0, name=None):
         s = np.sum(z * z, axis=-1)
         sin_ = np.sin(k * z[..., axis]) / k
         cos_ = np.cos(k * z[..., axis])
-        outer_zz = z[..., :, None] * z[..., None, :]
-        cross = z[..., :, None] * e_axis[None, :] + e_axis[:, None] * z[..., None, :]
         d1 = 2.0 * P.d1(s)
-        H = _add_identity((4.0 * P.d2(s) * sin_)[..., None, None] * outer_zz,
+        H = _add_identity((4.0 * P.d2(s) * sin_)[..., None] * _outer(z, z),
                           d1 * sin_)
-        H += (d1 * cos_)[..., None, None] * cross
-        H[..., axis, axis] += -k * np.sin(k * z[..., axis]) * P.f(s)
+        H += (d1 * cos_)[..., None] * (_outer(z, e_axis) + _outer(e_axis, z))
+        H[..., axis_slot] += -k * np.sin(k * z[..., axis]) * P.f(s)
         return H
 
     return Hamiltonian(value, gradient, hessian,
@@ -429,8 +458,7 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     <I grad f, X> = 0 (see :class:`lagdisc.families.NonMinimalMap`).
 
     Gradient and Hessian are closed forms: the partials of f in (R, phi)
-    pushed to Cartesian coordinates by the polar chain rule.  The Hessian
-    is exactly symmetric.
+    pushed to Cartesian coordinates by the polar chain rule.
     """
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
@@ -486,17 +514,16 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
 
     def hessian(z):
         z = np.asarray(z, float)
-        out = np.zeros(z.shape + (4,))
+        out = np.zeros(z.shape[:-1] + (10,))
         m, c, s, R, (fR, fphi, fRR, fRphi, fpp) = _polar_partials(z, second=True)
-        # second derivatives in (x1, y1) from the polar partials
+        # second derivatives in (x1, y1) from the polar partials; packed
+        # slots 0, 1 and 4 are H[0, 0], H[0, 1] and H[1, 1]
         radial = fR / R + fpp / R ** 2
         twist = fRphi / R - fphi / R ** 2
         cs, c2, s2 = c * s, c * c, s * s
-        out[..., 0, 0][m] = c2 * fRR + s2 * radial - 2.0 * cs * twist
-        out[..., 1, 1][m] = s2 * fRR + c2 * radial + 2.0 * cs * twist
-        xy = cs * (fRR - radial) + (c2 - s2) * twist
-        out[..., 0, 1][m] = xy
-        out[..., 1, 0][m] = xy
+        out[..., 0][m] = c2 * fRR + s2 * radial - 2.0 * cs * twist
+        out[..., 4][m] = s2 * fRR + c2 * radial + 2.0 * cs * twist
+        out[..., 1][m] = cs * (fRR - radial) + (c2 - s2) * twist
         return out
 
     return Hamiltonian(value, gradient, hessian,

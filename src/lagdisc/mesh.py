@@ -7,10 +7,11 @@ Rotation-equivariant fields then produce exactly cancelling sums in the
 boundary pairing below, which is what pushes those quadratures to
 rounding level instead of O(h^2).
 
-:class:`DiscMesh` caches its per-mesh quantities: areas, hat gradients
-and, built on first use, the sparse ``D_x``, ``D_y``, stiffness, lumped
-mass and boundary weights.  The residuals keep fixed-order ``bincount``
-accumulators, so meshes that only feed them never build the operators.
+:class:`DiscMesh` caches its per-mesh quantities: areas, hat gradients,
+hat energies and, built on first use, the sparse ``D_x``, ``D_y``,
+stiffness, lumped mass and boundary weights.  The residuals keep
+fixed-order ``bincount`` accumulators, so meshes that only feed them never
+build the operators.
 
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
@@ -99,6 +100,16 @@ class DiscMesh:
     @cached_property
     def centroids(self):
         return self.nodes[self.triangles].mean(axis=1)
+
+    @cached_property
+    def hat_energy(self):
+        """(N,) ||grad phi||^2_{L2} of each node's hat function phi, summed
+        over the incident triangles of local vertices 0, 1, 2 in triangle
+        order."""
+        a, g = self.areas, self.hat_gradients
+        return np.bincount(self.triangles.T.ravel(), np.concatenate(
+            [a * np.sum(g[:, k] ** 2, axis=-1) for k in range(3)]),
+            minlength=len(self.nodes))
 
     @cached_property
     def h_max(self):
@@ -351,8 +362,11 @@ def element_gradient(mesh, values):
 
 
 def interpolate_at_centroids(mesh, values):
-    """Average of the three nodal values on each triangle."""
-    return np.asarray(values)[mesh.triangles].mean(axis=1)
+    """Average of the three nodal values on each triangle, bitwise
+    ``values[triangles].mean(axis=1)`` without its (T, 3, ...) temporary."""
+    v = np.asarray(values)
+    t = mesh.triangles
+    return (v[t[:, 0]] + v[t[:, 1]] + v[t[:, 2]]) / 3.0
 
 
 def exclusion_masks(mesh, exclude):
@@ -384,41 +398,47 @@ def weak_divergence_residual(mesh, w, exclude=()):
     while discretely divergence-free fields score O(h^2) and exact
     constants score at rounding level.
 
+    ``w`` is one (T, 2) field, or k fields stacked as (T, 2, k), for which
+    the largest of their k residuals is returned; the stack shares one
+    test set.
+
     Hat functions at boundary nodes, at nodes inside an exclusion ball,
     or whose support meets an exclusion ball (see :func:`exclusion_masks`)
     are skipped.  Raises :class:`InvalidParameter` when no test function
     remains, since an empty maximum would read as a perfect 0.
     """
     w = np.asarray(w)
+    fields = w[..., None] if w.ndim == 2 else w
+    n = len(mesh.nodes)
     node_ok, ok_tri = exclusion_masks(mesh, exclude)
+    contrib_ok = np.ones(n, dtype=bool)
+    contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
+    test = contrib_ok & ~mesh.is_boundary & node_ok
+    if not np.any(test):
+        raise InvalidParameter("weak_divergence_residual: empty test set")
+    grad_norm = np.sqrt(mesh.hat_energy[test])
     a = mesh.areas
     g = mesh.hat_gradients
-    n = len(mesh.nodes)
 
     # per-node accumulators: one bincount each over the contributions of
     # local vertices 0, 1, 2 in triangle order, a fixed summation order
     idx = mesh.triangles.T.ravel()
-    w2 = np.sum(np.abs(w) ** 2, axis=-1)
-    dots = np.concatenate([
-        a * np.einsum("td,td->t", g[:, aidx].astype(w.dtype), w)
-        for aidx in range(3)])
-    if np.iscomplexobj(dots):
-        integral = np.empty(n, dtype=dots.dtype)
-        integral.real = np.bincount(idx, dots.real, minlength=n)
-        integral.imag = np.bincount(idx, dots.imag, minlength=n)
-    else:
-        integral = np.bincount(idx, dots, minlength=n)
-    grad_sq = np.bincount(idx, np.concatenate(
-        [a * np.sum(g[:, aidx] ** 2, axis=-1) for aidx in range(3)]), minlength=n)
-    w_sq = np.bincount(idx, np.tile(a * w2, 3), minlength=n)
-    contrib_ok = np.ones(n, dtype=bool)
-    contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
-
-    test = contrib_ok & ~mesh.is_boundary & node_ok
-    if not np.any(test):
-        raise InvalidParameter("weak_divergence_residual: empty test set")
-    den = np.sqrt(w_sq[test]) * np.sqrt(grad_sq[test]) + EPS
-    return float(np.max(np.abs(integral[test]) / den))
+    worst = 0.0
+    for c in range(fields.shape[-1]):
+        wc = fields[..., c]
+        dots = np.concatenate(
+            [a * (g[:, k, 0] * wc[:, 0] + g[:, k, 1] * wc[:, 1]) for k in range(3)])
+        if np.iscomplexobj(dots):
+            integral = np.empty(n, dtype=dots.dtype)
+            integral.real = np.bincount(idx, dots.real, minlength=n)
+            integral.imag = np.bincount(idx, dots.imag, minlength=n)
+        else:
+            integral = np.bincount(idx, dots, minlength=n)
+        w2 = np.sum(np.abs(wc) ** 2, axis=-1)
+        w_sq = np.bincount(idx, np.tile(a * w2, 3), minlength=n)
+        den = np.sqrt(w_sq[test]) * grad_norm + EPS
+        worst = max(worst, float(np.max(np.abs(integral[test]) / den)))
+    return worst
 
 
 def _collar_cutoff(r, collar_r0):

@@ -256,11 +256,8 @@ def structural_residual(u: DiscreteMap, gbar, exclude=()):
         grad = element_gradient(mesh, u.values)   # (T, 2, 4)
         gu = np.stack([complex_scale(g_c, grad[:, 0, :]),
                        complex_scale(g_c, grad[:, 1, :])], axis=1)
-    worst = 0.0
-    for comp in range(4):
-        w = gu[:, :, comp]
-        worst = max(worst, weak_divergence_residual(mesh, w, exclude))
-    return worst
+    # the 4 components share one test set
+    return weak_divergence_residual(mesh, gu, exclude)
 
 
 def angle_harmonicity(gbar, mesh, exclude=()):
@@ -373,24 +370,19 @@ def boundary_conditions_report(u: DiscreteMap, domain, collar_r0=0.7, max_k=4):
 # elements per Hessian block in the stationarity quadrature
 HESSIAN_BLOCK = 4096
 
-# the upper triangle (i <= j) of a 4x4 matrix, row-major, as row and column
-# indices and as flat indices into the (16,) raveled matrix
-_UPPER_I, _UPPER_J = np.triu_indices(4)
-_UPPER_FLAT = 4 * _UPPER_I + _UPPER_J
-# a_i e_j + a_j e_i counts a diagonal entry of sym(a (x) e) twice
-_UPPER_HALF_DIAG = np.where(_UPPER_I == _UPPER_J, 0.5, 1.0)
-
 
 def _frame_block(grad):
-    """sum_k sym((-I e_k) (x) e_k) for (b, 2, 4) frames e_k = grad[:, k], as
-    its (b, 10) upper triangle with the off-diagonal entries doubled."""
+    """sum_k sym((-I e_k) (x) e_k) for (b, 2, 4) frames e_k = grad[:, k],
+    packed as a Hessian is (see :func:`hamiltonians.unpack_hessian`) with
+    the off-diagonal entries doubled."""
+    i, j = hams.UPPER_I, hams.UPPER_J
     acc = 0.0
     for k in range(2):
         e = grad[:, k]
         a = -apply_I(e)
-        acc = acc + (a[:, _UPPER_I] * e[:, _UPPER_J]
-                     + a[:, _UPPER_J] * e[:, _UPPER_I])
-    return _UPPER_HALF_DIAG * acc
+        acc = acc + (a[:, i] * e[:, j] + a[:, j] * e[:, i])
+    # a_i e_j + a_j e_i counts a diagonal entry twice
+    return (0.5 * hams.UPPER_WEIGHTS) * acc
 
 
 def _frame_tensor(u: DiscreteMap, m):
@@ -398,17 +390,17 @@ def _frame_tensor(u: DiscreteMap, m):
     in mask ``m``.
 
     The frame tensor of element t is S_t = area_t sum_k sym((-I e_k) (x) e_k)
-    for the frames e_k = d_k u, stored as its (T, 10) upper triangle with the
-    off-diagonal entries doubled, so that <H, S_t>_F is the row-wise sum of
-    H's upper triangle times S_t.  It is built in blocks of ``HESSIAN_BLOCK``
-    elements.
+    for the frames e_k = d_k u, stored (T, 10) in the packed order of the
+    Hessians with the off-diagonal entries doubled, so that <H, S_t>_F is
+    the plain dot product of the packed Hessian with S_t.  It is built in
+    blocks of ``HESSIAN_BLOCK`` elements.
     """
     mesh = u.mesh
     grad = element_gradient(mesh, u.values)[m]
     areas = mesh.areas[m]
     grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
                                     + inner(grad[:, 1], grad[:, 1]))))
-    S = np.empty((len(areas), len(_UPPER_FLAT)))
+    S = np.empty((len(areas), len(hams.UPPER_I)))
     for s in range(0, len(areas), HESSIAN_BLOCK):
         blk = slice(s, s + HESSIAN_BLOCK)
         S[blk] = areas[blk, None] * _frame_block(grad[blk])
@@ -423,13 +415,15 @@ def _stationarity_terms(u_c, S, f):
     and frame tensors ``S`` (see :func:`_frame_tensor`).
 
     For symmetric H, <I(H e), e> = <H, sym((-I e) (x) e)>_F, so each
-    element's integrand, area included, is the 10-term contraction of the
-    upper triangle of H = Hess f(u_c) with its row of S.  The Hessian is
-    evaluated in blocks of ``HESSIAN_BLOCK`` rows.  When ``f.support_hint =
-    (c, r)`` is set, only the rows with |u_c - c|^2 <= (1 + 1e-9) r^2, a
-    superset of the support, are evaluated.  The integrands and norms go
-    into zero-filled full-length arrays that are summed once, so the result
-    is that of evaluating every row and does not depend on the blocking.
+    element's integrand, area included, is the dot product of the packed
+    (10,) Hessian ``f.hessian(u_c)`` with its row of S, and ||H||_F^2 is
+    the packed squares weighted by ``hamiltonians.UPPER_WEIGHTS``.  The
+    Hessian is evaluated in blocks of ``HESSIAN_BLOCK`` rows.  When
+    ``f.support_hint = (c, r)`` is set, only the rows with |u_c - c|^2 <=
+    (1 + 1e-9) r^2, a superset of the support, are evaluated.  The
+    integrands go into a zero-filled full-length array that is summed once,
+    so the result is that of evaluating every row and does not depend on
+    the blocking.
     """
     n = len(u_c)
     if f.support_hint is None:
@@ -444,13 +438,14 @@ def _stationarity_terms(u_c, S, f):
         rows = [inside[s:s + HESSIAN_BLOCK]
                 for s in range(0, len(inside), HESSIAN_BLOCK)]
     integrand = np.zeros(n)
-    h_norm = np.zeros(n)
+    h_sq = 0.0
     for r in rows:
-        H = f.hessian(u_c[r])
-        upper = H.reshape(-1, 16)[:, _UPPER_FLAT]
-        integrand[r] = np.einsum("ti,ti->t", upper, S[r])
-        h_norm[r] = np.sqrt(np.sum(H * H, axis=(-2, -1)))
-    return float(np.sum(integrand)), float(np.max(h_norm, initial=0.0))
+        Hu = f.hessian(u_c[r])
+        integrand[r] = np.einsum("ti,ti->t", Hu, S[r])
+        h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
+    # sqrt is monotone, so the max norm is the root of the max square (and
+    # np.maximum, unlike max, keeps a NaN)
+    return float(np.sum(integrand)), float(np.sqrt(h_sq))
 
 
 def stationarity_integral(u: DiscreteMap, f, subdomain=None):
@@ -525,11 +520,12 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     An empty batch raises :class:`InvalidParameter` instead of reading as
     a perfect 0.
 
-    The frames enter only through one (T, 10) frame tensor per call, the
-    upper triangle of area_t sum_k sym((-I d_k u) (x) d_k u), because
-    <I(H e), e> = <H, sym((-I e) (x) e)>_F for symmetric H; each f then
-    costs its Hessians in blocks of ``HESSIAN_BLOCK`` elements and one
-    10-term contraction per element.  A test function with a support ball
+    The frames enter only through one (T, 10) frame tensor per call,
+    area_t sum_k sym((-I d_k u) (x) d_k u) packed like the Hessians,
+    because <I(H e), e> = <H, sym((-I e) (x) e)>_F for symmetric H; each
+    f then costs its packed (10,) Hessians in blocks of ``HESSIAN_BLOCK``
+    elements and two 10-term dot products per element, one for the
+    integrand and one for ||H||_F^2.  A test function with a support ball
     is evaluated only on the elements whose centroid image lies in it,
     which gives exactly the value of evaluating every element.
     """

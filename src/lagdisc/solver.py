@@ -393,7 +393,7 @@ def flow_frame_step(z, frame, f, dt, method="rk4"):
     """
     def rhs(state):
         z, ex, ey = state
-        H = f.hessian(z)
+        H = hams.unpack_hessian(f.hessian(z))
         return (apply_I(f.gradient(z)),
                 apply_I(H @ ex), apply_I(H @ ey))
 

@@ -36,7 +36,7 @@ def continuum_stationarity(example, f, n_r=400, n_theta=1600, block=40):
                                                 indexing="ij"))
         weight = np.repeat(w_r[s:s + block], n_theta)
         frame = example.frame(R, T)
-        H = f.hessian(example.value(R, T))
+        H = hams.unpack_hessian(f.hessian(example.value(R, T)))
         for e in (frame.e_x, frame.e_y):
             He = np.einsum("tij,tj->ti", H, e)
             total += float(np.sum(weight * alg.inner(alg.apply_I(He), e)))
@@ -48,11 +48,12 @@ def continuum_stationarity(example, f, n_r=400, n_theta=1600, block=40):
 def _z1_arc_with_old_sign(center, width):
     """The z1-arc function with A = -(1 - phi^2) B'/phi, the sign paired with
     G = +y, differentiated as before the closed form (its Hessian is a
-    centred difference of the gradient, step 1e-5)."""
+    centred difference of the gradient, step 1e-5, packed)."""
     grad = z1_arc_reference_gradient(center, width, a_sign=-1.0)
     return hams.Hamiltonian(
         None, grad,
-        lambda z: centred_differences(grad, z, 1e-5, symmetrize=True))
+        lambda z: centred_differences(grad, z, 1e-5, symmetrize=True)[
+            ..., hams.UPPER_I, hams.UPPER_J])
 
 
 @pytest.mark.parametrize("center,width,raw,normalized", [

@@ -32,7 +32,7 @@ def fd_gradient_error(f, pts, step=1e-4):
 
 def fd_hessian_error(f, pts, step=1e-4):
     """Richardson-extrapolated differences of the gradient (see above)."""
-    H = f.hessian(pts)
+    H = hams.unpack_hessian(f.hessian(pts))
     worst = 0.0
     for k in range(4):
         e = np.zeros(4)
@@ -45,11 +45,6 @@ def fd_hessian_error(f, pts, step=1e-4):
         err = np.abs(fd - H[:, :, k]) / (1.0 + np.abs(H[:, :, k]))
         worst = max(worst, float(np.max(err)))
     return worst
-
-
-def hessian_asymmetry(f, pts):
-    H = f.hessian(pts)
-    return float(np.max(np.abs(H - np.swapaxes(H, -1, -2))))
 
 
 def sphere_points(rng, n=100):
@@ -74,7 +69,6 @@ def test_bump_fd_checks(rng):
     pts = rng.normal(size=(100, 4)) * 0.4
     assert fd_gradient_error(f, pts) <= 1e-6
     assert fd_hessian_error(f, pts) <= 1e-6
-    assert hessian_asymmetry(f, pts) <= 1e-12
 
 
 def test_bump_invalid_radius():
@@ -141,7 +135,8 @@ def test_interior_bump_bitwise_matches_own_kernel(rng):
     for center, radius, amp in [(np.zeros(4), 0.45, 1.0),
                                 (np.array([0.1, -0.2, 0.3, 0.0]), 0.9, -1.3)]:
         f = hams.interior_bump(center, radius, amp)
-        for got, want in zip((f.value, f.gradient, f.hessian),
+        hessian = lambda x: hams.unpack_hessian(f.hessian(x))  # noqa: E731
+        for got, want in zip((f.value, f.gradient, hessian),
                              _old_interior_bump(center, radius, amp)):
             assert np.array_equal(got(z), want(z))
             assert np.array_equal(got(z[0]), want(z[0]))
@@ -185,7 +180,7 @@ def test_centred_differences_exact_on_quadratics(rng):
     g = centred_differences(f.value, z, 1e-3)
     assert np.max(np.abs(g - f.gradient(z))) <= 1e-10
     H = centred_differences(f.gradient, z, 1e-3, symmetrize=True)
-    assert np.max(np.abs(H - f.hessian(z))) <= 1e-10
+    assert np.max(np.abs(H - hams.unpack_hessian(f.hessian(z)))) <= 1e-10
     assert centred_differences(f.gradient, z[0], 1e-3).shape == (4, 4)
 
 
@@ -244,7 +239,6 @@ def test_hopf_profile_fd(rng):
     pts = rng.normal(size=(100, 4)) * 0.5
     assert fd_gradient_error(f, pts) <= 1e-6
     assert fd_hessian_error(f, pts) <= 1e-6
-    assert hessian_asymmetry(f, pts) <= 1e-12
 
 
 def test_hopf_bad_coefficients():
@@ -260,7 +254,6 @@ def test_windowed_wave_fd(rng):
     pts = rng.normal(size=(100, 4)) * 0.5
     assert fd_gradient_error(f, pts, step=1e-5) <= 1e-5
     assert fd_hessian_error(f, pts, step=1e-5) <= 1e-4
-    assert hessian_asymmetry(f, pts) <= 1e-12
 
 
 def test_windowed_wave_support_from_profile():
@@ -275,9 +268,21 @@ def test_windowed_wave_support_from_profile():
 
 
 # ---------------------------------------------------------------------------
-# Hessians with the identity term on the diagonal only, against the
+# packed Hessians with the identity term on the diagonal only, against the
 # full-matrix expressions they replace
 # ---------------------------------------------------------------------------
+def _quad_basis():
+    """Hessians of |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
+    H = np.zeros((4, 4, 4))
+    H[0, 0, 0] = H[0, 1, 1] = 2.0
+    H[1, 2, 2] = H[1, 3, 3] = 2.0
+    H[2, 0, 2] = H[2, 2, 0] = 1.0
+    H[2, 1, 3] = H[2, 3, 1] = 1.0
+    H[3, 0, 3] = H[3, 3, 0] = 1.0
+    H[3, 1, 2] = H[3, 2, 1] = -1.0
+    return H
+
+
 def _old_radial_hessian(P, z):
     s = np.sum(z * z, axis=-1)
     outer = z[..., :, None] * z[..., None, :]
@@ -286,7 +291,8 @@ def _old_radial_hessian(P, z):
 
 
 def _old_hopf_hessian(c, P, z):
-    Q, gQ, HQ = hams._quad_eval(z, c)
+    Q, gQ = hams._quad_eval(z, c)
+    HQ = np.tensordot(c, _quad_basis(), axes=1)
     if P is None:
         return np.broadcast_to(HQ, Q.shape + (4, 4)).copy()
     s = np.sum(z * z, axis=-1)
@@ -328,8 +334,8 @@ def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
         pairs.append((hams.windowed_wave(26.0, P, axis=2),
                       lambda x: _old_wave_hessian(26.0, P, 2, x)))
     for f, old in pairs:
-        assert np.array_equal(f.hessian(z), old(z))
-        assert np.array_equal(f.hessian(z[0]), old(z[0]))
+        assert np.array_equal(hams.unpack_hessian(f.hessian(z)), old(z))
+        assert np.array_equal(hams.unpack_hessian(f.hessian(z[0])), old(z[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +464,13 @@ def test_z1_arc_gradient_matches_fd_plateau_reference(rng, center, width):
 def test_z1_arc_hessian_matches_differences_of_gradient(rng, center, width):
     pts = _z1_arc_points(rng)
     f = hams.z1_arc_hamiltonian(center, width)
-    H = f.hessian(pts)
+    Hu = f.hessian(pts)
+    H = hams.unpack_hessian(Hu)
     fd = centred_differences(f.gradient, pts, 1e-6)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
-    assert np.array_equal(H, np.swapaxes(H, -1, -2))
     # only the z1 block is nonzero; a single point stays single
     assert np.all(H[:, 2:, :] == 0.0) and np.all(H[:, :, 2:] == 0.0)
-    assert np.array_equal(f.hessian(pts[5]), H[5])
+    assert np.array_equal(f.hessian(pts[5]), Hu[5])
 
 
 def test_z1_arc_invalid_arc():
@@ -477,6 +483,48 @@ def test_z1_arc_invalid_arc():
 # ---------------------------------------------------------------------------
 # linear combinations
 # ---------------------------------------------------------------------------
+def _every_family():
+    cut = hams.smooth_cutoff_profile(0.3, 0.9)
+    radial = hams.radial_invariant(hams.poly_profile([0.0, 0.5, 1.0]))
+    hopf = hams.hopf_invariant_quadratic([1.0, 0.2, -0.4, 0.6], profile=cut)
+    return {
+        "bump": hams.interior_bump(np.array([0.2, 0.1, -0.1, 0.0]), 0.5, 1.3),
+        "radial": radial,
+        "hopf": hopf,
+        "hopf-constant": hams.hopf_invariant_quadratic([0.3, -1.0, 0.5, 0.2]),
+        "wave": hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.75, 0.92)),
+        "z1-arc": hams.z1_arc_hamiltonian(0.45, 0.35),
+        "combine": hams.combine([2.0, -0.5], [hopf, radial]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bump", "radial", "hopf", "hopf-constant",
+                                  "wave", "z1-arc", "combine"])
+def test_packed_hessian_matches_differences_of_gradient(rng, kind):
+    f = _every_family()[kind]
+    pts = (_z1_arc_points(rng) if kind == "z1-arc"
+           else rng.normal(size=(200, 4)) * 0.4)
+    Hu = f.hessian(pts)
+    assert Hu.shape == (len(pts), 10)
+    H = hams.unpack_hessian(Hu)
+    fd = centred_differences(f.gradient, pts, 1e-6)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+    # a single point stays single
+    assert np.array_equal(f.hessian(pts[7]), Hu[7])
+    # the packed Frobenius norm counts each off-diagonal entry twice
+    assert np.allclose(np.sqrt((Hu * Hu) @ hams.UPPER_WEIGHTS),
+                       np.linalg.norm(H, axis=(-2, -1)), rtol=1e-14, atol=0.0)
+
+
+def test_unpack_hessian_is_symmetric_and_inverts_packing(rng):
+    A = rng.normal(size=(3, 5, 4, 4))
+    sym = A + np.swapaxes(A, -1, -2)
+    packed = sym[..., hams.UPPER_I, hams.UPPER_J]
+    assert packed.shape == (3, 5, 10)
+    assert np.array_equal(hams.unpack_hessian(packed), sym)
+    assert np.array_equal(hams.unpack_hessian(packed[0, 0]), sym[0, 0])
+
+
 def test_combine(rng):
     f1 = hams.hopf_invariant_quadratic([1, 0, 0, 0])
     f2 = hams.hopf_invariant_quadratic([0, 0, 1, 0])

@@ -358,6 +358,22 @@ def test_weak_divergence_bitwise_matches_add_at(mesh_cache, rng, size):
                        (real, [((0.3, -0.2), 0.25)])]:
         got = msh.weak_divergence_residual(m, w, exclude)
         assert got == _add_at_weak_divergence_residual(m, w, exclude)
+    # a stack of fields shares one test set and reports its worst field
+    stack = np.stack([cplx, 1j * cplx[:, ::-1], sw + 0j], axis=-1)
+    for exclude in [(), ball]:
+        assert msh.weak_divergence_residual(m, stack, exclude) == max(
+            _add_at_weak_divergence_residual(m, stack[..., k], exclude)
+            for k in range(3))
+
+
+@pytest.mark.parametrize("size", [(2, 8), (24, 96), (48, 192)])
+def test_centroid_average_bitwise_matches_mean(mesh_cache, rng, size):
+    m = mesh_cache(*size)
+    n = len(m.nodes)
+    for v in (rng.normal(size=(n, 4)), rng.normal(size=n),
+              np.exp(1j * rng.uniform(0, 2 * np.pi, n))):
+        want = v[m.triangles].mean(axis=1)
+        assert np.array_equal(msh.interpolate_at_centroids(m, v), want)
 
 
 def test_weak_divergence_empty_test_set(mesh_cache):

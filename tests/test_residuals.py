@@ -301,7 +301,7 @@ def test_stationarity_inadmissible(mesh_cache, rng):
         value=lambda z: np.asarray(z)[..., 0],
         gradient=lambda z: np.broadcast_to(
             np.array([1.0, 0, 0, 0]), np.asarray(z).shape).copy(),
-        hessian=lambda z: np.zeros(np.asarray(z).shape[:-1] + (4, 4)),
+        hessian=lambda z: np.zeros(np.asarray(z).shape[:-1] + (10,)),
         admissibility_tag=("boundary_tangent", None),
         boundary_samples=sphere, name="x1")
     assert hams.admissibility_residual(lin, BALL, sphere) > 0.1
@@ -347,7 +347,7 @@ def _unblocked_stationarity_integral(u, f, subdomain=None):
     m = sub.contains(mesh.centroids)
     grad = element_gradient(mesh, u.values)
     u_c = interpolate_at_centroids(mesh, u.values)
-    H = f.hessian(u_c[m])
+    H = hams.unpack_hessian(f.hessian(u_c[m]))
     total = 0.0
     for k in range(2):
         e = grad[m, k, :]
@@ -380,7 +380,7 @@ def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
     for f in fs:
         res._check_admissible(f, domain, wall_pts, wall_normals)
         res._check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
-        H = f.hessian(u_c[m])
+        H = hams.unpack_hessian(f.hessian(u_c[m]))
         total = 0.0
         for k in range(2):
             e = grad[m, k, :]
@@ -397,7 +397,8 @@ def _integral_rounding_scale(u, f, subdomain):
     mesh = u.mesh
     m = subdomain.contains(mesh.centroids)
     grad = element_gradient(mesh, u.values)[m]
-    H = f.hessian(interpolate_at_centroids(mesh, u.values)[m])
+    H = hams.unpack_hessian(
+        f.hessian(interpolate_at_centroids(mesh, u.values)[m]))
     h_norm = np.sqrt(np.sum(H * H, axis=(-2, -1)))
     energy = alg.inner(grad[:, 0], grad[:, 0]) + alg.inner(grad[:, 1], grad[:, 1])
     return float(np.sum(mesh.areas[m] * h_norm * energy))
@@ -441,6 +442,31 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
         assert clear
         assert abs(res.stationarity_test(u, domain, clear, sub)
                    - _unblocked_stationarity_test(u, domain, clear, sub)) <= 1e-12
+
+
+def _full_matrix_terms(u_c, S, f):
+    """Reference: ``_stationarity_terms`` with the (T, 4, 4) Hessian and the
+    frame tensor as a full symmetric matrix (its doubled off-diagonal
+    entries halved), contracted over all 16 entries."""
+    H = hams.unpack_hessian(f.hessian(u_c))
+    S_full = hams.unpack_hessian(S / hams.UPPER_WEIGHTS)
+    integrand = np.einsum("tij,tij->t", H, S_full)
+    h_norm = np.sqrt(np.sum(H * H, axis=(-2, -1)))
+    return integrand, float(np.max(h_norm))
+
+
+@pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
+def test_stationarity_terms_match_full_matrix_contraction(mesh_cache, batch):
+    u, domain, fs = _stationarity_case(mesh_cache, batch)
+    for sub in (res.FullDisc(), res.HalfPlane(0.0)):
+        u_c, S, grad_sq = res._frame_tensor(u, sub.contains(u.mesh.centroids))
+        for f in fs:
+            total, h_inf = res._stationarity_terms(u_c, S, f)
+            integrand, ref_h_inf = _full_matrix_terms(u_c, S, f)
+            assert abs(h_inf - ref_h_inf) <= 1e-15 * ref_h_inf
+            # normalized as stationarity_test normalizes the integral
+            assert abs(total - float(np.sum(integrand))) <= \
+                1e-14 * (ref_h_inf * grad_sq + alg.EPS)
 
 
 @pytest.mark.parametrize("batch", ["ball_mixed", "curve_report"])
