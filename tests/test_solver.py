@@ -211,12 +211,13 @@ def test_minimize_counts_two_element_gradient_passes_per_trial(
     assert len(calls) == sum(2 * s["energy_evals"] - 1 for s in stages) + fd_calls
 
 
-def _trace_minimize(monkeypatch, start, cfg):
-    """Run :func:`sol.minimize` recording every energy state it builds,
-    with its map and the last ``element_gradient`` input before it (for a
-    trial, its search direction).  Returns the history and, per history
-    row, the record of the state that row reports."""
-    records, inputs = [], []
+def _trace_minimize(monkeypatch, start, cfg, records=None):
+    """Run :func:`sol.minimize` recording, in ``records``, every energy
+    state it builds, with its map and the last ``element_gradient`` input
+    before it (for a trial, its search direction).  Returns the history
+    and, per history row, the record of the state that row reports."""
+    records = [] if records is None else records
+    inputs = []
     element_gradient_ = sol.element_gradient
     energy_state = sol._energy_state
 
@@ -239,28 +240,47 @@ def _trace_minimize(monkeypatch, start, cfg):
     return hist, rows
 
 
+def _tangential_odd(u, field):
+    """The projection ``minimize`` applies to gradients and directions."""
+    field = sol._tangential(BALL, u.values, field, u.mesh.is_boundary)
+    return 0.5 * (field - field[u.mesh.antipodal])
+
+
 def _projected_gradient(u, st, lam1, lam2):
-    b = u.mesh.is_boundary
-    G = sol._tangential(BALL, u.values,
-                        sol._energy_gradient(u, BALL, lam1, lam2, st), b)
-    return 0.5 * (G - G[u.mesh.antipodal])
+    return _tangential_odd(u, sol._energy_gradient(u, BALL, lam1, lam2, st))
 
 
-def test_every_accepted_step_descends_or_meets_the_derivative_condition(
-        mesh_cache, monkeypatch):
-    """Every third line search overshoots its quartic minimizer 2.5-fold,
-    which raises the energy, so the rule has trials to reject as well."""
-    start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(3))
-    quartic_step = sol._quartic_step
-    calls = []
+def _check_steps_descend_or_meet_the_derivative_condition(start, monkeypatch):
+    """Every third CG trial overshoots its quartic minimizer 2.5-fold, which
+    raises the energy, so the rule has trials to reject as well.  Trials
+    along the steepest direction -z (a stage's first trial and every
+    restart) are left alone: they have no fallback, so a rejected one ends
+    the stage, while a rejected CG trial is retried along -z.  The steepest
+    direction is rebuilt from the iteration's preconditioner solve."""
+    splu, quartic_step = sol.spla.splu, sol._quartic_step
+    solves, records, cg_trials = [], [], []
 
-    def overshooting(*args):
-        calls.append(1)
-        alpha = quartic_step(*args)
-        return alpha if alpha is None or len(calls) % 3 else 2.5 * alpha
+    class RecordedFactor:
+        def __init__(self, factor):
+            self._factor = factor
 
+        def solve(self, rhs):
+            solves.append(self._factor.solve(rhs))
+            return solves[-1]
+
+    def overshooting(mesh, st, d, lam1):
+        alpha = quartic_step(mesh, st, d, lam1)
+        u = next(r[0] for r in reversed(records) if r[1] is st)
+        if alpha is None or np.array_equal(d, -_tangential_odd(u, solves[-1])):
+            return alpha
+        cg_trials.append(1)
+        return alpha if len(cg_trials) % 3 else 2.5 * alpha
+
+    monkeypatch.setattr(sol.spla, "splu",
+                        lambda *a, **k: RecordedFactor(splu(*a, **k)))
     monkeypatch.setattr(sol, "_quartic_step", overshooting)
-    hist, rows = _trace_minimize(monkeypatch, start, small_cfg(grad_tol=1e-10))
+    hist, rows = _trace_minimize(monkeypatch, start, small_cfg(grad_tol=1e-10),
+                                 records)
     assert all(s["reason"] == "converged" for s in hist["stages"])
     assert sum(s["restarts"] for s in hist["stages"]) > 0    # -z retries
     a = start.mesh.areas
@@ -283,6 +303,12 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
         k += stage["iters"]
     assert k == len(rows)
     assert by_slope > 0     # grad_tol lies below the energy's rounding floor
+
+
+def test_every_accepted_step_descends_or_meets_the_derivative_condition(
+        mesh_cache, monkeypatch):
+    start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(3))
+    _check_steps_descend_or_meet_the_derivative_condition(start, monkeypatch)
 
 
 def test_stage_that_cannot_descend_ends_on_line_search(mesh_cache, rng,
