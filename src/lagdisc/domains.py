@@ -207,7 +207,7 @@ def unit_ball():
     """The unit ball: F(z) = |z|^2 - 1, normal z/|z| on the 3-sphere."""
     def F(z):
         z = np.asarray(z, float)
-        return np.sum(z * z, axis=-1) - 1.0
+        return algebra.inner(z, z) - 1.0
 
     def gradF(z):
         return 2.0 * np.asarray(z, float)

@@ -218,7 +218,7 @@ def interior_bump(center, radius, amplitude=1.0):
 
     def _s(z):
         d = np.asarray(z, float) - center
-        return np.sum(d * d, axis=-1) / R2, d
+        return inner(d, d) / R2, d
 
     def value(z):
         s, _ = _s(z)
@@ -261,12 +261,12 @@ def _profiled(P, c=None):
 
     def value(z):
         z = np.asarray(z, float)
-        v = P.f(np.sum(z * z, axis=-1))
+        v = P.f(inner(z, z))
         return v if c is None else v * _quad_eval(z, c)[0]
 
     def gradient(z):
         z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
+        s = inner(z, z)
         g = P.d1(s)[..., None] * 2.0 * z
         if c is None:
             return g
@@ -275,7 +275,7 @@ def _profiled(P, c=None):
 
     def hessian(z):
         z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
+        s = inner(z, z)
         Q, gQ = (1.0, None) if c is None else _quad_eval(z, c)
         d1 = 2.0 * P.d1(s)
         H = _add_identity((4.0 * P.d2(s) * Q)[..., None] * _outer(z, z), d1 * Q)
@@ -371,19 +371,19 @@ def windowed_wave(k, profile, axis=0, name=None):
 
     def value(z):
         z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
+        s = inner(z, z)
         return np.sin(k * z[..., axis]) / k * P.f(s)
 
     def gradient(z):
         z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
+        s = inner(z, z)
         g = 2.0 * P.d1(s)[..., None] * z * (np.sin(k * z[..., axis]) / k)[..., None]
         g[..., axis] += np.cos(k * z[..., axis]) * P.f(s)
         return g
 
     def hessian(z):
         z = np.asarray(z, float)
-        s = np.sum(z * z, axis=-1)
+        s = inner(z, z)
         sin_ = np.sin(k * z[..., axis]) / k
         cos_ = np.cos(k * z[..., axis])
         d1 = 2.0 * P.d1(s)

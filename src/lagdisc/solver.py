@@ -13,8 +13,16 @@ translated-disc valley of the discrete energy.
 The energy gradient is ``K u`` plus ``D^T`` products of the mesh's sparse
 operators.  The descent is Polak-Ribiere+ conjugate gradients,
 preconditioned componentwise by the P1 stiffness-plus-lumped-mass
-operator, factored once per :func:`minimize` call and solved for all four
-components at once; it is equivariant under the unitary group.
+operator K+M, factored once per :func:`minimize` call and solved for all
+four components at once; it is equivariant under the unitary group.  K+M
+is symmetric positive definite, so SuperLU factors it in symmetric mode:
+minimum-degree ordering on A+A^T and the diagonal as pivots, with no
+pivoting search.
+
+Hamiltonian flows compute their energy, Lagrangian and boundary
+diagnostics only for the state they return:
+:func:`perturb_by_hamiltonian_flows` composes many steps and reports the
+last map alone.
 
 Each energy evaluation makes one ``element_gradient`` pass and keeps the
 per-element state (frames, symplectic density, |grad u|^2, boundary
@@ -79,11 +87,13 @@ class SolverConfig:
         if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
                 or self.max_iters < 1):
             raise ValueError("max_iters must be a positive integer")
-        if not self.continuation or any(lam <= 0 for stage in self.continuation
-                                        for lam in stage):
-            raise ValueError("continuation needs stages with positive penalties")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        # NaN fails every comparison, so each bound is stated as what holds
+        if not self.continuation or not all(0 < lam < np.inf
+                                            for stage in self.continuation
+                                            for lam in stage):
+            raise ValueError("continuation needs stages with positive finite penalties")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass
@@ -264,6 +274,12 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     0.9 phi'(0) <= phi'(alpha) <= -0.8 phi'(0) (Hager and Zhang).  A
     rejected CG direction is retried once along -z.
 
+    The factor is SuperLU's in symmetric mode (``SymmetricMode``, MMD
+    ordering on A+A^T, ``diag_pivot_thresh=0``): K+M is symmetric positive
+    definite, so its diagonal pivots are stable, and the symmetric ordering
+    keeps the fill well below that of the default COLAMD ordering with
+    partial pivoting.
+
     Energy does not rise within a stage by more than ulp(E) per step, and
     a stage ends on its last state.  Each ``history["stages"]`` entry
     records the penalties, the ``"iters"``, the ``"reason"`` it ended
@@ -293,7 +309,9 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     history = {"rows": [], "stages": []}
     _fd_gradient_check(u, domain, *cfg.continuation[0])
 
-    factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc())
+    factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     for lam1, lam2 in cfg.continuation:
         reason = "max_iters"
         st = _energy_state(u, domain, lam1, lam2)    # lam changes E
@@ -353,6 +371,35 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 # --------------------------------------------------------------------------
 # Hamiltonian flows
 # --------------------------------------------------------------------------
+def _flow_step(mesh, vals, f, dt, domain):
+    """The nodal values after one midpoint (RK2) step of du/dt = I grad
+    f(u) from ``vals``, with the boundary nodes reprojected."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    def V(y):
+        return apply_I(f.gradient(y))
+
+    mid = vals + 0.5 * dt * V(vals)
+    return _project_boundary(domain, vals + dt * V(mid), mesh.is_boundary)
+
+
+def _flow_state(u: DiscreteMap, vals, t, domain):
+    """The flowed map with nodal values ``vals`` at time ``t``, with its
+    energy, Lagrangian and boundary diagnostics."""
+    mesh = u.mesh
+    grad = element_gradient(mesh, vals)
+    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
+    e2 = 0.5 * (inner(e_x, e_x) + inner(e_y, e_y))
+    diag = {
+        "energy": 0.5 * float(np.sum(mesh.areas * 2.0 * e2)),
+        "lagrangian": float(np.max(np.abs(symplectic(e_x, e_y)) / (e2 + EPS))),
+        "boundary_violation": float(np.max(np.abs(domain.F(vals[mesh.is_boundary])))),
+    }
+    return FlowState(u=replace(u, values=vals, exact_frames=None, source=None),
+                     t=t, diagnostics=diag)
+
+
 def hamiltonian_flow_step(state: FlowState, f, dt, domain):
     """One midpoint (RK2) step of du/dt = I grad f(u), then reprojection.
 
@@ -360,29 +407,9 @@ def hamiltonian_flow_step(state: FlowState, f, dt, domain):
     per-step defect of the discrete step is third order in dt (and zero
     to rounding for complex-linear generator fields).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     u = state.u
-    vals = u.values
-
-    def V(y):
-        return apply_I(f.gradient(y))
-
-    mid = vals + 0.5 * dt * V(vals)
-    new = vals + dt * V(mid)
-    b = u.mesh.is_boundary
-    new = _project_boundary(domain, new, b)
-
-    grad = element_gradient(u.mesh, new)
-    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
-    e2 = 0.5 * (inner(e_x, e_x) + inner(e_y, e_y))
-    diag = {
-        "energy": 0.5 * float(np.sum(u.mesh.areas * 2.0 * e2)),
-        "lagrangian": float(np.max(np.abs(symplectic(e_x, e_y)) / (e2 + EPS))),
-        "boundary_violation": float(np.max(np.abs(domain.F(new[b])))),
-    }
-    return FlowState(u=replace(u, values=new, exact_frames=None, source=None),
-                     t=state.t + dt, diagnostics=diag)
+    return _flow_state(u, _flow_step(u.mesh, u.values, f, dt, domain),
+                       state.t + dt, domain)
 
 
 def flow_frame_step(z, frame, f, dt, method="rk4"):
@@ -447,13 +474,17 @@ def random_sphere_tangent_hamiltonians(rng, domain, count=3):
 
 
 def perturb_by_hamiltonian_flows(u: DiscreteMap, fs, times, domain, n_sub=8):
-    """Compose Hamiltonian flows (RK2 + projection); returns the final state."""
-    state = FlowState(u=replace(u, exact_frames=None, source=None))
+    """Compose Hamiltonian flows, ``n_sub`` steps of
+    :func:`hamiltonian_flow_step` each; returns the final state.  Its
+    diagnostics are those of the final map only: the steps before it
+    compute none."""
+    vals, t = u.values, 0.0
     for f, t_total in zip(fs, times):
         dt = t_total / n_sub
         for _ in range(n_sub):
-            state = hamiltonian_flow_step(state, f, dt, domain)
-    return state
+            vals = _flow_step(u.mesh, vals, f, dt, domain)
+            t += dt
+    return _flow_state(u, vals, t, domain)
 
 
 def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12,
@@ -571,8 +602,8 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
     report carries the measured Lagrangian drift and never claims PASS.
     """
     from .domains import unit_ball
-    if eps > 0.1:
-        raise ValueError("perturbation amplitude must satisfy eps <= 0.1")
+    if not 0.0 <= eps <= 0.1:
+        raise ValueError("perturbation amplitude must satisfy 0 <= eps <= 0.1")
     domain = domain or unit_ball()
     cfg = cfg or SolverConfig()
     if not lagrangian_penalty_on:

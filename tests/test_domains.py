@@ -19,6 +19,13 @@ def test_ball_normals():
     assert ball.F(np.array([0.5, 0, 0, 0])) == pytest.approx(-0.75)
 
 
+def test_ball_constraint_bitwise_matches_axis_sum(rng):
+    z = rng.normal(size=(4096, 4))
+    F = dom.unit_ball().F(z)
+    assert np.array_equal(F, np.sum(z * z, axis=-1) - 1.0)
+    assert F.shape == (4096,)
+
+
 def test_ball_normal_at_requires_boundary():
     ball = dom.unit_ball()
     with pytest.raises(dom.NotOnBoundary):

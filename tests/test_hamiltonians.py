@@ -516,6 +516,22 @@ def test_packed_hessian_matches_differences_of_gradient(rng, kind):
                        np.linalg.norm(H, axis=(-2, -1)), rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", ["bump", "radial", "hopf", "hopf-constant",
+                                  "wave", "z1-arc", "combine"])
+def test_squared_norms_bitwise_match_axis_sum(rng, monkeypatch, kind):
+    """Every |z|^2 and |z - c|^2 is ``inner(z, z)``, which adds in the order
+    of ``np.sum(z * z, axis=-1)``: values, gradients and packed Hessians are
+    bitwise those of the axis sum."""
+    f = _every_family()[kind]
+    pts = (_z1_arc_points(rng) if kind == "z1-arc"
+           else rng.normal(size=(4096, 4)) * 0.4)
+    got = [fn(pts) for fn in (f.value, f.gradient, f.hessian)]
+    monkeypatch.setattr(hams, "inner", lambda a, b: np.sum(a * b, axis=-1))
+    want = [fn(pts) for fn in (f.value, f.gradient, f.hessian)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_unpack_hessian_is_symmetric_and_inverts_packing(rng):
     A = rng.normal(size=(3, 5, 4, 4))
     sym = A + np.swapaxes(A, -1, -2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 
 from lagdisc import domains as dom
@@ -160,6 +161,43 @@ def test_minimize_rejects_start_that_is_not_odd(mesh_cache):
         sol.minimize(u0, BALL, small_cfg())
 
 
+def _minimize_factor(monkeypatch, mesh):
+    """The matrix that :func:`sol.minimize` factors on ``mesh`` and its
+    factor, captured from the ``splu`` call, with splu's default factor of
+    the same matrix."""
+    splu, built = sol.spla.splu, []
+
+    def capturing(A, *args, **kwargs):
+        built.append((A, splu(A, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(sol.spla, "splu", capturing)
+    sol.minimize(fam.sample(fam.flat_disc(np.eye(2)), mesh), BALL,
+                 small_cfg(max_iters=1))
+    monkeypatch.undo()
+    (A, factor), = built
+    return A, factor, splu(A)
+
+
+@pytest.mark.parametrize("size", [(8, 32, 1.0), (12, 48, 0.5), (48, 192, 1.0)])
+def test_preconditioner_factor_solves_stiffness_plus_mass(mesh_cache, monkeypatch,
+                                                          rng, size):
+    m = mesh_cache(*size)
+    A, factor, _ = _minimize_factor(monkeypatch, m)
+    assert (A != m.stiffness + sp.diags(m.lumped_mass)).nnz == 0
+    b = rng.normal(size=(A.shape[0], 4))
+    x = factor.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_preconditioner_factor_has_symmetric_fill(mesh_cache, monkeypatch):
+    """K+M is SPD: a symmetric ordering with diagonal pivots keeps well
+    under half the fill of splu's default COLAMD with partial pivoting
+    (0.40M against 1.02M nonzeros at 48x192)."""
+    _, factor, default = _minimize_factor(monkeypatch, mesh_cache(48, 192))
+    assert factor.L.nnz + factor.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
+
+
 def _perturbed_start(m, rng, eps=0.05):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     fs = sol.random_sphere_tangent_hamiltonians(rng, BALL, count=3)
@@ -250,13 +288,15 @@ def _projected_gradient(u, st, lam1, lam2):
     return _tangential_odd(u, sol._energy_gradient(u, BALL, lam1, lam2, st))
 
 
-def _check_steps_descend_or_meet_the_derivative_condition(start, monkeypatch):
+def test_every_accepted_step_descends_or_meets_the_derivative_condition(
+        mesh_cache, monkeypatch):
     """Every third CG trial overshoots its quartic minimizer 2.5-fold, which
     raises the energy, so the rule has trials to reject as well.  Trials
     along the steepest direction -z (a stage's first trial and every
     restart) are left alone: they have no fallback, so a rejected one ends
     the stage, while a rejected CG trial is retried along -z.  The steepest
     direction is rebuilt from the iteration's preconditioner solve."""
+    start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(3))
     splu, quartic_step = sol.spla.splu, sol._quartic_step
     solves, records, cg_trials = [], [], []
 
@@ -303,12 +343,6 @@ def _check_steps_descend_or_meet_the_derivative_condition(start, monkeypatch):
         k += stage["iters"]
     assert k == len(rows)
     assert by_slope > 0     # grad_tol lies below the energy's rounding floor
-
-
-def test_every_accepted_step_descends_or_meets_the_derivative_condition(
-        mesh_cache, monkeypatch):
-    start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(3))
-    _check_steps_descend_or_meet_the_derivative_condition(start, monkeypatch)
 
 
 def test_stage_that_cannot_descend_ends_on_line_search(mesh_cache, rng,
@@ -441,6 +475,31 @@ def test_flow_rejects_bad_dt(mesh_cache):
         sol.hamiltonian_flow_step(sol.FlowState(u=u), f, -1e-2, BALL)
 
 
+def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
+                                                         monkeypatch):
+    """The composed flow equals stepping with hamiltonian_flow_step, and
+    computes diagnostics only for the state it returns: one
+    ``element_gradient`` pass."""
+    u0 = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
+    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL, count=3)
+    times = [0.01, 0.02, 0.015]
+    want = sol.FlowState(u=u0)
+    for f, t in zip(fs, times):
+        for _ in range(4):
+            want = sol.hamiltonian_flow_step(want, f, t / 4, BALL)
+    calls = []
+
+    def counted(mesh, values):
+        calls.append(1)
+        return element_gradient(mesh, values)
+
+    monkeypatch.setattr(sol, "element_gradient", counted)
+    got = sol.perturb_by_hamiltonian_flows(u0, fs, times, BALL, n_sub=4)
+    assert len(calls) == 1
+    assert np.array_equal(got.u.values, want.u.values)
+    assert got.t == want.t and got.diagnostics == want.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # flat-disc distance
 # ---------------------------------------------------------------------------
@@ -533,11 +592,28 @@ def test_rigidity_rejects_large_eps(mesh_cache):
         sol.rigidity_experiment(seed=1, eps=0.5, mesh=mesh_cache(4, 16))
 
 
+@pytest.mark.parametrize("eps", [-0.01, float("nan")])
+def test_rigidity_rejects_negative_or_nan_eps(mesh_cache, eps):
+    # both ran the experiment unperturbed
+    with pytest.raises(ValueError, match="eps"):
+        sol.rigidity_experiment(seed=1, eps=eps, mesh=mesh_cache(4, 16))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         sol.SolverConfig(continuation=[(-1.0, 100.0)])
     with pytest.raises(ValueError):
         sol.SolverConfig(grad_tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_parameters(bad):
+    # a NaN grad_tol ran every stage to max_iters
+    with pytest.raises(ValueError, match="grad_tol"):
+        sol.SolverConfig(grad_tol=bad)
+    for stage in [(bad, 1.0), (10.0, bad)]:
+        with pytest.raises(ValueError, match="continuation"):
+            sol.SolverConfig(continuation=[(10.0, 1e2), stage])
 
 
 @pytest.mark.parametrize("max_iters", [0, 2.5, True])

@@ -56,10 +56,11 @@ def test_span_recorder_installs_and_uninstalls():
     assert totals["domains.curve.normal_at"]["points"] == 37
 
 
-def test_recorder_times_the_solver_layers():
+def test_recorder_times_the_solver_layers(monkeypatch):
     """The preconditioner factor must come from ``solver.spla`` and the
     gradients from ``solver.element_gradient``, or their per-layer metrics
-    silently read 0."""
+    silently read 0.  The recorder's ``splu`` must also forward the
+    factor's options, or the timed solves are those of another factor."""
     from dataclasses import replace
 
     from lagdisc import solver as sol
@@ -68,6 +69,13 @@ def test_recorder_times_the_solver_layers():
     noise = 0.01 * np.random.default_rng(0).normal(size=u0.values.shape)
     noise -= noise[u0.mesh.antipodal]        # minimize takes odd maps only
     u = replace(u0, values=u0.values + noise, exact_frames=None, source=None)
+    splu, built = sol.spla.splu, []
+
+    def capturing(A, *args, **kwargs):
+        built.append((A, splu(A, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(sol.spla, "splu", capturing)
     rec = _load_spans().Recorder()
     try:
         rec.install()
@@ -77,6 +85,11 @@ def test_recorder_times_the_solver_layers():
     totals = rec.totals()
     assert totals["solver.precond_solve"]["calls"] >= 1
     assert totals["mesh.element_gradient"]["calls"] >= 1
+    # the symmetric factor minimize asks for: 2276 nonzeros at 6x24,
+    # against 4500 for splu's defaults
+    (A, factor), = built
+    default = splu(A)
+    assert factor.L.nnz + factor.U.nnz <= 0.55 * (default.L.nnz + default.U.nnz)
 
 
 def test_every_public_name_resolves():
