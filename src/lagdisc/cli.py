@@ -82,8 +82,6 @@ class RunConfig:
                               "and S >= 8")
         if not (_is_real(G) and 0.2 <= G <= 1.0):
             raise ConfigError("mesh: G must be a number in [0.2, 1]")
-        if self.command == "rigidity" and S % 4:
-            raise ConfigError("mesh: rigidity needs S % 4 == 0 (odd maps)")
         if not (_is_int(self.refinements) and self.refinements >= 1):
             raise ConfigError("refinements: must be an integer >= 1")
         if (self.command in ("verify-example", "stationarity")

@@ -157,26 +157,6 @@ class DiscMesh:
         return np.bincount(be.ravel(), np.repeat(0.5 * L, 2),
                            minlength=len(self.nodes))
 
-    @cached_property
-    def antipodal(self):
-        """(N,) half-turn node permutation sigma, node(k, j) -> node(k, j + S/2),
-        so ``nodes[sigma] = -nodes``; a nodal map u is odd if ``u[sigma] = -u``.
-
-        Raises :class:`InvalidParameter` unless the mesh is polar and sigma
-        maps its triangles onto themselves (``n_sectors % 4 == 0`` here).
-        """
-        if self.polar_info is None:
-            raise InvalidParameter("antipodal requires a structured polar mesh")
-        n_s = self.polar_info["n_sectors"]
-        ring, j = np.divmod(np.arange(len(self.nodes)) - 1, n_s)
-        sigma = np.where(ring < 0, 0, 1 + ring * n_s + (j + n_s // 2) % n_s)
-        tri_set = [np.unique(np.sort(t, axis=1), axis=0)
-                   for t in (self.triangles, sigma[self.triangles])]
-        if not np.array_equal(*tri_set):
-            raise InvalidParameter("the triangulation is not invariant under "
-                                   "the half turn (need n_sectors % 4 == 0)")
-        return sigma
-
     @property
     def node_r(self):
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])

@@ -6,9 +6,8 @@ penalty keeping boundary nodes on the constraint hypersurface; boundary
 nodes are additionally reprojected after every trial step, and the
 termination gradient has its boundary-normal component removed, so flat
 equatorial discs are exact critical points of the discrete scheme.  The
-descent runs over centrally odd maps, u(-x) = -u(x); on the unit ball this
-is exact, not a heuristic (see :func:`minimize`), and it removes the even
-translated-disc valley of the discrete energy.
+descent holds the lumped-mass barycentre at 0 (see :func:`minimize`),
+which removes the translated-disc valley of the energy.
 
 The energy gradient is ``K u`` plus ``D^T`` products of the mesh's sparse
 operators.  The descent is Polak-Ribiere+ conjugate gradients,
@@ -140,6 +139,14 @@ def _energy_state(u: DiscreteMap, domain, lam1, lam2):
     return _EnergyState(E, grad, q, grad_sq, Fb)
 
 
+def _diagnostics(st: _EnergyState):
+    """The energy, the largest Lagrangian defect |u*omega| / (|grad u|^2/2)
+    and the largest boundary violation |F| of the map of ``st``."""
+    return {"E": st.E,
+            "lagrangian": float(np.max(np.abs(st.q) / (0.5 * st.grad_sq + EPS))),
+            "boundary_violation": float(np.max(np.abs(st.Fb)))}
+
+
 def _energy_gradient(u: DiscreteMap, domain, lam1, lam2, st: _EnergyState):
     """The nodal gradient of the energy at ``u``, from its state ``st``.
 
@@ -251,18 +258,29 @@ def _energy_change(mesh, st: _EnergyState, new: _EnergyState, lam1, lam2):
 
 
 def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
-    """Preconditioned Polak-Ribiere+ conjugate gradients over centrally odd
-    maps, with an exact line search on the energy's quartic restriction.
+    """Preconditioned Polak-Ribiere+ conjugate gradients under a zero
+    barycentre constraint, with an exact line search on the energy's quartic
+    restriction.
 
-    The start must be odd under the mesh's half turn sigma
-    (:attr:`DiscMesh.antipodal`) to 1e-12, else ``ValueError``.  Gradients
-    and directions are the odd parts of the boundary-tangential ones; on a
-    domain with F(-z) = F(z) the gradient at an odd map is odd, so this
-    drops only rounding noise.
+    The constraint is sum_i m_i u_i = 0, with m the lumped mass
+    (:attr:`DiscMesh.lumped_mass`).  Without it the descent slides the disc
+    along the translations normal to its plane, which lower its area, and
+    collapses it to a point of the sphere.  The start is centred,
+    u - (m.u)/sum(m), before its boundary nodes are projected; the
+    projection moves the barycentre by about the boundary's share of the
+    mass times the offset, and a shift of the interior nodes alone removes
+    that remainder.  After their boundary-normal parts are removed,
+    gradients are projected as G - m sum(G)/sum(m), which annihilates the
+    translations and zeroes a multiplier gradient mu m, and directions as
+    d - (m.d)/sum(m), so that a trial moves the barycentre only by its
+    boundary reprojection.  Because (K+M) 1 = m, the preconditioner solve
+    of a projected gradient has zero weighted mean already, so on a map
+    whose barycentre vanishes by symmetry the constraint drops only
+    rounding.
 
     Each iteration preconditions the projected gradient Gp by the K+M
-    factor, z = odd(tangential(factor.solve(Gp))), and steps along
-    d = odd(tangential(-z + beta d_prev)) with the Polak-Ribiere+ weight
+    factor, z = P(factor.solve(Gp)) with P the direction projection, and
+    steps along d = P(-z + beta d_prev) with the Polak-Ribiere+ weight
     beta = max(0, <z, Gp - Gp_prev> / <z_prev, Gp_prev>); a stage starts
     along -z, and so does every iteration whose d is not a descent
     direction.  The step length is the positive minimizer of the quartic
@@ -293,50 +311,52 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     """
     mesh = u0.mesh
     b = mesh.is_boundary
-    sigma = mesh.antipodal
+    m = mesh.lumped_mass
+    mass = float(np.sum(m))
 
-    def project(values, field):
-        field = _tangential(domain, values, field, b)
-        return 0.5 * (field - field[sigma])
+    def project_gradient(values, G):
+        G = _tangential(domain, values, G, b)
+        return G - np.outer(m, np.sum(G, axis=0) / mass)
 
-    if np.any(np.abs(np.asarray(domain.F(u0.values[b]))) > 0.5):
+    def project_direction(values, d):
+        d = _tangential(domain, values, d, b)
+        return d - (m @ d) / mass
+
+    centred = u0.values - (m @ u0.values) / mass
+    if np.any(np.abs(np.asarray(domain.F(centred[b]))) > 0.5):
         raise ValueError("boundary nodes outside the projection tube")
-    if np.max(np.abs(u0.values + u0.values[sigma])) > 1e-12:
-        raise ValueError("start is not centrally odd: u[sigma] != -u")
-    u = replace(u0, values=_project_boundary(domain, u0.values, b),
-                exact_frames=None, source=None)
+    vals = _project_boundary(domain, centred, b)
+    vals[~b] -= (m @ vals) / float(np.sum(m[~b]))
+    u = replace(u0, values=vals, exact_frames=None, source=None)
 
     history = {"rows": [], "stages": []}
     _fd_gradient_check(u, domain, *cfg.continuation[0])
 
-    factor = spla.splu((mesh.stiffness + sp.diags(mesh.lumped_mass)).tocsc(),
+    factor = spla.splu((mesh.stiffness + sp.diags(m)).tocsc(),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     for lam1, lam2 in cfg.continuation:
         reason = "max_iters"
         st = _energy_state(u, domain, lam1, lam2)    # lam changes E
-        Gp = project(u.values, _energy_gradient(u, domain, lam1, lam2, st))
+        Gp = project_gradient(u.values, _energy_gradient(u, domain, lam1, lam2, st))
         evals, restarts = 1, 0
         d = None
         for it in range(cfg.max_iters):
             # st and Gp belong to u: the stage start or the accepted trial
             gnorm = float(np.sqrt(np.sum(Gp * Gp)))
-            history["rows"].append({
-                "iter": len(history["rows"]), "E": st.E, "grad_norm": gnorm,
-                "lagrangian": float(np.max(np.abs(st.q) / (0.5 * st.grad_sq + EPS))),
-                "boundary_violation": float(np.max(np.abs(st.Fb))),
-            })
+            history["rows"].append({"iter": len(history["rows"]),
+                                    "grad_norm": gnorm, **_diagnostics(st)})
             if gnorm <= cfg.grad_tol:
                 reason = "converged"
                 break
-            z = project(u.values, factor.solve(Gp))
+            z = project_direction(u.values, factor.solve(Gp))
             steepest = -z
             if d is None:
                 d = steepest
             else:
                 beta = max(0.0, float(np.sum(z * (Gp - Gp_prev)))
                            / float(np.sum(z_prev * Gp_prev)))
-                d = project(u.values, steepest + beta * d)
+                d = project_direction(u.values, steepest + beta * d)
                 if float(np.sum(Gp * d)) >= 0.0:
                     d = steepest
                     restarts += 1
@@ -352,7 +372,7 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
                 dE = _energy_change(mesh, st, st_trial, lam1, lam2)
                 if dE > np.spacing(st.E):
                     continue
-                Gp_trial = project(trial.values, _energy_gradient(
+                Gp_trial = project_gradient(trial.values, _energy_gradient(
                     trial, domain, lam1, lam2, st_trial))
                 slope0, slope = float(np.sum(Gp * d)), float(np.sum(Gp_trial * d))
                 if dE < 0.0 or 0.9 * slope0 <= slope <= -0.8 * slope0:
@@ -386,18 +406,10 @@ def _flow_step(mesh, vals, f, dt, domain):
 
 def _flow_state(u: DiscreteMap, vals, t, domain):
     """The flowed map with nodal values ``vals`` at time ``t``, with its
-    energy, Lagrangian and boundary diagnostics."""
-    mesh = u.mesh
-    grad = element_gradient(mesh, vals)
-    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
-    e2 = 0.5 * (inner(e_x, e_x) + inner(e_y, e_y))
-    diag = {
-        "energy": 0.5 * float(np.sum(mesh.areas * 2.0 * e2)),
-        "lagrangian": float(np.max(np.abs(symplectic(e_x, e_y)) / (e2 + EPS))),
-        "boundary_violation": float(np.max(np.abs(domain.F(vals[mesh.is_boundary])))),
-    }
-    return FlowState(u=replace(u, values=vals, exact_frames=None, source=None),
-                     t=t, diagnostics=diag)
+    unpenalized :func:`_diagnostics`."""
+    u = replace(u, values=vals, exact_frames=None, source=None)
+    return FlowState(u=u, t=t,
+                     diagnostics=_diagnostics(_energy_state(u, domain, 0.0, 0.0)))
 
 
 def hamiltonian_flow_step(state: FlowState, f, dt, domain):
@@ -449,10 +461,7 @@ def random_sphere_tangent_hamiltonians(rng, domain, count=3):
     """Seeded admissible generators tangent to the unit sphere.
 
     Drawn from the phase-invariant family (quadratics and radial
-    profiles).  These fields are odd under z -> -z, so flowing a
-    centrally symmetric disc keeps it centrally symmetric and the
-    experiment stays inside the symmetric stability basin of the flat
-    disc.
+    profiles), whose fields are odd under z -> -z.
     """
     out = []
     for k in range(count):
@@ -588,8 +597,8 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
     Returns ``(report, u_final, history)``: the :class:`RigidityReport`,
     the relaxed map and the :func:`minimize` history.
 
-    The generators are odd under z -> -z, so the relaxation runs over odd
-    maps (``n_sectors % 4 == 0``) with no loss (see :func:`minimize`).
+    The generators are those of :func:`random_sphere_tangent_hamiltonians`,
+    and the relaxation holds the barycentre at 0 (see :func:`minimize`).
 
     PASS requires flat-disc distance <= 1e-3, angle variance over
     elements <= 1e-6 and boundary great-circle defect <= 1e-3.  The report

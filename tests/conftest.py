@@ -31,6 +31,16 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def half_turn(mesh):
+    """The node permutation x -> -x of a polar mesh with an even sector
+    count: node(k, j) -> node(k, j + S/2).  A nodal map u is odd when
+    ``u[half_turn(mesh)] = -u``."""
+    n_s = mesh.polar_info["n_sectors"]
+    assert n_s % 2 == 0
+    ring, j = np.divmod(np.arange(len(mesh.nodes)) - 1, n_s)
+    return np.where(ring < 0, 0, 1 + ring * n_s + (j + n_s // 2) % n_s)
+
+
 def centred_differences(fn, z, step, symmetrize=False):
     """Centred differences of ``fn`` along the four coordinate axes at the
     rows of ``z``, stacked on a new last axis; a single point stays single.

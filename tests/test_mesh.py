@@ -143,34 +143,6 @@ def test_validate_rejects_nonconforming_mesh(case):
 
 
 # ---------------------------------------------------------------------------
-# antipodal permutation
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("size", [(2, 8, 1.0), (6, 24, 1.0), (12, 48, 0.5),
-                                  (48, 192, 1.0)])
-def test_antipodal_is_the_half_turn(mesh_cache, size):
-    m = mesh_cache(*size)
-    sigma = m.antipodal
-    assert np.array_equal(sigma[sigma], np.arange(len(m.nodes)))
-    assert np.max(np.abs(m.nodes[sigma] + m.nodes)) <= 1e-15
-    # sigma maps the triangle set onto itself
-    want = {tuple(sorted(t)) for t in m.triangles.tolist()}
-    assert {tuple(sorted(t)) for t in sigma[m.triangles].tolist()} == want
-    assert np.array_equal(m.is_boundary[sigma], m.is_boundary)
-
-
-@pytest.mark.parametrize("size", [(6, 10, 1.0), (4, 18, 0.5), (3, 9, 1.0)])
-def test_antipodal_needs_sectors_divisible_by_4(size):
-    with pytest.raises(msh.InvalidParameter, match="half turn"):
-        msh.build_polar_mesh(*size).antipodal
-
-
-def test_antipodal_needs_polar_mesh(mesh_cache):
-    from dataclasses import replace
-    with pytest.raises(msh.InvalidParameter, match="polar"):
-        replace(mesh_cache(4, 16), polar_info=None).antipodal
-
-
-# ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 def test_gradient_affine_exact(mesh_cache):

@@ -10,7 +10,7 @@ from lagdisc import residuals as res
 from lagdisc import solver as sol
 from lagdisc.algebra import apply_I, inner, symplectic
 from lagdisc.mesh import build_polar_mesh, element_gradient
-from conftest import random_unitary
+from conftest import half_turn, random_unitary
 
 BALL = dom.unit_ball()
 
@@ -153,14 +153,6 @@ def test_minimize_requires_projection_tube(mesh_cache):
         sol.minimize(bad, BALL, small_cfg())
 
 
-def test_minimize_rejects_start_that_is_not_odd(mesh_cache):
-    m = mesh_cache(8, 32)
-    u0 = fam.sample(fam.sw_cone(1, 2), m)
-    assert np.max(np.abs(u0.values + u0.values[m.antipodal])) > 1.0
-    with pytest.raises(ValueError, match="odd"):
-        sol.minimize(u0, BALL, small_cfg())
-
-
 def _minimize_factor(monkeypatch, mesh):
     """The matrix that :func:`sol.minimize` factors on ``mesh`` and its
     factor, captured from the ``splu`` call, with splu's default factor of
@@ -206,6 +198,62 @@ def _perturbed_start(m, rng, eps=0.05):
         gmax = float(np.max(np.linalg.norm(f.gradient(u0.values), axis=1)))
         scales.append((eps / 3) / max(gmax, 1e-9))
     return sol.perturb_by_hamiltonian_flows(u0, fs, scales, BALL).u
+
+
+def _off_centre_start(m, seed, eps=0.05):
+    """The flat disc flowed by two seeded interior bumps centred off the
+    origin, to amplitude ``eps``: an admissible start that is not odd."""
+    rng = np.random.default_rng(seed)
+    u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
+    fs, times = [], []
+    for _ in range(2):
+        r, th = rng.uniform(0.2, 0.4), rng.uniform(0.0, 2.0 * np.pi)
+        c = r * np.array([np.cos(th), 0.0, np.sin(th), 0.0]) + 0.05 * rng.normal(size=4)
+        fs.append(hams.interior_bump(c, 0.45))
+        gmax = float(np.max(np.linalg.norm(fs[-1].gradient(u0.values), axis=1)))
+        times.append((eps / 2) / gmax)
+    return sol.perturb_by_hamiltonian_flows(u0, fs, times, BALL).u
+
+
+def _tangential_gradient(u, st, lam1, lam2):
+    return sol._tangential(BALL, u.values, sol._energy_gradient(u, BALL, lam1, lam2, st),
+                           u.mesh.is_boundary)
+
+
+def _barycentre_multiplier(u, lam1, lam2):
+    """|sum G| / sum m for the boundary-tangential gradient G at ``u``: the
+    multiplier of the barycentre constraint, 0 when ``u`` is critical for
+    the unconstrained energy too."""
+    G = _tangential_gradient(u, sol._energy_state(u, BALL, lam1, lam2), lam1, lam2)
+    return float(np.linalg.norm(np.sum(G, axis=0))) / float(np.sum(u.mesh.lumped_mass))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("size", [(12, 48), (12, 50)])
+def test_minimize_relaxes_starts_that_are_not_odd(mesh_cache, size, seed):
+    """Without a barycentre constraint these starts collapse to a point of
+    the sphere; with it they relax to flat discs."""
+    m = mesh_cache(*size)
+    start = _off_centre_start(m, seed)
+    assert np.max(np.abs(start.values + start.values[half_turn(m)])) >= 1e-3
+    cfg = sol.SolverConfig()
+    u, hist = sol.minimize(start, BALL, cfg)
+    assert all(s["reason"] == "converged" for s in hist["stages"])
+    assert sol.flat_disc_distance(u)[0] <= 1e-6
+    assert sol._angle_variance(u) <= 1e-10
+    assert _barycentre_multiplier(u, *cfg.continuation[-1]) <= 10 * cfg.grad_tol
+
+
+def test_minimize_needs_no_polar_structure(mesh_cache):
+    m = mesh_cache(8, 32)
+    start = _off_centre_start(m, 3)
+    bare = replace(start, mesh=replace(m, polar_info=None))
+    cfg = small_cfg(grad_tol=1e-8)
+    u_a, hist_a = sol.minimize(start, BALL, cfg)
+    u_b, hist_b = sol.minimize(bare, BALL, cfg)
+    assert all(s["reason"] == "converged" for s in hist_b["stages"])
+    assert hist_b == hist_a
+    assert np.array_equal(u_b.values, u_a.values)
 
 
 def test_minimize_perturbed_recovers(mesh_cache, rng):
@@ -278,14 +326,18 @@ def _trace_minimize(monkeypatch, start, cfg, records=None):
     return hist, rows
 
 
-def _tangential_odd(u, field):
-    """The projection ``minimize`` applies to gradients and directions."""
-    field = sol._tangential(BALL, u.values, field, u.mesh.is_boundary)
-    return 0.5 * (field - field[u.mesh.antipodal])
+def _projected_direction(u, d):
+    """The projection ``minimize`` applies to directions."""
+    m = u.mesh.lumped_mass
+    d = sol._tangential(BALL, u.values, d, u.mesh.is_boundary)
+    return d - (m @ d) / float(np.sum(m))
 
 
 def _projected_gradient(u, st, lam1, lam2):
-    return _tangential_odd(u, sol._energy_gradient(u, BALL, lam1, lam2, st))
+    """The gradient of ``minimize`` at ``u``, with its projection."""
+    m = u.mesh.lumped_mass
+    G = _tangential_gradient(u, st, lam1, lam2)
+    return G - np.outer(m, np.sum(G, axis=0) / float(np.sum(m)))
 
 
 def test_every_accepted_step_descends_or_meets_the_derivative_condition(
@@ -298,7 +350,7 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
     direction is rebuilt from the iteration's preconditioner solve."""
     start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(3))
     splu, quartic_step = sol.spla.splu, sol._quartic_step
-    solves, records, cg_trials = [], [], []
+    solves, records, cg_trials, steepest_trials = [], [], [], []
 
     class RecordedFactor:
         def __init__(self, factor):
@@ -311,7 +363,10 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
     def overshooting(mesh, st, d, lam1):
         alpha = quartic_step(mesh, st, d, lam1)
         u = next(r[0] for r in reversed(records) if r[1] is st)
-        if alpha is None or np.array_equal(d, -_tangential_odd(u, solves[-1])):
+        if alpha is None:
+            return alpha
+        if np.array_equal(d, -_projected_direction(u, solves[-1])):
+            steepest_trials.append(1)
             return alpha
         cg_trials.append(1)
         return alpha if len(cg_trials) % 3 else 2.5 * alpha
@@ -323,6 +378,8 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
                                  records)
     assert all(s["reason"] == "converged" for s in hist["stages"])
     assert sum(s["restarts"] for s in hist["stages"]) > 0    # -z retries
+    # -z is recognised, or every trial would count as a CG trial
+    assert len(steepest_trials) >= len(hist["stages"])
     a = start.mesh.areas
     w = start.mesh.boundary_weights[start.mesh.is_boundary]
     k, by_slope = 0, 0
@@ -574,8 +631,8 @@ def test_rigidity_stage_reasons(mesh_cache, seed, iters, reasons):
     assert [s["reason"] for s in rep.stages] == reasons
     assert rep.stages == hist["stages"]
     assert rep.passed
-    # the descent never leaves the centrally odd maps
-    sigma = u.mesh.antipodal
+    # odd starts stay odd: on them the barycentre constraint drops only rounding
+    sigma = half_turn(u.mesh)
     assert np.max(np.abs(u.values + u.values[sigma])) <= 1e-12
 
 
