@@ -42,7 +42,6 @@ __all__ = [
     "admissibility_residual",
     "bump_kernel",
     "combine",
-    "constant_profile",
     "hopf_invariant_quadratic",
     "interior_bump",
     "poly_profile",
@@ -83,10 +82,16 @@ class Hamiltonian:
     ``value(z)`` is (...,), ``gradient(z)`` (..., 4) and ``hessian(z)`` the
     packed (..., 10) upper triangle of the symmetric Hessian (see
     :func:`unpack_hessian`), for points z of shape (..., 4).
+
+    ``hessian_coeffs``, when set, is a pair (A, C) of shapes (10,) and
+    (10, 10) with ``hessian(z) = A + _outer(z, z) @ C`` up to rounding: the
+    packed Hessian is a quadratic polynomial in z (see
+    :func:`_polarized_coeffs`).
     """
 
     def __init__(self, value, gradient, hessian, support_hint=None,
-                 admissibility_tag="interior", boundary_samples=None, name=""):
+                 admissibility_tag="interior", boundary_samples=None, name="",
+                 hessian_coeffs=None):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
@@ -94,6 +99,7 @@ class Hamiltonian:
         self.admissibility_tag = admissibility_tag
         self.boundary_samples = boundary_samples  # points for admissibility checks
         self.name = name
+        self.hessian_coeffs = hessian_coeffs
 
     def __repr__(self):
         return f"Hamiltonian({self.name or 'anonymous'})"
@@ -123,32 +129,36 @@ def combine(coeffs, hams, name="combo"):
 # --------------------------------------------------------------------------
 class Profile:
     """P(s) with its first two derivatives.  ``support``, when set, is an s1
-    with P = P' = P'' = 0 for every s >= s1."""
+    with P = P' = P'' = 0 for every s >= s1.  ``coeffs``, when set, are the
+    coefficients of a polynomial P, trailing zeros trimmed."""
 
-    def __init__(self, f, d1, d2, support=None):
+    def __init__(self, f, d1, d2, support=None, coeffs=None):
         self.f, self.d1, self.d2 = f, d1, d2
         self.support = support
+        self.coeffs = coeffs
 
     def __call__(self, s):
         return self.f(s)
 
 
-def constant_profile(c=1.0):
-    c = float(c)
-    return Profile(lambda s: np.full_like(np.asarray(s, float), c),
-                   lambda s: np.zeros_like(np.asarray(s, float)),
-                   lambda s: np.zeros_like(np.asarray(s, float)))
+def _degree(P):
+    """The degree of a polynomial profile, inf for any other."""
+    return np.inf if P.coeffs is None else len(P.coeffs) - 1
 
 
 def poly_profile(coeffs):
-    """Polynomial sum_k coeffs[k] * s**k."""
+    """Polynomial sum_k coeffs[k] * s**k of finite 1-D coefficients."""
     coeffs = np.asarray(coeffs, float)
+    if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
+        raise InvalidParameter("poly_profile needs a nonempty 1-D list of "
+                               "finite coefficients")
     d1 = np.polynomial.polynomial.polyder(coeffs)
     d2 = np.polynomial.polynomial.polyder(coeffs, 2)
     P = np.polynomial.polynomial
     return Profile(lambda s: P.polyval(np.asarray(s, float), coeffs),
                    lambda s: P.polyval(np.asarray(s, float), d1),
-                   lambda s: P.polyval(np.asarray(s, float), d2))
+                   lambda s: P.polyval(np.asarray(s, float), d2),
+                   coeffs=P.polytrim(coeffs))
 
 
 def smooth_cutoff_profile(s0, s1):
@@ -175,6 +185,23 @@ def smooth_cutoff_profile(s0, s1):
         return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w ** 2, 0.0)
 
     return Profile(f, d1, d2, support=float(s1))
+
+
+def _polarized_coeffs(hessian):
+    """(A, C) with hessian(z) = A + _outer(z, z) @ C, for a packed Hessian
+    that is a quadratic polynomial in z, read off by polarization from its
+    values at 0, e_i and e_i + e_j (i < j): A = H(0), the row of C for the
+    monomial z_i^2 is H(e_i) - A, and the row for z_i z_j is
+    H(e_i + e_j) - H(e_i) - H(e_j) + A."""
+    e = np.eye(4)
+    off = UPPER_I != UPPER_J
+    pts = np.vstack([np.zeros(4), e, e[UPPER_I[off]] + e[UPPER_J[off]]])
+    H = hessian(pts)
+    A, H_e = H[0], H[1:5]
+    C = np.empty((10, 10))
+    C[_DIAG] = H_e - A
+    C[off] = H[5:] - H_e[UPPER_I[off]] - H_e[UPPER_J[off]] + A
+    return A.copy(), C
 
 
 def _add_identity(H, b):
@@ -288,10 +315,15 @@ def _profiled(P, c=None):
 
 
 def radial_invariant(profile, domain=None, name="radial"):
-    """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere."""
-    return Hamiltonian(*_profiled(profile),
+    """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere.
+
+    A polynomial profile of degree <= 2 makes the Hessian quadratic in z,
+    and f then carries its ``hessian_coeffs``."""
+    value, gradient, hessian = _profiled(profile)
+    coeffs = _polarized_coeffs(hessian) if _degree(profile) <= 2 else None
+    return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
-                       name=name)
+                       name=name, hessian_coeffs=coeffs)
 
 
 def _quad_hessian(c):
@@ -325,11 +357,13 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
 
     Each factor is invariant under z -> e^{it} z, hence so is f; its
     Hamiltonian field is tangent to every sphere |z| = const, which makes
-    it admissible for ball free-boundary variations.
+    it admissible for ball free-boundary variations.  Without a profile, or
+    with a polynomial one of degree <= 1, the Hessian is quadratic in z and
+    f carries its ``hessian_coeffs``.
     """
     c = np.asarray(c, float)
-    if c.shape != (4,):
-        raise InvalidParameter("need 4 real coefficients")
+    if c.shape != (4,) or not np.all(np.isfinite(c)):
+        raise InvalidParameter("need 4 finite real coefficients")
     if profile is not None:
         value, gradient, hessian = _profiled(profile, c)
     else:
@@ -345,9 +379,12 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
             """The constant Hess Q at every point, as a read-only view."""
             return np.broadcast_to(HQ, np.shape(z)[:-1] + (10,))
 
+    polynomial = profile is None or _degree(profile) <= 1
+    coeffs = _polarized_coeffs(hessian) if polynomial else None
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
-                       name=name or f"hopf({c.tolist()})")
+                       name=name or f"hopf({c.tolist()})",
+                       hessian_coeffs=coeffs)
 
 
 def windowed_wave(k, profile, axis=0, name=None):

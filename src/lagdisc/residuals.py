@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -409,7 +410,44 @@ def _frame_tensor(u: DiscreteMap, m):
     return interpolate_at_centroids(mesh, u.values)[m], S, grad_sq
 
 
-def _stationarity_terms(u_c, S, f):
+class _Moments:
+    """Sums of a frame tensor ``S`` against the centroid values ``u_c``, each
+    built when first asked for and then kept: ``total`` is sum_t S_t, and
+    ``quadratic`` the (10, 10) matrix whose row k is sum_t u_i u_j S_t for
+    the monomial (i, j) = (UPPER_I[k], UPPER_J[k]) of u_c's row t."""
+
+    def __init__(self, u_c, S):
+        self.u_c, self.S = u_c, S
+
+    @cached_property
+    def total(self):
+        return np.sum(self.S, axis=0)
+
+    @cached_property
+    def quadratic(self):
+        # one monomial column at a time: no (T, 10) monomial array is made
+        return np.stack([(self.u_c[:, i] * self.u_c[:, j]) @ self.S
+                         for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
+
+
+def _polynomial_terms(coeffs, moments):
+    """:func:`_stationarity_terms` of the Hessian A + _outer(z, z) @ C, with
+    ``coeffs`` = (A, C), from the :class:`_Moments` of the frame tensor."""
+    A, C = coeffs
+    total = A @ moments.total
+    if not np.any(C):
+        return float(total), float(np.sqrt((A * A) @ hams.UPPER_WEIGHTS))
+    total = total + np.sum(C * moments.quadratic)
+    h_sq = 0.0
+    u_c = moments.u_c
+    for s in range(0, len(u_c), HESSIAN_BLOCK):
+        zb = u_c[s:s + HESSIAN_BLOCK]
+        Hu = hams._outer(zb, zb) @ C + A
+        h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
+    return float(total), float(np.sqrt(h_sq))
+
+
+def _stationarity_terms(u_c, S, f, moments=None):
     """Midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> and the max
     Frobenius norm of Hess f over the elements with centroid values ``u_c``
     and frame tensors ``S`` (see :func:`_frame_tensor`).
@@ -424,7 +462,15 @@ def _stationarity_terms(u_c, S, f):
     integrands go into a zero-filled full-length array that is summed once,
     so the result is that of evaluating every row and does not depend on
     the blocking.
+
+    A function with ``hessian_coeffs`` never calls ``f.hessian``: its terms
+    come from the :class:`_Moments` ``moments`` of (u_c, S), which a caller
+    shares across functions (see :func:`_polynomial_terms`).
     """
+    if f.hessian_coeffs is not None:
+        if moments is None:
+            moments = _Moments(u_c, S)
+        return _polynomial_terms(f.hessian_coeffs, moments)
     n = len(u_c)
     if f.support_hint is None:
         rows = [slice(s, s + HESSIAN_BLOCK) for s in range(0, n, HESSIAN_BLOCK)]
@@ -527,7 +573,16 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     elements and two 10-term dot products per element, one for the
     integrand and one for ||H||_F^2.  A test function with a support ball
     is evaluated only on the elements whose centroid image lies in it,
-    which gives exactly the value of evaluating every element.
+    which gives exactly the value of evaluating every element.  No result
+    depends on ``HESSIAN_BLOCK``.
+
+    A function whose packed Hessian is a quadratic polynomial in z,
+    A + mono(z) C with mono(z) the 10 monomials z_i z_j
+    (``f.hessian_coeffs``), takes no per-element Hessian pass: its
+    integral is A . sum_t S_t + <C, M> over the frame tensor rows S_t,
+    with the (10, 10) moment matrix M = mono(u_c)^T S built at most once
+    per call and only when some function has C != 0; its max norm is
+    ||A||_F when C = 0 and otherwise one polynomial evaluation per block.
     """
     if len(fs) == 0:
         raise InvalidParameter("stationarity_test: empty test set")
@@ -548,11 +603,12 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
 
     u_c, S, grad_sq = _frame_tensor(u, m)
+    moments = _Moments(u_c, S)
     worst = 0.0
     for f in fs:
         _check_admissible(f, domain, wall_pts, wall_normals)
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
-        total, h_inf = _stationarity_terms(u_c, S, f)
+        total, h_inf = _stationarity_terms(u_c, S, f, moments)
         worst = max(worst, abs(total) / (h_inf * grad_sq + EPS))
     return worst
 

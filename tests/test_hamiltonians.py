@@ -196,7 +196,7 @@ def test_radial_gradient_and_admissibility(rng):
 
 
 def test_radial_constant_profile():
-    f = hams.radial_invariant(hams.constant_profile(2.5))
+    f = hams.radial_invariant(hams.poly_profile([2.5]))
     z = np.random.default_rng(0).normal(size=(20, 4))
     assert np.all(f.gradient(z) == 0.0)
 
@@ -244,6 +244,12 @@ def test_hopf_profile_fd(rng):
 def test_hopf_bad_coefficients():
     with pytest.raises(hams.InvalidParameter):
         hams.hopf_invariant_quadratic([1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hopf_non_finite_coefficients(bad):
+    with pytest.raises(hams.InvalidParameter):
+        hams.hopf_invariant_quadratic([1.0, 0.0, bad, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -565,3 +571,56 @@ def test_profiles():
         hams.smooth_cutoff_profile(0.9, 0.4)
     assert P.support == 0.95
     assert hams.poly_profile([1.0]).support is None
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [1.0, 0.0]],
+                                    [0.0, np.nan], [1.0, -np.inf, 0.5]],
+                         ids=["empty", "2-D", "nan", "inf"])
+def test_poly_profile_rejects_bad_coefficients(coeffs):
+    with pytest.raises(hams.InvalidParameter):
+        hams.poly_profile(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# polynomial Hessians: the coefficients read off by polarization
+# ---------------------------------------------------------------------------
+def _polynomial_families():
+    P0, P1, P2 = (hams.poly_profile(c) for c in
+                  ([1.5], [0.3, -1.2], [0.2, 0.7, -0.9]))
+    c = [0.3, 0.1, -0.7, 0.2]
+    return {
+        "hopf": hams.hopf_invariant_quadratic(c, domain=BALL),
+        "hopf-constant-profile": hams.hopf_invariant_quadratic(c, profile=P0),
+        "hopf-linear-profile": hams.hopf_invariant_quadratic(c, profile=P1),
+        "hopf-trimmed-profile": hams.hopf_invariant_quadratic(
+            c, profile=hams.poly_profile([0.3, -1.2, 0.0])),
+        "radial-constant": hams.radial_invariant(P0),
+        "radial-linear": hams.radial_invariant(P1),
+        "radial-quadratic": hams.radial_invariant(P2),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_polynomial_families()))
+def test_hessian_coeffs_reproduce_the_hessian(rng, kind):
+    f = _polynomial_families()[kind]
+    A, C = f.hessian_coeffs
+    assert A.shape == (10,) and C.shape == (10, 10)
+    z = rng.uniform(-1.0, 1.0, size=(4096, 4))
+    H = f.hessian(z)
+    assert np.max(np.abs(A + hams._outer(z, z) @ C - H)) <= \
+        1e-15 * np.max(np.abs(H))
+
+
+def test_families_that_are_not_polynomial_carry_no_coeffs():
+    cut = hams.smooth_cutoff_profile(0.3, 0.9)
+    cubic = hams.poly_profile([0.0, 0.5, 0.0, 1.0])
+    fs = [hams.interior_bump(np.array([0.2, 0.1, -0.1, 0.0]), 0.5, 1.3),
+          hams.windowed_wave(26.0, hams.smooth_cutoff_profile(0.75, 0.92)),
+          hams.z1_arc_hamiltonian(0.45, 0.35),
+          hams.radial_invariant(cut),
+          hams.hopf_invariant_quadratic([1.0, 0.2, -0.4, 0.6], profile=cut),
+          hams.radial_invariant(cubic),
+          hams.hopf_invariant_quadratic([1.0, 0.0, 0.0, 0.0],
+                                        profile=hams.poly_profile([0, 0, 1.0]))]
+    for f in fs:
+        assert f.hessian_coeffs is None, f.name

@@ -485,6 +485,48 @@ def test_stationarity_independent_of_block_size(mesh_cache, monkeypatch, batch):
     assert runs[0] == runs[1]
 
 
+def _per_row(f):
+    """f without its ``hessian_coeffs``, so the quadrature evaluates its
+    Hessian element by element."""
+    return hams.Hamiltonian(f.value, f.gradient, f.hessian,
+                            support_hint=f.support_hint,
+                            admissibility_tag=f.admissibility_tag, name=f.name)
+
+
+def test_polynomial_hessians_match_the_per_row_path(mesh_cache):
+    # the moment-matrix shortcut against the element-by-element Hessians of
+    # the same functions, with the bounds of the full-matrix test above
+    u, domain, fs = _stationarity_case(mesh_cache, "ball_mixed")
+    poly = [f for f in fs if f.hessian_coeffs is not None]
+    assert any(np.any(f.hessian_coeffs[1]) for f in poly)
+    assert any(not np.any(f.hessian_coeffs[1]) for f in poly)
+    for sub in (res.FullDisc(), res.HalfPlane(0.0)):
+        u_c, S, grad_sq = res._frame_tensor(u, sub.contains(u.mesh.centroids))
+        for f in poly:
+            total, h_inf = res._stationarity_terms(u_c, S, f)
+            ref_total, ref_h_inf = res._stationarity_terms(u_c, S, _per_row(f))
+            assert abs(h_inf - ref_h_inf) <= 1e-15 * ref_h_inf
+            bound = 1e-14 * (ref_h_inf * grad_sq + alg.EPS)
+            assert abs(total - ref_total) <= bound
+            assert abs(res.stationarity_integral(u, f, sub) - ref_total) <= bound
+    # functions without a support ball cannot be tested on a half disc, so
+    # the normalized test is compared on the whole disc
+    for f in poly:
+        assert abs(res.stationarity_test(u, domain, [f])
+                   - res.stationarity_test(u, domain, [_per_row(f)])) <= 1e-14
+
+
+def test_polynomial_coverage_of_the_ball_batches():
+    # the shortcut's gain rests on these counts
+    def count(fs):
+        return sum(f.hessian_coeffs is not None for f in fs)
+
+    report = res.ball_report_batch(BALL)
+    mixed = res.ball_mixed_batch(BALL)
+    assert (count(report), len(report)) == (16, 20)
+    assert (count(mixed), len(mixed)) == (14, 24)
+
+
 @pytest.mark.parametrize("kind", ["bump", "wave"])
 def test_support_restriction_is_exact(mesh_cache, kind):
     # the quadrature evaluates a function with a support ball only on the
