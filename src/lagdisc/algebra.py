@@ -11,7 +11,6 @@ Conventions (verified against the closed-form disc families in
 * ``J(z1, z2) = (conj(z2), -conj(z1))``.  This is the unique sign choice
   for which the polar frame identity ``d_theta u / r = -gbar * J(d_r u)``
   holds together with the angle returned by :func:`lagrangian_angle`.
-* ``K = I J``.
 * The symplectic form is ``omega = dx1^dy1 + dx2^dy2``, so
   ``omega(a, b) = <I a, b>``.
 * For a weakly conformal Lagrangian frame,
@@ -28,12 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "DegenerateFrame",
     "Frame",
-    "ambient_vector",
     "apply_I",
     "apply_J",
-    "apply_K",
     "complex_parts",
     "complex_scale",
     "from_complex",
@@ -42,15 +38,10 @@ __all__ = [
     "lagrangian_angle",
     "norm",
     "symplectic",
-    "unit_complex",
     "wedge_norm",
 ]
 
 EPS = np.finfo(float).eps
-
-
-class DegenerateFrame(ValueError):
-    """Raised when a tangent frame is numerically zero (branch/singular point)."""
 
 
 class Frame(NamedTuple):
@@ -58,16 +49,6 @@ class Frame(NamedTuple):
 
     e_x: np.ndarray
     e_y: np.ndarray
-
-
-def ambient_vector(x1, y1, x2, y2):
-    """Build a real 4-vector for the point (x1 + i y1, x2 + i y2) of C^2."""
-    v = np.stack(np.broadcast_arrays(
-        np.asarray(x1, float), np.asarray(y1, float),
-        np.asarray(x2, float), np.asarray(y2, float)), axis=-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("ambient vector has non-finite components")
-    return v
 
 
 def complex_parts(v):
@@ -94,11 +75,6 @@ def apply_J(v):
     """Quaternionic J: (z1, z2) -> (conj z2, -conj z1)."""
     v = np.asarray(v)
     return np.stack([v[..., 2], -v[..., 3], -v[..., 0], v[..., 1]], axis=-1)
-
-
-def apply_K(v):
-    """K = I J: (z1, z2) -> (i conj z2, -i conj z1)."""
-    return apply_I(apply_J(v))
 
 
 def complex_scale(g, v):
@@ -161,15 +137,6 @@ def wedge_norm(a, b):
     return np.sqrt(total)
 
 
-def unit_complex(z):
-    """Normalize to the unit circle; rejects near-zero input."""
-    z = np.asarray(z, complex)
-    m = np.abs(z)
-    if np.any(m < 1e-300):
-        raise ValueError("cannot normalize zero complex number")
-    return z / m
-
-
 def lagrangian_angle(e_x, e_y, tol=1e-14):
     """Conformal factor and Lagrangian angle of a tangent frame.
 
@@ -179,16 +146,17 @@ def lagrangian_angle(e_x, e_y, tol=1e-14):
     ``dz1^dz2(e_x, e_y) = e2lam * gbar`` for exactly conformal Lagrangian
     frames.
 
-    Raises :class:`DegenerateFrame` when ``|e_x|^2 + |e_y|^2 <= tol``,
-    which signals a branch or singular point sample.
+    Raises ``ValueError`` when ``|e_x|^2 + |e_y|^2 <= tol``, which signals
+    a branch or singular point sample, or when the holomorphic area
+    vanishes.
     """
     e_x = np.asarray(e_x)
     e_y = np.asarray(e_y)
     energy = inner(e_x, e_x) + inner(e_y, e_y)
     if np.any(energy <= tol):
-        raise DegenerateFrame("tangent frame is numerically degenerate")
+        raise ValueError("tangent frame is numerically degenerate")
     hol = holomorphic_area(e_x, e_y)
     mod = np.abs(hol)
     if np.any(mod <= tol):
-        raise DegenerateFrame("holomorphic area vanishes; angle undefined")
+        raise ValueError("holomorphic area vanishes; angle undefined")
     return energy / 2.0, hol / mod

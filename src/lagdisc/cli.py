@@ -13,12 +13,12 @@ dump-mesh        write the mesh as JSON
 Every command writes summary.json to --out: its numbers, the config keys
 it read, "command" and "pass".  All but masses and dump-mesh also write
 the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
-0 success, 1 usage or configuration error (a negative seed, an sw:p,q
-that is not a coprime positive pair, one refinement level for
-verify-example or stationarity and more than one stationarity seed
-included), 2 a built-in check failed, 3 the pipeline raised (the message
-names the exception class); --out is created only once the command has
-returned, so exits 1 and 3 create no directory.
+0 success, 1 usage or configuration error (a negative seed, an example
+other than flat, nonminimal or an sw:p,q with a coprime positive pair,
+one refinement level for verify-example or stationarity and more than one
+stationarity seed included), 2 a built-in check failed, 3 the pipeline
+raised (the message names the exception class); --out is created only
+once the command has returned, so exits 1 and 3 create no directory.
 A JSON config file supplies defaults; flags override it.  Identical
 config and seed produce bitwise-identical outputs.
 """
@@ -63,9 +63,7 @@ class RunConfig:
         for key in ("example", "domain", "output_dir"):
             if not (isinstance(getattr(self, key), str) and getattr(self, key)):
                 raise ConfigError(f"{key}: must be a non-empty string")
-        kind = self.example.split(":")[0]
-        if kind not in ("flat", "sw", "nonminimal"):
-            raise ConfigError(f"example: unknown example {self.example!r}")
+        kind = self.build_example().kind
         if self.domain not in ("ball", "curve"):
             raise ConfigError(f"domain: unknown domain {self.domain!r}")
         if self.domain == "curve" and kind != "nonminimal":
@@ -98,16 +96,19 @@ class RunConfig:
         return self
 
     def build_example(self):
-        kind = self.example.split(":")[0]
-        if kind == "flat":
+        """The example named by exactly ``flat``, ``nonminimal`` or ``sw:p,q``."""
+        if self.example == "flat":
             return flat_disc(np.eye(2))
-        if kind == "sw":
-            try:
-                p, q = (int(t) for t in self.example.split(":")[1].split(","))
-                return sw_cone(p, q)
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"example: {self.example!r}: {exc}")
-        return nonminimal_map()
+        if self.example == "nonminimal":
+            return nonminimal_map()
+        kind, _, pq = self.example.partition(":")
+        try:
+            if kind != "sw":
+                raise ValueError("unknown example")
+            p, q = (int(t) for t in pq.split(","))
+            return sw_cone(p, q)
+        except ValueError as exc:
+            raise ConfigError(f"example: {self.example!r}: {exc}")
 
     def meshes(self, levels=None):
         """The first ``levels`` refinement levels (default: all of them)."""

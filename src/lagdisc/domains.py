@@ -22,30 +22,10 @@ from . import algebra
 
 __all__ = [
     "CurveNormalDomain",
-    "DegenerateNormal",
     "LevelSetDomain",
-    "NotOnBoundary",
-    "ProjectionDiverged",
-    "Unsupported",
     "curve_domain_from_map",
     "unit_ball",
 ]
-
-
-class NotOnBoundary(ValueError):
-    pass
-
-
-class ProjectionDiverged(RuntimeError):
-    pass
-
-
-class Unsupported(TypeError):
-    pass
-
-
-class DegenerateNormal(ValueError):
-    pass
 
 
 class LevelSetDomain:
@@ -63,32 +43,33 @@ class LevelSetDomain:
         g = np.asarray(self.gradF(z), float)
         n = algebra.norm(g)
         if np.any(n < 1e-8):
-            raise ProjectionDiverged("level-set gradient vanishes at query point")
+            raise RuntimeError("level-set gradient vanishes at query point")
         return g / n[..., None]
 
     def normal_at(self, z):
         """Unit outward normal; requires |F(z)| <= 1e-6 (point on boundary)."""
         val = np.asarray(self.F(z), float)
         if np.any(np.abs(val) > 1e-6):
-            raise NotOnBoundary("point is not on the domain boundary")
+            raise ValueError("point is not on the domain boundary")
         return self.normal_extension(z)
 
-    def project_to_boundary(self, z, tol=1e-12, max_iter=60):
-        """Newton projection along gradF onto {F = 0}."""
+    def project_to_boundary(self, z):
+        """Newton projection along gradF onto {F = 0}: at most 60 steps, until
+        every |F| <= 1e-12."""
         z = np.asarray(z, float).copy()
         single = z.ndim == 1
         pts = np.atleast_2d(z)
-        for _ in range(max_iter):
+        for _ in range(60):
             val = np.asarray(self.F(pts), float)
-            if np.all(np.abs(val) <= tol):
+            if np.all(np.abs(val) <= 1e-12):
                 break
             g = np.asarray(self.gradF(pts), float)
             gn2 = np.sum(g * g, axis=-1)
             if np.any(gn2 < 1e-16):
-                raise ProjectionDiverged("gradient vanished during projection")
+                raise RuntimeError("gradient vanished during projection")
             pts = pts - (val / gn2)[..., None] * g
         else:
-            raise ProjectionDiverged("Newton projection did not converge")
+            raise RuntimeError("Newton projection did not converge")
         return pts[0] if single else pts
 
 
@@ -115,7 +96,7 @@ class CurveNormalDomain:
             raise ValueError("need a theta grid of at least 256 points")
         n = algebra.norm(normals)
         if np.any(np.abs(n - 1.0) > 1e-10):
-            raise DegenerateNormal("stored normals are not unit length")
+            raise ValueError("stored normals are not unit length")
         self.theta_grid = theta_grid
         self.curve_points = curve_points
         self.normals = normals
@@ -136,7 +117,7 @@ class CurveNormalDomain:
         resid = np.abs(np.sum(tangents * normals, axis=-1)) / algebra.norm(tangents)
         self.tangency_residual = float(np.max(resid))
         if self.tangency_residual > 1e-8:
-            raise DegenerateNormal(
+            raise ValueError(
                 f"normals not orthogonal to curve tangent (residual "
                 f"{self.tangency_residual:.2e})")
 
@@ -183,24 +164,18 @@ class CurveNormalDomain:
     def normal_at(self, z):
         """Unit normal at points of the curve, one per row of ``z`` (..., 4).
 
-        Raises :class:`NotOnBoundary` when any point lies farther than
-        ``curve_tol`` from the curve.
+        Raises ``ValueError`` when any point lies farther than ``curve_tol``
+        from the curve.
         """
         z = np.asarray(z, float)
         pts = z.reshape(-1, 4)
         t = self._closest_theta(pts)
         if np.any(algebra.norm(self.curve_at(t) - pts) > self.curve_tol):
-            raise NotOnBoundary("point is not on the stored boundary curve")
+            raise ValueError("point is not on the stored boundary curve")
         return self.normal_at_theta(t).reshape(z.shape)
 
-    def project_to_boundary(self, z, **_):
-        raise Unsupported("projection is not defined for curve-based domains")
-
-    def to_json_dict(self):
-        return {
-            "curve_points": [[float(c) for c in row] for row in self.curve_points],
-            "curve_normals": [[float(c) for c in row] for row in self.normals],
-        }
+    def project_to_boundary(self, z):
+        raise TypeError("projection is not defined for curve-based domains")
 
 
 def unit_ball():
@@ -218,10 +193,9 @@ def unit_ball():
 def curve_domain_from_map(example, n_grid=512, X=None):
     """Curve domain along u(dD^2) with normals from the field X/|X|.
 
-    ``X`` defaults to the example's ``boundary_X``.  Raises
-    :class:`DegenerateNormal` when |X| dips below 1e-6 on the grid; the
-    orthogonality of X to the boundary tangent is validated at build
-    time.
+    ``X`` defaults to the example's ``boundary_X``.  Raises ``ValueError``
+    when |X| dips below 1e-6 on the grid; the orthogonality of X to the
+    boundary tangent is validated at build time.
     """
     if n_grid < 256:
         raise ValueError("n_grid must be at least 256")
@@ -236,6 +210,6 @@ def curve_domain_from_map(example, n_grid=512, X=None):
         Xv = np.asarray(X(theta), float)
     mag = algebra.norm(Xv)
     if np.any(mag < 1e-6):
-        raise DegenerateNormal("constraint field X degenerates on the boundary")
+        raise ValueError("constraint field X degenerates on the boundary")
     normals = Xv / mag[..., None]
     return CurveNormalDomain(theta, curve, normals, tangents=tangents, name="curve")

@@ -30,23 +30,13 @@ __all__ = [
     "DiscreteMap",
     "ExampleMap",
     "FlatDisc",
-    "NonCoprime",
     "NonMinimalMap",
-    "NotUnitary",
     "SWCone",
     "flat_disc",
     "nonminimal_map",
     "sample",
     "sw_cone",
 ]
-
-
-class NotUnitary(ValueError):
-    pass
-
-
-class NonCoprime(ValueError):
-    pass
 
 
 class ExampleMap:
@@ -88,7 +78,7 @@ class FlatDisc(ExampleMap):
     def __init__(self, U):
         U = np.asarray(U, complex)
         if U.shape != (2, 2) or np.linalg.norm(U.conj().T @ U - np.eye(2)) > 1e-12:
-            raise NotUnitary("matrix is not unitary to 1e-12")
+            raise ValueError("matrix is not unitary to 1e-12")
         self.U = U
         self.det = complex(np.linalg.det(U))
         self.singular_points = []
@@ -133,7 +123,7 @@ class SWCone(ExampleMap):
         if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
         if math.gcd(int(p), int(q)) != 1:
-            raise NonCoprime("p and q must be coprime")
+            raise ValueError("p and q must be coprime")
         self.p, self.q = int(p), int(q)
         self.s = math.sqrt(p * q)
         self.singular_points = [] if p == q else [np.zeros(2)]

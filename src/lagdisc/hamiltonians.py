@@ -30,18 +30,15 @@ import numpy as np
 
 from . import algebra
 from .algebra import EPS, apply_I, inner
-from .mesh import InvalidParameter
 
 __all__ = [
     "Hamiltonian",
-    "InvalidParameter",
     "Profile",
     "UPPER_I",
     "UPPER_J",
     "UPPER_WEIGHTS",
     "admissibility_residual",
     "bump_kernel",
-    "combine",
     "hopf_invariant_quadratic",
     "interior_bump",
     "poly_profile",
@@ -90,38 +87,17 @@ class Hamiltonian:
     """
 
     def __init__(self, value, gradient, hessian, support_hint=None,
-                 admissibility_tag="interior", boundary_samples=None, name="",
-                 hessian_coeffs=None):
+                 admissibility_tag="interior", name="", hessian_coeffs=None):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.support_hint = support_hint          # (center (4,), radius) or None
         self.admissibility_tag = admissibility_tag
-        self.boundary_samples = boundary_samples  # points for admissibility checks
         self.name = name
         self.hessian_coeffs = hessian_coeffs
 
     def __repr__(self):
         return f"Hamiltonian({self.name or 'anonymous'})"
-
-
-def combine(coeffs, hams, name="combo"):
-    """Real linear combination of Hamiltonians (tags must agree)."""
-    coeffs = [float(c) for c in coeffs]
-    tag = hams[0].admissibility_tag
-    if any(h.admissibility_tag != tag for h in hams):
-        raise InvalidParameter("cannot combine Hamiltonians with different tags")
-
-    def value(z):
-        return sum(c * h.value(z) for c, h in zip(coeffs, hams))
-
-    def gradient(z):
-        return sum(c * h.gradient(z) for c, h in zip(coeffs, hams))
-
-    def hessian(z):
-        return sum(c * h.hessian(z) for c, h in zip(coeffs, hams))
-
-    return Hamiltonian(value, gradient, hessian, admissibility_tag=tag, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -150,8 +126,8 @@ def poly_profile(coeffs):
     """Polynomial sum_k coeffs[k] * s**k of finite 1-D coefficients."""
     coeffs = np.asarray(coeffs, float)
     if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
-        raise InvalidParameter("poly_profile needs a nonempty 1-D list of "
-                               "finite coefficients")
+        raise ValueError("poly_profile needs a nonempty 1-D list of "
+                         "finite coefficients")
     d1 = np.polynomial.polynomial.polyder(coeffs)
     d2 = np.polynomial.polynomial.polyder(coeffs, 2)
     P = np.polynomial.polynomial
@@ -164,7 +140,7 @@ def poly_profile(coeffs):
 def smooth_cutoff_profile(s0, s1):
     """C^2 quintic cutoff: 1 on s <= s0, 0 on s >= s1."""
     if not s0 < s1:
-        raise InvalidParameter("need s0 < s1")
+        raise ValueError("need s0 < s1")
     w = s1 - s0
 
     def t_of(s):
@@ -238,7 +214,7 @@ def bump_kernel(s, third=False):
 def interior_bump(center, radius, amplitude=1.0):
     """amplitude * exp(-1/(1 - |z-c|^2/R^2)) inside the ball, 0 outside."""
     if radius <= 0:
-        raise InvalidParameter("bump radius must be positive")
+        raise ValueError("bump radius must be positive")
     center = np.asarray(center, float)
     R2 = float(radius) ** 2
     A = float(amplitude)
@@ -357,30 +333,17 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
 
     Each factor is invariant under z -> e^{it} z, hence so is f; its
     Hamiltonian field is tangent to every sphere |z| = const, which makes
-    it admissible for ball free-boundary variations.  Without a profile, or
-    with a polynomial one of degree <= 1, the Hessian is quadratic in z and
-    f carries its ``hessian_coeffs``.
+    it admissible for ball free-boundary variations.  No profile means the
+    constant profile 1.  With a polynomial profile of degree <= 1 the
+    Hessian is quadratic in z and f carries its ``hessian_coeffs``.
     """
     c = np.asarray(c, float)
     if c.shape != (4,) or not np.all(np.isfinite(c)):
-        raise InvalidParameter("need 4 finite real coefficients")
-    if profile is not None:
-        value, gradient, hessian = _profiled(profile, c)
-    else:
-        def value(z):
-            return _quad_eval(z, c)[0]
-
-        def gradient(z):
-            return _quad_eval(z, c)[1]
-
-        HQ = _quad_hessian(c)
-
-        def hessian(z):
-            """The constant Hess Q at every point, as a read-only view."""
-            return np.broadcast_to(HQ, np.shape(z)[:-1] + (10,))
-
-    polynomial = profile is None or _degree(profile) <= 1
-    coeffs = _polarized_coeffs(hessian) if polynomial else None
+        raise ValueError("need 4 finite real coefficients")
+    if profile is None:
+        profile = poly_profile([1.0])
+    value, gradient, hessian = _profiled(profile, c)
+    coeffs = _polarized_coeffs(hessian) if _degree(profile) <= 1 else None
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
                        name=name or f"hopf({c.tolist()})",
@@ -400,8 +363,8 @@ def windowed_wave(k, profile, axis=0, name=None):
     """
     P = profile
     if P.support is None or not 0.0 < P.support < 1.0:
-        raise InvalidParameter("windowed_wave needs a profile supported in "
-                               "0 < s < 1")
+        raise ValueError("windowed_wave needs a profile supported in "
+                         "0 < s < 1")
     e_axis = np.zeros(4)
     e_axis[axis] = 1.0
     axis_slot = _DIAG[axis]
@@ -436,11 +399,10 @@ def windowed_wave(k, profile, axis=0, name=None):
                        name=name or f"wave(k={k:g},axis={axis})")
 
 
-def admissibility_residual(f, domain, pts):
-    """max over pts of |<I grad f, N>| / (|grad f| + eps); pts on the boundary."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    grad = np.atleast_2d(f.gradient(pts))
-    normals = domain.normal_at(pts)
+def admissibility_residual(f, pts, normals):
+    """max over the boundary points ``pts`` of |<I grad f, N>| / (|grad f| +
+    eps), with N the unit normals there (e.g. ``domain.normal_at(pts)``)."""
+    grad = np.atleast_2d(f.gradient(np.atleast_2d(np.asarray(pts, float))))
     num = np.abs(inner(apply_I(grad), normals))
     den = algebra.norm(grad) + EPS
     return float(np.max(num / den))
@@ -482,13 +444,16 @@ def _arc_bump(x, center, width):
             (8.0 * u ** 3 * d3 + 12.0 * u * d2) / width ** 3)
 
 
-def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
-                       name=None):
+# the inner and outer radius of the z1-arc functions' plateau cutoff in |R - 1|
+R_WINDOW = (0.15, 0.4)
+
+
+def z1_arc_hamiltonian(center, width, domain=None, name=None):
     """Test function of z1 alone, tangent to the curve {(e^{-ia}, ib)}.
 
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
     B(phi)) where eta is the plateau cutoff of (R - 1)^2 with radii
-    ``r_window``, B is a smooth bump supported in the phi-arc
+    ``R_WINDOW``, B is a smooth bump supported in the phi-arc
     [center - width, center + width] (which must avoid phi = 0 and stay
     inside (-1, 1)), and A = (1 - phi^2) B'/phi.  On the curve R = 1 and
     phi = -x, so this A solves x f_R = G y f_phi with G = -y, which is
@@ -499,8 +464,8 @@ def z1_arc_hamiltonian(center, width, domain=None, r_window=(0.15, 0.4),
     """
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
-        raise InvalidParameter("phi-arc must avoid 0 and stay inside (-1, 1)")
-    w_in, w_out = r_window
+        raise ValueError("phi-arc must avoid 0 and stay inside (-1, 1)")
+    w_in, w_out = R_WINDOW
 
     def _terms(phi):
         """A, A', A'' and B, B', B'' at phi; A vanishes off the arc."""

@@ -30,9 +30,6 @@ from .algebra import EPS
 
 __all__ = [
     "DiscMesh",
-    "InvalidCollar",
-    "InvalidLoop",
-    "InvalidParameter",
     "build_polar_mesh",
     "element_gradient",
     "exclusion_masks",
@@ -41,18 +38,6 @@ __all__ = [
     "loop_integrals",
     "weak_divergence_residual",
 ]
-
-
-class InvalidParameter(ValueError):
-    pass
-
-
-class InvalidCollar(ValueError):
-    pass
-
-
-class InvalidLoop(ValueError):
-    pass
 
 
 @dataclass
@@ -167,7 +152,7 @@ class DiscMesh:
 
     # -- validation ------------------------------------------------------
     def validate(self):
-        """Check the mesh and return it; raise :class:`InvalidParameter` if not.
+        """Check the mesh and return it; raise ``ValueError`` if not.
 
         Checks that every triangle has area at least 1e-14 (so it is
         counterclockwise and not degenerate), that every boundary node lies
@@ -176,14 +161,14 @@ class DiscMesh:
         triangle if it is a boundary edge and by exactly two otherwise.
         """
         if np.any(self.areas < 1e-14):
-            raise InvalidParameter("mesh has a non-positive or degenerate triangle")
+            raise ValueError("mesh has a non-positive or degenerate triangle")
         r = self.node_r[self.is_boundary]
         if np.any(np.abs(r - 1.0) > 1e-12):
-            raise InvalidParameter("boundary node off the unit circle")
+            raise ValueError("boundary node off the unit circle")
         # boundary edges form one closed cycle
         be = self.boundary_edges
         if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
-            raise InvalidParameter("boundary edges do not form a single closed cycle")
+            raise ValueError("boundary edges do not form a single closed cycle")
         # conformity: count each undirected edge, encoded as i*N + j with i < j
         n = len(self.nodes)
         tris = self.triangles
@@ -195,7 +180,7 @@ class DiscMesh:
         bad = np.flatnonzero(counts != want)
         if bad.size:
             i, j = divmod(int(keys[bad[0]]), n)
-            raise InvalidParameter(
+            raise ValueError(
                 f"edge {(i, j)} shared by {int(counts[bad[0]])} triangles")
         return self
 
@@ -222,7 +207,7 @@ class DiscMesh:
 
         Only available on meshes built by :func:`build_polar_mesh`.  Points
         must lie in the closed unit disc; ``r > 1 + 1e-12`` raises
-        :class:`InvalidLoop`.  Each point is tested against the triangles
+        ``ValueError``.  Each point is tested against the triangles
         of its polar cell (ring k, sector j), then of cells k - 1 and
         k + 1, and takes the first triangle whose smallest barycentric
         coordinate is largest.  A point on the circle between two boundary
@@ -230,14 +215,14 @@ class DiscMesh:
         triangle too.  Barycentrics are clamped to >= 0 and renormalised.
         """
         if self.polar_info is None:
-            raise InvalidParameter("locate() requires a structured polar mesh")
+            raise ValueError("locate() requires a structured polar mesh")
         pts = np.atleast_2d(np.asarray(points, float))
         info = self.polar_info
         n_s, n_rings = info["n_sectors"], info["n_rings"]
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
         if np.any(r > 1 + 1e-12):
-            raise InvalidLoop("point outside the closed unit disc")
+            raise ValueError("point outside the closed unit disc")
         dth = 2 * np.pi / n_s
         j = np.minimum((th / dth).astype(int), n_s - 1)
         k = np.searchsorted(info["radii"], r * (1 - 1e-15))  # 0 -> fan, else annulus k
@@ -280,9 +265,9 @@ def build_polar_mesh(n_rings, n_sectors, grading=1.0):
     ``0.2 <= grading <= 1``.
     """
     if n_rings < 2 or n_sectors < 8:
-        raise InvalidParameter("need n_rings >= 2 and n_sectors >= 8")
+        raise ValueError("need n_rings >= 2 and n_sectors >= 8")
     if not (0.2 <= grading <= 1.0):
-        raise InvalidParameter("grading must lie in [0.2, 1]")
+        raise ValueError("grading must lie in [0.2, 1]")
 
     radii = (np.arange(1, n_rings + 1) / n_rings) ** (1.0 / grading)
     theta = 2 * np.pi * np.arange(n_sectors) / n_sectors
@@ -384,18 +369,21 @@ def weak_divergence_residual(mesh, w, exclude=()):
 
     Hat functions at boundary nodes, at nodes inside an exclusion ball,
     or whose support meets an exclusion ball (see :func:`exclusion_masks`)
-    are skipped.  Raises :class:`InvalidParameter` when no test function
-    remains, since an empty maximum would read as a perfect 0.
+    are skipped.  Raises ``ValueError`` when no test function remains or
+    the stack holds no field, since an empty maximum would read as a
+    perfect 0.
     """
     w = np.asarray(w)
     fields = w[..., None] if w.ndim == 2 else w
+    if fields.shape[-1] == 0:
+        raise ValueError("weak_divergence_residual: empty field stack")
     n = len(mesh.nodes)
     node_ok, ok_tri = exclusion_masks(mesh, exclude)
     contrib_ok = np.ones(n, dtype=bool)
     contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
     test = contrib_ok & ~mesh.is_boundary & node_ok
     if not np.any(test):
-        raise InvalidParameter("weak_divergence_residual: empty test set")
+        raise ValueError("weak_divergence_residual: empty test set")
     grad_norm = np.sqrt(mesh.hat_energy[test])
     a = mesh.areas
     g = mesh.hat_gradients
@@ -439,7 +427,7 @@ def boundary_trace_pairing(mesh, w, phi, collar_r0):
     boundary integral of ``(w . nu) phi``.
     """
     if not (0.0 < collar_r0 < 1.0):
-        raise InvalidCollar("collar_r0 must lie in (0, 1)")
+        raise ValueError("collar_r0 must lie in (0, 1)")
     w = np.asarray(w)
     r = mesh.node_r
     vals = np.asarray(phi(mesh.node_theta)) * _collar_cutoff(r, collar_r0)
@@ -457,9 +445,9 @@ def loop_integrals(w, center, radius, n_quad=512):
     """
     center = np.asarray(center, float)
     if np.hypot(*center) + radius >= 1.0 - 1e-12:
-        raise InvalidLoop("quadrature circle exits the open unit disc")
+        raise ValueError("quadrature circle exits the open unit disc")
     if radius <= 0:
-        raise InvalidLoop("radius must be positive")
+        raise ValueError("radius must be positive")
     t = 2 * np.pi * np.arange(n_quad) / n_quad
     nu = np.column_stack([np.cos(t), np.sin(t)])
     tau = np.column_stack([-np.sin(t), np.cos(t)])

@@ -19,7 +19,7 @@ reported numbers are mesh- and amplitude-portable:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,20 +28,15 @@ from . import hamiltonians as hams
 from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
                       norm, symplectic, wedge_norm)
 from .families import DiscreteMap, ExampleMap, sample
-from .mesh import (InvalidParameter, boundary_trace_pairing, element_gradient,
-                   exclusion_masks, interpolate_at_centroids, loop_integrals,
+from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
+                   interpolate_at_centroids, loop_integrals,
                    weak_divergence_residual)
 
 __all__ = [
-    "AnnularSector",
     "FullDisc",
     "HalfPlane",
-    "InadmissibleHamiltonian",
-    "InconsistentAngle",
-    "NotUnitModulus",
     "ResidualReport",
     "SingularMassRecord",
-    "SupportViolation",
     "angle_harmonicity",
     "ball_mixed_batch",
     "ball_report_batch",
@@ -55,22 +50,6 @@ __all__ = [
     "stationarity_test",
     "structural_residual",
 ]
-
-
-class InconsistentAngle(ValueError):
-    pass
-
-
-class NotUnitModulus(ValueError):
-    pass
-
-
-class InadmissibleHamiltonian(ValueError):
-    pass
-
-
-class SupportViolation(ValueError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -104,33 +83,6 @@ class HalfPlane:
         half = np.sqrt(1.0 - self.c ** 2) * (1.0 - 1e-9)
         y = np.linspace(-half, half, n)
         return np.column_stack([np.full(n, self.c), y])
-
-
-class AnnularSector:
-    def __init__(self, r0, r1, th0, th1):
-        if not (0 <= r0 < r1 <= 1):
-            raise ValueError("need 0 <= r0 < r1 <= 1")
-        self.r0, self.r1, self.th0, self.th1 = r0, r1, th0, th1
-        self.name = f"sector({r0:g},{r1:g})"
-
-    def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - self.th0, 2 * np.pi)
-        return (r > self.r0) & (r <= self.r1) & (th < np.mod(self.th1 - self.th0,
-                                                            2 * np.pi))
-
-    def interior_boundary_samples(self, n=64):
-        pts = []
-        rs = np.linspace(max(self.r0, 1e-6), self.r1, n // 4)
-        for th in (self.th0, self.th1):
-            pts.append(np.column_stack([rs * np.cos(th), rs * np.sin(th)]))
-        ths = self.th0 + np.mod(self.th1 - self.th0, 2 * np.pi) * \
-            np.linspace(0, 1, n // 4)
-        for r in (self.r0, self.r1):
-            if 1e-6 < r < 1.0 - 1e-9:
-                pts.append(np.column_stack([r * np.cos(ths), r * np.sin(ths)]))
-        return np.vstack(pts)
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +193,7 @@ def structural_residual(u: DiscreteMap, gbar, exclude=()):
         if np.any(mask):
             _, ang = lagrangian_angle(e_x[mask], e_y[mask])
             if np.max(np.abs(ang - gbar[mask])) > 1e-6:
-                raise InconsistentAngle("nodal angle disagrees with the map's frames")
+                raise ValueError("nodal angle disagrees with the map's frames")
 
     if u.source is not None:
         # closed-form route: g and the frame evaluated exactly at centroids,
@@ -283,7 +235,7 @@ def angle_harmonicity(gbar, mesh, exclude=()):
     gbar = np.asarray(gbar, complex)
     mask, _ = exclusion_masks(mesh, exclude)
     if np.any(np.abs(np.abs(gbar[mask]) - 1.0) > 1e-6):
-        raise NotUnitModulus("angle field is not unit modulus")
+        raise ValueError("angle field is not unit modulus")
 
     g = np.conj(gbar)
     grad_g = element_gradient(mesh, g)            # (T, 2) complex
@@ -336,15 +288,22 @@ def _boundary_frames(u: DiscreteMap):
     return u.values[b], d_tau, d_nu
 
 
-def boundary_conditions_report(u: DiscreteMap, domain, collar_r0=0.7, max_k=4):
+# the inner radius of the collar of the Neumann trace pairing, and the top
+# frequency k of its boundary test functions
+COLLAR_R0 = 0.7
+MAX_K = 4
+
+
+def boundary_conditions_report(u: DiscreteMap, domain):
     """(legendrian, conormal, neumann_trace) for a sampled example map.
 
     * legendrian: max over boundary nodes of
       |<d_tau u, I(N o u)>| / |d_tau u|^2;
     * conormal: max of |(N o u) ^ d_nu u| / |d_nu u| (parallelogram
       area with the unit constraint normal);
-    * neumann_trace: max over phi in {1, cos k t, sin k t : k <= max_k}
-      of the collar pairing of the exact angle-flux field i gbar grad g.
+    * neumann_trace: max over phi in {1, cos k t, sin k t : k <= MAX_K}
+      of the pairing over the collar r > COLLAR_R0 of the exact angle-flux
+      field i gbar grad g.
     """
     vals, d_tau, d_nu = _boundary_frames(u)
     N = domain.normal_at(vals)
@@ -357,10 +316,10 @@ def boundary_conditions_report(u: DiscreteMap, domain, collar_r0=0.7, max_k=4):
     else:
         raise ValueError("neumann trace needs the exact angle-flux field")
     tests = [lambda t: np.ones_like(t)]
-    for k in range(1, max_k + 1):
+    for k in range(1, MAX_K + 1):
         tests.append(lambda t, k=k: np.cos(k * t))
         tests.append(lambda t, k=k: np.sin(k * t))
-    neu = max(abs(boundary_trace_pairing(u.mesh, w, phi, collar_r0))
+    neu = max(abs(boundary_trace_pairing(u.mesh, w, phi, COLLAR_R0))
               for phi in tests)
     return leg, con, float(neu)
 
@@ -506,22 +465,22 @@ def _check_support_clear(f, pts4, what):
     if len(pts4) == 0:
         return
     if f.support_hint is None:
-        raise SupportViolation(
+        raise ValueError(
             f"{f!r} has unbounded support but must vanish near {what}")
     center, radius = f.support_hint
     d = norm(np.atleast_2d(pts4) - np.asarray(center, float))
     if np.any(d <= radius):
-        raise SupportViolation(f"{f!r} support meets {what}")
+        raise ValueError(f"{f!r} support meets {what}")
 
 
-def _check_admissible(f, domain, fallback_pts, fallback_normals):
+def _check_admissible(f, domain, wall_pts, wall_normals):
     tag = f.admissibility_tag
     if tag == "interior":
         # supported away from the constraint boundary
         center, radius = (f.support_hint if f.support_hint is not None
                           else (None, None))
         if center is None:
-            raise InadmissibleHamiltonian(f"{f!r} lacks a support ball")
+            raise ValueError(f"{f!r} lacks a support ball")
         center = np.asarray(center, float)
         if domain.kind == "levelset":
             rng = np.random.default_rng(0)
@@ -529,27 +488,20 @@ def _check_admissible(f, domain, fallback_pts, fallback_normals):
             dirs /= norm(dirs)[:, None]
             shell = center + radius * dirs
             if np.any(np.asarray(domain.F(shell)) >= -1e-9):
-                raise InadmissibleHamiltonian(f"{f!r} support reaches the boundary")
+                raise ValueError(f"{f!r} support reaches the boundary")
         else:
             d = norm(domain.curve_points - center)
             if np.min(d) <= radius + 1e-9:
-                raise InadmissibleHamiltonian(f"{f!r} support reaches the curve")
+                raise ValueError(f"{f!r} support reaches the curve")
         return
     kind, dom = tag
     if kind != "boundary_tangent":
-        raise InadmissibleHamiltonian(f"unknown admissibility tag {tag!r}")
+        raise ValueError(f"unknown admissibility tag {tag!r}")
     if dom is not None and dom is not domain:
-        raise InadmissibleHamiltonian(f"{f!r} is tangent to a different domain")
-    if f.boundary_samples is not None:
-        resid = hams.admissibility_residual(f, domain, f.boundary_samples)
-    elif len(fallback_pts) == 0:
-        return      # omega misses the disc boundary: the support check decides
-    else:
-        grad = np.atleast_2d(f.gradient(fallback_pts))
-        num = np.abs(inner(apply_I(grad), fallback_normals))
-        resid = float(np.max(num / (norm(grad) + EPS)))
+        raise ValueError(f"{f!r} is tangent to a different domain")
+    resid = hams.admissibility_residual(f, wall_pts, wall_normals)
     if resid > 1e-6:
-        raise InadmissibleHamiltonian(
+        raise ValueError(
             f"{f!r} admissibility residual {resid:.2e} exceeds 1e-6")
 
 
@@ -563,8 +515,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
     with midpoint quadrature per triangle and the Frobenius matrix norm.
-    An empty batch raises :class:`InvalidParameter` instead of reading as
-    a perfect 0.
+    An empty batch raises ``ValueError`` instead of reading as a perfect 0.
 
     The frames enter only through one (T, 10) frame tensor per call,
     area_t sum_k sym((-I d_k u) (x) d_k u) packed like the Hessians,
@@ -585,7 +536,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     ||A||_F when C = 0 and otherwise one polynomial evaluation per block.
     """
     if len(fs) == 0:
-        raise InvalidParameter("stationarity_test: empty test set")
+        raise ValueError("stationarity_test: empty test set")
     mesh = u.mesh
     sub = subdomain or FullDisc()
     m = sub.contains(mesh.centroids)
@@ -600,7 +551,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     # admissibility sample set: image of the disc-boundary nodes inside omega
     wall = mesh.is_boundary & sub.contains(mesh.nodes)
     wall_pts = u.values[wall]
-    wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
+    wall_normals = domain.normal_at(wall_pts)
 
     u_c, S, grad_sq = _frame_tensor(u, m)
     moments = _Moments(u_c, S)
@@ -683,7 +634,7 @@ def default_exclusions(example, radius=0.1):
     return [(np.asarray(p, float), radius) for p in example.singular_points]
 
 
-def full_report(example, mesh, domain, fs=None, exclude=None, collar_r0=0.7):
+def full_report(example, mesh, domain, fs=None, exclude=None):
     """Evaluate every residual for a closed-form example sampled on a mesh."""
     u = sample(example, mesh)
     if exclude is None:
@@ -692,7 +643,7 @@ def full_report(example, mesh, domain, fs=None, exclude=None, collar_r0=0.7):
     lag, conf = pointwise_geometry_report(u)
     struct = structural_residual(u, gbar, exclude)
     adiv, apdiv = angle_harmonicity(example, mesh, exclude)
-    leg, con, neu = boundary_conditions_report(u, domain, collar_r0=collar_r0)
+    leg, con, neu = boundary_conditions_report(u, domain)
     if fs is None:
         if domain.kind == "levelset":
             fs = ball_report_batch(domain)
@@ -706,17 +657,18 @@ def full_report(example, mesh, domain, fs=None, exclude=None, collar_r0=0.7):
                           domain=domain.kind)
 
 
-def fit_order(hs, values, floor=1e-13):
+def fit_order(hs, values):
     """Least-squares slope of log(value) against log(h).
 
-    Values at or below ``floor`` mean the quantity has hit rounding
-    level; if all are floored the order is reported as infinity.  Fewer
-    than two distinct h have no slope and raise :class:`InvalidParameter`.
+    Values at or below 1e-13 mean the quantity has hit rounding level; if
+    all are floored the order is reported as infinity.  Fewer than two
+    distinct h have no slope and raise ``ValueError``.
     """
+    floor = 1e-13
     hs = np.asarray(hs, float)
     values = np.asarray(values, float)
     if len(np.unique(hs)) < 2:
-        raise InvalidParameter("fit_order: needs at least two distinct h")
+        raise ValueError("fit_order: needs at least two distinct h")
     if np.all(values <= floor):
         return np.inf
     values = np.maximum(values, floor)

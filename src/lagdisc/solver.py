@@ -41,12 +41,11 @@ import scipy.sparse.linalg as spla
 from . import hamiltonians as hams
 from . import residuals as res
 from .algebra import EPS, apply_I, inner, lagrangian_angle, symplectic, wedge_norm
-from .domains import LevelSetDomain, Unsupported
+from .domains import LevelSetDomain
 from .families import DiscreteMap, flat_disc, sample
 from .mesh import DiscMesh, element_gradient
 
 __all__ = [
-    "DegeneratePointCloud",
     "FlowState",
     "RigidityReport",
     "SolverConfig",
@@ -66,10 +65,6 @@ __all__ = [
 # random directions (and their seed) of the finite-difference gradient check
 FD_DIRECTIONS = 20
 FD_SEED = 0
-
-
-class DegeneratePointCloud(ValueError):
-    pass
 
 
 def default_continuation():
@@ -121,7 +116,7 @@ def _energy_state(u: DiscreteMap, domain, lam1, lam2):
     :func:`_energy_gradient` builds its gradient from; one
     ``element_gradient`` pass."""
     if not isinstance(domain, LevelSetDomain):
-        raise Unsupported("energy penalties need a level-set domain")
+        raise TypeError("energy penalties need a level-set domain")
     mesh = u.mesh
     vals = u.values
     a = mesh.areas
@@ -496,18 +491,18 @@ def perturb_by_hamiltonian_flows(u: DiscreteMap, fs, times, domain, n_sub=8):
     return _flow_state(u, vals, t, domain)
 
 
-def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12,
-                             envelope_radius=0.7):
+def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12):
     """Displace a flat-disc map along a plane-normal direction.
 
     The displacement is amplitude * envelope(x, y) * cos(pi x / wavelength)
     in the direction I e_x (normal to the identity flat disc), with the
-    sup of the displacement equal to ``amplitude``.  This is NOT a
-    Hamiltonian variation: it destroys the Lagrangian condition at first
-    order and exists to exercise detection tests.
+    envelope the bump kernel of |(x, y)|^2 / 0.7^2 and the sup of the
+    displacement equal to ``amplitude``.  This is NOT a Hamiltonian
+    variation: it destroys the Lagrangian condition at first order and
+    exists to exercise detection tests.
     """
     x, y = u.mesh.nodes[:, 0], u.mesh.nodes[:, 1]
-    env = hams.bump_kernel((x * x + y * y) / envelope_radius ** 2)[0]
+    env = hams.bump_kernel((x * x + y * y) / 0.7 ** 2)[0]
     b = env * np.cos(np.pi * x / wavelength)
     b = b / np.max(np.abs(b))
     vals = u.values.copy()
@@ -530,10 +525,10 @@ def flat_disc_distance(u: DiscreteMap):
     """
     vals = u.values
     if len(vals) < 10:
-        raise DegeneratePointCloud("need at least 10 nodes")
+        raise ValueError("need at least 10 nodes")
     _, s, vt = np.linalg.svd(vals, full_matrices=False)
     if s[1] < 1e-9 * max(s[0], 1.0):
-        raise DegeneratePointCloud("nodal image collapses below two dimensions")
+        raise ValueError("nodal image collapses below two dimensions")
     plane = vt[:2]
     proj = vals @ plane.T @ plane
     plane_dist = float(np.max(np.linalg.norm(vals - proj, axis=1)))

@@ -51,8 +51,8 @@ def test_quaternion_relations_bulk(rng):
     v = rng.normal(size=(1000, 4))
     assert np.max(np.abs(alg.apply_I(alg.apply_I(v)) + v)) <= 1e-14
     assert np.max(np.abs(alg.apply_J(alg.apply_J(v)) + v)) <= 1e-14
-    K = alg.apply_K(v)
-    assert np.max(np.abs(alg.apply_K(K) + v)) <= 1e-14
+    K = alg.apply_I(alg.apply_J(v))
+    assert np.max(np.abs(alg.apply_I(alg.apply_J(K)) + v)) <= 1e-14
     assert np.max(np.abs(alg.apply_I(alg.apply_J(v))
                          + alg.apply_J(alg.apply_I(v)))) <= 1e-14
 
@@ -128,7 +128,7 @@ def test_angle_nonminimal(rng):
 
 
 def test_angle_degenerate_frame():
-    with pytest.raises(alg.DegenerateFrame):
+    with pytest.raises(ValueError, match="tangent frame is numerically degenerate"):
         alg.lagrangian_angle(np.zeros(4), np.zeros(4))
 
 
@@ -144,7 +144,7 @@ def test_holomorphic_vs_lagrangian_frames(rng):
     e_y = alg.apply_I(e_x)
     assert np.max(np.abs(alg.symplectic(e_x, e_y) - e2) / e2) <= 1e-12
     assert np.max(np.abs(alg.holomorphic_area(e_x, e_y)) / e2) <= 1e-12
-    with pytest.raises(alg.DegenerateFrame):
+    with pytest.raises(ValueError, match="holomorphic area vanishes"):
         alg.lagrangian_angle(e_x, e_y)
 
     e_y = alg.apply_J(e_x)
@@ -168,13 +168,3 @@ def test_polar_frame_identity_all_families(rng):
         resid = e_t + alg.complex_scale(gbar, alg.apply_J(e_r))
         assert np.max(np.abs(resid)) <= 1e-12
 
-
-def test_ambient_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        alg.ambient_vector(np.nan, 0, 0, 0)
-
-
-def test_unit_complex():
-    assert abs(abs(alg.unit_complex(3 + 4j)) - 1) <= 1e-12
-    with pytest.raises(ValueError):
-        alg.unit_complex(0j)

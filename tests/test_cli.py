@@ -166,8 +166,10 @@ def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
     assert f"{culprit}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("example", ["sw:2,4", "sw:0,1"])
+@pytest.mark.parametrize("example", ["sw:2,4", "sw:0,1", "flat:junk",
+                                     "nonminimal:3", "sw", "sw:1,2,3"])
 def test_invalid_sw_example_exits_1(tmp_path, capsys, example):
+    # exactly flat, nonminimal or sw:p,q with coprime positive p, q
     code = run_cli("--command", "masses", "--example", example,
                    "--out", str(tmp_path / "o"))
     assert code == 1

@@ -28,7 +28,7 @@ def test_ball_constraint_bitwise_matches_axis_sum(rng):
 
 def test_ball_normal_at_requires_boundary():
     ball = dom.unit_ball()
-    with pytest.raises(dom.NotOnBoundary):
+    with pytest.raises(ValueError, match="not on the domain boundary"):
         ball.normal_at(np.array([0.9, 0, 0, 0]))  # 0.1 away from the sphere
 
 
@@ -38,7 +38,7 @@ def test_ball_projection():
                        [1, 0, 0, 0])
     assert np.allclose(ball.project_to_boundary(np.array([0.9, 0, 0, 0])),
                        [1, 0, 0, 0])
-    with pytest.raises(dom.ProjectionDiverged):
+    with pytest.raises(RuntimeError, match="gradient vanished during projection"):
         ball.project_to_boundary(np.zeros(4))
 
 
@@ -82,7 +82,7 @@ def test_curve_normal_at_quarter_turn():
 
 def test_curve_normal_off_curve_rejected():
     d = dom.curve_domain_from_map(nonminimal_map())
-    with pytest.raises(dom.NotOnBoundary):
+    with pytest.raises(ValueError, match="not on the stored boundary curve"):
         d.normal_at(np.array([0.0, 0, 0, 0.5]))
 
 
@@ -114,7 +114,7 @@ def _reference_normal_at(d, z):
             f2 = f(c2)
     t = 0.5 * (a + b)
     if np.linalg.norm(d.curve_at(t) - z) > d.curve_tol:
-        raise dom.NotOnBoundary("point is not on the stored boundary curve")
+        raise ValueError("point is not on the stored boundary curve")
     return d.normal_at_theta(t)
 
 
@@ -141,13 +141,13 @@ def test_curve_normal_batch_rejects_one_off_curve_row():
     pts = nm.value(np.ones_like(th), th)
     d.normal_at(pts)
     pts[17, 3] += 1e-3
-    with pytest.raises(dom.NotOnBoundary):
+    with pytest.raises(ValueError, match="not on the stored boundary curve"):
         d.normal_at(pts)
 
 
 def test_curve_projection_unsupported():
     d = dom.curve_domain_from_map(nonminimal_map())
-    with pytest.raises(dom.Unsupported):
+    with pytest.raises(TypeError, match="projection is not defined"):
         d.project_to_boundary(np.zeros(4))
 
 
@@ -163,7 +163,7 @@ def test_curve_grid_refinement_stability():
 
 def test_curve_degenerate_normal():
     nm = nonminimal_map()
-    with pytest.raises(dom.DegenerateNormal):
+    with pytest.raises(ValueError, match="constraint field X degenerates"):
         dom.curve_domain_from_map(nm, X=lambda th: np.zeros((len(th), 4)))
 
 
@@ -176,14 +176,6 @@ def test_flat_disc_curve_reproduces_ball_normals():
     for th in np.linspace(0, 2 * np.pi, 17):
         p = fd.value(1.0, th)
         assert np.allclose(d.normal_at(p), ball.normal_at(p), atol=1e-9)
-
-
-def test_curve_serialization():
-    d = dom.curve_domain_from_map(nonminimal_map())
-    payload = d.to_json_dict()
-    assert set(payload) == {"curve_points", "curve_normals"}
-    assert len(payload["curve_points"]) == len(d.theta_grid)
-    assert all(len(row) == 4 for row in payload["curve_normals"])
 
 
 def test_curve_requires_enough_grid():

@@ -23,7 +23,7 @@ def test_grading_radii():
 @pytest.mark.parametrize("args", [(1, 8, 1.0), (2, 7, 1.0), (4, 16, 0.1),
                                   (4, 16, 1.5)])
 def test_invalid_parameters(args):
-    with pytest.raises(msh.InvalidParameter):
+    with pytest.raises(ValueError, match=r"^(need n_rings >= 2|grading must lie)"):
         msh.build_polar_mesh(*args)
 
 
@@ -83,13 +83,13 @@ def test_build_bitwise_matches_loops(args):
 def _dict_validate(mesh):
     """Reference: the per-triangle dict edge count ``validate`` replaced."""
     if np.any(mesh.areas < 1e-14):
-        raise msh.InvalidParameter("mesh has a non-positive or degenerate triangle")
+        raise ValueError("mesh has a non-positive or degenerate triangle")
     r = mesh.node_r[mesh.is_boundary]
     if np.any(np.abs(r - 1.0) > 1e-12):
-        raise msh.InvalidParameter("boundary node off the unit circle")
+        raise ValueError("boundary node off the unit circle")
     be = mesh.boundary_edges
     if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
-        raise msh.InvalidParameter("boundary edges do not form a single closed cycle")
+        raise ValueError("boundary edges do not form a single closed cycle")
     edges = {}
     for tri in mesh.triangles:
         for a in range(3):
@@ -99,7 +99,7 @@ def _dict_validate(mesh):
     for key, count in edges.items():
         want = 1 if key in bset else 2
         if count != want:
-            raise msh.InvalidParameter(f"edge {key} shared by {count} triangles")
+            raise ValueError(f"edge {key} shared by {count} triangles")
     return mesh
 
 
@@ -135,10 +135,10 @@ def test_validate_matches_dict_loop_on_valid_meshes(mesh_cache, size):
                                   "boundary edge in two triangles"])
 def test_validate_rejects_nonconforming_mesh(case):
     bad = dict(_broken_meshes())[case]
-    with pytest.raises(msh.InvalidParameter,
+    with pytest.raises(ValueError,
                        match=r"^edge \(\d+, \d+\) shared by \d+ triangles$"):
         bad.validate()
-    with pytest.raises(msh.InvalidParameter, match="shared by"):
+    with pytest.raises(ValueError, match="shared by"):
         _dict_validate(bad)
 
 
@@ -351,8 +351,16 @@ def test_centroid_average_bitwise_matches_mean(mesh_cache, rng, size):
 def test_weak_divergence_empty_test_set(mesh_cache):
     m = mesh_cache(2, 8)
     w = np.zeros((len(m.triangles), 2))
-    with pytest.raises(msh.InvalidParameter, match="empty test set"):
+    with pytest.raises(ValueError, match="empty test set"):
         msh.weak_divergence_residual(m, w, exclude=[((0.0, 0.0), 2.0)])
+
+
+def test_weak_divergence_empty_field_stack(mesh_cache):
+    # a stack of no fields has no residual; it must not read as a perfect 0
+    m = mesh_cache(4, 16)
+    w = np.zeros((len(m.triangles), 2, 0))
+    with pytest.raises(ValueError, match="empty field stack"):
+        msh.weak_divergence_residual(m, w)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +401,7 @@ def test_pairing_invalid_collar(mesh_cache):
     m = mesh_cache(2, 8)
     w = np.zeros((len(m.triangles), 2))
     for bad in (0.0, 1.0, -0.3, 1.7):
-        with pytest.raises(msh.InvalidCollar):
+        with pytest.raises(ValueError, match="collar_r0 must lie in"):
             msh.boundary_trace_pairing(m, w, np.cos, bad)
 
 
@@ -441,9 +449,9 @@ def test_loop_invalid():
     def w(p):
         return p
 
-    with pytest.raises(msh.InvalidLoop):
+    with pytest.raises(ValueError, match="quadrature circle exits"):
         msh.loop_integrals(w, (0.8, 0.0), 0.5)
-    with pytest.raises(msh.InvalidLoop):
+    with pytest.raises(ValueError, match="radius must be positive"):
         msh.loop_integrals(w, (0.0, 0.0), -0.1)
 
 
@@ -467,6 +475,10 @@ def test_locate_and_interpolate(mesh_cache, rng):
     vals = 2.0 * m.nodes[:, 0] - m.nodes[:, 1]
     interp = m.interpolate(vals, pts)
     assert np.max(np.abs(interp - (2.0 * pts[:, 0] - pts[:, 1]))) <= 1e-12
+
+
+class _Unlocated(Exception):
+    """Raised by :func:`_loop_locate` for a point outside the polygonal mesh."""
 
 
 def _loop_locate(mesh, points):
@@ -501,7 +513,7 @@ def _loop_locate(mesh, points):
             if bar.min() > best_min:
                 best, best_bar, best_min = t, bar, bar.min()
         if best_min < -1e-9:
-            raise msh.InvalidLoop(f"point {pts[i]} not located in mesh")
+            raise _Unlocated(f"point {pts[i]} not located in mesh")
         tri_idx[i] = best
         bary[i] = np.clip(best_bar, 0.0, None)
         bary[i] /= bary[i].sum()
@@ -524,7 +536,7 @@ def test_locate_bitwise_matches_loop(mesh_cache, rng, size):
     for i, p in enumerate(pts):
         try:
             want = _loop_locate(m, p)
-        except msh.InvalidLoop:      # on the rim, outside the polygonal mesh
+        except _Unlocated:       # on the rim, outside the polygonal mesh
             continue
         got = m.locate(p)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -542,7 +554,7 @@ def test_locate_on_circle_between_boundary_nodes(mesh_cache):
     n_s = 32
     th = 2 * np.pi * (np.arange(n_s) + np.array([[0.25], [0.5], [0.9]])) / n_s
     pts = np.column_stack([np.cos(th.ravel()), np.sin(th.ravel())])
-    with pytest.raises(msh.InvalidLoop):
+    with pytest.raises(_Unlocated):
         _loop_locate(m, pts[:1])                 # outside the polygonal mesh
     tri, bary = m.locate(pts)
     outer = len(m.triangles) - 2 * n_s           # first outer-ring triangle
@@ -552,7 +564,7 @@ def test_locate_on_circle_between_boundary_nodes(mesh_cache):
     # the located value is that of the nearest boundary chord, O(h^2) off
     vals = m.nodes[:, 0]
     assert np.max(np.abs(m.interpolate(vals, pts) - pts[:, 0])) <= (2 * np.pi / n_s) ** 2
-    with pytest.raises(msh.InvalidLoop):
+    with pytest.raises(ValueError, match="point outside the closed unit disc"):
         m.locate([[1.0 + 1e-9, 0.0]])
 
 

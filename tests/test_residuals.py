@@ -93,7 +93,7 @@ def test_structural_inconsistent_angle(mesh_cache):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
     wrong = np.full(len(m.nodes), np.exp(1j * 0.3))
-    with pytest.raises(res.InconsistentAngle):
+    with pytest.raises(ValueError, match="nodal angle disagrees"):
         res.structural_residual(u, wrong)
 
 
@@ -141,7 +141,7 @@ def test_angle_harmonicity_nodal_route(mesh_cache):
 
 def test_angle_harmonicity_unit_modulus_gate(mesh_cache):
     m = mesh_cache(4, 16)
-    with pytest.raises(res.NotUnitModulus):
+    with pytest.raises(ValueError, match="angle field is not unit modulus"):
         res.angle_harmonicity(np.full(len(m.nodes), 0.5 + 0j), m)
 
 
@@ -235,7 +235,11 @@ def test_stationarity_linear_in_f(mesh_cache):
     f1 = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
     f2 = hams.radial_invariant(hams.poly_profile([0, 0, 1.0]), domain=BALL)
     c1, c2 = 1.7, -0.4
-    combo = hams.combine([c1, c2], [f1, f2])
+    combo = hams.Hamiltonian(
+        lambda z: c1 * f1.value(z) + c2 * f2.value(z),
+        lambda z: c1 * f1.gradient(z) + c2 * f2.gradient(z),
+        lambda z: c1 * f1.hessian(z) + c2 * f2.hessian(z),
+        admissibility_tag=f1.admissibility_tag)
     lhs = res.stationarity_integral(u, combo)
     rhs = c1 * res.stationarity_integral(u, f1) + c2 * res.stationarity_integral(u, f2)
     assert abs(lhs - rhs) <= 1e-12
@@ -259,62 +263,42 @@ def test_stationarity_support_violation(mesh_cache):
     # a global (radial) test function cannot be used on a half disc: it does
     # not vanish near the image of the interior boundary
     f = hams.radial_invariant(hams.poly_profile([0, 1.0]), domain=BALL)
-    with pytest.raises(res.SupportViolation):
+    with pytest.raises(ValueError, match="has unbounded support but must vanish"):
         res.stationarity_test(u, BALL, [f], subdomain=res.HalfPlane(0.0))
     # a bump supported away from the cut is fine
     g = hams.interior_bump(np.array([0.6, 0, 0, 0]), 0.25)
     res.stationarity_test(u, BALL, [g], subdomain=res.HalfPlane(0.0))
     # a bump sitting on the cut is rejected
     bad = hams.interior_bump(np.array([0.0, 0, 0, 0]), 0.3)
-    with pytest.raises(res.SupportViolation):
+    with pytest.raises(ValueError, match="support meets"):
         res.stationarity_test(u, BALL, [bad], subdomain=res.HalfPlane(0.0))
-
-
-def test_stationarity_subdomain_off_the_wall(mesh_cache):
-    # the sector misses the disc boundary, so it has no wall samples: the
-    # boundary condition holds vacuously and the support check rejects f
-    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
-    f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
-    with pytest.raises(res.SupportViolation):
-        res.stationarity_test(u, BALL, [f],
-                              subdomain=res.AnnularSector(0.2, 0.8, 0, 1))
-
-
-@pytest.mark.parametrize("R,S", [(8, 32), (24, 96), (48, 192)])
-def test_sector_wall_count_is_rounding_independent(mesh_cache, R, S):
-    # the sector is closed at r1 = 1: every boundary node with theta in
-    # [0, pi) is a wall sample, whether or not its radius rounds below 1
-    m = mesh_cache(R, S)
-    sector = res.AnnularSector(0.2, 1.0, 0.0, np.pi)
-    assert np.count_nonzero(m.is_boundary & sector.contains(m.nodes)) == S // 2
 
 
 def test_stationarity_inadmissible(mesh_cache, rng):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
-    # f = x1 is not tangent to the sphere: <I grad f, z> = y1, which
-    # vanishes on the equator circle itself but not in any neighbourhood;
-    # generic sphere samples expose it
+    # f = y1 is not tangent to the sphere: <I grad f, z> = -x1, which the
+    # image of the boundary circle, (cos t, 0, sin t, 0), exposes, as do
+    # generic sphere samples
     sphere = rng.normal(size=(100, 4))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
     lin = hams.Hamiltonian(
-        value=lambda z: np.asarray(z)[..., 0],
+        value=lambda z: np.asarray(z)[..., 1],
         gradient=lambda z: np.broadcast_to(
-            np.array([1.0, 0, 0, 0]), np.asarray(z).shape).copy(),
+            np.array([0.0, 1.0, 0, 0]), np.asarray(z).shape).copy(),
         hessian=lambda z: np.zeros(np.asarray(z).shape[:-1] + (10,)),
-        admissibility_tag=("boundary_tangent", None),
-        boundary_samples=sphere, name="x1")
-    assert hams.admissibility_residual(lin, BALL, sphere) > 0.1
-    with pytest.raises(res.InadmissibleHamiltonian):
+        admissibility_tag=("boundary_tangent", None), name="y1")
+    assert hams.admissibility_residual(lin, sphere, BALL.normal_at(sphere)) > 0.1
+    with pytest.raises(ValueError, match=r"admissibility residual .* exceeds 1e-6"):
         res.stationarity_test(u, BALL, [lin])
     # an interior bump reaching the sphere is rejected
     big = hams.interior_bump(np.array([0.8, 0, 0, 0]), 0.4)
-    with pytest.raises(res.InadmissibleHamiltonian):
+    with pytest.raises(ValueError, match="support reaches the boundary"):
         res.stationarity_test(u, BALL, [big])
     # wrong domain object
     other = dom.curve_domain_from_map(fam.nonminimal_map())
     f = hams.radial_invariant(hams.poly_profile([0, 1.0]), domain=other)
-    with pytest.raises(res.InadmissibleHamiltonian):
+    with pytest.raises(ValueError, match="is tangent to a different domain"):
         res.stationarity_test(u, BALL, [f])
 
 
@@ -436,7 +420,8 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
         for f in fs:
             try:
                 res._check_support_clear(f, cut, "the cut")
-            except res.SupportViolation:
+            except ValueError as exc:
+                assert "support" in str(exc)
                 continue
             clear.append(f)
         assert clear
@@ -552,7 +537,7 @@ def test_support_restriction_is_exact(mesh_cache, kind):
 
 def test_stationarity_empty_batch_raises(mesh_cache):
     u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
-    with pytest.raises(res.InvalidParameter):
+    with pytest.raises(ValueError, match="empty test set"):
         res.stationarity_test(u, BALL, [])
 
 
@@ -585,14 +570,8 @@ def test_subdomain_specs():
     assert not half.contains(np.array([[0.0, 0.0]]))[0]
     pts = half.interior_boundary_samples(32)
     assert np.allclose(pts[:, 0], 0.2)
-    sector = res.AnnularSector(0.2, 0.8, 0.0, np.pi / 2)
-    assert sector.contains(np.array([[0.3, 0.3]]))[0]
-    assert not sector.contains(np.array([[-0.3, 0.3]]))[0]
-    assert len(sector.interior_boundary_samples(32)) > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut must intersect the open disc"):
         res.HalfPlane(1.5)
-    with pytest.raises(ValueError):
-        res.AnnularSector(0.8, 0.2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,5 +608,5 @@ def test_fit_order_floor():
 @pytest.mark.parametrize("hs,vals", [([0.1], [1e-2]), ([0.1, 0.1], [1e-2, 5e-3]),
                                      ([0.1], [1e-15])])
 def test_fit_order_needs_two_distinct_h(hs, vals):
-    with pytest.raises(res.InvalidParameter):
+    with pytest.raises(ValueError, match="needs at least two distinct h"):
         res.fit_order(hs, vals)

@@ -4,11 +4,13 @@
 package (``bench/run.py --trace 1``); a rename under ``src/`` breaks it
 without failing any other test.  This loads the recorder from its file,
 installs and uninstalls it around a few calls, and checks that every
-``__all__`` entry of every module resolves.
+``__all__`` entry of every module resolves.  It also checks that the
+package defines no exception class but the CLI's ``ConfigError``.
 """
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -100,7 +102,15 @@ def test_every_public_name_resolves():
             assert hasattr(module, public), f"lagdisc.{name}.{public}"
 
 
-def test_one_invalid_parameter_and_eps():
-    from lagdisc import algebra
-    assert hams.InvalidParameter is msh.InvalidParameter
+def test_config_error_is_the_only_exception_class_and_one_eps():
+    """The library raises builtin exceptions with a message; the one class
+    of its own is the CLI's ConfigError, which maps to exit 1."""
+    from lagdisc import algebra, cli
+    defined = []
+    for info in pkgutil.iter_modules(lagdisc.__path__):
+        module = importlib.import_module(f"lagdisc.{info.name}")
+        defined += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                    if obj.__module__ == module.__name__
+                    and issubclass(obj, BaseException)]
+    assert defined == [cli.ConfigError]
     assert hams.EPS is algebra.EPS and msh.EPS is algebra.EPS
