@@ -13,14 +13,15 @@ dump-mesh        write the mesh as JSON
 Every command writes summary.json to --out: its numbers, the config keys
 it read, "command" and "pass".  All but masses and dump-mesh also write
 the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
-0 success, 1 usage or configuration error (a negative seed, an example
-other than flat, nonminimal or an sw:p,q with a coprime positive pair,
-one refinement level for verify-example or stationarity and more than one
-stationarity seed included), 2 a built-in check failed, 3 the pipeline
-raised (the message names the exception class); --out is created only
-once the command has returned, so exits 1 and 3 create no directory.
-A JSON config file supplies defaults; flags override it.  Identical
-config and seed produce bitwise-identical outputs.
+0 success, 1 usage or configuration error (a negative seed, an --out that
+is a file or lies under one, an example other than flat, nonminimal or an
+sw:p,q with a coprime positive pair, one refinement level for
+verify-example or stationarity and more than one stationarity seed
+included), 2 a built-in check failed, 3 the pipeline raised (the message
+names the exception class); --out is created only once the command has
+returned, so exits 1 and 3 create no directory.  A JSON config file
+supplies defaults; flags override it.  Identical config and seed produce
+bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class RunConfig:
         for key in ("example", "domain", "output_dir"):
             if not (isinstance(getattr(self, key), str) and getattr(self, key)):
                 raise ConfigError(f"{key}: must be a non-empty string")
+        out = Path(self.output_dir)
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError(f"output_dir: {out} is a file or lies under one")
         kind = self.build_example().kind
         if self.domain not in ("ball", "curve"):
             raise ConfigError(f"domain: unknown domain {self.domain!r}")

@@ -8,15 +8,15 @@ Two representations:
   construction).
 * ``CurveNormalDomain``: only the boundary data that actually enters the
   free-boundary checks -- a closed curve in C^2 together with a unit
-  normal field along it.  This realizes constraint domains that are
-  known only through a normal field along the image of the disc
-  boundary; no global hypersurface is reconstructed.
+  normal field X/|X| along it, both evaluated in closed form from the
+  curve parameter.  This realizes constraint domains that are known only
+  through a normal field along the image of the disc boundary; no global
+  hypersurface is reconstructed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import algebra
 
@@ -33,10 +33,9 @@ class LevelSetDomain:
 
     kind = "levelset"
 
-    def __init__(self, F, gradF, name="levelset"):
+    def __init__(self, F, gradF):
         self.F = F
         self.gradF = gradF
-        self.name = name
 
     def normal_extension(self, z):
         """gradF/|gradF| wherever the gradient is nonzero (off-boundary too)."""
@@ -76,8 +75,9 @@ class LevelSetDomain:
 class CurveNormalDomain:
     """Boundary curve with a prescribed unit normal field, periodic in theta.
 
-    Normals are interpolated with periodic cubic splines per component
-    and renormalized; queries must lie within ``curve_tol`` of the curve.
+    ``curve``, ``X`` and ``tangent`` are closed-form callables of theta; the
+    normal X/|X| is evaluated exactly and checked against ``tangent`` at
+    build time.  Queries must lie within ``CURVE_TOL`` of the curve.
     ``normal_at`` finds the curve parameter of a whole batch of query
     points with one vectorized golden-section search (per point it does
     the same arithmetic as a scalar search).  The point-by-grid distance
@@ -86,34 +86,16 @@ class CurveNormalDomain:
 
     kind = "curve"
     GRID_BLOCK = 1024
+    N_GRID = 512
+    CURVE_TOL = 1e-6
 
-    def __init__(self, theta_grid, curve_points, normals, tangents=None,
-                 curve_tol=1e-6, name="curve"):
-        theta_grid = np.asarray(theta_grid, float)
-        curve_points = np.asarray(curve_points, float)
-        normals = np.asarray(normals, float)
-        if len(theta_grid) < 256:
-            raise ValueError("need a theta grid of at least 256 points")
-        n = algebra.norm(normals)
-        if np.any(np.abs(n - 1.0) > 1e-10):
-            raise ValueError("stored normals are not unit length")
-        self.theta_grid = theta_grid
-        self.curve_points = curve_points
-        self.normals = normals
-        self.curve_tol = curve_tol
-        self.name = name
-        closed_t = np.append(theta_grid, theta_grid[0] + 2 * np.pi)
-        self._curve_spline = CubicSpline(
-            closed_t, np.vstack([curve_points, curve_points[:1]]),
-            bc_type="periodic")
-        self._normal_spline = CubicSpline(
-            closed_t, np.vstack([normals, normals[:1]]), bc_type="periodic")
-        # tangency of the stored data; exact tangents (when the curve comes
-        # from a closed-form map) avoid polluting the check with O(h^3)
-        # spline-derivative error
-        if tangents is None:
-            tangents = self._curve_spline.derivative()(theta_grid)
-        tangents = np.asarray(tangents, float)
+    def __init__(self, curve, X, tangent):
+        self._curve = curve
+        self._X = X
+        self.theta_grid = 2 * np.pi * np.arange(self.N_GRID) / self.N_GRID
+        self.curve_points = self.curve_at(self.theta_grid)
+        tangents = np.asarray(tangent(self.theta_grid), float)
+        normals = self.normal_at_theta(self.theta_grid)
         resid = np.abs(np.sum(tangents * normals, axis=-1)) / algebra.norm(tangents)
         self.tangency_residual = float(np.max(resid))
         if self.tangency_residual > 1e-8:
@@ -122,21 +104,25 @@ class CurveNormalDomain:
                 f"{self.tangency_residual:.2e})")
 
     def curve_at(self, theta):
-        return self._curve_spline(np.mod(theta, 2 * np.pi) + self.theta_grid[0])
+        return np.asarray(self._curve(theta), float)
 
     def normal_at_theta(self, theta):
-        n = self._normal_spline(np.mod(theta, 2 * np.pi) + self.theta_grid[0])
-        return n / algebra.norm(n)[..., None]
+        """X/|X| at the curve parameters ``theta``; raises ``ValueError``
+        where |X| dips below 1e-6."""
+        X = np.asarray(self._X(theta), float)
+        mag = algebra.norm(X)
+        if np.any(mag < 1e-6):
+            raise ValueError("constraint field X degenerates on the boundary")
+        return X / mag[..., None]
 
     def _closest_theta(self, z):
         """Curve parameter nearest to each row of the (n, 4) array ``z``.
 
         Starts from the nearest grid angle and runs 60 golden-section steps
-        on the squared spline distance, all rows at once: each step makes
-        one spline call on the whole batch and keeps, per row, the bracket
-        half its comparison selects.
+        on the squared distance to the curve, all rows at once: each step
+        evaluates the curve once on the whole batch and keeps, per row, the
+        bracket half its comparison selects.
         """
-        tg0 = self.theta_grid[0]
         k = np.empty(len(z), dtype=np.intp)
         for s in range(0, len(z), self.GRID_BLOCK):
             blk = z[s:s + self.GRID_BLOCK]
@@ -144,10 +130,9 @@ class CurveNormalDomain:
             k[s:s + self.GRID_BLOCK] = np.argmin(d, axis=1)
 
         def f(t):
-            p = self._curve_spline(np.mod(t - tg0, 2 * np.pi) + tg0)
-            return np.sum((p - z) ** 2, axis=-1)
+            return np.sum((self.curve_at(t) - z) ** 2, axis=-1)
 
-        span = 2 * np.pi / len(self.theta_grid)
+        span = 2 * np.pi / self.N_GRID
         a, b = self.theta_grid[k] - span, self.theta_grid[k] + span
         phi = (np.sqrt(5) - 1) / 2
         c1, c2 = b - phi * (b - a), a + phi * (b - a)
@@ -164,13 +149,13 @@ class CurveNormalDomain:
     def normal_at(self, z):
         """Unit normal at points of the curve, one per row of ``z`` (..., 4).
 
-        Raises ``ValueError`` when any point lies farther than ``curve_tol``
+        Raises ``ValueError`` when any point lies farther than ``CURVE_TOL``
         from the curve.
         """
         z = np.asarray(z, float)
         pts = z.reshape(-1, 4)
         t = self._closest_theta(pts)
-        if np.any(algebra.norm(self.curve_at(t) - pts) > self.curve_tol):
+        if np.any(algebra.norm(self.curve_at(t) - pts) > self.CURVE_TOL):
             raise ValueError("point is not on the stored boundary curve")
         return self.normal_at_theta(t).reshape(z.shape)
 
@@ -187,29 +172,23 @@ def unit_ball():
     def gradF(z):
         return 2.0 * np.asarray(z, float)
 
-    return LevelSetDomain(F, gradF, name="ball")
+    return LevelSetDomain(F, gradF)
 
 
-def curve_domain_from_map(example, n_grid=512, X=None):
+def curve_domain_from_map(example, X=None):
     """Curve domain along u(dD^2) with normals from the field X/|X|.
 
     ``X`` defaults to the example's ``boundary_X``.  Raises ``ValueError``
     when |X| dips below 1e-6 on the grid; the orthogonality of X to the
     boundary tangent is validated at build time.
     """
-    if n_grid < 256:
-        raise ValueError("n_grid must be at least 256")
-    theta = 2 * np.pi * np.arange(n_grid) / n_grid
-    curve = example.value(np.ones_like(theta), theta)
-    frame = example.frame(np.ones_like(theta), theta)
-    tangents = (-np.sin(theta)[:, None] * frame.e_x
+    def curve(theta):
+        return example.value(np.ones_like(theta), theta)
+
+    def tangent(theta):
+        frame = example.frame(np.ones_like(theta), theta)
+        return (-np.sin(theta)[:, None] * frame.e_x
                 + np.cos(theta)[:, None] * frame.e_y)
-    if X is None:
-        Xv = example.boundary_X(theta)
-    else:
-        Xv = np.asarray(X(theta), float)
-    mag = algebra.norm(Xv)
-    if np.any(mag < 1e-6):
-        raise ValueError("constraint field X degenerates on the boundary")
-    normals = Xv / mag[..., None]
-    return CurveNormalDomain(theta, curve, normals, tangents=tangents, name="curve")
+
+    return CurveNormalDomain(curve, example.boundary_X if X is None else X,
+                             tangent)

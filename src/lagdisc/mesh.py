@@ -185,20 +185,14 @@ class DiscMesh:
         return self
 
     # -- serialization -----------------------------------------------------
-    def to_json_dict(self, values=None):
+    def dump_json(self, path):
         d = {
             "nodes": [[float(x), float(y)] for x, y in self.nodes],
             "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
             "boundary_edges": [[int(a), int(b)] for a, b in self.boundary_edges],
         }
-        if values is not None:
-            values = np.asarray(values)
-            d["values"] = [[float(c) for c in row] for row in values]
-        return d
-
-    def dump_json(self, path, values=None):
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(values), fh, sort_keys=True)
+            json.dump(d, fh, sort_keys=True)
             fh.write("\n")
 
     # -- point location (polar meshes) ---------------------------------

@@ -58,8 +58,6 @@ __all__ = [
 class FullDisc:
     """omega = the whole disc; its boundary meets the open disc nowhere."""
 
-    name = "full"
-
     def contains(self, pts):
         return np.ones(len(np.atleast_2d(pts)), dtype=bool)
 
@@ -74,7 +72,6 @@ class HalfPlane:
         if abs(c) >= 1:
             raise ValueError("cut must intersect the open disc")
         self.c = float(c)
-        self.name = f"half(x>{c:g})"
 
     def contains(self, pts):
         return np.atleast_2d(pts)[:, 0] > self.c
@@ -630,25 +627,20 @@ def curve_report_batch(domain, example, size=12, seed=0):
 # --------------------------------------------------------------------------
 # aggregate report
 # --------------------------------------------------------------------------
-def default_exclusions(example, radius=0.1):
-    return [(np.asarray(p, float), radius) for p in example.singular_points]
-
-
-def full_report(example, mesh, domain, fs=None, exclude=None):
-    """Evaluate every residual for a closed-form example sampled on a mesh."""
+def full_report(example, mesh, domain):
+    """Evaluate every residual for a closed-form example sampled on a mesh,
+    excluding a ball of radius 0.1 around each singular point."""
     u = sample(example, mesh)
-    if exclude is None:
-        exclude = default_exclusions(example)
+    exclude = [(np.asarray(p, float), 0.1) for p in example.singular_points]
     gbar = u.nodal_angle()
     lag, conf = pointwise_geometry_report(u)
     struct = structural_residual(u, gbar, exclude)
     adiv, apdiv = angle_harmonicity(example, mesh, exclude)
     leg, con, neu = boundary_conditions_report(u, domain)
-    if fs is None:
-        if domain.kind == "levelset":
-            fs = ball_report_batch(domain)
-        else:
-            fs = curve_report_batch(domain, example)
+    if domain.kind == "levelset":
+        fs = ball_report_batch(domain)
+    else:
+        fs = curve_report_batch(domain, example)
     stat = stationarity_test(u, domain, fs)
     return ResidualReport(lagrangian=lag, conformality=conf, structural=struct,
                           angle_div=adiv, angle_perp_div=apdiv, legendrian=leg,

@@ -147,13 +147,16 @@ def test_rigidity_runs_on_a_mesh_without_half_turn_symmetry(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"seeds": 3}, {"seeds": [1.5]}, {"seeds": [-1]}, {"eps": "0.05"},
     {"eps": 0.5}, {"mesh": 5}, {"example": 5}, {"output_dir": 5},
-    {"output_dir": ""}, 5, [[1]],
+    {"output_dir": ""}, {"output_dir": "c.json"}, {"output_dir": "c.json/o"},
+    5, [[1]],
 ], ids=["seeds-int", "seeds-float", "seeds-negative", "eps-string",
         "eps-large", "mesh-int", "example-int", "output_dir-int",
-        "output_dir-empty", "not-object-int", "not-object-list"])
+        "output_dir-empty", "output_dir-file", "output_dir-under-file",
+        "not-object-int", "not-object-list"])
 def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
-    """A wrongly typed key, or a file whose JSON is not an object at all,
-    is a configuration error naming its culprit."""
+    """A wrongly typed key, an output directory that is (or lies under) an
+    existing file, or a file whose JSON is not an object at all, is a
+    configuration error naming its culprit."""
     monkeypatch.chdir(tmp_path)          # no --out: it would mask output_dir
     cfg = tmp_path / "c.json"
     if isinstance(bad, dict):

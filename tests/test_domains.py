@@ -93,11 +93,9 @@ def _reference_normal_at(d, z):
         return np.stack([_reference_normal_at(d, row) for row in z])
     k = int(np.argmin(alg.norm(d.curve_points - z)))
     span = 2 * np.pi / len(d.theta_grid)
-    t0 = d.theta_grid[0]
 
     def f(t):
-        p = d._curve_spline(np.mod(t - t0, 2 * np.pi) + t0)
-        return float(np.sum((p - z) ** 2))
+        return float(np.sum((d.curve_at(np.array([t]))[0] - z) ** 2))
 
     phi = (np.sqrt(5) - 1) / 2
     a, b = d.theta_grid[k] - span, d.theta_grid[k] + span
@@ -113,9 +111,9 @@ def _reference_normal_at(d, z):
             c2 = a + phi * (b - a)
             f2 = f(c2)
     t = 0.5 * (a + b)
-    if np.linalg.norm(d.curve_at(t) - z) > d.curve_tol:
+    if np.linalg.norm(d.curve_at(np.array([t]))[0] - z) > d.CURVE_TOL:
         raise ValueError("point is not on the stored boundary curve")
-    return d.normal_at_theta(t)
+    return d.normal_at_theta(np.array([t]))[0]
 
 
 @pytest.mark.parametrize("rings,sectors", [(24, 96), (48, 192)])
@@ -151,14 +149,20 @@ def test_curve_projection_unsupported():
         d.project_to_boundary(np.zeros(4))
 
 
-def test_curve_grid_refinement_stability():
+@pytest.mark.parametrize("rings,sectors", [(24, 96), (96, 384)])
+def test_curve_normal_is_the_exact_unit_field(mesh_cache, rings, sectors):
+    """The normal is X/|X| itself, at every curve parameter and, through
+    the golden-section search, at the images of the boundary nodes."""
     nm = nonminimal_map()
-    d1 = dom.curve_domain_from_map(nm, n_grid=256)
-    d2 = dom.curve_domain_from_map(nm, n_grid=512)
-    th = np.linspace(0, 2 * np.pi, 1001)
-    n1 = d1.normal_at_theta(th)
-    n2 = d2.normal_at_theta(th)
-    assert np.max(np.abs(n1 - n2)) <= 1e-6
+    d = dom.curve_domain_from_map(nm)
+    th = np.linspace(-1.0, 2 * np.pi + 1.0, 1001)
+    X = nm.boundary_X(th)
+    assert np.array_equal(d.normal_at_theta(th), X / alg.norm(X)[:, None])
+    m = mesh_cache(rings, sectors)
+    t = np.arctan2(m.nodes[m.is_boundary, 1], m.nodes[m.is_boundary, 0])
+    X = nm.boundary_X(t)
+    n = d.normal_at(sample(nm, m).values[m.is_boundary])
+    assert np.max(np.abs(n - X / alg.norm(X)[:, None])) <= 1e-13
 
 
 def test_curve_degenerate_normal():
@@ -176,8 +180,3 @@ def test_flat_disc_curve_reproduces_ball_normals():
     for th in np.linspace(0, 2 * np.pi, 17):
         p = fd.value(1.0, th)
         assert np.allclose(d.normal_at(p), ball.normal_at(p), atol=1e-9)
-
-
-def test_curve_requires_enough_grid():
-    with pytest.raises(ValueError):
-        dom.curve_domain_from_map(nonminimal_map(), n_grid=128)

@@ -461,12 +461,12 @@ def test_loop_invalid():
 def test_json_dump(tmp_path, mesh_cache):
     m = mesh_cache(2, 8)
     path = tmp_path / "mesh.json"
-    m.dump_json(path, values=np.zeros((len(m.nodes), 4)))
+    m.dump_json(path)
     data = json.loads(path.read_text())
-    assert set(data) == {"nodes", "triangles", "boundary_edges", "values"}
+    assert set(data) == {"nodes", "triangles", "boundary_edges"}
     assert len(data["nodes"]) == 17
     assert len(data["triangles"]) == 24
-    assert all(len(v) == 4 for v in data["values"])
+    assert len(data["boundary_edges"]) == 8
 
 
 def test_locate_and_interpolate(mesh_cache, rng):

@@ -5,13 +5,16 @@ package (``bench/run.py --trace 1``); a rename under ``src/`` breaks it
 without failing any other test.  This loads the recorder from its file,
 installs and uninstalls it around a few calls, and checks that every
 ``__all__`` entry of every module resolves.  It also checks that the
-package defines no exception class but the CLI's ``ConfigError``.
+package defines no exception class but the CLI's ``ConfigError``, and
+that importing the CLI loads no ``scipy.interpolate``.
 """
 
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,3 +117,12 @@ def test_config_error_is_the_only_exception_class_and_one_eps():
                     and issubclass(obj, BaseException)]
     assert defined == [cli.ConfigError]
     assert hams.EPS is algebra.EPS and msh.EPS is algebra.EPS
+
+
+def test_cli_import_loads_no_scipy_interpolate():
+    """Curve domains evaluate their closed forms: no process that imports
+    the CLI pays for ``scipy.interpolate``."""
+    src = str(Path(lagdisc.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lagdisc.cli; "
+            "assert 'scipy.interpolate' not in sys.modules, 'loaded'")
+    subprocess.run([sys.executable, "-c", code], check=True)
