@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 EPS = np.finfo(float).eps
+# |e_x|^2 + |e_y|^2 or |dz1^dz2| at or below it marks a degenerate frame
+DEGENERATE_FRAME = 1e-14
 
 
 class Frame(NamedTuple):
@@ -137,7 +139,7 @@ def wedge_norm(a, b):
     return np.sqrt(total)
 
 
-def lagrangian_angle(e_x, e_y, tol=1e-14):
+def lagrangian_angle(e_x, e_y):
     """Conformal factor and Lagrangian angle of a tangent frame.
 
     Returns ``(e2lam, gbar)`` where ``e2lam = (|e_x|^2 + |e_y|^2)/2`` (the
@@ -146,17 +148,17 @@ def lagrangian_angle(e_x, e_y, tol=1e-14):
     ``dz1^dz2(e_x, e_y) = e2lam * gbar`` for exactly conformal Lagrangian
     frames.
 
-    Raises ``ValueError`` when ``|e_x|^2 + |e_y|^2 <= tol``, which signals
-    a branch or singular point sample, or when the holomorphic area
-    vanishes.
+    Raises ``ValueError`` when ``|e_x|^2 + |e_y|^2 <= DEGENERATE_FRAME``,
+    which signals a branch or singular point sample, or when the
+    holomorphic area vanishes.
     """
     e_x = np.asarray(e_x)
     e_y = np.asarray(e_y)
     energy = inner(e_x, e_x) + inner(e_y, e_y)
-    if np.any(energy <= tol):
+    if np.any(energy <= DEGENERATE_FRAME):
         raise ValueError("tangent frame is numerically degenerate")
     hol = holomorphic_area(e_x, e_y)
     mod = np.abs(hol)
-    if np.any(mod <= tol):
+    if np.any(mod <= DEGENERATE_FRAME):
         raise ValueError("holomorphic area vanishes; angle undefined")
     return energy / 2.0, hol / mod

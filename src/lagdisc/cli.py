@@ -135,7 +135,8 @@ _LEVEL_HEADER = ("example", "domain", "h", "check", "value")
 
 def _cmd_verify_example(cfg, example, domain):
     reports = [res.full_report(example, m, domain) for m in cfg.meshes()]
-    rows = [r for rep in reports for r in rep.csv_rows()]
+    rows = [(cfg.example, cfg.domain, rep.h, check, getattr(rep, check))
+            for rep in reports for check in res.ResidualReport.CHECKS]
     failures = []
     floor = 1e-12
     persistent = set(_BOUNDARY_CHECKS) if example.kind == "nonminimal" else set()
@@ -250,7 +251,7 @@ def run(cfg: RunConfig) -> int:
         with open(out / "report.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            w.writerows([repr(c) if isinstance(c, float) else c for c in row]
+            w.writerows([repr(float(c)) if isinstance(c, float) else c for c in row]
                         for row in rows)
     summary.update({key: getattr(cfg, key) for key in ("command",) + keys})
     summary["pass"] = ok

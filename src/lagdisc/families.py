@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -253,13 +254,12 @@ def nonminimal_map():
 class DiscreteMap:
     """Nodal map from a disc mesh into C^2.
 
-    ``exact_frames`` is present when the map was sampled from an
-    :class:`ExampleMap`; frames at singular points are the zero frame.
+    ``source`` is the :class:`ExampleMap` the values were sampled from, or
+    None for a flowed or relaxed map.
     """
 
     mesh: DiscMesh
     values: np.ndarray                      # (N, 4)
-    exact_frames: Frame | None = None       # each (N, 4)
     source: ExampleMap | None = None
 
     def __post_init__(self):
@@ -267,6 +267,15 @@ class DiscreteMap:
             raise ValueError("values must be one ambient vector per node")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite nodal values")
+
+    @cached_property
+    def exact_frames(self) -> Frame | None:
+        """The source's exact nodal frames, each (N, 4), or None without a
+        source; frames at singular points are the zero frame."""
+        if self.source is None:
+            return None
+        frame = self.source.frame(self.mesh.node_r, self.mesh.node_theta)
+        return Frame(np.asarray(frame.e_x, float), np.asarray(frame.e_y, float))
 
     @property
     def singular_points(self):
@@ -281,11 +290,6 @@ class DiscreteMap:
 
 
 def sample(example, mesh):
-    """Sample an example map on a mesh: exact values, frames and source link."""
-    r, th = mesh.node_r, mesh.node_theta
-    values = example.value(r, th)
-    frame = example.frame(r, th)
-    return DiscreteMap(mesh=mesh, values=values,
-                       exact_frames=Frame(np.asarray(frame.e_x, float),
-                                          np.asarray(frame.e_y, float)),
+    """Sample an example map on a mesh: exact values and the source link."""
+    return DiscreteMap(mesh=mesh, values=example.value(mesh.node_r, mesh.node_theta),
                        source=example)

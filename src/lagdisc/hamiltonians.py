@@ -113,9 +113,6 @@ class Profile:
         self.support = support
         self.coeffs = coeffs
 
-    def __call__(self, s):
-        return self.f(s)
-
 
 def _degree(P):
     """The degree of a polynomial profile, inf for any other."""

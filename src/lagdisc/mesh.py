@@ -422,20 +422,17 @@ def boundary_trace_pairing(mesh, w, phi, collar_r0):
     """
     if not (0.0 < collar_r0 < 1.0):
         raise ValueError("collar_r0 must lie in (0, 1)")
-    w = np.asarray(w)
-    r = mesh.node_r
-    vals = np.asarray(phi(mesh.node_theta)) * _collar_cutoff(r, collar_r0)
+    vals = np.asarray(phi(mesh.node_theta)) * _collar_cutoff(mesh.node_r, collar_r0)
     grad = element_gradient(mesh, vals)
-    contrib = mesh.areas * np.einsum("td,td->t", grad.astype(w.dtype), w)
-    return complex(np.sum(contrib)) if np.iscomplexobj(w) else float(np.sum(contrib))
+    return float(np.sum(mesh.areas * np.einsum("td,td->t", grad, np.asarray(w))))
 
 
 def loop_integrals(w, center, radius, n_quad=512):
     """Flux and circulation of a field around a circle inside the disc.
 
-    ``w`` is a callable mapping (k, 2) points to (k, 2) vectors (real or
-    complex).  Trapezoidal quadrature on the circle is spectrally
-    accurate for smooth periodic integrands.
+    ``w`` is a callable mapping (k, 2) points to real (k, 2) vectors.
+    Trapezoidal quadrature on the circle is spectrally accurate for smooth
+    periodic integrands.
     """
     center = np.asarray(center, float)
     if np.hypot(*center) + radius >= 1.0 - 1e-12:
@@ -450,6 +447,4 @@ def loop_integrals(w, center, radius, n_quad=512):
     ds = 2 * np.pi * radius / n_quad
     flux = np.sum(np.sum(vals * nu, axis=-1)) * ds
     circ = np.sum(np.sum(vals * tau, axis=-1)) * ds
-    if np.iscomplexobj(vals):
-        return complex(flux), complex(circ)
     return float(flux), float(circ)

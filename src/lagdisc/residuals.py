@@ -97,8 +97,6 @@ class ResidualReport:
     neumann_trace: float
     stationarity: float
     h: float
-    example: str = ""
-    domain: str = ""
 
     CHECKS = ("lagrangian", "conformality", "structural", "angle_div",
               "angle_perp_div", "legendrian", "conormal", "neumann_trace",
@@ -114,10 +112,6 @@ class ResidualReport:
         d = {name: float(getattr(self, name)) for name in self.CHECKS}
         d["h"] = float(self.h)
         return d
-
-    def csv_rows(self):
-        return [(self.example, self.domain, self.h, name, float(getattr(self, name)))
-                for name in self.CHECKS]
 
 
 @dataclass
@@ -253,11 +247,8 @@ def singular_masses(angle_flux, point, radii, n_quad=512):
     (for the conical families the degree equals p - q).
     """
     point = np.asarray(point, float)
-    fluxes, circs = [], []
-    for r in radii:
-        fl, ci = loop_integrals(angle_flux, point, r, n_quad)
-        fluxes.append(float(np.real(fl)))
-        circs.append(float(np.real(ci)))
+    fluxes, circs = zip(*(loop_integrals(angle_flux, point, r, n_quad)
+                          for r in radii))
     degs = np.asarray(circs) / (2 * np.pi)
     rec = SingularMassRecord(point=point,
                              degree=float(np.mean(degs)),
@@ -558,7 +549,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
         total, h_inf = _stationarity_terms(u_c, S, f, moments)
         worst = max(worst, abs(total) / (h_inf * grad_sq + EPS))
-    return worst
+    return float(worst)
 
 
 # --------------------------------------------------------------------------
@@ -645,8 +636,7 @@ def full_report(example, mesh, domain):
     return ResidualReport(lagrangian=lag, conformality=conf, structural=struct,
                           angle_div=adiv, angle_perp_div=apdiv, legendrian=leg,
                           conormal=con, neumann_trace=neu, stationarity=stat,
-                          h=mesh.h_max, example=example.kind,
-                          domain=domain.kind)
+                          h=mesh.h_max)
 
 
 def fit_order(hs, values):

@@ -18,10 +18,8 @@ is symmetric positive definite, so SuperLU factors it in symmetric mode:
 minimum-degree ordering on A+A^T and the diagonal as pivots, with no
 pivoting search.
 
-Hamiltonian flows compute their energy, Lagrangian and boundary
-diagnostics only for the state they return:
-:func:`perturb_by_hamiltonian_flows` composes many steps and reports the
-last map alone.
+:func:`perturb_by_hamiltonian_flows` composes midpoint steps of
+Hamiltonian flows and returns the flowed :class:`DiscreteMap`.
 
 Each energy evaluation makes one ``element_gradient`` pass and keeps the
 per-element state (frames, symplectic density, |grad u|^2, boundary
@@ -46,14 +44,12 @@ from .families import DiscreteMap, flat_disc, sample
 from .mesh import DiscMesh, element_gradient
 
 __all__ = [
-    "FlowState",
     "RigidityReport",
     "SolverConfig",
     "energy",
     "energy_and_gradient",
     "flat_disc_distance",
     "flow_frame_step",
-    "hamiltonian_flow_step",
     "minimize",
     "normal_wave_perturbation",
     "perturb_by_hamiltonian_flows",
@@ -62,9 +58,11 @@ __all__ = [
 ]
 
 
-# random directions (and their seed) of the finite-difference gradient check
+# random directions (and their seed and step) of the finite-difference
+# gradient check
 FD_DIRECTIONS = 20
 FD_SEED = 0
+FD_STEP = 1e-6
 
 
 def default_continuation():
@@ -88,13 +86,6 @@ class SolverConfig:
             raise ValueError("continuation needs stages with positive finite penalties")
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
-
-
-@dataclass
-class FlowState:
-    u: DiscreteMap
-    t: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +169,16 @@ def energy(u: DiscreteMap, domain, lam1, lam2):
     return _energy_state(u, domain, lam1, lam2).E
 
 
-def _fd_gradient_check(u, domain, lam1, lam2, step=1e-6):
+def _fd_gradient_check(u, domain, lam1, lam2):
     E0, G = energy_and_gradient(u, domain, lam1, lam2)
     rng = np.random.default_rng(FD_SEED)
     for _ in range(FD_DIRECTIONS):
         d = rng.normal(size=u.values.shape)
         d /= np.sqrt(np.sum(d * d))
-        up = replace(u, values=u.values + step * d)
-        um = replace(u, values=u.values - step * d)
+        up = replace(u, values=u.values + FD_STEP * d)
+        um = replace(u, values=u.values - FD_STEP * d)
         fd = (energy(up, domain, lam1, lam2)
-              - energy(um, domain, lam1, lam2)) / (2 * step)
+              - energy(um, domain, lam1, lam2)) / (2 * FD_STEP)
         if abs(fd - float(np.sum(G * d))) > 1e-6 * (1.0 + abs(E0)):
             raise RuntimeError("analytic gradient failed the finite-difference test")
 
@@ -322,7 +313,7 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
         raise ValueError("boundary nodes outside the projection tube")
     vals = _project_boundary(domain, centred, b)
     vals[~b] -= (m @ vals) / float(np.sum(m[~b]))
-    u = replace(u0, values=vals, exact_frames=None, source=None)
+    u = DiscreteMap(mesh, vals)
 
     history = {"rows": [], "stages": []}
     _fd_gradient_check(u, domain, *cfg.continuation[0])
@@ -388,7 +379,12 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 # --------------------------------------------------------------------------
 def _flow_step(mesh, vals, f, dt, domain):
     """The nodal values after one midpoint (RK2) step of du/dt = I grad
-    f(u) from ``vals``, with the boundary nodes reprojected."""
+    f(u) from ``vals``, with the boundary nodes reprojected.
+
+    The continuum flow preserves the Lagrangian condition exactly; the
+    per-step defect of the discrete step is third order in dt (and zero
+    to rounding for complex-linear generator fields).
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -397,26 +393,6 @@ def _flow_step(mesh, vals, f, dt, domain):
 
     mid = vals + 0.5 * dt * V(vals)
     return _project_boundary(domain, vals + dt * V(mid), mesh.is_boundary)
-
-
-def _flow_state(u: DiscreteMap, vals, t, domain):
-    """The flowed map with nodal values ``vals`` at time ``t``, with its
-    unpenalized :func:`_diagnostics`."""
-    u = replace(u, values=vals, exact_frames=None, source=None)
-    return FlowState(u=u, t=t,
-                     diagnostics=_diagnostics(_energy_state(u, domain, 0.0, 0.0)))
-
-
-def hamiltonian_flow_step(state: FlowState, f, dt, domain):
-    """One midpoint (RK2) step of du/dt = I grad f(u), then reprojection.
-
-    The continuum flow preserves the Lagrangian condition exactly; the
-    per-step defect of the discrete step is third order in dt (and zero
-    to rounding for complex-linear generator fields).
-    """
-    u = state.u
-    return _flow_state(u, _flow_step(u.mesh, u.values, f, dt, domain),
-                       state.t + dt, domain)
 
 
 def flow_frame_step(z, frame, f, dt, method="rk4"):
@@ -452,14 +428,14 @@ def flow_frame_step(z, frame, f, dt, method="rk4"):
     return s1[0], (s1[1], s1[2])
 
 
-def random_sphere_tangent_hamiltonians(rng, domain, count=3):
-    """Seeded admissible generators tangent to the unit sphere.
+def random_sphere_tangent_hamiltonians(rng, domain):
+    """Three seeded admissible generators tangent to the unit sphere.
 
     Drawn from the phase-invariant family (quadratics and radial
     profiles), whose fields are odd under z -> -z.
     """
     out = []
-    for k in range(count):
+    for k in range(3):
         c = rng.normal(size=4)
         c /= np.linalg.norm(c)
         # the first draw is always a profiled quadratic: its flow is not an
@@ -478,17 +454,14 @@ def random_sphere_tangent_hamiltonians(rng, domain, count=3):
 
 
 def perturb_by_hamiltonian_flows(u: DiscreteMap, fs, times, domain, n_sub=8):
-    """Compose Hamiltonian flows, ``n_sub`` steps of
-    :func:`hamiltonian_flow_step` each; returns the final state.  Its
-    diagnostics are those of the final map only: the steps before it
-    compute none."""
-    vals, t = u.values, 0.0
+    """Compose Hamiltonian flows, ``n_sub`` midpoint steps of
+    :func:`_flow_step` for each generator of ``fs`` over its time of
+    ``times``; returns the flowed map, with no source."""
+    vals = u.values
     for f, t_total in zip(fs, times):
-        dt = t_total / n_sub
         for _ in range(n_sub):
-            vals = _flow_step(u.mesh, vals, f, dt, domain)
-            t += dt
-    return _flow_state(u, vals, t, domain)
+            vals = _flow_step(u.mesh, vals, f, t_total / n_sub, domain)
+    return DiscreteMap(u.mesh, vals)
 
 
 def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12):
@@ -507,7 +480,7 @@ def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12):
     b = b / np.max(np.abs(b))
     vals = u.values.copy()
     vals[:, 1] += amplitude * b
-    return replace(u, values=vals, exact_frames=None, source=None)
+    return DiscreteMap(u.mesh, vals)
 
 
 # --------------------------------------------------------------------------
@@ -613,18 +586,15 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
     if not lagrangian_penalty_on:
         cfg = replace(cfg, continuation=[(1e-12, l2) for _, l2 in cfg.continuation])
 
-    u0 = sample(flat_disc(np.eye(2)), mesh)
+    u_start = sample(flat_disc(np.eye(2)), mesh)
     rng = np.random.default_rng(seed)
     if eps > 0:
-        fs = random_sphere_tangent_hamiltonians(rng, domain, count=3)
+        fs = random_sphere_tangent_hamiltonians(rng, domain)
         scales = []
         for f in fs:
-            gmax = float(np.max(np.linalg.norm(f.gradient(u0.values), axis=1)))
+            gmax = float(np.max(np.linalg.norm(f.gradient(u_start.values), axis=1)))
             scales.append((eps / 3.0) / max(gmax, 1e-9))
-        state = perturb_by_hamiltonian_flows(u0, fs, scales, domain)
-        u_start = state.u
-    else:
-        u_start = replace(u0, exact_frames=None, source=None)
+        u_start = perturb_by_hamiltonian_flows(u_start, fs, scales, domain)
 
     u_final, history = minimize(u_start, domain, cfg)
     dist, plane, plane_lag = flat_disc_distance(u_final)

@@ -169,11 +169,10 @@ def test_criterion_5_flow_invariance(mesh_cache):
         c = np.zeros(4)
         c[k] = 1.0
         f = hams.hopf_invariant_quadratic(c, domain=BALL)
-        st = sol.FlowState(u=u)
-        for _ in range(100):
-            st = sol.hamiltonian_flow_step(st, f, 1e-2, BALL)
-        worst = max(worst, st.diagnostics["lagrangian"])
-        assert st.diagnostics["lagrangian"] <= 1e-6
+        lag = res.pointwise_geometry_report(
+            sol.perturb_by_hamiltonian_flows(u, [f], [1.0], BALL, n_sub=100))[0]
+        worst = max(worst, lag)
+        assert lag <= 1e-6
 
     f = hams.hopf_invariant_quadratic(
         [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3),

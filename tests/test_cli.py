@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from types import SimpleNamespace
@@ -267,6 +268,32 @@ def test_each_command_writes_its_files(tmp_path):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == command
         assert code == (0 if summary["pass"] is True else 2), command
+
+
+@pytest.fixture(scope="module")
+def level_tables(tmp_path_factory):
+    """The report.csv rows of each command that writes a per-level table."""
+    tables = {}
+    for command in ("verify-example", "boundary-report", "stationarity"):
+        out = tmp_path_factory.mktemp(command) / "o"
+        run_cli("--command", command, "--example", "sw:2,3", "--mesh", "4,16,1.0",
+                "--refinements", "2", "--out", str(out))
+        with open(out / "report.csv", newline="") as fh:
+            tables[command] = list(csv.DictReader(fh))
+    return tables
+
+
+def test_level_table_cells_are_numbers(level_tables):
+    for command, rows in level_tables.items():
+        assert rows, command
+        for row in rows:
+            float(row["h"]), float(row["value"])   # not np.float64(...)
+
+
+def test_level_tables_share_labels(level_tables):
+    for command, rows in level_tables.items():
+        labels = {(r["example"], r["domain"]) for r in rows}
+        assert labels == {("sw:2,3", "ball")}, command
 
 
 def test_rigidity_command(tmp_path):

@@ -27,12 +27,19 @@ def test_pointwise_sw_exact_frames(mesh_cache):
     assert lag <= 1e-12 and conf <= 1e-12
 
 
+class _ShearedFrames(fam.FlatDisc):
+    """The identity flat disc with the sheared exact frame (e_x, e_y + 0.1 e_x)."""
+
+    def frame(self, r, theta):
+        e_x, e_y = super().frame(r, theta)
+        return fam.Frame(e_x, e_y + 0.1 * e_x)
+
+
 def test_pointwise_sheared_map(mesh_cache):
     m = mesh_cache(8, 32)
-    u = fam.sample(fam.flat_disc(np.eye(2)), m)
-    ex, ey = u.exact_frames
-    sheared = fam.DiscreteMap(mesh=m, values=u.values,
-                              exact_frames=fam.Frame(ex, ey + 0.1 * ex))
+    sheared = fam.sample(_ShearedFrames(np.eye(2)), m)
+    assert np.array_equal(sheared.values,
+                          fam.sample(fam.flat_disc(np.eye(2)), m).values)
     _, conf = res.pointwise_geometry_report(sheared)
     assert conf >= 0.05
 
@@ -595,9 +602,6 @@ def test_report_serialization(mesh_cache):
     rep = res.full_report(fam.sw_cone(1, 2), mesh_cache(8, 32), BALL)
     d = rep.to_dict()
     assert set(d) == set(res.ResidualReport.CHECKS) | {"h"}
-    rows = rep.csv_rows()
-    assert len(rows) == len(res.ResidualReport.CHECKS)
-    assert all(r[0] == "sw" and r[1] == "levelset" for r in rows)
 
 
 def test_fit_order_floor():

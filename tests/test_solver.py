@@ -38,8 +38,7 @@ def test_energy_flat_disc(mesh_cache):
 def test_energy_zero_map(mesh_cache):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    uz = replace(u0, values=np.zeros_like(u0.values), exact_frames=None,
-                 source=None)
+    uz = replace(u0, values=np.zeros_like(u0.values), source=None)
     lam2 = 100.0
     E, G = sol.energy_and_gradient(uz, BALL, 10.0, lam2)
     w = m.boundary_weights[m.is_boundary].sum()
@@ -50,7 +49,7 @@ def test_energy_zero_map(mesh_cache):
 def test_gradient_finite_difference(mesh_cache, rng):
     m = mesh_cache(6, 24)
     u = fam.sample(fam.sw_cone(1, 2), m)
-    u = replace(u, exact_frames=None, source=None)
+    u = replace(u, source=None)
     E0, G = sol.energy_and_gradient(u, BALL, 10.0, 100.0)
     for _ in range(20):
         d = rng.normal(size=u.values.shape)
@@ -110,7 +109,7 @@ def test_energy_and_gradient_bitwise_matches_add_at(mesh_cache, rng, size):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     for lam1, lam2 in sol.default_continuation():
         vals = u0.values + 0.1 * rng.normal(size=u0.values.shape)
-        u = replace(u0, values=vals, exact_frames=None, source=None)
+        u = replace(u0, values=vals, source=None)
         E, G = sol.energy_and_gradient(u, BALL, lam1, lam2)
         E_ref, G_ref = _add_at_energy_and_gradient(u, BALL, lam1, lam2)
         assert E == E_ref
@@ -148,7 +147,7 @@ def test_minimize_flat_disc_immediate(mesh_cache):
 def test_minimize_requires_projection_tube(mesh_cache):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    bad = replace(u0, values=2.5 * u0.values, exact_frames=None, source=None)
+    bad = replace(u0, values=2.5 * u0.values, source=None)
     with pytest.raises(ValueError):
         sol.minimize(bad, BALL, small_cfg())
 
@@ -192,12 +191,12 @@ def test_preconditioner_factor_has_symmetric_fill(mesh_cache, monkeypatch):
 
 def _perturbed_start(m, rng, eps=0.05):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL, count=3)
+    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL)
     scales = []
     for f in fs:
         gmax = float(np.max(np.linalg.norm(f.gradient(u0.values), axis=1)))
         scales.append((eps / 3) / max(gmax, 1e-9))
-    return sol.perturb_by_hamiltonian_flows(u0, fs, scales, BALL).u
+    return sol.perturb_by_hamiltonian_flows(u0, fs, scales, BALL)
 
 
 def _off_centre_start(m, seed, eps=0.05):
@@ -212,7 +211,7 @@ def _off_centre_start(m, seed, eps=0.05):
         fs.append(hams.interior_bump(c, 0.45))
         gmax = float(np.max(np.linalg.norm(fs[-1].gradient(u0.values), axis=1)))
         times.append((eps / 2) / gmax)
-    return sol.perturb_by_hamiltonian_flows(u0, fs, times, BALL).u
+    return sol.perturb_by_hamiltonian_flows(u0, fs, times, BALL)
 
 
 def _tangential_gradient(u, st, lam1, lam2):
@@ -468,16 +467,16 @@ def test_minimize_unitary_equivariance(mesh_cache, rng):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     f = hams.hopf_invariant_quadratic([0.4, -0.2, 0.6, 0.1], domain=BALL)
-    state = sol.perturb_by_hamiltonian_flows(u0, [f], [0.03], BALL)
+    flowed = sol.perturb_by_hamiltonian_flows(u0, [f], [0.03], BALL)
     cfg = small_cfg(grad_tol=1e-10)
-    u_a, hist_a = sol.minimize(state.u, BALL, cfg)
+    u_a, hist_a = sol.minimize(flowed, BALL, cfg)
     U = random_unitary(rng)
     Ur = np.zeros((4, 4))
     Ur[0::2, 0::2] = U.real
     Ur[0::2, 1::2] = -U.imag
     Ur[1::2, 0::2] = U.imag
     Ur[1::2, 1::2] = U.real
-    rotated = replace(state.u, values=state.u.values @ Ur.T)
+    rotated = replace(flowed, values=flowed.values @ Ur.T)
     u_b, hist_b = sol.minimize(rotated, BALL, cfg)
     Ea, Eb = hist_a["rows"][-1]["E"], hist_b["rows"][-1]["E"]
     assert abs(Ea - Eb) <= 1e-8
@@ -490,24 +489,27 @@ def test_minimize_unitary_equivariance(mesh_cache, rng):
 # ---------------------------------------------------------------------------
 # Hamiltonian flow
 # ---------------------------------------------------------------------------
+def _one_flow_step(u, f, dt):
+    return sol.perturb_by_hamiltonian_flows(u, [f], [dt], BALL, n_sub=1)
+
+
 def test_flow_zero_hamiltonian(mesh_cache):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
     f0 = hams.interior_bump(np.zeros(4), 0.3, 0.0)
-    st = sol.hamiltonian_flow_step(sol.FlowState(u=u), f0, 1e-2, BALL)
-    assert np.array_equal(st.u.values, u.values)
-    assert st.t == pytest.approx(1e-2)
+    flowed = _one_flow_step(u, f0, 1e-2)
+    assert np.array_equal(flowed.values, u.values)
+    assert flowed.source is None
 
 
 def test_flow_hopf_invariance(mesh_cache):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
     f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
-    st = sol.FlowState(u=u)
     for _ in range(100):
-        st = sol.hamiltonian_flow_step(st, f, 1e-2, BALL)
-        assert st.diagnostics["boundary_violation"] <= 1e-12
-    assert st.diagnostics["lagrangian"] <= 1e-6
+        u = _one_flow_step(u, f, 1e-2)
+        assert np.max(np.abs(BALL.F(u.values[m.is_boundary]))) <= 1e-12
+    assert res.pointwise_geometry_report(u)[0] <= 1e-6
 
 
 def test_flow_drift_single_step_order():
@@ -529,21 +531,20 @@ def test_flow_rejects_bad_dt(mesh_cache):
     u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(4, 16))
     f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
     with pytest.raises(ValueError):
-        sol.hamiltonian_flow_step(sol.FlowState(u=u), f, -1e-2, BALL)
+        _one_flow_step(u, f, -1e-2)
 
 
 def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
                                                          monkeypatch):
-    """The composed flow equals stepping with hamiltonian_flow_step, and
-    computes diagnostics only for the state it returns: one
-    ``element_gradient`` pass."""
+    """The composed flow equals stepping one generator and one step at a
+    time, and computes no diagnostics: no ``element_gradient`` pass."""
     u0 = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
-    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL, count=3)
+    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL)
     times = [0.01, 0.02, 0.015]
-    want = sol.FlowState(u=u0)
+    want = u0
     for f, t in zip(fs, times):
         for _ in range(4):
-            want = sol.hamiltonian_flow_step(want, f, t / 4, BALL)
+            want = _one_flow_step(want, f, t / 4)
     calls = []
 
     def counted(mesh, values):
@@ -552,9 +553,9 @@ def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
 
     monkeypatch.setattr(sol, "element_gradient", counted)
     got = sol.perturb_by_hamiltonian_flows(u0, fs, times, BALL, n_sub=4)
-    assert len(calls) == 1
-    assert np.array_equal(got.u.values, want.u.values)
-    assert got.t == want.t and got.diagnostics == want.diagnostics
+    assert not calls
+    assert np.array_equal(got.values, want.values)
+    assert got.source is None and got.exact_frames is None
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +586,7 @@ def test_flat_disc_distance_degenerate(mesh_cache):
         sol.flat_disc_distance(SimpleNamespace(values=u.values[:8], mesh=m))
     collapsed = replace(u, values=np.tile([0.5, 0.0, 0.0, 0.0],
                                           (len(m.nodes), 1)),
-                        exact_frames=None, source=None)
+                        source=None)
     with pytest.raises(ValueError, match="collapses below two dimensions"):
         sol.flat_disc_distance(collapsed)
 

@@ -72,7 +72,7 @@ def test_recorder_times_the_solver_layers(monkeypatch):
 
     u0 = fam.sample(fam.flat_disc(np.eye(2)), msh.build_polar_mesh(6, 24))
     noise = 0.01 * np.random.default_rng(0).normal(size=u0.values.shape)
-    u = replace(u0, values=u0.values + noise, exact_frames=None, source=None)
+    u = replace(u0, values=u0.values + noise, source=None)
     splu, built = sol.spla.splu, []
 
     def capturing(A, *args, **kwargs):
