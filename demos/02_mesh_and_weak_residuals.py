@@ -11,7 +11,6 @@ import numpy as np
 
 from lagdisc import families as fam
 from lagdisc import mesh as msh
-from lagdisc import residuals as res
 
 print("mesh construction: rings x sectors with alternating quad diagonals")
 m = msh.build_polar_mesh(2, 8, 1.0)

@@ -4,8 +4,7 @@ Two representations:
 
 * ``LevelSetDomain``: Omega = {F < 0} with outward normal gradF/|gradF|,
   Newton projection onto the boundary and a globally defined normal
-  extension (needed by flows and by the adapted test-function
-  construction).
+  extension (used by the descent's boundary-tangential projection).
 * ``CurveNormalDomain``: only the boundary data that actually enters the
   free-boundary checks -- a closed curve in C^2 together with a unit
   normal field X/|X| along it, both evaluated in closed form from the

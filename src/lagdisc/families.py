@@ -281,13 +281,6 @@ class DiscreteMap:
     def singular_points(self):
         return [] if self.source is None else self.source.singular_points
 
-    def nodal_angle(self):
-        """Exact nodal Lagrangian angle when sampled from an example."""
-        if self.source is None:
-            raise ValueError("no exact angle available for a raw discrete map")
-        r, th = self.mesh.node_r, self.mesh.node_theta
-        return np.asarray(self.source.angle(r, th), complex)
-
 
 def sample(example, mesh):
     """Sample an example map on a mesh: exact values and the source link."""

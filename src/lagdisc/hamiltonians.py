@@ -362,6 +362,8 @@ def windowed_wave(k, profile, axis=0, name=None):
     if P.support is None or not 0.0 < P.support < 1.0:
         raise ValueError("windowed_wave needs a profile supported in "
                          "0 < s < 1")
+    if not (np.isfinite(k) and k != 0):
+        raise ValueError("windowed_wave needs a finite nonzero k")
     e_axis = np.zeros(4)
     e_axis[axis] = 1.0
     axis_slot = _DIAG[axis]

@@ -399,8 +399,9 @@ def weak_divergence_residual(mesh, w, exclude=()):
         w2 = np.sum(np.abs(wc) ** 2, axis=-1)
         w_sq = np.bincount(idx, np.tile(a * w2, 3), minlength=n)
         den = np.sqrt(w_sq[test]) * grad_norm + EPS
-        worst = max(worst, float(np.max(np.abs(integral[test]) / den)))
-    return worst
+        # np.maximum, unlike max, keeps a NaN
+        worst = np.maximum(worst, np.max(np.abs(integral[test]) / den))
+    return float(worst)
 
 
 def _collar_cutoff(r, collar_r0):

@@ -27,7 +27,7 @@ import numpy as np
 from . import hamiltonians as hams
 from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
                       norm, symplectic, wedge_norm)
-from .families import DiscreteMap, ExampleMap, sample
+from .families import DiscreteMap, sample
 from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
                    interpolate_at_centroids, loop_integrals,
                    weak_divergence_residual)
@@ -141,6 +141,21 @@ def _singular_balls(u: DiscreteMap):
     return [(pt, 1e-12) for pt in u.singular_points]
 
 
+def _exact_frames(u: DiscreteMap):
+    """The exact nodal frames of a map sampled from a closed form; a flowed
+    or relaxed map has none and raises ``ValueError``."""
+    if u.source is None:
+        raise ValueError("this residual check needs the map's closed form "
+                         "(a sampled example)")
+    return u.exact_frames
+
+
+def _angle_flux(u: DiscreteMap):
+    """The exact angle-flux field F = i gbar grad g at the centroids, (T, 2)."""
+    _exact_frames(u)                       # raises without a closed form
+    return u.source.angle_flux_field(u.mesh.centroids)
+
+
 def pointwise_geometry_report(u: DiscreteMap):
     """(lagrangian, conformality) defects, maximized over evaluation points.
 
@@ -166,76 +181,47 @@ def pointwise_geometry_report(u: DiscreteMap):
 # --------------------------------------------------------------------------
 # weak residuals of the structural and angle equations
 # --------------------------------------------------------------------------
-def structural_residual(u: DiscreteMap, gbar, exclude=()):
-    """Weak residual of div(g grad u) from nodal data.
+def structural_residual(u: DiscreteMap, exclude=()):
+    """Weak residual of div(g grad u) for a map sampled from a closed form.
 
-    ``gbar`` is the nodal Lagrangian angle (unit complex per node); the
-    scalar g = conj(gbar) acts on ambient vectors as componentwise
-    complex multiplication.  Consistency of ``gbar`` with the map's own
-    angle is verified at non-degenerate nodes away from exclusions.
+    g = conj(gbar), the source's angle, acts on ambient vectors as
+    componentwise complex multiplication.  g and the frame are exact at the
+    centroids, so the residual is pure quadrature error on a divergence-free
+    field.  The angle is first checked against that of the exact frames at
+    the non-degenerate nodes away from the exclusions.
     """
-    gbar = np.asarray(gbar, complex)
-    mesh = u.mesh
-    if u.exact_frames is not None:
-        mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
-        e_x, e_y = u.exact_frames
-        energy = inner(e_x, e_x) + inner(e_y, e_y)
-        mask &= energy > 1e-12
-        if np.any(mask):
-            _, ang = lagrangian_angle(e_x[mask], e_y[mask])
-            if np.max(np.abs(ang - gbar[mask])) > 1e-6:
-                raise ValueError("nodal angle disagrees with the map's frames")
+    e_x, e_y = _exact_frames(u)
+    mesh, src = u.mesh, u.source
+    mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
+    mask &= inner(e_x, e_x) + inner(e_y, e_y) > 1e-12
+    if np.any(mask):
+        _, ang = lagrangian_angle(e_x[mask], e_y[mask])
+        gbar = src.angle(mesh.node_r[mask], mesh.node_theta[mask])
+        if np.max(np.abs(ang - gbar)) > 1e-6:
+            raise ValueError("nodal angle disagrees with the map's frames")
 
-    if u.source is not None:
-        # closed-form route: g and the frame evaluated exactly at centroids,
-        # so the residual is pure quadrature error on a divergence-free field
-        cen = mesh.centroids
-        r, th = np.hypot(cen[:, 0], cen[:, 1]), np.arctan2(cen[:, 1], cen[:, 0])
-        g_c = np.conj(np.asarray(u.source.angle(r, th), complex))
-        fr = u.source.frame(r, th)
-        gu = np.stack([complex_scale(g_c, fr.e_x),
-                       complex_scale(g_c, fr.e_y)], axis=1)
-    else:
-        g_c = interpolate_at_centroids(mesh, np.conj(gbar))
-        grad = element_gradient(mesh, u.values)   # (T, 2, 4)
-        gu = np.stack([complex_scale(g_c, grad[:, 0, :]),
-                       complex_scale(g_c, grad[:, 1, :])], axis=1)
+    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    g_c = np.conj(np.asarray(src.angle_xy(x, y), complex))
+    fr = src.frame_xy(x, y)
+    gu = np.stack([complex_scale(g_c, fr.e_x),
+                   complex_scale(g_c, fr.e_y)], axis=1)
     # the 4 components share one test set
     return weak_divergence_residual(mesh, gu, exclude)
 
 
-def angle_harmonicity(gbar, mesh, exclude=()):
+def angle_harmonicity(u: DiscreteMap, exclude=()):
     """Weak residuals (angle_div, angle_perp_div) of the angle equations.
 
     ``angle_div`` bounds div(gbar grad g) and ``angle_perp_div`` bounds
-    div(i gbar grad_perp g); both complex fields are handled jointly so
-    the normalization carries the full field magnitude.  ``gbar`` is
-    either a nodal array (unit modulus to 1e-6 away from exclusions) or
-    an :class:`ExampleMap`, in which case the exact fields are used:
-    gbar grad g = -i * (i gbar grad g) and the rotated field is the
-    rotation of the same real field.
+    div(i gbar grad_perp g).  Both fields come from the angle flux
+    F = i gbar grad g (see :func:`_angle_flux`): gbar grad g = -i F, and
+    i gbar grad_perp g is the rotation of the real field F.
     """
-    if isinstance(gbar, ExampleMap):
-        F = gbar.angle_flux_field(mesh.centroids)           # real i*gbar*grad g
-        w_tan = -1j * (F[:, 0] + 0j), -1j * (F[:, 1] + 0j)
-        w_tan = np.stack(w_tan, axis=1)
-        w_perp = np.stack([-F[:, 1], F[:, 0]], axis=1)
-        return (weak_divergence_residual(mesh, w_tan, exclude),
-                weak_divergence_residual(mesh, w_perp, exclude))
-
-    gbar = np.asarray(gbar, complex)
-    mask, _ = exclusion_masks(mesh, exclude)
-    if np.any(np.abs(np.abs(gbar[mask]) - 1.0) > 1e-6):
-        raise ValueError("angle field is not unit modulus")
-
-    g = np.conj(gbar)
-    grad_g = element_gradient(mesh, g)            # (T, 2) complex
-    gbar_c = interpolate_at_centroids(mesh, gbar)
-    w_tan = gbar_c[:, None] * grad_g
-    grad_perp = np.stack([-grad_g[:, 1], grad_g[:, 0]], axis=1)
-    w_perp = 1j * gbar_c[:, None] * grad_perp
-    return (weak_divergence_residual(mesh, w_tan, exclude),
-            weak_divergence_residual(mesh, w_perp, exclude))
+    F = _angle_flux(u)
+    w_tan = -1j * F
+    w_perp = np.stack([-F[:, 1], F[:, 0]], axis=1)
+    return (weak_divergence_residual(u.mesh, w_tan, exclude),
+            weak_divergence_residual(u.mesh, w_perp, exclude))
 
 
 def singular_masses(angle_flux, point, radii, n_quad=512):
@@ -265,12 +251,10 @@ def singular_masses(angle_flux, point, radii, n_quad=512):
 # boundary conditions
 # --------------------------------------------------------------------------
 def _boundary_frames(u: DiscreteMap):
-    if u.exact_frames is None:
-        raise ValueError("boundary report needs exact frames (sampled example)")
+    e_x, e_y = _exact_frames(u)
     b = u.mesh.is_boundary
     th = u.mesh.node_theta[b]
-    e_x = u.exact_frames.e_x[b]
-    e_y = u.exact_frames.e_y[b]
+    e_x, e_y = e_x[b], e_y[b]
     d_tau = -np.sin(th)[:, None] * e_x + np.cos(th)[:, None] * e_y
     d_nu = np.cos(th)[:, None] * e_x + np.sin(th)[:, None] * e_y
     return u.values[b], d_tau, d_nu
@@ -299,16 +283,14 @@ def boundary_conditions_report(u: DiscreteMap, domain):
                        / (inner(d_tau, d_tau) + EPS)))
     con = float(np.max(wedge_norm(N, d_nu) / (norm(d_nu) + EPS)))
 
-    if u.source is not None:
-        w = u.source.angle_flux_field(u.mesh.centroids)
-    else:
-        raise ValueError("neumann trace needs the exact angle-flux field")
+    w = _angle_flux(u)
     tests = [lambda t: np.ones_like(t)]
     for k in range(1, MAX_K + 1):
         tests.append(lambda t, k=k: np.cos(k * t))
         tests.append(lambda t, k=k: np.sin(k * t))
-    neu = max(abs(boundary_trace_pairing(u.mesh, w, phi, COLLAR_R0))
-              for phi in tests)
+    # np.max, unlike max, keeps a NaN
+    neu = np.max([abs(boundary_trace_pairing(u.mesh, w, phi, COLLAR_R0))
+                  for phi in tests])
     return leg, con, float(neu)
 
 
@@ -548,7 +530,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         _check_admissible(f, domain, wall_pts, wall_normals)
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
         total, h_inf = _stationarity_terms(u_c, S, f, moments)
-        worst = max(worst, abs(total) / (h_inf * grad_sq + EPS))
+        worst = np.maximum(worst, abs(total) / (h_inf * grad_sq + EPS))
     return float(worst)
 
 
@@ -623,10 +605,9 @@ def full_report(example, mesh, domain):
     excluding a ball of radius 0.1 around each singular point."""
     u = sample(example, mesh)
     exclude = [(np.asarray(p, float), 0.1) for p in example.singular_points]
-    gbar = u.nodal_angle()
     lag, conf = pointwise_geometry_report(u)
-    struct = structural_residual(u, gbar, exclude)
-    adiv, apdiv = angle_harmonicity(example, mesh, exclude)
+    struct = structural_residual(u, exclude)
+    adiv, apdiv = angle_harmonicity(u, exclude)
     leg, con, neu = boundary_conditions_report(u, domain)
     if domain.kind == "levelset":
         fs = ball_report_batch(domain)

@@ -296,6 +296,13 @@ def test_windowed_wave_support_from_profile():
             hams.windowed_wave(10.0, P)
 
 
+@pytest.mark.parametrize("k", [0.0, np.inf, np.nan])
+def test_windowed_wave_rejects_a_degenerate_k(k):
+    # sin(k z)/k is 0/0 at k = 0
+    with pytest.raises(ValueError, match="finite nonzero k"):
+        hams.windowed_wave(k, hams.smooth_cutoff_profile(0.75, 0.92))
+
+
 # ---------------------------------------------------------------------------
 # packed Hessians with the identity term on the diagonal only, against the
 # full-matrix expressions they replace

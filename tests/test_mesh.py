@@ -244,6 +244,14 @@ def test_weak_divergence_constant_field(mesh_cache):
     assert msh.weak_divergence_residual(m, w) <= 1e-14
 
 
+def test_weak_divergence_keeps_a_nan(mesh_cache):
+    # one NaN element must not read as a perfect 0
+    m = mesh_cache(8, 32)
+    w = np.zeros((len(m.triangles), 2))
+    w[len(w) // 2, 0] = np.nan
+    assert np.isnan(msh.weak_divergence_residual(m, w))
+
+
 def test_weak_divergence_sw_field_order(mesh_cache):
     sw = sw_cone(1, 2)
     vals, hs = [], []

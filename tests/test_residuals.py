@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from lagdisc import algebra as alg
 from lagdisc import domains as dom
@@ -58,7 +57,7 @@ def test_pointwise_element_frames_route(mesh_cache):
 def test_structural_flat(mesh_cache):
     m = mesh_cache(12, 48)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
-    assert res.structural_residual(u, u.nodal_angle()) <= 1e-12
+    assert res.structural_residual(u) <= 1e-12
 
 
 def test_structural_sw_order(mesh_cache):
@@ -66,8 +65,7 @@ def test_structural_sw_order(mesh_cache):
     for n in (8, 16, 32):
         m = mesh_cache(n, 4 * n)
         u = fam.sample(fam.sw_cone(1, 2), m)
-        vals.append(res.structural_residual(u, u.nodal_angle(),
-                                            exclude=[((0.0, 0.0), 0.1)]))
+        vals.append(res.structural_residual(u, exclude=[((0.0, 0.0), 0.1)]))
         hs.append(m.h_max)
     assert res.fit_order(hs, vals) >= 1.0
 
@@ -78,39 +76,33 @@ def test_structural_nonminimal_order(mesh_cache):
     for n in (8, 16, 32):
         m = mesh_cache(n, 4 * n)
         u = fam.sample(fam.nonminimal_map(), m)
-        vals.append(res.structural_residual(u, u.nodal_angle()))
+        vals.append(res.structural_residual(u))
         hs.append(m.h_max)
     assert res.fit_order(hs, vals) >= 0.8
     assert vals[0] / vals[1] >= 1.7
 
 
-def test_structural_nodal_route_decreases(mesh_cache):
-    # without a closed-form source the fields come from element gradients
-    vals = []
-    for n in (8, 16):
-        m = mesh_cache(n, 4 * n)
-        sampled = fam.sample(fam.sw_cone(1, 2), m)
-        raw = fam.DiscreteMap(mesh=m, values=sampled.values)
-        vals.append(res.structural_residual(raw, sampled.nodal_angle(),
-                                            exclude=[((0.0, 0.0), 0.1)]))
-    assert vals[1] <= vals[0]
+class _RotatedAngle(fam.FlatDisc):
+    """The identity flat disc whose angle is rotated by e^{0.3i}, so that it
+    disagrees with the angle of its own frames."""
+
+    def angle(self, r, theta):
+        return super().angle(r, theta) * np.exp(0.3j)
 
 
 def test_structural_inconsistent_angle(mesh_cache):
-    m = mesh_cache(8, 32)
-    u = fam.sample(fam.flat_disc(np.eye(2)), m)
-    wrong = np.full(len(m.nodes), np.exp(1j * 0.3))
+    u = fam.sample(_RotatedAngle(np.eye(2)), mesh_cache(8, 32))
     with pytest.raises(ValueError, match="nodal angle disagrees"):
-        res.structural_residual(u, wrong)
+        res.structural_residual(u)
 
 
 # ---------------------------------------------------------------------------
 # angle harmonicity
 # ---------------------------------------------------------------------------
 def test_angle_harmonicity_constant(mesh_cache):
-    m = mesh_cache(8, 32)
-    gbar = np.full(len(m.nodes), np.exp(0.7j))
-    adiv, apdiv = res.angle_harmonicity(gbar, m)
+    # a flat disc has a constant angle: its exact flux F = 0 scores exactly 0
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
+    adiv, apdiv = res.angle_harmonicity(u)
     assert adiv == 0.0 and apdiv == 0.0
 
 
@@ -119,7 +111,8 @@ def test_angle_harmonicity_sw_exact_order(mesh_cache):
     a_vals, p_vals, hs = [], [], []
     for n in (8, 16, 32):
         m = mesh_cache(n, 4 * n)
-        adiv, apdiv = res.angle_harmonicity(sw, m, exclude=[((0.0, 0.0), 0.1)])
+        adiv, apdiv = res.angle_harmonicity(fam.sample(sw, m),
+                                            exclude=[((0.0, 0.0), 0.1)])
         a_vals.append(adiv)
         p_vals.append(apdiv)
         hs.append(m.h_max)
@@ -132,24 +125,23 @@ def test_angle_harmonicity_nonminimal_no_exclusion(mesh_cache):
     vals, hs = [], []
     for n in (8, 16):
         m = mesh_cache(n, 4 * n)
-        adiv, apdiv = res.angle_harmonicity(nm, m)
+        adiv, apdiv = res.angle_harmonicity(fam.sample(nm, m))
         vals.append(max(adiv, apdiv))
         hs.append(m.h_max)
     assert res.fit_order(hs, vals) >= 1.0
 
 
-def test_angle_harmonicity_nodal_route(mesh_cache):
-    m = mesh_cache(16, 64)
-    sw = fam.sw_cone(1, 2)
-    gbar = np.asarray(sw.angle(m.node_r, m.node_theta), complex)
-    adiv, apdiv = res.angle_harmonicity(gbar, m, exclude=[((0.0, 0.0), 0.1)])
-    assert np.isfinite(adiv) and np.isfinite(apdiv)
-
-
-def test_angle_harmonicity_unit_modulus_gate(mesh_cache):
-    m = mesh_cache(4, 16)
-    with pytest.raises(ValueError, match="angle field is not unit modulus"):
-        res.angle_harmonicity(np.full(len(m.nodes), 0.5 + 0j), m)
+@pytest.mark.parametrize("check", [
+    res.structural_residual,
+    res.angle_harmonicity,
+    lambda u: res.boundary_conditions_report(u, BALL),
+], ids=["structural", "angle_harmonicity", "boundary_conditions"])
+def test_checks_need_a_closed_form(mesh_cache, check):
+    # a relaxed map has no source: the check raises instead of reading a number
+    m = mesh_cache(8, 32)
+    raw = fam.DiscreteMap(m, fam.sample(fam.flat_disc(np.eye(2)), m).values)
+    with pytest.raises(ValueError, match="needs the map's closed form"):
+        check(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +216,21 @@ def test_boundary_flat_ball(mesh_cache):
     assert leg <= 1e-12 and con <= 1e-12 and neu <= 1e-12
 
 
+def test_boundary_neumann_keeps_a_nan(mesh_cache, monkeypatch):
+    # a NaN pairing against any test function makes the trace NaN, not the
+    # largest of the others
+    pairing, calls = res.boundary_trace_pairing, []
+
+    def nan_last(*args):
+        calls.append(args)
+        return np.nan if len(calls) == 1 + 2 * res.MAX_K else pairing(*args)
+
+    monkeypatch.setattr(res, "boundary_trace_pairing", nan_last)
+    u = fam.sample(fam.sw_cone(1, 2), mesh_cache(8, 32))
+    _, _, neu = res.boundary_conditions_report(u, BALL)
+    assert len(calls) == 1 + 2 * res.MAX_K and np.isnan(neu)
+
+
 def test_boundary_nonminimal_fails_legendrian_and_neumann(mesh_cache):
     nm = fam.nonminimal_map()
     d = dom.curve_domain_from_map(nm)
@@ -262,6 +269,17 @@ def test_stationarity_flat_mixed_batch_order(mesh_cache):
         vals.append(res.stationarity_test(u, BALL, batch))
         hs.append(m.h_max)
     assert res.fit_order(hs, vals) >= 1.0
+
+
+def test_stationarity_keeps_a_nan_hessian(mesh_cache):
+    # a test function whose Hessian is NaN must not read as a perfect 0
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
+    bump = hams.interior_bump(np.zeros(4), 0.45, 1.0)
+    nan_f = hams.Hamiltonian(
+        bump.value, bump.gradient,
+        lambda z: np.full(np.shape(z)[:-1] + (10,), np.nan),
+        support_hint=bump.support_hint, name="nan-hessian")
+    assert np.isnan(res.stationarity_test(u, BALL, [nan_f]))
 
 
 def test_stationarity_support_violation(mesh_cache):

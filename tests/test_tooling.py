@@ -5,10 +5,12 @@ package (``bench/run.py --trace 1``); a rename under ``src/`` breaks it
 without failing any other test.  This loads the recorder from its file,
 installs and uninstalls it around a few calls, and checks that every
 ``__all__`` entry of every module resolves.  It also checks that the
-package defines no exception class but the CLI's ``ConfigError``, and
-that importing the CLI loads no ``scipy.interpolate``.
+package defines no exception class but the CLI's ``ConfigError``, that
+importing the CLI loads no ``scipy.interpolate``, and that no module,
+test or demo imports a name it never uses.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -25,7 +27,8 @@ from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import mesh as msh
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -126,3 +129,33 @@ def test_cli_import_loads_no_scipy_interpolate():
     code = (f"import sys; sys.path.insert(0, {src!r}); import lagdisc.cli; "
             "assert 'scipy.interpolate' not in sys.modules, 'loaded'")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _unused_imports(path):
+    """Names that a file imports but never reads; an ``__all__`` entry
+    counts as a read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    files = [p for d in ("src/lagdisc", "tests", "demos")
+             for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(files) > 20
+    assert [u for p in files for u in _unused_imports(p)] == []
