@@ -40,7 +40,7 @@ from . import residuals as res
 from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
 from .mesh import build_polar_mesh
-from .solver import SolverConfig, rigidity_experiment
+from .solver import rigidity_experiment
 
 
 class ConfigError(ValueError):
@@ -195,7 +195,7 @@ def _cmd_masses(cfg, example, domain):
 def _cmd_rigidity(cfg, mesh):
     rows, results = [], []
     for seed in cfg.seeds:
-        rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh, SolverConfig())
+        rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh)
         results.append(rep.to_dict())
         for r in hist["rows"]:
             rows.append((seed, r["iter"], r["E"], r["grad_norm"],

@@ -13,7 +13,9 @@ reported numbers are mesh- and amplitude-portable:
   curve, conormal alignment with the constraint normal, and the
   distributional Neumann trace of the angle;
 * the weak stationarity functional against batches of admissible
-  Hamiltonian test functions.
+  Hamiltonian test functions;
+* the rigidity verdict: how far a map is from a flat equatorial
+  Lagrangian disc, with a stationarity certificate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from . import hamiltonians as hams
 from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
                       norm, symplectic, wedge_norm)
+from .domains import unit_ball
 from .families import DiscreteMap, sample
 from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
                    interpolate_at_centroids, loop_integrals,
@@ -45,6 +48,7 @@ __all__ = [
     "fit_order",
     "full_report",
     "pointwise_geometry_report",
+    "rigidity_verdict",
     "singular_masses",
     "stationarity_integral",
     "stationarity_test",
@@ -141,6 +145,12 @@ def _singular_balls(u: DiscreteMap):
     return [(pt, 1e-12) for pt in u.singular_points]
 
 
+def _angle_defined(e_x, e_y):
+    """The frames whose Lagrangian angle the checks read, |e_x|^2 + |e_y|^2
+    > 1e-12: clear of where :func:`lagrangian_angle` raises."""
+    return inner(e_x, e_x) + inner(e_y, e_y) > 1e-12
+
+
 def _exact_frames(u: DiscreteMap):
     """The exact nodal frames of a map sampled from a closed form; a flowed
     or relaxed map has none and raises ``ValueError``."""
@@ -193,7 +203,7 @@ def structural_residual(u: DiscreteMap, exclude=()):
     e_x, e_y = _exact_frames(u)
     mesh, src = u.mesh, u.source
     mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
-    mask &= inner(e_x, e_x) + inner(e_y, e_y) > 1e-12
+    mask &= _angle_defined(e_x, e_y)
     if np.any(mask):
         _, ang = lagrangian_angle(e_x[mask], e_y[mask])
         gbar = src.angle(mesh.node_r[mask], mesh.node_theta[mask])
@@ -625,15 +635,69 @@ def fit_order(hs, values):
 
     Values at or below 1e-13 mean the quantity has hit rounding level; if
     all are floored the order is reported as infinity.  Fewer than two
-    distinct h have no slope and raise ``ValueError``.
+    distinct h, or a value that is not finite, raise ``ValueError``.
     """
     floor = 1e-13
     hs = np.asarray(hs, float)
     values = np.asarray(values, float)
     if len(np.unique(hs)) < 2:
         raise ValueError("fit_order: needs at least two distinct h")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("fit_order: a value is not finite")
     if np.all(values <= floor):
         return np.inf
     values = np.maximum(values, floor)
     slope = np.polyfit(np.log(hs), np.log(values), 1)[0]
     return float(slope)
+
+
+# --------------------------------------------------------------------------
+# rigidity verdict
+# --------------------------------------------------------------------------
+def rigidity_verdict(u: DiscreteMap, seed):
+    """Whether a map into the unit ball is a flat equatorial Lagrangian disc:
+    a dict of the five verdict numbers below and ``passed``.
+
+    P is the best-fit 2-plane through 0 (top right-singular vectors of the
+    nodal values).  ``flat_disc_distance`` is the larger of the maximal node
+    distance to P and |mapped area - mesh area| / mesh area, and
+    ``circle_defect`` the largest distance of a boundary node from the unit
+    circle of P: one projection onto P serves both.  ``plane_is_lagrangian``
+    is |omega| on P, and ``angle_variance`` that of the Lagrangian angle over
+    the elements that define one (inf if none does); the area takes the same
+    ``element_gradient`` pass.  ``passed`` bounds the distance, the variance
+    and the defect by 1e-3, 1e-6 and 1e-3.  ``stationarity_certificate``,
+    which it does not read, is :func:`stationarity_test` over
+    ``ball_mixed_batch(unit_ball(), seed=seed)``, whose interior bumps do not
+    vanish pointwise on flat discs.
+    """
+    vals = u.values
+    if len(vals) < 10:
+        raise ValueError("need at least 10 nodes")
+    _, s, vt = np.linalg.svd(vals, full_matrices=False)
+    if s[1] < 1e-9 * max(s[0], 1.0):
+        raise ValueError("nodal image collapses below two dimensions")
+    plane = vt[:2]
+    proj = vals @ plane.T @ plane
+    off_plane = np.linalg.norm(vals - proj, axis=1)
+    b = u.mesh.is_boundary
+    circle = float(np.max(np.hypot(
+        off_plane[b], np.abs(np.linalg.norm(proj[b], axis=1) - 1.0))))
+
+    a = u.mesh.areas
+    e_x, e_y = _element_frames(u)
+    area = float(np.sum(a))
+    dist = max(float(np.max(off_plane)),
+               abs(float(np.sum(a * wedge_norm(e_x, e_y))) - area) / area)
+    ok = _angle_defined(e_x, e_y)
+    var = float("inf")          # fully degenerate image: certainly not flat
+    if np.any(ok):
+        _, ang = lagrangian_angle(e_x[ok], e_y[ok])
+        var = float(np.mean(np.abs(ang - np.mean(ang)) ** 2))
+    domain = unit_ball()
+    return dict(
+        flat_disc_distance=dist, angle_variance=var, circle_defect=circle,
+        plane_is_lagrangian=float(abs(symplectic(plane[0], plane[1]))),
+        stationarity_certificate=stationarity_test(
+            u, domain, ball_mixed_batch(domain, seed=seed)),
+        passed=dist <= 1e-3 and var <= 1e-6 and circle <= 1e-3)

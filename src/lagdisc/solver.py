@@ -19,7 +19,8 @@ minimum-degree ordering on A+A^T and the diagonal as pivots, with no
 pivoting search.
 
 :func:`perturb_by_hamiltonian_flows` composes midpoint steps of
-Hamiltonian flows and returns the flowed :class:`DiscreteMap`.
+Hamiltonian flows; :func:`rigidity_experiment` flows the flat disc,
+relaxes it and reads :func:`lagdisc.residuals.rigidity_verdict`.
 
 Each energy evaluation makes one ``element_gradient`` pass and keeps the
 per-element state (frames, symplectic density, |grad u|^2, boundary
@@ -38,8 +39,8 @@ import scipy.sparse.linalg as spla
 
 from . import hamiltonians as hams
 from . import residuals as res
-from .algebra import EPS, apply_I, inner, lagrangian_angle, symplectic, wedge_norm
-from .domains import LevelSetDomain
+from .algebra import EPS, apply_I, inner, symplectic
+from .domains import LevelSetDomain, unit_ball
 from .families import DiscreteMap, flat_disc, sample
 from .mesh import DiscMesh, element_gradient
 
@@ -48,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "energy",
     "energy_and_gradient",
-    "flat_disc_distance",
     "flow_frame_step",
     "minimize",
     "normal_wave_perturbation",
@@ -80,10 +80,10 @@ class SolverConfig:
                 or self.max_iters < 1):
             raise ValueError("max_iters must be a positive integer")
         # NaN fails every comparison, so each bound is stated as what holds
-        if not self.continuation or not all(0 < lam < np.inf
-                                            for stage in self.continuation
-                                            for lam in stage):
-            raise ValueError("continuation needs stages with positive finite penalties")
+        if not self.continuation or not all(
+                len(stage) == 2 and all(0 < lam < np.inf for lam in stage)
+                for stage in self.continuation):
+            raise ValueError("continuation stages must be positive finite (lam1, lam2)")
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
 
@@ -456,9 +456,10 @@ def random_sphere_tangent_hamiltonians(rng, domain):
 def perturb_by_hamiltonian_flows(u: DiscreteMap, fs, times, domain, n_sub=8):
     """Compose Hamiltonian flows, ``n_sub`` midpoint steps of
     :func:`_flow_step` for each generator of ``fs`` over its time of
-    ``times``; returns the flowed map, with no source."""
+    ``times``; returns the flowed map, with no source.  ``fs`` and
+    ``times`` of different lengths raise ``ValueError``."""
     vals = u.values
-    for f, t_total in zip(fs, times):
+    for f, t_total in zip(fs, times, strict=True):
         for _ in range(n_sub):
             vals = _flow_step(u.mesh, vals, f, t_total / n_sub, domain)
     return DiscreteMap(u.mesh, vals)
@@ -484,56 +485,8 @@ def normal_wave_perturbation(u: DiscreteMap, amplitude=0.05, wavelength=0.12):
 
 
 # --------------------------------------------------------------------------
-# flat-disc distance and the rigidity experiment
+# the rigidity experiment
 # --------------------------------------------------------------------------
-def flat_disc_distance(u: DiscreteMap):
-    """Distance of the nodal image to the nearest flat disc through 0.
-
-    Returns ``(dist, plane, plane_is_lagrangian)`` where ``plane`` is an
-    orthonormal basis (2, 4) of the best-fit 2-plane through the origin
-    (top right-singular vectors), ``dist`` is the larger of the maximal
-    node distance to the plane and the relative defect between the
-    mapped area and the mesh area, and ``plane_is_lagrangian`` is
-    |omega(b1, b2)|.
-    """
-    vals = u.values
-    if len(vals) < 10:
-        raise ValueError("need at least 10 nodes")
-    _, s, vt = np.linalg.svd(vals, full_matrices=False)
-    if s[1] < 1e-9 * max(s[0], 1.0):
-        raise ValueError("nodal image collapses below two dimensions")
-    plane = vt[:2]
-    proj = vals @ plane.T @ plane
-    plane_dist = float(np.max(np.linalg.norm(vals - proj, axis=1)))
-
-    grad = element_gradient(u.mesh, vals)
-    mapped = float(np.sum(u.mesh.areas
-                          * wedge_norm(grad[:, 0, :], grad[:, 1, :])))
-    mesh_area = float(np.sum(u.mesh.areas))
-    defect = abs(mapped - mesh_area) / mesh_area
-    lag = float(abs(symplectic(plane[0], plane[1])))
-    return max(plane_dist, defect), plane, lag
-
-
-def _angle_variance(u: DiscreteMap):
-    grad = element_gradient(u.mesh, u.values)
-    e_x, e_y = grad[:, 0, :], grad[:, 1, :]
-    energy = inner(e_x, e_x) + inner(e_y, e_y)
-    ok = energy > 1e-12
-    if not np.any(ok):
-        return float("inf")     # fully degenerate image: certainly not flat
-    _, ang = lagrangian_angle(e_x[ok], e_y[ok])
-    return float(np.mean(np.abs(ang - np.mean(ang)) ** 2))
-
-
-def _circle_defect(u: DiscreteMap, plane):
-    vb = u.values[u.mesh.is_boundary]
-    proj = vb @ plane.T @ plane
-    off_plane = np.linalg.norm(vb - proj, axis=1)
-    radial = np.abs(np.linalg.norm(proj, axis=1) - 1.0)
-    return float(np.max(np.hypot(off_plane, radial)))
-
-
 @dataclass
 class RigidityReport:
     seed: int
@@ -556,33 +509,21 @@ class RigidityReport:
         return asdict(self)
 
 
-def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = None,
-                        domain=None, lagrangian_penalty_on=True):
-    """Perturb the flat equatorial disc by admissible Hamiltonian flows of
-    total amplitude ``eps``, relax, and test whether the image returns to a
-    flat equatorial Lagrangian disc.
+def rigidity_experiment(seed, eps, mesh: DiscMesh, lagrangian_penalty_on=True):
+    """Perturb the flat equatorial disc of the unit ball by admissible
+    Hamiltonian flows (:func:`random_sphere_tangent_hamiltonians`) of total
+    amplitude ``eps``, relax it by :func:`minimize` under the default
+    :class:`SolverConfig`, and report the
+    :func:`~lagdisc.residuals.rigidity_verdict` of the relaxed map.
 
-    Returns ``(report, u_final, history)``: the :class:`RigidityReport`,
-    the relaxed map and the :func:`minimize` history.
-
-    The generators are those of :func:`random_sphere_tangent_hamiltonians`,
-    and the relaxation holds the barycentre at 0 (see :func:`minimize`).
-
-    PASS requires flat-disc distance <= 1e-3, angle variance over
-    elements <= 1e-6 and boundary great-circle defect <= 1e-3.  The report
-    also carries a certificate that PASS does not read: the
-    :func:`~lagdisc.residuals.stationarity_test` value of the relaxed map
-    over ``ball_mixed_batch(domain, seed=seed)``, whose interior bumps are
-    the part of the weak stationarity functional that does not vanish
-    pointwise on flat discs.  With the
-    Lagrangian penalty disabled the relaxation is a control run: the
-    report carries the measured Lagrangian drift and never claims PASS.
+    Returns ``(report, u_final, history)``.  With the Lagrangian penalty
+    disabled the relaxation is a control run: the report carries the
+    measured Lagrangian drift and never claims PASS.
     """
-    from .domains import unit_ball
     if not 0.0 <= eps <= 0.1:
         raise ValueError("perturbation amplitude must satisfy 0 <= eps <= 0.1")
-    domain = domain or unit_ball()
-    cfg = cfg or SolverConfig()
+    domain = unit_ball()
+    cfg = SolverConfig()
     if not lagrangian_penalty_on:
         cfg = replace(cfg, continuation=[(1e-12, l2) for _, l2 in cfg.continuation])
 
@@ -597,19 +538,13 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, cfg: SolverConfig | None = No
         u_start = perturb_by_hamiltonian_flows(u_start, fs, scales, domain)
 
     u_final, history = minimize(u_start, domain, cfg)
-    dist, plane, plane_lag = flat_disc_distance(u_final)
-    var = _angle_variance(u_final)
-    circ = _circle_defect(u_final, plane)
+    verdict = res.rigidity_verdict(u_final, seed)
+    verdict["passed"] = bool(lagrangian_penalty_on and verdict["passed"])
     last = history["rows"][-1]
-    passed = bool(lagrangian_penalty_on and dist <= 1e-3 and var <= 1e-6
-                  and circ <= 1e-3)
     return RigidityReport(
-        seed=seed, eps=eps, passed=passed, flat_disc_distance=dist,
-        angle_variance=var, circle_defect=circ, plane_is_lagrangian=plane_lag,
-        final_energy=last["E"], final_lagrangian=last["lagrangian"],
+        seed=seed, eps=eps, **verdict, final_energy=last["E"],
+        final_lagrangian=last["lagrangian"],
         final_boundary_violation=last["boundary_violation"],
-        stationarity_certificate=res.stationarity_test(
-            u_final, domain, res.ball_mixed_batch(domain, seed=seed)),
         iterations=len(history["rows"]), stages=history["stages"],
         config={"stages": list(cfg.continuation), "grad_tol": cfg.grad_tol,
                 "max_iters": cfg.max_iters}), u_final, history

@@ -180,13 +180,13 @@ def test_invalid_sw_example_exits_1(tmp_path, capsys, example):
     assert f"example: {example!r}" in capsys.readouterr().err
 
 
-def _fake_rigidity(seed, eps, mesh, cfg):
+def _fake_rigidity(seed, eps, mesh):
     report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": True})
     return report, None, {"rows": []}
 
 
 def test_failing_check_exits_2(tmp_path, monkeypatch):
-    def failing(seed, eps, mesh, cfg):
+    def failing(seed, eps, mesh):
         report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": False})
         return report, None, {"rows": []}
 
@@ -198,7 +198,7 @@ def test_failing_check_exits_2(tmp_path, monkeypatch):
 
 
 def test_pipeline_exception_exits_3(tmp_path, monkeypatch, capsys):
-    def raising(seed, eps, mesh, cfg):
+    def raising(seed, eps, mesh):
         raise FloatingPointError("descent diverged")
 
     monkeypatch.setattr(cli, "rigidity_experiment", raising)
@@ -206,6 +206,17 @@ def test_pipeline_exception_exits_3(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "o")) == 3
     assert not (tmp_path / "o").exists()
     assert "FloatingPointError: descent diverged" in capsys.readouterr().err
+
+
+def test_stationarity_nan_level_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN level once gave "order": NaN in summary.json (not JSON) and exit 2
+    values = iter([1e-2, float("nan")])
+    monkeypatch.setattr(cli.res, "stationarity_test", lambda *a: next(values))
+    out = tmp_path / "o"
+    assert run_cli("--command", "stationarity", "--mesh", "4,16,1.0",
+                   "--refinements", "2", "--out", str(out)) == 3
+    assert not out.exists()
+    assert "ValueError: fit_order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["rigidity", "dump-mesh"])

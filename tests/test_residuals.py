@@ -627,6 +627,13 @@ def test_fit_order_floor():
     assert res.fit_order([0.1, 0.05], [1e-2, 5e-3]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_order_rejects_a_non_finite_value(bad):
+    # a NaN value once gave a NaN order
+    with pytest.raises(ValueError, match="not finite"):
+        res.fit_order([0.2, 0.1, 0.05], [1e-2, bad, 2e-3])
+
+
 @pytest.mark.parametrize("hs,vals", [([0.1], [1e-2]), ([0.1, 0.1], [1e-2, 5e-3]),
                                      ([0.1], [1e-15])])
 def test_fit_order_needs_two_distinct_h(hs, vals):

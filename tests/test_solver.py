@@ -238,8 +238,9 @@ def test_minimize_relaxes_starts_that_are_not_odd(mesh_cache, size, seed):
     cfg = sol.SolverConfig()
     u, hist = sol.minimize(start, BALL, cfg)
     assert all(s["reason"] == "converged" for s in hist["stages"])
-    assert sol.flat_disc_distance(u)[0] <= 1e-6
-    assert sol._angle_variance(u) <= 1e-10
+    verdict = res.rigidity_verdict(u, seed)
+    assert verdict["flat_disc_distance"] <= 1e-6
+    assert verdict["angle_variance"] <= 1e-10
     assert _barycentre_multiplier(u, *cfg.continuation[-1]) <= 10 * cfg.grad_tol
 
 
@@ -457,8 +458,8 @@ def test_summation_order_moves_no_iteration_count(mesh_cache, monkeypatch):
     for key in ("iters", "reason"):
         assert [s[key] for s in hist_a["stages"]] == [s[key] for s in hist_b["stages"]]
     assert all(s["reason"] == "converged" for s in hist_a["stages"])
-    dist_a = sol.flat_disc_distance(u_a)[0]
-    dist_b = sol.flat_disc_distance(u_b)[0]
+    dist_a = res.rigidity_verdict(u_a, 4)["flat_disc_distance"]
+    dist_b = res.rigidity_verdict(u_b, 4)["flat_disc_distance"]
     assert dist_b == pytest.approx(dist_a, rel=0.01)
     assert hist_b["rows"][-1]["E"] == pytest.approx(hist_a["rows"][-1]["E"], rel=0.01)
 
@@ -480,10 +481,9 @@ def test_minimize_unitary_equivariance(mesh_cache, rng):
     u_b, hist_b = sol.minimize(rotated, BALL, cfg)
     Ea, Eb = hist_a["rows"][-1]["E"], hist_b["rows"][-1]["E"]
     assert abs(Ea - Eb) <= 1e-8
-    da, _, la = sol.flat_disc_distance(u_a)
-    db, _, lb = sol.flat_disc_distance(u_b)
-    assert abs(da - db) <= 1e-8
-    assert abs(la - lb) <= 1e-8
+    va, vb = res.rigidity_verdict(u_a, 1), res.rigidity_verdict(u_b, 1)
+    assert abs(va["flat_disc_distance"] - vb["flat_disc_distance"]) <= 1e-8
+    assert abs(va["plane_is_lagrangian"] - vb["plane_is_lagrangian"]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +534,16 @@ def test_flow_rejects_bad_dt(mesh_cache):
         _one_flow_step(u, f, -1e-2)
 
 
+@pytest.mark.parametrize("times", [[0.05], [0.05, 0.05, 0.05]])
+def test_perturbation_rejects_unpaired_generators(mesh_cache, times):
+    # zip dropped the generators (or times) that had no partner
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(4, 16))
+    fs = [hams.hopf_invariant_quadratic(c, domain=BALL)
+          for c in ([1, 0, 0, 0], [0, 1, 0, 0])]
+    with pytest.raises(ValueError):
+        sol.perturb_by_hamiltonian_flows(u, fs, times, BALL)
+
+
 def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
                                                          monkeypatch):
     """The composed flow equals stepping one generator and one step at a
@@ -563,19 +573,19 @@ def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
 # ---------------------------------------------------------------------------
 def test_flat_disc_distance_exact(mesh_cache, rng):
     m = mesh_cache(8, 32)
-    d, plane, lag = sol.flat_disc_distance(fam.sample(fam.flat_disc(np.eye(2)), m))
-    assert d <= 1e-12 and lag <= 1e-12
+    v = res.rigidity_verdict(fam.sample(fam.flat_disc(np.eye(2)), m), 1)
+    assert v["flat_disc_distance"] <= 1e-12 and v["plane_is_lagrangian"] <= 1e-12
     for _ in range(5):
         U = random_unitary(rng)
-        d, _, lag = sol.flat_disc_distance(fam.sample(fam.flat_disc(U), m))
-        assert d <= 1e-12
-        assert lag <= 1e-12     # unitary images of Lagrangian planes
+        v = res.rigidity_verdict(fam.sample(fam.flat_disc(U), m), 1)
+        assert v["flat_disc_distance"] <= 1e-12
+        # unitary images of Lagrangian planes
+        assert v["plane_is_lagrangian"] <= 1e-12
 
 
 def test_flat_disc_distance_cone(mesh_cache):
-    d, _, _ = sol.flat_disc_distance(fam.sample(fam.sw_cone(1, 2),
-                                                mesh_cache(8, 32)))
-    assert d >= 0.1
+    v = res.rigidity_verdict(fam.sample(fam.sw_cone(1, 2), mesh_cache(8, 32)), 1)
+    assert v["flat_disc_distance"] >= 0.1
 
 
 def test_flat_disc_distance_degenerate(mesh_cache):
@@ -583,12 +593,12 @@ def test_flat_disc_distance_degenerate(mesh_cache):
     m = mesh_cache(4, 16)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
     with pytest.raises(ValueError, match="need at least 10 nodes"):
-        sol.flat_disc_distance(SimpleNamespace(values=u.values[:8], mesh=m))
+        res.rigidity_verdict(SimpleNamespace(values=u.values[:8], mesh=m), 1)
     collapsed = replace(u, values=np.tile([0.5, 0.0, 0.0, 0.0],
                                           (len(m.nodes), 1)),
                         source=None)
     with pytest.raises(ValueError, match="collapses below two dimensions"):
-        sol.flat_disc_distance(collapsed)
+        res.rigidity_verdict(collapsed, 1)
 
 
 def test_normal_wave_perturbation(mesh_cache):
@@ -637,6 +647,16 @@ def test_rigidity_stage_reasons(mesh_cache, seed, iters, reasons):
     assert np.max(np.abs(u.values + u.values[sigma])) <= 1e-12
 
 
+def test_rigidity_report_reads_the_verdict_of_the_relaxed_map(mesh_cache):
+    rep, u, _ = sol.rigidity_experiment(seed=2, eps=0.05,
+                                        mesh=mesh_cache(12, 48))
+    verdict = res.rigidity_verdict(u, 2)
+    assert verdict == {key: getattr(rep, key) for key in verdict}
+    assert rep.passed
+    # the descent's last row is the relaxed map's P1 Lagrangian defect
+    assert rep.final_lagrangian == res.pointwise_geometry_report(u)[0]
+
+
 def test_rigidity_control_without_lagrangian_penalty(mesh_cache):
     rep, _, _ = sol.rigidity_experiment(seed=2, eps=0.05,
                                         mesh=mesh_cache(12, 48),
@@ -662,6 +682,10 @@ def test_solver_config_validation():
         sol.SolverConfig(continuation=[(-1.0, 100.0)])
     with pytest.raises(ValueError):
         sol.SolverConfig(grad_tol=0.0)
+    # stages that are not (lam1, lam2) pairs failed in minimize with a TypeError
+    for stage in [(10.0,), (10.0, 100.0, 5.0)]:
+        with pytest.raises(ValueError, match="continuation"):
+            sol.SolverConfig(continuation=[stage])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
