@@ -467,32 +467,43 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
     w_in, w_out = R_WINDOW
 
     def _terms(phi):
-        """A, A', A'' and B, B', B'' at phi; A vanishes off the arc."""
+        """A, A', A'' and B, B', B'' at phi on the open arc."""
         b, b1, b2, b3 = _arc_bump(phi, center, width)
-        A = np.zeros((3,) + phi.shape)
-        m = (phi > lo) & (phi < hi)
-        pm, b1m, b2m = phi[m], b1[m], b2[m]
         # A = g B' with g = (1 - phi^2)/phi, g' = -(1 + phi^2)/phi^2 and
         # g'' = 2/phi^3
-        g = (1.0 - pm ** 2) / pm
-        g1 = -(1.0 + pm ** 2) / pm ** 2
-        A[0][m] = g * b1m
-        A[1][m] = g1 * b1m + g * b2m
-        A[2][m] = 2.0 / pm ** 3 * b1m + 2.0 * g1 * b2m + g * b3[m]
+        g = (1.0 - phi ** 2) / phi
+        g1 = -(1.0 + phi ** 2) / phi ** 2
+        A = (g * b1, g1 * b1 + g * b2,
+             2.0 / phi ** 3 * b1 + 2.0 * g1 * b2 + g * b3)
         return A, (b, b1, b2)
+
+    def _support(z):
+        """The mask of the rows in the window (R - 1)^2 < w_out^2 and on
+        the open arc lo < phi < hi, with R and phi on them.  Off it A, B
+        and all their derivatives vanish, so f and its partials are 0 there
+        and the callers' zero rows stand for them (up to the sign of a
+        zero)."""
+        R = np.hypot(z[..., 0], z[..., 1])
+        # an array even for a single point, so that it takes item assignment
+        m = np.asarray((R - 1.0) ** 2 < w_out ** 2)
+        phi = np.arctan2(z[..., 1][m], z[..., 0][m])
+        arc = (phi > lo) & (phi < hi)
+        m[m] = arc
+        return m, R[m], phi[arc]
 
     def value(z):
         z = np.asarray(z, float)
-        R = np.hypot(z[..., 0], z[..., 1])
-        (A, _, _), (b, _, _) = _terms(np.arctan2(z[..., 1], z[..., 0]))
-        return _plateau((R - 1.0) ** 2, w_in, w_out) * (A * (R - 1.0) + b)
+        out = np.zeros(z.shape[:-1])
+        m, R, phi = _support(z)
+        (A, _, _), (b, _, _) = _terms(phi)
+        out[m] = _plateau((R - 1.0) ** 2, w_in, w_out) * (A * (R - 1.0) + b)
+        return out
 
     def _polar_partials(z, second):
-        """Support mask of the window, then cos, sin, R and the partials
-        f_R, f_phi (and f_RR, f_Rphi, f_phiphi when ``second``) on it."""
-        R = np.hypot(z[..., 0], z[..., 1])
-        m = (R - 1.0) ** 2 < w_out ** 2
-        Rm, pm = R[m], np.arctan2(z[..., 1][m], z[..., 0][m])
+        """The window mask narrowed to the arc (see :func:`_support`), then
+        cos, sin, R and the partials f_R, f_phi (and f_RR, f_Rphi,
+        f_phiphi when ``second``) on it."""
+        m, Rm, pm = _support(z)
         d = Rm - 1.0
         eta, e1, e2 = _plateau(d * d, w_in, w_out, derivatives=True)
         eta_R, eta_RR = 2.0 * d * e1, 4.0 * d * d * e2 + 2.0 * e1

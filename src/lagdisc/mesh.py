@@ -7,11 +7,13 @@ Rotation-equivariant fields then produce exactly cancelling sums in the
 boundary pairing below, which is what pushes those quadratures to
 rounding level instead of O(h^2).
 
-:class:`DiscMesh` caches its per-mesh quantities: areas, hat gradients,
-hat energies and, built on first use, the sparse ``D_x``, ``D_y``,
-stiffness, lumped mass and boundary weights.  The residuals keep
-fixed-order ``bincount`` accumulators, so meshes that only feed them never
-build the operators.
+:class:`DiscMesh` caches its per-mesh quantities, each built on first use.
+Areas, hat gradients, centroids and the longest edge come from one
+geometry pass over two (T, 3) gathers of the corner coordinates; node
+radii and angles, hat energies, and the sparse ``D_x``, ``D_y``,
+stiffness, lumped mass and boundary weights are cached one by one.  The
+residuals keep fixed-order ``bincount`` accumulators, so meshes that only
+feed them never build the operators.
 
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
@@ -64,27 +66,38 @@ class DiscMesh:
 
     # -- derived quantities, computed once per mesh ----------------------
     @cached_property
+    def _geometry(self):
+        """Areas, hat gradients, centroids and longest edge, all read from
+        one pair of (T, 3) corner-coordinate gathers."""
+        x = self.nodes[:, 0][self.triangles]
+        y = self.nodes[:, 1][self.triangles]
+        areas = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                       - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        g = np.empty((len(self.triangles), 3, 2))
+        h = 0.0
+        for a in range(3):
+            # the edge opposite local vertex a, and the edge leaving it
+            b, c = (a + 1) % 3, (a + 2) % 3
+            g[:, a, 0] = -(y[:, c] - y[:, b])
+            g[:, a, 1] = x[:, c] - x[:, b]
+            h = max(h, float(np.max(np.hypot(x[:, b] - x[:, a], y[:, b] - y[:, a]))))
+        g /= (2.0 * areas)[:, None, None]
+        centroids = np.column_stack([(x[:, 0] + x[:, 1] + x[:, 2]) / 3.0,
+                                     (y[:, 0] + y[:, 1] + y[:, 2]) / 3.0])
+        return areas, g, centroids, h
+
+    @cached_property
     def areas(self):
-        p = self.nodes[self.triangles]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return self._geometry[0]
 
     @cached_property
     def hat_gradients(self):
         """(T, 3, 2) array: gradient of the hat function of each local vertex."""
-        p = self.nodes[self.triangles]
-        g = np.empty((len(self.triangles), 3, 2))
-        for a in range(3):
-            edge = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
-            g[:, a, 0] = -edge[:, 1]
-            g[:, a, 1] = edge[:, 0]
-        g /= (2.0 * self.areas)[:, None, None]
-        return g
+        return self._geometry[1]
 
     @cached_property
     def centroids(self):
-        return self.nodes[self.triangles].mean(axis=1)
+        return self._geometry[2]
 
     @cached_property
     def hat_energy(self):
@@ -99,12 +112,7 @@ class DiscMesh:
     @cached_property
     def h_max(self):
         """Longest edge length; the mesh-size parameter of all reports."""
-        p = self.nodes[self.triangles]
-        h = 0.0
-        for a in range(3):
-            e = p[:, (a + 1) % 3] - p[:, a]
-            h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
-        return h
+        return self._geometry[3]
 
     # -- sparse operators (built only on meshes that use them) ------------
     @cached_property
@@ -142,11 +150,11 @@ class DiscMesh:
         return np.bincount(be.ravel(), np.repeat(0.5 * L, 2),
                            minlength=len(self.nodes))
 
-    @property
+    @cached_property
     def node_r(self):
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
 
-    @property
+    @cached_property
     def node_theta(self):
         return np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
 
@@ -159,6 +167,11 @@ class DiscMesh:
         on the unit circle to 1e-12, that the boundary edges form one closed
         cycle, and that every triangle edge is shared by exactly one
         triangle if it is a boundary edge and by exactly two otherwise.
+
+        Reading the areas builds and caches the mesh geometry, so its cost
+        falls here.  Conformity is counted in a canonical (N, N) CSR matrix
+        with an entry per triangle side (i, j), i < j, duplicates summed;
+        the error names the first bad edge in row-major (i, j) order.
         """
         if np.any(self.areas < 1e-14):
             raise ValueError("mesh has a non-positive or degenerate triangle")
@@ -169,19 +182,27 @@ class DiscMesh:
         be = self.boundary_edges
         if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
             raise ValueError("boundary edges do not form a single closed cycle")
-        # conformity: count each undirected edge, encoded as i*N + j with i < j
+        # conformity, counted in int32 (the index type scipy takes below
+        # 2**31 nodes), which halves the temporaries of the count
         n = len(self.nodes)
-        tris = self.triangles
-        edges = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
-                        .reshape(-1, 2), axis=1)
-        keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
-        bsorted = np.sort(be.reshape(-1, 2), axis=1)
-        want = np.where(np.isin(keys, bsorted[:, 0] * n + bsorted[:, 1]), 1, 2)
-        bad = np.flatnonzero(counts != want)
+        tris = self.triangles.astype(np.int32)
+        nxt = np.roll(tris, -1, axis=1)
+        count = sp.csr_matrix((np.ones(tris.size, dtype=np.int32),
+                               (np.minimum(tris, nxt).ravel(),
+                                np.maximum(tris, nxt).ravel())), shape=(n, n))
+        count.sum_duplicates()
+        # the entries run in row-major order, so their keys i*N + j ascend
+        # and the boundary edges are found among them by bisection
+        keys = np.repeat(np.arange(n), np.diff(count.indptr)) * n + count.indices
+        want = np.full(len(keys), 2)
+        bkeys = be.min(axis=1) * n + be.max(axis=1)
+        at = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+        want[at[keys[at] == bkeys]] = 1
+        bad = np.flatnonzero(count.data != want)
         if bad.size:
             i, j = divmod(int(keys[bad[0]]), n)
             raise ValueError(
-                f"edge {(i, j)} shared by {int(counts[bad[0]])} triangles")
+                f"edge {(i, j)} shared by {int(count.data[bad[0]])} triangles")
         return self
 
     # -- serialization -----------------------------------------------------

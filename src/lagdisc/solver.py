@@ -285,15 +285,19 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     partial pivoting.
 
     Energy does not rise within a stage by more than ulp(E) per step, and
-    a stage ends on its last state.  Each ``history["stages"]`` entry
-    records the penalties, the ``"iters"``, the ``"reason"`` it ended
-    (``"converged"``, ``"max_iters"`` or ``"line_search"``: neither
-    direction gave an accepted trial), its ``"energy_evals"`` (the stage
-    start plus every trial) and its ``"restarts"`` (iterations that
-    replaced the CG direction by -z).  The stage start costs one
-    ``element_gradient`` pass, and every trial two: one for the quartic
-    along its direction and one for its state, which with its gradient
-    is carried into the next iteration when accepted.
+    a stage ends on its last state.  ``history["rows"]`` holds one row per
+    iteration, for the map that iteration starts from, and a stage that
+    ends on ``max_iters`` closes with one more row, for the map it returns;
+    so the last row of every stage describes the map that stage returns.
+    Each ``history["stages"]`` entry records the penalties, the
+    ``"iters"``, the ``"reason"`` it ended (``"converged"``,
+    ``"max_iters"`` or ``"line_search"``: neither direction gave an
+    accepted trial), its ``"energy_evals"`` (the stage start plus every
+    trial) and its ``"restarts"`` (iterations that replaced the CG
+    direction by -z).  The stage start costs one ``element_gradient``
+    pass, and every trial two: one for the quartic along its direction
+    and one for its state, which with its gradient is carried into the
+    next iteration when accepted.
     """
     mesh = u0.mesh
     b = mesh.is_boundary
@@ -318,21 +322,24 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     history = {"rows": [], "stages": []}
     _fd_gradient_check(u, domain, *cfg.continuation[0])
 
+    def record(st, Gp):
+        """Append the row of the map of ``st``; return its gradient norm."""
+        gnorm = float(np.sqrt(np.sum(Gp * Gp)))
+        history["rows"].append({"iter": len(history["rows"]),
+                                "grad_norm": gnorm, **_diagnostics(st)})
+        return gnorm
+
     factor = spla.splu((mesh.stiffness + sp.diags(m)).tocsc(),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     for lam1, lam2 in cfg.continuation:
-        reason = "max_iters"
         st = _energy_state(u, domain, lam1, lam2)    # lam changes E
         Gp = project_gradient(u.values, _energy_gradient(u, domain, lam1, lam2, st))
         evals, restarts = 1, 0
         d = None
         for it in range(cfg.max_iters):
             # st and Gp belong to u: the stage start or the accepted trial
-            gnorm = float(np.sqrt(np.sum(Gp * Gp)))
-            history["rows"].append({"iter": len(history["rows"]),
-                                    "grad_norm": gnorm, **_diagnostics(st)})
-            if gnorm <= cfg.grad_tol:
+            if record(st, Gp) <= cfg.grad_tol:
                 reason = "converged"
                 break
             z = project_direction(u.values, factor.solve(Gp))
@@ -367,6 +374,9 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
                 reason = "line_search"
                 break
             u, st, z_prev, Gp_prev, Gp = trial, st_trial, z, Gp, Gp_trial
+        else:
+            reason = "max_iters"
+            record(st, Gp)
         history["stages"].append({"lam1": lam1, "lam2": lam2,
                                   "iters": it + 1, "reason": reason,
                                   "energy_evals": evals,

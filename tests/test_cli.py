@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -254,6 +258,26 @@ def test_determinism_bitwise(tmp_path, argv):
         out = tmp_path / name
         assert run_cli(*argv, "--out", str(out)) == 0
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+
+
+def test_determinism_across_processes(tmp_path):
+    """Two fresh interpreters with different string-hash seeds write the
+    same bytes, so no output depends on hash order."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        subprocess.run([sys.executable, "-m", "lagdisc.cli", "--command",
+                        "boundary-report", "--example", "nonminimal",
+                        "--domain", "curve", "--mesh", "6,24,1.0",
+                        "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(outs[0]) == {"report.csv", "summary.json"}
     assert outs[0] == outs[1]
 
 

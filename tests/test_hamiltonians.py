@@ -510,6 +510,33 @@ def test_z1_arc_hessian_matches_differences_of_gradient(rng, center, width):
     assert np.array_equal(f.hessian(pts[5]), Hu[5])
 
 
+@pytest.mark.parametrize("center,width", [(0.45, 0.35), (-0.6, 0.25)])
+def test_z1_arc_rows_off_the_arc_are_zero(rng, center, width):
+    """One batch of rows on the arc, off the arc inside the R-window and
+    outside the window: off the arc value, gradient and Hessian are exactly
+    0, and on it they are those of the arc rows evaluated alone."""
+    lo, hi = center - width, center + width
+    n = 200
+    R_window = 1.0 + rng.uniform(-0.38, 0.38, size=3 * n)
+    R = np.concatenate([R_window, rng.uniform(0.05, 0.55, size=n),
+                        rng.uniform(1.45, 2.0, size=n)])
+    off = np.concatenate([rng.uniform(-np.pi, lo - 0.02, size=n),
+                          rng.uniform(hi + 0.02, np.pi, size=n)])
+    phi = np.concatenate([rng.uniform(lo + 1e-3, hi - 1e-3, size=n), off,
+                          rng.uniform(-np.pi, np.pi, size=2 * n)])
+    on = np.arange(len(R)) < n
+    order = rng.permutation(len(R))
+    R, phi, on = R[order], phi[order], on[order]
+    z2 = rng.normal(size=(len(R), 2))
+    pts = np.column_stack([R * np.cos(phi), R * np.sin(phi), z2])
+    f = hams.z1_arc_hamiltonian(center, width)
+    for fn in (f.value, f.gradient, f.hessian):
+        got = fn(pts)
+        assert np.all(got[~on] == 0.0)
+        assert got[on].tobytes() == fn(pts[on]).tobytes()
+        assert np.all(np.any(got[on].reshape(n, -1) != 0.0, axis=1))
+
+
 def test_z1_arc_invalid_arc():
     with pytest.raises(ValueError, match="phi-arc must avoid 0"):
         hams.z1_arc_hamiltonian(0.0, 0.3)   # crosses phi = 0

@@ -91,12 +91,13 @@ def _dict_validate(mesh):
     if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
         raise ValueError("boundary edges do not form a single closed cycle")
     edges = {}
-    for tri in mesh.triangles:
+    for tri in mesh.triangles.tolist():
         for a in range(3):
             key = (min(tri[a], tri[(a + 1) % 3]), max(tri[a], tri[(a + 1) % 3]))
             edges[key] = edges.get(key, 0) + 1
-    bset = {(min(i, j), max(i, j)) for i, j in be}
-    for key, count in edges.items():
+    bset = {(min(i, j), max(i, j)) for i, j in be.tolist()}
+    # the first bad edge is the smallest (i, j)
+    for key, count in sorted(edges.items()):
         want = 1 if key in bset else 2
         if count != want:
             raise ValueError(f"edge {key} shared by {count} triangles")
@@ -124,22 +125,87 @@ def _broken_meshes():
         is_boundary=np.append(m.is_boundary, False))
 
 
-@pytest.mark.parametrize("size", [(2, 8), (3, 12), (6, 24), (9, 40)])
+def _delaunay_disc(n_boundary=40, n_interior=120, seed=5):
+    """A mesh that is not polar: the Delaunay triangulation of points on
+    the unit circle and of random points well inside it."""
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(seed)
+    t = 2 * np.pi * np.arange(n_boundary) / n_boundary
+    r = 0.9 * np.sqrt(rng.uniform(size=n_interior))
+    th = rng.uniform(0.0, 2 * np.pi, size=n_interior)
+    nodes = np.vstack([np.column_stack([np.cos(t), np.sin(t)]),
+                       np.column_stack([r * np.cos(th), r * np.sin(th)])])
+    tris = Delaunay(nodes).simplices.astype(int)
+    p = nodes[tris]
+    cw = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+          - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])) < 0
+    tris[cw] = tris[cw][:, ::-1]
+    j = np.arange(n_boundary)
+    is_boundary = np.arange(len(nodes)) < n_boundary
+    return msh.DiscMesh(nodes, tris, np.column_stack([j, (j + 1) % n_boundary]),
+                        is_boundary)
+
+
+@pytest.mark.parametrize("size", [(2, 8), (3, 12), (6, 24), (9, 40), "not polar"])
 def test_validate_matches_dict_loop_on_valid_meshes(mesh_cache, size):
-    m = mesh_cache(*size)
+    m = _delaunay_disc() if size == "not polar" else mesh_cache(*size)
     assert m.validate() is m
     assert _dict_validate(m) is m
 
 
+def _skipped_boundary_node():
+    """A polar mesh whose boundary cycle jumps from outer node 0 to outer
+    node 2: its first boundary edge is no triangle edge."""
+    m = msh.build_polar_mesh(4, 16, 1.0)
+    be = m.boundary_edges
+    return msh.DiscMesh(m.nodes, m.triangles,
+                        np.vstack([[be[0, 0], be[1, 1]], be[2:]]), m.is_boundary)
+
+
 @pytest.mark.parametrize("case", ["duplicated", "dropped",
-                                  "boundary edge in two triangles"])
+                                  "boundary edge in two triangles",
+                                  "boundary edge not a triangle edge"])
 def test_validate_rejects_nonconforming_mesh(case):
-    bad = dict(_broken_meshes())[case]
+    bad = {**dict(_broken_meshes()),
+           "boundary edge not a triangle edge": _skipped_boundary_node()}[case]
     with pytest.raises(ValueError,
-                       match=r"^edge \(\d+, \d+\) shared by \d+ triangles$"):
+                       match=r"^edge \(\d+, \d+\) shared by \d+ triangles$") as got:
         bad.validate()
-    with pytest.raises(ValueError, match="shared by"):
+    with pytest.raises(ValueError, match="shared by") as want:
         _dict_validate(bad)
+    assert str(got.value) == str(want.value)
+
+
+def _corner_geometry(mesh):
+    """Reference: areas, hat gradients, centroids and longest edge from the
+    (T, 3, 2) corner array ``nodes[triangles]``, the formulas ``DiscMesh``
+    used before its one geometry pass."""
+    p = mesh.nodes[mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    g = np.empty((len(p), 3, 2))
+    for a in range(3):
+        edge = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+        g[:, a, 0] = -edge[:, 1]
+        g[:, a, 1] = edge[:, 0]
+    g /= (2.0 * areas)[:, None, None]
+    h = 0.0
+    for a in range(3):
+        e = p[:, (a + 1) % 3] - p[:, a]
+        h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
+    return areas, g, p.mean(axis=1), h
+
+
+@pytest.mark.parametrize("key", [(r, s, g) for g in (1.0, 0.5)
+                                 for r, s in ((3, 12), (9, 40), (24, 96))]
+                         + ["not polar"])
+def test_geometry_bitwise_matches_corner_formulas(mesh_cache, key):
+    m = _delaunay_disc() if key == "not polar" else mesh_cache(*key)
+    got = (m.areas, m.hat_gradients, m.centroids, m.h_max)
+    for a, b in zip(got, _corner_geometry(m)):
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 # ---------------------------------------------------------------------------

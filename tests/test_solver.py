@@ -271,6 +271,20 @@ def test_minimize_perturbed_recovers(mesh_cache, rng):
         start = stop
 
 
+def test_stage_ending_on_max_iters_closes_with_the_returned_map(mesh_cache, rng):
+    """The last row describes the returned map, so the report's final
+    energy and defects are those of that map, not of the iterate before."""
+    start = _perturbed_start(mesh_cache(8, 32), rng)
+    cfg = sol.SolverConfig(max_iters=3)
+    u, hist = sol.minimize(start, BALL, cfg)
+    assert all(s["reason"] == "max_iters" for s in hist["stages"])
+    assert len(hist["rows"]) == sum(s["iters"] + 1 for s in hist["stages"])
+    assert [r["iter"] for r in hist["rows"]] == list(range(len(hist["rows"])))
+    want = sol._diagnostics(sol._energy_state(u, BALL, *cfg.continuation[-1]))
+    last = hist["rows"][-1]
+    assert {k: last[k] for k in want} == want
+
+
 def test_minimize_counts_two_element_gradient_passes_per_trial(
         mesh_cache, rng, monkeypatch):
     start = _perturbed_start(mesh_cache(8, 32), rng)
