@@ -47,6 +47,7 @@ __all__ = [
     "curve_report_batch",
     "fit_order",
     "full_report",
+    "lagrangian_defect",
     "pointwise_geometry_report",
     "rigidity_verdict",
     "singular_masses",
@@ -166,6 +167,11 @@ def _angle_flux(u: DiscreteMap):
     return u.source.angle_flux_field(u.mesh.centroids)
 
 
+def lagrangian_defect(q, grad_sq):
+    """The largest Lagrangian defect |u*omega| / (|grad u|^2/2 + EPS)."""
+    return float(np.max(np.abs(q) / (0.5 * grad_sq + EPS)))
+
+
 def pointwise_geometry_report(u: DiscreteMap):
     """(lagrangian, conformality) defects, maximized over evaluation points.
 
@@ -180,9 +186,9 @@ def pointwise_geometry_report(u: DiscreteMap):
     else:
         e_x, e_y = _element_frames(u)
         e_x, e_y = e_x[tri_ok], e_y[tri_ok]
-    e2lam = 0.5 * (inner(e_x, e_x) + inner(e_y, e_y))
-    den = e2lam + EPS
-    lag = float(np.max(np.abs(symplectic(e_x, e_y)) / den))
+    grad_sq = inner(e_x, e_x) + inner(e_y, e_y)
+    lag = lagrangian_defect(symplectic(e_x, e_y), grad_sq)
+    den = 0.5 * grad_sq + EPS
     conf = float(np.max((np.abs(inner(e_x, e_y))
                          + np.abs(inner(e_x, e_x) - inner(e_y, e_y))) / den))
     return lag, conf
@@ -434,7 +440,10 @@ def _stationarity_terms(u_c, S, f, moments=None):
 
 
 def stationarity_integral(u: DiscreteMap, f, subdomain=None):
-    """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega."""
+    """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega:
+    the unnormalized term of :func:`stationarity_test`, kept public so that
+    the linearity, blocking and support-restriction tests compare the
+    production quadrature with their references."""
     sub = subdomain or FullDisc()
     u_c, S, _ = _frame_tensor(u, sub.contains(u.mesh.centroids))
     return _stationarity_terms(u_c, S, f)[0]

@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from . import hamiltonians as hams
 from . import residuals as res
-from .algebra import EPS, apply_I, inner, symplectic
+from .algebra import apply_I, inner, symplectic
 from .domains import LevelSetDomain, unit_ball
 from .families import DiscreteMap, flat_disc, sample
 from .mesh import DiscMesh, element_gradient
@@ -47,7 +47,6 @@ from .mesh import DiscMesh, element_gradient
 __all__ = [
     "RigidityReport",
     "SolverConfig",
-    "energy",
     "energy_and_gradient",
     "flow_frame_step",
     "minimize",
@@ -56,13 +55,6 @@ __all__ = [
     "random_sphere_tangent_hamiltonians",
     "rigidity_experiment",
 ]
-
-
-# random directions (and their seed and step) of the finite-difference
-# gradient check
-FD_DIRECTIONS = 20
-FD_SEED = 0
-FD_STEP = 1e-6
 
 
 def default_continuation():
@@ -106,8 +98,6 @@ def _energy_state(u: DiscreteMap, domain, lam1, lam2):
     """The energy of :func:`energy_and_gradient` and the element state that
     :func:`_energy_gradient` builds its gradient from; one
     ``element_gradient`` pass."""
-    if not isinstance(domain, LevelSetDomain):
-        raise TypeError("energy penalties need a level-set domain")
     mesh = u.mesh
     vals = u.values
     a = mesh.areas
@@ -126,10 +116,10 @@ def _energy_state(u: DiscreteMap, domain, lam1, lam2):
 
 
 def _diagnostics(st: _EnergyState):
-    """The energy, the largest Lagrangian defect |u*omega| / (|grad u|^2/2)
-    and the largest boundary violation |F| of the map of ``st``."""
+    """The energy, the Lagrangian defect (``res.lagrangian_defect``) and the
+    largest boundary violation |F| of the map of ``st``."""
     return {"E": st.E,
-            "lagrangian": float(np.max(np.abs(st.q) / (0.5 * st.grad_sq + EPS))),
+            "lagrangian": res.lagrangian_defect(st.q, st.grad_sq),
             "boundary_violation": float(np.max(np.abs(st.Fb)))}
 
 
@@ -160,27 +150,10 @@ def energy_and_gradient(u: DiscreteMap, domain, lam1, lam2):
 
     Only level-set domains support the boundary penalty.
     """
+    if not isinstance(domain, LevelSetDomain):
+        raise TypeError("energy penalties need a level-set domain")
     st = _energy_state(u, domain, lam1, lam2)
     return st.E, _energy_gradient(u, domain, lam1, lam2, st)
-
-
-def energy(u: DiscreteMap, domain, lam1, lam2):
-    """The energy of :func:`energy_and_gradient` alone, bitwise equal to it."""
-    return _energy_state(u, domain, lam1, lam2).E
-
-
-def _fd_gradient_check(u, domain, lam1, lam2):
-    E0, G = energy_and_gradient(u, domain, lam1, lam2)
-    rng = np.random.default_rng(FD_SEED)
-    for _ in range(FD_DIRECTIONS):
-        d = rng.normal(size=u.values.shape)
-        d /= np.sqrt(np.sum(d * d))
-        up = replace(u, values=u.values + FD_STEP * d)
-        um = replace(u, values=u.values - FD_STEP * d)
-        fd = (energy(up, domain, lam1, lam2)
-              - energy(um, domain, lam1, lam2)) / (2 * FD_STEP)
-        if abs(fd - float(np.sum(G * d))) > 1e-6 * (1.0 + abs(E0)):
-            raise RuntimeError("analytic gradient failed the finite-difference test")
 
 
 def _project_boundary(domain, values, b_mask):
@@ -299,6 +272,8 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     and one for its state, which with its gradient is carried into the
     next iteration when accepted.
     """
+    if not isinstance(domain, LevelSetDomain):
+        raise TypeError("energy penalties need a level-set domain")
     mesh = u0.mesh
     b = mesh.is_boundary
     m = mesh.lumped_mass
@@ -320,7 +295,6 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     u = DiscreteMap(mesh, vals)
 
     history = {"rows": [], "stages": []}
-    _fd_gradient_check(u, domain, *cfg.continuation[0])
 
     def record(st, Gp):
         """Append the row of the map of ``st``; return its gradient norm."""
@@ -408,8 +382,9 @@ def _flow_step(mesh, vals, f, dt, domain):
 def flow_frame_step(z, frame, f, dt, method="rk4"):
     """Advect a point and a tangent frame along I grad f for one step.
 
-    The frame evolves by the linearized flow e' = I Hess f(z) e.  Used to
-    measure the symplectic-defect order of the integrators.
+    The frame evolves by the linearized flow e' = I Hess f(z) e.  Kept for
+    acceptance criterion 5, which fits the order of the frame's symplectic
+    defect from it; the map flows use :func:`_flow_step`.
     """
     def rhs(state):
         z, ex, ey = state

@@ -6,8 +6,9 @@ without failing any other test.  This loads the recorder from its file,
 installs and uninstalls it around a few calls, and checks that every
 ``__all__`` entry of every module resolves.  It also checks that the
 package defines no exception class but the CLI's ``ConfigError``, that
-importing the CLI loads no ``scipy.interpolate``, and that no module,
-test or demo imports a name it never uses.
+importing the CLI loads no ``scipy.interpolate``, that no module,
+test or demo imports a name it never uses, and that the package reads
+every private function, class and module constant it defines.
 """
 
 import ast
@@ -15,6 +16,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,3 +161,33 @@ def test_no_unused_imports():
              for p in sorted((ROOT / d).glob("*.py"))]
     assert len(files) > 20
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def test_no_unread_private_names():
+    """Every ``_name`` function or class at module or class level, and every
+    module-level UPPER_CASE constant, is read somewhere in ``src/lagdisc``
+    as a loaded name or an attribute; code that only tests read goes."""
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "lagdisc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = path.relative_to(ROOT)
+        for body in [tree.body] + [n.body for n in tree.body
+                                   if isinstance(n, ast.ClassDef)]:
+            defined += [(f"{where}:{n.lineno}", n.name) for n in body
+                        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                        and re.fullmatch(r"_[^_].*", n.name)]
+        for n in tree.body:
+            targets = (n.targets if isinstance(n, ast.Assign)
+                       else [n.target] if isinstance(n, ast.AnnAssign) else [])
+            defined += [(f"{where}:{n.lineno}", t.id)
+                        for target in targets
+                        for t in ast.walk(target)
+                        if isinstance(t, ast.Name)
+                        and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    assert len(defined) > 50
+    assert [f"{loc} {name}" for loc, name in defined if name not in read] == []
