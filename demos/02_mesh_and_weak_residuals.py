@@ -37,15 +37,16 @@ print("collar pairing <w . nu, phi> against boundary harmonics")
 m = msh.build_polar_mesh(24, 96, 1.0)
 nm = fam.nonminimal_map()
 w = nm.angle_flux_field(m.centroids)                 # constant (-1, 0)
-for name, phi in [("1", lambda t: np.ones_like(t)), ("cos", np.cos),
-                  ("sin", np.sin)]:
-    v = msh.boundary_trace_pairing(m, w, phi, collar_r0=0.7)
+names = ["1", "cos", "sin"]
+pairings = msh.boundary_trace_pairing(
+    m, w, [lambda t: np.ones_like(t), np.cos, np.sin], collar_r0=0.7)
+for name, v in zip(names, pairings):
     print(f"  phi = {name:>3}: pairing = {v:+.6f}")
 print(f"  (the cos pairing converges to -pi = {-np.pi:.6f}: this map has a"
       " genuinely nonzero angle Neumann trace)")
 
 w_sw = sw.angle_flux_field(m.centroids)
-worst = max(abs(msh.boundary_trace_pairing(m, w_sw, np.cos, r0))
+worst = max(abs(msh.boundary_trace_pairing(m, w_sw, [np.cos], r0)[0])
             for r0 in (0.5, 0.7, 0.9))
 print(f"  conical angle field, all collars: |pairing| <= {worst:.1e}"
       " (zero trace)")

@@ -144,10 +144,11 @@ class SWCone(ExampleMap):
         with np.errstate(divide="ignore", invalid="ignore"):
             amp = np.where(r > 0, r ** (self.s - 1.0), 0.0 if self.s > 1 else 1.0)
         amp = amp * (self.s / math.sqrt(self.p + self.q))
-        er1 = amp * math.sqrt(self.q) * np.exp(1j * self.p * theta)
-        er2 = amp * 1j * math.sqrt(self.p) * np.exp(-1j * self.q * theta)
-        et1 = amp * 1j * math.sqrt(self.p) * np.exp(1j * self.p * theta)
-        et2 = amp * math.sqrt(self.q) * np.exp(-1j * self.q * theta)
+        # e^{ip theta} and e^{-iq theta} once each, one after the other
+        e = np.exp(1j * self.p * theta)
+        er1, et1 = amp * math.sqrt(self.q) * e, amp * 1j * math.sqrt(self.p) * e
+        e = np.exp(-1j * self.q * theta)
+        er2, et2 = amp * 1j * math.sqrt(self.p) * e, amp * math.sqrt(self.q) * e
         return (er1, er2), (et1, et2)
 
     def frame(self, r, theta):

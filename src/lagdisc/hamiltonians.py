@@ -105,12 +105,13 @@ class Hamiltonian:
 # --------------------------------------------------------------------------
 class Profile:
     """P(s) with its first two derivatives.  ``support``, when set, is an s1
-    with P = P' = P'' = 0 for every s >= s1.  ``coeffs``, when set, are the
+    with P = P' = P'' = 0 for every s >= s1, and ``plateau`` an s0 < s1 with
+    P = 1 and P' = P'' = 0 for every s <= s0.  ``coeffs``, when set, are the
     coefficients of a polynomial P, trailing zeros trimmed."""
 
-    def __init__(self, f, d1, d2, support=None, coeffs=None):
+    def __init__(self, f, d1, d2, support=None, coeffs=None, plateau=None):
         self.f, self.d1, self.d2 = f, d1, d2
-        self.support = support
+        self.support, self.plateau = support, plateau
         self.coeffs = coeffs
 
 
@@ -135,7 +136,8 @@ def poly_profile(coeffs):
 
 
 def smooth_cutoff_profile(s0, s1):
-    """C^2 quintic cutoff: 1 on s <= s0, 0 on s >= s1."""
+    """C^2 quintic cutoff: exactly 1 on its ``plateau`` s <= s0, exactly 0 on
+    s >= s1, its ``support``, and P' = P'' = 0 on both."""
     if not s0 < s1:
         raise ValueError("need s0 < s1")
     w = s1 - s0
@@ -157,7 +159,7 @@ def smooth_cutoff_profile(s0, s1):
         inside = (t > 0) & (t < 1)
         return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w ** 2, 0.0)
 
-    return Profile(f, d1, d2, support=float(s1))
+    return Profile(f, d1, d2, support=float(s1), plateau=float(s0))
 
 
 def _polarized_coeffs(hessian):
@@ -256,7 +258,14 @@ def interior_bump(center, radius, amplitude=1.0):
 # --------------------------------------------------------------------------
 def _profiled(P, c=None):
     """value, gradient, hessian of P(|z|^2) * Q(z) by the product rule, with
-    Q the quadratic form of coefficients c (Q = 1 when c is None)."""
+    Q the quadratic form of coefficients c (Q = 1 when c is None).
+
+    With a ``plateau`` s0 the Hessian runs the product rule only where
+    s0 < |z|^2 < s1 = ``support`` (or |z|^2 is NaN).  Elsewhere it is what the
+    formula gives, Hess Q (0 for Q = 1) on the plateau and 0 past s1, bitwise
+    up to the sign of a zero and in the formula's memory layout, the slot
+    axis outermost as :func:`_outer` makes it.
+    """
     HQ = None if c is None else _quad_hessian(c)
 
     def value(z):
@@ -273,15 +282,26 @@ def _profiled(P, c=None):
         Q, gQ = _quad_eval(z, c)
         return g * Q[..., None] + P.f(s)[..., None] * gQ
 
-    def hessian(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
+    def product_rule(z, s):
         Q, gQ = (1.0, None) if c is None else _quad_eval(z, c)
         d1 = 2.0 * P.d1(s)
         H = _add_identity((4.0 * P.d2(s) * Q)[..., None] * _outer(z, z), d1 * Q)
         if c is not None:
             H += d1[..., None] * (_outer(z, gQ) + _outer(gQ, z))
             H += P.f(s)[..., None] * HQ
+        return H
+
+    def hessian(z):
+        z = np.asarray(z, float)
+        s = inner(z, z)
+        if P.plateau is None:
+            return product_rule(z, s)
+        H = np.moveaxis(np.zeros((10,) + s.shape), 0, -1)
+        flat = s <= P.plateau
+        if HQ is not None:
+            H[flat] = HQ
+        band = ~(flat | (s >= P.support))
+        H[band] = product_rule(z[band], s[band])
         return H
 
     return value, gradient, hessian

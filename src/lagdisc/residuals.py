@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -305,8 +304,7 @@ def boundary_conditions_report(u: DiscreteMap, domain):
         tests.append(lambda t, k=k: np.cos(k * t))
         tests.append(lambda t, k=k: np.sin(k * t))
     # np.max, unlike max, keeps a NaN
-    neu = np.max([abs(boundary_trace_pairing(u.mesh, w, phi, COLLAR_R0))
-                  for phi in tests])
+    neu = np.max(np.abs(boundary_trace_pairing(u.mesh, w, tests, COLLAR_R0)))
     return leg, con, float(neu)
 
 
@@ -320,15 +318,18 @@ HESSIAN_BLOCK = 4096
 def _frame_block(grad):
     """sum_k sym((-I e_k) (x) e_k) for (b, 2, 4) frames e_k = grad[:, k],
     packed as a Hessian is (see :func:`hamiltonians.unpack_hessian`) with
-    the off-diagonal entries doubled."""
-    i, j = hams.UPPER_I, hams.UPPER_J
-    acc = 0.0
-    for k in range(2):
-        e = grad[:, k]
-        a = -apply_I(e)
-        acc = acc + (a[:, i] * e[:, j] + a[:, j] * e[:, i])
-    # a_i e_j + a_j e_i counts a diagonal entry twice
-    return (0.5 * hams.UPPER_WEIGHTS) * acc
+    the off-diagonal entries doubled; slot by slot, from contiguous frame
+    columns e_k = (x1, y1, x2, y2) and a = -I e_k = (y1, -x1, y2, -x2)."""
+    e = [[grad[:, k, i].copy() for i in range(4)] for k in range(2)]
+    a = [[x[1], -x[0], x[3], -x[2]] for x in e]
+    out = np.empty((len(grad), len(hams.UPPER_I)))
+    for slot, (i, j) in enumerate(zip(hams.UPPER_I, hams.UPPER_J)):
+        acc = 0.0
+        for k in range(2):
+            acc = acc + (a[k][i] * e[k][j] + a[k][j] * e[k][i])
+        # a_i e_j + a_j e_i counts a diagonal entry twice
+        out[:, slot] = (0.5 * hams.UPPER_WEIGHTS[slot]) * acc
+    return out
 
 
 def _frame_tensor(u: DiscreteMap, m):
@@ -339,9 +340,10 @@ def _frame_tensor(u: DiscreteMap, m):
     for the frames e_k = d_k u, stored (T, 10) in the packed order of the
     Hessians with the off-diagonal entries doubled, so that <H, S_t>_F is
     the plain dot product of the packed Hessian with S_t.  It is built in
-    blocks of ``HESSIAN_BLOCK`` elements.
+    blocks of ``HESSIAN_BLOCK`` elements, on views when ``m`` keeps all.
     """
     mesh = u.mesh
+    m = slice(None) if np.all(m) else m
     grad = element_gradient(mesh, u.values)[m]
     areas = mesh.areas[m]
     grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
@@ -355,67 +357,33 @@ def _frame_tensor(u: DiscreteMap, m):
     return interpolate_at_centroids(mesh, u.values)[m], S, grad_sq
 
 
-class _Moments:
-    """Sums of a frame tensor ``S`` against the centroid values ``u_c``, each
-    built when first asked for and then kept: ``total`` is sum_t S_t, and
-    ``quadratic`` the (10, 10) matrix whose row k is sum_t u_i u_j S_t for
-    the monomial (i, j) = (UPPER_I[k], UPPER_J[k]) of u_c's row t."""
+def _polynomial_terms(u_c, S, coeffs):
+    """The terms of the Hessians A + _outer(z, z) @ C, for (A, C) in ``coeffs``.
 
-    def __init__(self, u_c, S):
-        self.u_c, self.S = u_c, S
-
-    @cached_property
-    def total(self):
-        return np.sum(self.S, axis=0)
-
-    @cached_property
-    def quadratic(self):
-        # one monomial column at a time: no (T, 10) monomial array is made
-        return np.stack([(self.u_c[:, i] * self.u_c[:, j]) @ self.S
-                         for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
-
-
-def _polynomial_terms(coeffs, moments):
-    """:func:`_stationarity_terms` of the Hessian A + _outer(z, z) @ C, with
-    ``coeffs`` = (A, C), from the :class:`_Moments` of the frame tensor."""
-    A, C = coeffs
-    total = A @ moments.total
-    if not np.any(C):
-        return float(total), float(np.sqrt((A * A) @ hams.UPPER_WEIGHTS))
-    total = total + np.sum(C * moments.quadratic)
-    h_sq = 0.0
-    u_c = moments.u_c
-    for s in range(0, len(u_c), HESSIAN_BLOCK):
-        zb = u_c[s:s + HESSIAN_BLOCK]
-        Hu = hams._outer(zb, zb) @ C + A
-        h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
-    return float(total), float(np.sqrt(h_sq))
-
-
-def _stationarity_terms(u_c, S, f, moments=None):
-    """Midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> and the max
-    Frobenius norm of Hess f over the elements with centroid values ``u_c``
-    and frame tensors ``S`` (see :func:`_frame_tensor`).
-
-    For symmetric H, <I(H e), e> = <H, sym((-I e) (x) e)>_F, so each
-    element's integrand, area included, is the dot product of the packed
-    (10,) Hessian ``f.hessian(u_c)`` with its row of S, and ||H||_F^2 is
-    the packed squares weighted by ``hamiltonians.UPPER_WEIGHTS``.  The
-    Hessian is evaluated in blocks of ``HESSIAN_BLOCK`` rows.  When
-    ``f.support_hint = (c, r)`` is set, only the rows with |u_c - c|^2 <=
-    (1 + 1e-9) r^2, a superset of the support, are evaluated.  The
-    integrands go into a zero-filled full-length array that is summed once,
-    so the result is that of evaluating every row and does not depend on
-    the blocking.
-
-    A function with ``hessian_coeffs`` never calls ``f.hessian``: its terms
-    come from the :class:`_Moments` ``moments`` of (u_c, S), which a caller
-    shares across functions (see :func:`_polynomial_terms`).
+    The integral is A . sum_t S_t + <C, M>, with row k of the (10, 10)
+    moment matrix M = sum_t u_i u_j S_t for (i, j) = (UPPER_I[k], UPPER_J[k]).
+    The max norm is ||A||_F when C = 0; the functions with C != 0 share one
+    _outer(z, z) monomial block per ``HESSIAN_BLOCK`` rows.
     """
-    if f.hessian_coeffs is not None:
-        if moments is None:
-            moments = _Moments(u_c, S)
-        return _polynomial_terms(f.hessian_coeffs, moments)
+    total = np.sum(S, axis=0) if coeffs else None
+    live = [(k, A, C) for k, (A, C) in enumerate(coeffs) if np.any(C)]
+    h_sq = [0.0 if np.any(C) else (A * A) @ hams.UPPER_WEIGHTS for A, C in coeffs]
+    if live:
+        # one monomial column at a time: no (T, 10) monomial array is made
+        M = np.stack([(u_c[:, i] * u_c[:, j]) @ S
+                      for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
+        for s in range(0, len(u_c), HESSIAN_BLOCK):
+            zb = u_c[s:s + HESSIAN_BLOCK]
+            mono = hams._outer(zb, zb)
+            for k, A, C in live:
+                Hu = mono @ C + A
+                h_sq[k] = np.maximum(h_sq[k], np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
+    return [(float(A @ total + np.sum(C * M) if np.any(C) else A @ total),
+             float(np.sqrt(h))) for (A, C), h in zip(coeffs, h_sq)]
+
+
+def _per_row_terms(u_c, S, f):
+    """:func:`_stationarity_terms` of one f without ``hessian_coeffs``."""
     n = len(u_c)
     if f.support_hint is None:
         rows = [slice(s, s + HESSIAN_BLOCK) for s in range(0, n, HESSIAN_BLOCK)]
@@ -439,6 +407,32 @@ def _stationarity_terms(u_c, S, f, moments=None):
     return float(np.sum(integrand)), float(np.sqrt(h_sq))
 
 
+def _stationarity_terms(u_c, S, fs):
+    """[(integral, max norm)] for each f in ``fs``: the midpoint quadrature
+    of sum_k <d_k(I grad f o u), d_k u> and the max Frobenius norm of
+    Hess f over the elements with centroid values ``u_c`` and frame tensors
+    ``S`` (see :func:`_frame_tensor`).
+
+    For symmetric H, <I(H e), e> = <H, sym((-I e) (x) e)>_F, so each
+    element's integrand, area included, is the dot product of the packed
+    (10,) Hessian ``f.hessian(u_c)`` with its row of S, and ||H||_F^2 is
+    the packed squares weighted by ``hamiltonians.UPPER_WEIGHTS``.  The
+    Hessian is evaluated in blocks of ``HESSIAN_BLOCK`` rows.  When
+    ``f.support_hint = (c, r)`` is set, only the rows with |u_c - c|^2 <=
+    (1 + 1e-9) r^2, a superset of the support, are evaluated.  The
+    integrands go into a zero-filled full-length array that is summed once,
+    so the result is that of evaluating every row and does not depend on
+    the blocking.
+
+    The functions with ``hessian_coeffs`` never call ``f.hessian``: their
+    terms come together from :func:`_polynomial_terms`.
+    """
+    poly = iter(_polynomial_terms(
+        u_c, S, [f.hessian_coeffs for f in fs if f.hessian_coeffs is not None]))
+    return [next(poly) if f.hessian_coeffs is not None
+            else _per_row_terms(u_c, S, f) for f in fs]
+
+
 def stationarity_integral(u: DiscreteMap, f, subdomain=None):
     """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega:
     the unnormalized term of :func:`stationarity_test`, kept public so that
@@ -446,7 +440,7 @@ def stationarity_integral(u: DiscreteMap, f, subdomain=None):
     production quadrature with their references."""
     sub = subdomain or FullDisc()
     u_c, S, _ = _frame_tensor(u, sub.contains(u.mesh.centroids))
-    return _stationarity_terms(u_c, S, f)[0]
+    return _stationarity_terms(u_c, S, [f])[0][0]
 
 
 def _check_support_clear(f, pts4, what):
@@ -504,7 +498,9 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
     with midpoint quadrature per triangle and the Frobenius matrix norm.
-    An empty batch raises ``ValueError`` instead of reading as a perfect 0.
+    An empty batch, or one whose every ||Hess f||_inf is 0 (no function
+    meets the image, so it tests nothing), raises ``ValueError`` instead of
+    reading as a perfect 0; some functions missing the image is normal.
 
     The frames enter only through one (T, 10) frame tensor per call,
     area_t sum_k sym((-I d_k u) (x) d_k u) packed like the Hessians,
@@ -512,9 +508,11 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     f then costs its packed (10,) Hessians in blocks of ``HESSIAN_BLOCK``
     elements and two 10-term dot products per element, one for the
     integrand and one for ||H||_F^2.  A test function with a support ball
-    is evaluated only on the elements whose centroid image lies in it,
-    which gives exactly the value of evaluating every element.  No result
-    depends on ``HESSIAN_BLOCK``.
+    is evaluated only on the elements whose centroid image lies in it, and
+    a cutoff-profiled one runs its product rule only where the cutoff
+    varies (see :func:`hamiltonians._profiled`); both give exactly the
+    value of evaluating every element.  No result depends on
+    ``HESSIAN_BLOCK``.
 
     A function whose packed Hessian is a quadratic polynomial in z,
     A + mono(z) C with mono(z) the 10 monomials z_i z_j
@@ -522,7 +520,9 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     integral is A . sum_t S_t + <C, M> over the frame tensor rows S_t,
     with the (10, 10) moment matrix M = mono(u_c)^T S built at most once
     per call and only when some function has C != 0; its max norm is
-    ||A||_F when C = 0 and otherwise one polynomial evaluation per block.
+    ||A||_F when C = 0, and otherwise one (b, 10) @ (10, 10) product per
+    block of b rows, on a monomial block mono(u_c) that all such functions
+    share.
     """
     if len(fs) == 0:
         raise ValueError("stationarity_test: empty test set")
@@ -542,13 +542,16 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     wall_pts = u.values[wall]
     wall_normals = domain.normal_at(wall_pts)
 
-    u_c, S, grad_sq = _frame_tensor(u, m)
-    moments = _Moments(u_c, S)
-    worst = 0.0
     for f in fs:
         _check_admissible(f, domain, wall_pts, wall_normals)
         _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
-        total, h_inf = _stationarity_terms(u_c, S, f, moments)
+    u_c, S, grad_sq = _frame_tensor(u, m)
+    terms = _stationarity_terms(u_c, S, fs)
+    if all(h_inf == 0 for _, h_inf in terms):
+        raise ValueError("stationarity_test: every test function's Hessian "
+                         "vanishes on the map's image; the batch tests nothing")
+    worst = 0.0
+    for total, h_inf in terms:
         worst = np.maximum(worst, abs(total) / (h_inf * grad_sq + EPS))
     return float(worst)
 

@@ -90,3 +90,27 @@ def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
         return out
 
     return gradient
+
+
+def unbanded_profiled_hessian(P, c=None):
+    """The packed product-rule Hessian of P(|z|^2) Q(z) evaluated on every
+    row, Q the quadratic form of coefficients c (Q = 1 when c is None): the
+    formula of ``hamiltonians._profiled`` without its cutoff bands."""
+    from lagdisc import algebra as alg
+    from lagdisc import hamiltonians as hams
+
+    HQ = None if c is None else hams._quad_hessian(np.asarray(c, float))
+
+    def hessian(z):
+        z = np.asarray(z, float)
+        s = alg.inner(z, z)
+        Q, gQ = (1.0, None) if c is None else hams._quad_eval(z, np.asarray(c, float))
+        d1 = 2.0 * P.d1(s)
+        H = hams._add_identity((4.0 * P.d2(s) * Q)[..., None] * hams._outer(z, z),
+                               d1 * Q)
+        if c is not None:
+            H += d1[..., None] * (hams._outer(z, gQ) + hams._outer(gQ, z))
+            H += P.f(s)[..., None] * HQ
+        return H
+
+    return hessian

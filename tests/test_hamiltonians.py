@@ -6,7 +6,8 @@ from lagdisc import domains as dom
 from lagdisc import hamiltonians as hams
 from lagdisc.families import nonminimal_map
 from lagdisc.solver import flow_frame_step
-from conftest import centred_differences, z1_arc_reference_gradient
+from conftest import (centred_differences, unbanded_profiled_hessian,
+                      z1_arc_reference_gradient)
 
 BALL = dom.unit_ball()
 
@@ -374,6 +375,37 @@ def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
         assert np.array_equal(hams.unpack_hessian(f.hessian(z[0])), old(z[0]))
 
 
+@pytest.mark.parametrize("c", [None, [0.3, 0.1, -0.7, 0.2]], ids=["radial", "hopf"])
+def test_cutoff_hessian_bands_match_the_unbanded_formula(rng, c):
+    # the product rule runs only on the band s0 < |z|^2 < s1; the plateau
+    # rows take Hess Q (0 for a radial invariant) and the outer rows 0, which
+    # must be the formula's values there, in the formula's memory layout
+    P = hams.smooth_cutoff_profile(0.25, 0.5625)     # 0.5^2 and 0.75^2
+    assert (P.plateau, P.support) == (0.25, 0.5625)
+    f = (hams.radial_invariant(P) if c is None
+         else hams.hopf_invariant_quadratic(c, profile=P))
+    ref = unbanded_profiled_hessian(P, c)
+    d = rng.normal(size=(4, 4))
+    d /= alg.norm(d)[:, None]
+    e = np.eye(4)
+    # below s0, exactly at s0, in the band, exactly at s1, beyond s1, and
+    # a band row again
+    pick = np.array([0.3 * d[0], 0.5 * e[0], 0.6 * d[1], -0.75 * e[3],
+                     0.9 * d[2], 0.7 * d[3]])
+    s = alg.inner(pick, pick)
+    assert s[1] == P.plateau and s[3] == P.support
+    assert s[0] < P.plateau < s[2] < P.support < s[4]
+    rows = np.vstack([pick, rng.normal(size=(1000, 4)) * 0.45])
+    for z in [rows, pick.reshape(2, 3, 4)] + list(pick):
+        got, want = f.hessian(z), ref(z)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+    flat = f.hessian(pick[:2])
+    HQ = 0.0 if c is None else hams._quad_hessian(np.asarray(c))
+    assert np.array_equal(flat, np.broadcast_to(HQ, (2, 10)))
+    assert not np.any(f.hessian(pick[3:5]))
+
+
 # ---------------------------------------------------------------------------
 # symplectic structure of the generated fields
 # ---------------------------------------------------------------------------
@@ -615,8 +647,9 @@ def test_profiles():
     assert np.max(np.abs(fd2 - P.d2(s))) <= 1e-4
     with pytest.raises(ValueError, match="need s0 < s1"):
         hams.smooth_cutoff_profile(0.9, 0.4)
-    assert P.support == 0.95
+    assert (P.plateau, P.support) == (0.4, 0.95)
     assert hams.poly_profile([1.0]).support is None
+    assert hams.poly_profile([1.0]).plateau is None
 
 
 @pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [1.0, 0.0]],

@@ -443,7 +443,7 @@ def test_weak_divergence_empty_field_stack(mesh_cache):
 def test_pairing_constant_field(mesh_cache):
     m = mesh_cache(12, 48)
     w = np.tile([1.0, 0.0], (len(m.triangles), 1))
-    val = msh.boundary_trace_pairing(m, w, lambda t: np.ones_like(t), 0.7)
+    (val,) = msh.boundary_trace_pairing(m, w, [lambda t: np.ones_like(t)], 0.7)
     assert abs(val) <= 1e-13
 
 
@@ -453,9 +453,10 @@ def test_pairing_sw_angular_field(mesh_cache):
     sw = sw_cone(2, 3)
     m = mesh_cache(24, 96)
     w = sw.angle_flux_field(m.centroids)
-    for phi in (lambda t: np.ones_like(t), np.cos, lambda t: np.sin(3 * t)):
-        for r0 in (0.5, 0.7, 0.9):
-            assert abs(msh.boundary_trace_pairing(m, w, phi, r0)) <= 1e-10
+    phis = [lambda t: np.ones_like(t), np.cos, lambda t: np.sin(3 * t)]
+    for r0 in (0.5, 0.7, 0.9):
+        vals = msh.boundary_trace_pairing(m, w, phis, r0)
+        assert vals.shape == (3,) and np.max(np.abs(vals)) <= 1e-10
 
 
 def test_pairing_nonminimal_minus_pi(mesh_cache):
@@ -464,11 +465,36 @@ def test_pairing_nonminimal_minus_pi(mesh_cache):
     for n in (12, 24, 48):
         m = mesh_cache(n, 4 * n)
         w = nm.angle_flux_field(m.centroids)
-        vals.append(msh.boundary_trace_pairing(m, w, np.cos, 0.7))
+        vals.append(msh.boundary_trace_pairing(m, w, [np.cos], 0.7)[0])
     errs = [abs(v + np.pi) for v in vals]
     assert errs[0] <= 0.05
     # O(h^2): quartering under mesh halving (with slack)
     assert errs[2] <= errs[0] / 8
+
+
+def _full_mesh_pairing(mesh, w, phi, collar_r0):
+    """Reference: one pairing from the gradient of phi * chi on every
+    triangle, as ``boundary_trace_pairing`` computed it before it kept to
+    the collar."""
+    vals = (np.asarray(phi(mesh.node_theta))
+            * msh._collar_cutoff(mesh.node_r, collar_r0))
+    grad = msh.element_gradient(mesh, vals)
+    return float(np.sum(mesh.areas * np.einsum("td,td->t", grad, np.asarray(w))))
+
+
+@pytest.mark.parametrize("key", [(12, 48), (48, 192), "not polar"])
+def test_pairing_bitwise_matches_full_mesh_formula(mesh_cache, key):
+    m = _delaunay_disc() if key == "not polar" else mesh_cache(*key)
+    x, y = m.centroids.T
+    w = np.column_stack([np.sin(3.0 * x) + y, x * y - 0.5])
+    phis = [lambda t: np.ones_like(t)]
+    for k in range(1, 5):
+        phis += [lambda t, k=k: np.cos(k * t), lambda t, k=k: np.sin(k * t)]
+    for r0 in (0.5, 0.7, 0.9):
+        got = msh.boundary_trace_pairing(m, w, phis, r0)
+        want = [_full_mesh_pairing(m, w, phi, r0) for phi in phis]
+        assert got.shape == (len(phis),) and np.array_equal(got, want)
+        assert np.all(got != 0.0)
 
 
 def test_pairing_invalid_collar(mesh_cache):
@@ -476,7 +502,7 @@ def test_pairing_invalid_collar(mesh_cache):
     w = np.zeros((len(m.triangles), 2))
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError, match="collar_r0 must lie in"):
-            msh.boundary_trace_pairing(m, w, np.cos, bad)
+            msh.boundary_trace_pairing(m, w, [np.cos], bad)
 
 
 # ---------------------------------------------------------------------------

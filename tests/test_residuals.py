@@ -7,6 +7,7 @@ from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
 from lagdisc.mesh import element_gradient, interpolate_at_centroids
+from conftest import unbanded_profiled_hessian
 
 BALL = dom.unit_ball()
 
@@ -218,17 +219,20 @@ def test_boundary_flat_ball(mesh_cache):
 
 def test_boundary_neumann_keeps_a_nan(mesh_cache, monkeypatch):
     # a NaN pairing against any test function makes the trace NaN, not the
-    # largest of the others
+    # largest of the others; one call pairs all 1 + 2 MAX_K test functions
     pairing, calls = res.boundary_trace_pairing, []
 
-    def nan_last(*args):
-        calls.append(args)
-        return np.nan if len(calls) == 1 + 2 * res.MAX_K else pairing(*args)
+    def nan_last(mesh, w, phis, collar_r0):
+        calls.append(phis)
+        out = pairing(mesh, w, phis, collar_r0)
+        out[-1] = np.nan
+        return out
 
     monkeypatch.setattr(res, "boundary_trace_pairing", nan_last)
     u = fam.sample(fam.sw_cone(1, 2), mesh_cache(8, 32))
     _, _, neu = res.boundary_conditions_report(u, BALL)
-    assert len(calls) == 1 + 2 * res.MAX_K and np.isnan(neu)
+    assert [len(phis) for phis in calls] == [1 + 2 * res.MAX_K]
+    assert np.isnan(neu)
 
 
 def test_boundary_nonminimal_fails_legendrian_and_neumann(mesh_cache):
@@ -413,6 +417,16 @@ def _integral_rounding_scale(u, f, subdomain):
     return float(np.sum(mesh.areas[m] * h_norm * energy))
 
 
+def _meets_image(u, fs, subdomain):
+    """Whether some f in fs can be nonzero at a centroid image of omega: it
+    has no support ball, or the ball holds one of those images."""
+    m = u.mesh
+    u_c = interpolate_at_centroids(m, u.values)[subdomain.contains(m.centroids)]
+    return any(f.support_hint is None
+               or np.min(alg.norm(u_c - f.support_hint[0])) < f.support_hint[1]
+               for f in fs)
+
+
 def _stationarity_case(mesh_cache, batch):
     m = mesh_cache(48, 192)
     if batch == "ball_mixed":
@@ -450,8 +464,16 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
                 continue
             clear.append(f)
         assert clear
-        assert abs(res.stationarity_test(u, domain, clear, sub)
-                   - _unblocked_stationarity_test(u, domain, clear, sub)) <= 1e-12
+        ref = _unblocked_stationarity_test(u, domain, clear, sub)
+        if _meets_image(u, clear, sub):
+            assert abs(res.stationarity_test(u, domain, clear, sub) - ref) <= 1e-12
+        else:
+            # every clear function misses the image of omega (the seed-5
+            # ball bumps on the half disc): the reference reads a perfect 0
+            # for a batch that tests nothing, the production test raises
+            assert ref == 0.0
+            with pytest.raises(ValueError, match="tests nothing"):
+                res.stationarity_test(u, domain, clear, sub)
 
 
 def _full_matrix_terms(u_c, S, f):
@@ -471,7 +493,7 @@ def test_stationarity_terms_match_full_matrix_contraction(mesh_cache, batch):
     for sub in (res.FullDisc(), res.HalfPlane(0.0)):
         u_c, S, grad_sq = res._frame_tensor(u, sub.contains(u.mesh.centroids))
         for f in fs:
-            total, h_inf = res._stationarity_terms(u_c, S, f)
+            ((total, h_inf),) = res._stationarity_terms(u_c, S, [f])
             integrand, ref_h_inf = _full_matrix_terms(u_c, S, f)
             assert abs(h_inf - ref_h_inf) <= 1e-15 * ref_h_inf
             # normalized as stationarity_test normalizes the integral
@@ -487,11 +509,18 @@ def test_stationarity_independent_of_block_size(mesh_cache, monkeypatch, batch):
     clear = [f for f in fs if f.support_hint is not None
              and np.min(alg.norm(cut - f.support_hint[0])) > f.support_hint[1]]
     assert clear
-    runs = [(res.stationarity_test(u, domain, fs),
-             res.stationarity_test(u, domain, clear, sub))]
+    # a half-disc batch that misses the image of omega raises (see
+    # test_stationarity_raises_when_no_function_meets_the_image) and is
+    # left out of the comparison
+    half = _meets_image(u, clear, sub)
+
+    def run():
+        return (res.stationarity_test(u, domain, fs),
+                res.stationarity_test(u, domain, clear, sub) if half else None)
+
+    runs = [run()]
     monkeypatch.setattr(res, "HESSIAN_BLOCK", 1000)
-    runs.append((res.stationarity_test(u, domain, fs),
-                 res.stationarity_test(u, domain, clear, sub)))
+    runs.append(run())
     assert runs[0] == runs[1]
 
 
@@ -513,8 +542,8 @@ def test_polynomial_hessians_match_the_per_row_path(mesh_cache):
     for sub in (res.FullDisc(), res.HalfPlane(0.0)):
         u_c, S, grad_sq = res._frame_tensor(u, sub.contains(u.mesh.centroids))
         for f in poly:
-            total, h_inf = res._stationarity_terms(u_c, S, f)
-            ref_total, ref_h_inf = res._stationarity_terms(u_c, S, _per_row(f))
+            ((total, h_inf),) = res._stationarity_terms(u_c, S, [f])
+            ((ref_total, ref_h_inf),) = res._stationarity_terms(u_c, S, [_per_row(f)])
             assert abs(h_inf - ref_h_inf) <= 1e-15 * ref_h_inf
             bound = 1e-14 * (ref_h_inf * grad_sq + alg.EPS)
             assert abs(total - ref_total) <= bound
@@ -524,6 +553,97 @@ def test_polynomial_hessians_match_the_per_row_path(mesh_cache):
     for f in poly:
         assert abs(res.stationarity_test(u, domain, [f])
                    - res.stationarity_test(u, domain, [_per_row(f)])) <= 1e-14
+
+
+def test_cutoff_functions_integrate_as_the_unbanded_formula(mesh_cache):
+    # the banded Hessians of the report batch's cutoff-profiled functions
+    # give bitwise the integral of the formula on every row; the einsum of
+    # the integrand reads the Hessian's memory layout, so this also pins it
+    u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
+    cut = [f for f in res.ball_report_batch(BALL) if f.hessian_coeffs is None
+           and f.support_hint is None]
+    assert [f.name for f in cut] == ["radial#2", "hopf#14", "hopf#15"]
+    P = hams.smooth_cutoff_profile(0.4, 0.95)
+    coeffs = [None, [1, 0, 0, 0], [0, 1, 0, 0]]
+    for f, c in zip(cut, coeffs):
+        unbanded = hams.Hamiltonian(f.value, f.gradient,
+                                    unbanded_profiled_hessian(P, c),
+                                    admissibility_tag=f.admissibility_tag)
+        for sub in (res.FullDisc(), res.HalfPlane(0.0)):
+            value = res.stationarity_integral(u, f, sub)
+            assert value != 0.0
+            assert value == res.stationarity_integral(u, unbanded, sub)
+
+
+def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache):
+    # the functions with C != 0 share one monomial block per HESSIAN_BLOCK
+    # rows; their max norms and integrals are bitwise those of one
+    # polynomial evaluation per function and block
+    u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
+    u_c, S, _ = res._frame_tensor(u, np.ones(len(u.mesh.triangles), bool))
+    assert len(u_c) > res.HESSIAN_BLOCK
+    total = np.sum(S, axis=0)
+    M = np.stack([(u_c[:, i] * u_c[:, j]) @ S
+                  for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
+    W = hams.UPPER_WEIGHTS
+    for fs, n_live in ((res.ball_report_batch(BALL), 8),
+                       (res.ball_mixed_batch(BALL, seed=5), 6)):
+        poly = [f for f in fs if f.hessian_coeffs is not None]
+        assert sum(bool(np.any(f.hessian_coeffs[1])) for f in poly) == n_live
+        got = res._stationarity_terms(u_c, S, fs)
+        for f, (integral, h_inf) in zip(fs, got):
+            if f.hessian_coeffs is None:
+                continue
+            A, C = f.hessian_coeffs
+            want = A @ total
+            if not np.any(C):
+                h_sq = (A * A) @ W
+            else:
+                want = want + np.sum(C * M)
+                h_sq = 0.0
+                for s in range(0, len(u_c), res.HESSIAN_BLOCK):
+                    zb = u_c[s:s + res.HESSIAN_BLOCK]
+                    Hu = hams._outer(zb, zb) @ C + A
+                    h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ W))
+            assert (integral, h_inf) == (float(want), float(np.sqrt(h_sq)))
+
+
+def test_frame_block_bitwise_matches_the_fancy_index_formula(rng):
+    grad = rng.normal(size=(1000, 2, 4))
+    grad[::7, 1] = 0.0
+    acc = 0.0
+    for k in range(2):
+        e = grad[:, k]
+        a = -alg.apply_I(e)
+        acc = acc + (a[:, hams.UPPER_I] * e[:, hams.UPPER_J]
+                     + a[:, hams.UPPER_J] * e[:, hams.UPPER_I])
+    want = (0.5 * hams.UPPER_WEIGHTS) * acc
+    assert res._frame_block(grad).tobytes() == want.tobytes()
+
+
+# a point 0.41 from every nodal image of sw:1,2 on the 12 x 48 mesh
+MISS = np.array([0.5, 0.5, 0.0, 0.0])
+
+
+def test_stationarity_raises_when_no_function_meets_the_image(mesh_cache):
+    # every ||Hess f||_inf is 0, so the batch tested nothing; that must not
+    # read as a perfect 0
+    u = fam.sample(fam.sw_cone(1, 2), mesh_cache(12, 48))
+    assert np.min(alg.norm(u.values - MISS)) > 0.4
+    with pytest.raises(ValueError, match="tests nothing"):
+        res.stationarity_test(u, BALL, [hams.interior_bump(MISS, 0.15)])
+
+
+def test_stationarity_with_some_functions_missing_keeps_its_value(mesh_cache):
+    # a function that misses the image scores 0 and leaves the maximum of
+    # the others as it is
+    u = fam.sample(fam.sw_cone(1, 2), mesh_cache(12, 48))
+    miss = hams.interior_bump(MISS, 0.15)
+    hit = hams.interior_bump(u.values[100], 0.25, 1.3)
+    value = res.stationarity_test(u, BALL, [hit])
+    assert value > 0.0
+    assert res.stationarity_test(u, BALL, [miss, hit]) == value
+    assert res.stationarity_test(u, BALL, [hit, miss]) == value
 
 
 def test_polynomial_coverage_of_the_ball_batches():
