@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "Frame",
+    "angle_defined",
     "apply_I",
     "apply_J",
     "complex_parts",
@@ -148,17 +149,23 @@ def lagrangian_angle(e_x, e_y):
     ``dz1^dz2(e_x, e_y) = e2lam * gbar`` for exactly conformal Lagrangian
     frames.
 
-    Raises ``ValueError`` when ``|e_x|^2 + |e_y|^2 <= DEGENERATE_FRAME``,
-    which signals a branch or singular point sample, or when the
-    holomorphic area vanishes.
+    Raises ``ValueError`` on a frame outside :func:`angle_defined`: one
+    with ``|e_x|^2 + |e_y|^2 <= DEGENERATE_FRAME``, which signals a branch
+    or singular point sample, or whose holomorphic area vanishes.
     """
     e_x = np.asarray(e_x)
     e_y = np.asarray(e_y)
     energy = inner(e_x, e_x) + inner(e_y, e_y)
-    if np.any(energy <= DEGENERATE_FRAME):
-        raise ValueError("tangent frame is numerically degenerate")
     hol = holomorphic_area(e_x, e_y)
-    mod = np.abs(hol)
-    if np.any(mod <= DEGENERATE_FRAME):
-        raise ValueError("holomorphic area vanishes; angle undefined")
-    return energy / 2.0, hol / mod
+    if not np.all(angle_defined(e_x, e_y)):
+        raise ValueError("tangent frame is numerically degenerate"
+                         if np.any(energy <= DEGENERATE_FRAME)
+                         else "holomorphic area vanishes; angle undefined")
+    return energy / 2.0, hol / np.abs(hol)
+
+
+def angle_defined(e_x, e_y):
+    """The mask of the frames on which :func:`lagrangian_angle` does not
+    raise: neither |e_x|^2 + |e_y|^2 nor |dz1^dz2| is <= ``DEGENERATE_FRAME``."""
+    return ~((inner(e_x, e_x) + inner(e_y, e_y) <= DEGENERATE_FRAME)
+             | (np.abs(holomorphic_area(e_x, e_y)) <= DEGENERATE_FRAME))

@@ -104,15 +104,19 @@ class Hamiltonian:
 # scalar profiles P(s) with two derivatives
 # --------------------------------------------------------------------------
 class Profile:
-    """P(s) with its first two derivatives.  ``support``, when set, is an s1
-    with P = P' = P'' = 0 for every s >= s1, and ``plateau`` an s0 < s1 with
-    P = 1 and P' = P'' = 0 for every s <= s0.  ``coeffs``, when set, are the
-    coefficients of a polynomial P, trailing zeros trimmed."""
+    """A scalar profile: ``P(s)`` returns (P, P', P'') at s.  ``support``,
+    when set, is an s1 with P = P' = P'' = 0 for every s >= s1, and
+    ``plateau`` an s0 < s1 with P = 1 and P' = P'' = 0 for every s <= s0.
+    ``coeffs``, when set, are the coefficients of a polynomial P, trailing
+    zeros trimmed."""
 
-    def __init__(self, f, d1, d2, support=None, coeffs=None, plateau=None):
-        self.f, self.d1, self.d2 = f, d1, d2
+    def __init__(self, fn, support=None, coeffs=None, plateau=None):
+        self._fn = fn
         self.support, self.plateau = support, plateau
         self.coeffs = coeffs
+
+    def __call__(self, s):
+        return self._fn(s)
 
 
 def _degree(P):
@@ -126,13 +130,14 @@ def poly_profile(coeffs):
     if coeffs.ndim != 1 or len(coeffs) == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("poly_profile needs a nonempty 1-D list of "
                          "finite coefficients")
-    d1 = np.polynomial.polynomial.polyder(coeffs)
-    d2 = np.polynomial.polynomial.polyder(coeffs, 2)
     P = np.polynomial.polynomial
-    return Profile(lambda s: P.polyval(np.asarray(s, float), coeffs),
-                   lambda s: P.polyval(np.asarray(s, float), d1),
-                   lambda s: P.polyval(np.asarray(s, float), d2),
-                   coeffs=P.polytrim(coeffs))
+    derivatives = (coeffs, P.polyder(coeffs), P.polyder(coeffs, 2))
+
+    def profile(s):
+        s = np.asarray(s, float)
+        return tuple(P.polyval(s, c) for c in derivatives)
+
+    return Profile(profile, coeffs=P.polytrim(coeffs))
 
 
 def smooth_cutoff_profile(s0, s1):
@@ -142,24 +147,15 @@ def smooth_cutoff_profile(s0, s1):
         raise ValueError("need s0 < s1")
     w = s1 - s0
 
-    def t_of(s):
-        return np.clip((np.asarray(s, float) - s0) / w, 0.0, 1.0)
-
-    def f(s):
-        t = t_of(s)
-        return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-    def d1(s):
-        t = t_of(s)
+    def profile(s):
+        t = np.clip((np.asarray(s, float) - s0) / w, 0.0, 1.0)
         inside = (t > 0) & (t < 1)
-        return np.where(inside, -30.0 * t ** 2 * (1.0 - t) ** 2 / w, 0.0)
+        return (1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t),
+                np.where(inside, -30.0 * t ** 2 * (1.0 - t) ** 2 / w, 0.0),
+                np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w ** 2,
+                         0.0))
 
-    def d2(s):
-        t = t_of(s)
-        inside = (t > 0) & (t < 1)
-        return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w ** 2, 0.0)
-
-    return Profile(f, d1, d2, support=float(s1), plateau=float(s0))
+    return Profile(profile, support=float(s1), plateau=float(s0))
 
 
 def _polarized_coeffs(hessian):
@@ -179,11 +175,70 @@ def _polarized_coeffs(hessian):
     return A.copy(), C
 
 
-def _add_identity(H, b):
-    """H + b I for a packed (..., 10) H, in place and on the diagonal only
-    (bitwise the sum with b * np.eye(4), up to the sign of zeros)."""
-    H[..., _DIAG] += np.asarray(b)[..., None]
-    return H
+def _profiled(P, factor=None, center=None, scale=1.0):
+    """value, gradient, hessian of f(z) = P(s) Q(z), s = |z - c|^2/scale, by
+    the product rule: with d = z - c, P1 = 2 P'/scale and P2 = 4 P''/scale^2,
+
+        grad f = P1 Q d + P grad Q,
+        Hess f = P2 Q d (x) d + P1 Q I + P1 (d (x) grad Q + grad Q (x) d)
+                 + P Hess Q,
+
+    the identity term added on the diagonal slots only.  ``factor`` is the
+    triple (Q, grad Q, packed Hess Q) of callables of z, Q = 1 when it is
+    None, and ``center`` c is 0 when None.
+
+    With a ``support`` s1 the Hessian runs the rule only on the rows with
+    s < s1 and, with a ``plateau`` s0, s > s0 (and on NaN rows); rows past
+    s1 are 0 and rows on the plateau Hess Q (0 for Q = 1), which is what the
+    rule gives there up to the sign of a zero.
+    """
+    def _at(z):
+        z = np.asarray(z, float)
+        d = z if center is None else z - center
+        return z, d, inner(d, d) / scale
+
+    def value(z):
+        z, _, s = _at(z)
+        v = P(s)[0]
+        return v if factor is None else v * factor[0](z)
+
+    def gradient(z):
+        z, d, s = _at(z)
+        p, p1, _ = P(s)
+        g = (p1 * 2.0 / scale)[..., None] * d
+        if factor is None:
+            return g
+        return g * factor[0](z)[..., None] + p[..., None] * factor[1](z)
+
+    def rule(z, d, s):
+        p, p1, p2 = P(s)
+        p1 = p1 * 2.0 / scale
+        Q = 1.0 if factor is None else factor[0](z)
+        H = (p2 * (2.0 / scale) ** 2 * Q)[..., None] * _outer(d, d)
+        H[..., _DIAG] += (p1 * Q)[..., None]
+        if factor is not None:
+            gQ = factor[1](z)
+            H += p1[..., None] * (_outer(d, gQ) + _outer(gQ, d))
+            H += p[..., None] * factor[2](z)
+        return H
+
+    def hessian(z):
+        z, d, s = _at(z)
+        if P.support is None:
+            return rule(z, d, s)
+        flat = s <= P.plateau if P.plateau is not None else False
+        band = ~(flat | (s >= P.support))
+        if np.all(band):
+            return rule(z, d, s)
+        # Fortran order, as the rule's output, so that the stationarity
+        # kernel contracts it without a copy
+        H = np.zeros(s.shape + (10,), order="F")
+        if factor is not None and np.any(flat):
+            H[flat] = factor[2](z[flat])
+        H[band] = rule(z[band], d[band], s[band])
+        return H
+
+    return value, gradient, hessian
 
 
 # --------------------------------------------------------------------------
@@ -215,38 +270,10 @@ def interior_bump(center, radius, amplitude=1.0):
     if radius <= 0:
         raise ValueError("bump radius must be positive")
     center = np.asarray(center, float)
-    R2 = float(radius) ** 2
     A = float(amplitude)
-
-    def _s(z):
-        d = np.asarray(z, float) - center
-        return inner(d, d) / R2, d
-
-    def value(z):
-        s, _ = _s(z)
-        return A * bump_kernel(s)[0]
-
-    def gradient(z):
-        s, d = _s(z)
-        out = np.zeros_like(d)
-        m = s < 1.0
-        if np.any(m):
-            _, dphi, _ = bump_kernel(s[m])
-            out[m] = (A * dphi * 2.0 / R2)[..., None] * d[m]
-        return out
-
-    def hessian(z):
-        s, d = _s(z)
-        out = np.zeros(s.shape + (10,))
-        m = s < 1.0
-        if np.any(m):
-            _, dphi, d2phi = bump_kernel(s[m])
-            dm = d[m]
-            out[m] = _add_identity(
-                (A * d2phi * (2.0 / R2) ** 2)[..., None] * _outer(dm, dm),
-                A * dphi * 2.0 / R2)
-        return out
-
+    bump = Profile(lambda s: tuple(A * k for k in bump_kernel(s)), support=1.0)
+    value, gradient, hessian = _profiled(bump, center=center,
+                                         scale=float(radius) ** 2)
     return Hamiltonian(value, gradient, hessian,
                        support_hint=(center, float(radius)),
                        admissibility_tag="interior",
@@ -256,57 +283,6 @@ def interior_bump(center, radius, amplitude=1.0):
 # --------------------------------------------------------------------------
 # phase-invariant families (tangent to all spheres |z| = const)
 # --------------------------------------------------------------------------
-def _profiled(P, c=None):
-    """value, gradient, hessian of P(|z|^2) * Q(z) by the product rule, with
-    Q the quadratic form of coefficients c (Q = 1 when c is None).
-
-    With a ``plateau`` s0 the Hessian runs the product rule only where
-    s0 < |z|^2 < s1 = ``support`` (or |z|^2 is NaN).  Elsewhere it is what the
-    formula gives, Hess Q (0 for Q = 1) on the plateau and 0 past s1, bitwise
-    up to the sign of a zero and in the formula's memory layout, the slot
-    axis outermost as :func:`_outer` makes it.
-    """
-    HQ = None if c is None else _quad_hessian(c)
-
-    def value(z):
-        z = np.asarray(z, float)
-        v = P.f(inner(z, z))
-        return v if c is None else v * _quad_eval(z, c)[0]
-
-    def gradient(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
-        g = P.d1(s)[..., None] * 2.0 * z
-        if c is None:
-            return g
-        Q, gQ = _quad_eval(z, c)
-        return g * Q[..., None] + P.f(s)[..., None] * gQ
-
-    def product_rule(z, s):
-        Q, gQ = (1.0, None) if c is None else _quad_eval(z, c)
-        d1 = 2.0 * P.d1(s)
-        H = _add_identity((4.0 * P.d2(s) * Q)[..., None] * _outer(z, z), d1 * Q)
-        if c is not None:
-            H += d1[..., None] * (_outer(z, gQ) + _outer(gQ, z))
-            H += P.f(s)[..., None] * HQ
-        return H
-
-    def hessian(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
-        if P.plateau is None:
-            return product_rule(z, s)
-        H = np.moveaxis(np.zeros((10,) + s.shape), 0, -1)
-        flat = s <= P.plateau
-        if HQ is not None:
-            H[flat] = HQ
-        band = ~(flat | (s >= P.support))
-        H[band] = product_rule(z[band], s[band])
-        return H
-
-    return value, gradient, hessian
-
-
 def radial_invariant(profile, domain=None, name="radial"):
     """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere.
 
@@ -319,30 +295,33 @@ def radial_invariant(profile, domain=None, name="radial"):
                        name=name, hessian_coeffs=coeffs)
 
 
-def _quad_hessian(c):
-    """The constant packed Hess Q of Q = sum c_k f_k, for the quadratics
-    f_k = |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2)."""
+def _quadratic_form(c):
+    """The factor (Q, grad Q, packed Hess Q) of Q = sum c_k f_k, for the
+    quadratics f_k = |z1|^2, |z2|^2, Re(conj z1 z2), Im(conj z1 z2); Hess Q
+    is the constant (10,) array."""
     H = np.zeros((4, 4))
     H[0, 0] = H[1, 1] = 2.0 * c[0]
     H[2, 2] = H[3, 3] = 2.0 * c[1]
     H[0, 2] = H[1, 3] = c[2]
     H[0, 3] = c[3]
     H[1, 2] = -c[3]
-    return H[UPPER_I, UPPER_J]
+    HQ = H[UPPER_I, UPPER_J]
 
+    def value(z):
+        x1, y1, x2, y2 = (z[..., i] for i in range(4))
+        return (c[0] * (x1 * x1 + y1 * y1) + c[1] * (x2 * x2 + y2 * y2)
+                + c[2] * (x1 * x2 + y1 * y2) + c[3] * (x1 * y2 - y1 * x2))
 
-def _quad_eval(z, c):
-    """Q and grad Q for Q = sum c_k f_k (see :func:`_quad_hessian`)."""
-    z = np.asarray(z, float)
-    x1, y1, x2, y2 = (z[..., i] for i in range(4))
-    Q = (c[0] * (x1 * x1 + y1 * y1) + c[1] * (x2 * x2 + y2 * y2)
-         + c[2] * (x1 * x2 + y1 * y2) + c[3] * (x1 * y2 - y1 * x2))
-    g = np.empty_like(z)
-    g[..., 0] = 2 * c[0] * x1 + c[2] * x2 + c[3] * y2
-    g[..., 1] = 2 * c[0] * y1 + c[2] * y2 - c[3] * x2
-    g[..., 2] = 2 * c[1] * x2 + c[2] * x1 - c[3] * y1
-    g[..., 3] = 2 * c[1] * y2 + c[2] * y1 + c[3] * x1
-    return Q, g
+    def gradient(z):
+        x1, y1, x2, y2 = (z[..., i] for i in range(4))
+        g = np.empty_like(z)
+        g[..., 0] = 2 * c[0] * x1 + c[2] * x2 + c[3] * y2
+        g[..., 1] = 2 * c[0] * y1 + c[2] * y2 - c[3] * x2
+        g[..., 2] = 2 * c[1] * x2 + c[2] * x1 - c[3] * y1
+        g[..., 3] = 2 * c[1] * y2 + c[2] * y1 + c[3] * x1
+        return g
+
+    return value, gradient, lambda z: HQ
 
 
 def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
@@ -359,7 +338,7 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
         raise ValueError("need 4 finite real coefficients")
     if profile is None:
         profile = poly_profile([1.0])
-    value, gradient, hessian = _profiled(profile, c)
+    value, gradient, hessian = _profiled(profile, _quadratic_form(c))
     coeffs = _polarized_coeffs(hessian) if _degree(profile) <= 1 else None
     return Hamiltonian(value, gradient, hessian,
                        admissibility_tag=("boundary_tangent", domain),
@@ -378,42 +357,18 @@ def windowed_wave(k, profile, axis=0, name=None):
     :func:`smooth_cutoff_profile` does), and the support ball has radius
     sqrt(s1).
     """
-    P = profile
-    if P.support is None or not 0.0 < P.support < 1.0:
+    if profile.support is None or not 0.0 < profile.support < 1.0:
         raise ValueError("windowed_wave needs a profile supported in "
                          "0 < s < 1")
     if not (np.isfinite(k) and k != 0):
         raise ValueError("windowed_wave needs a finite nonzero k")
-    e_axis = np.zeros(4)
-    e_axis[axis] = 1.0
-    axis_slot = _DIAG[axis]
-
-    def value(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
-        return np.sin(k * z[..., axis]) / k * P.f(s)
-
-    def gradient(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
-        g = 2.0 * P.d1(s)[..., None] * z * (np.sin(k * z[..., axis]) / k)[..., None]
-        g[..., axis] += np.cos(k * z[..., axis]) * P.f(s)
-        return g
-
-    def hessian(z):
-        z = np.asarray(z, float)
-        s = inner(z, z)
-        sin_ = np.sin(k * z[..., axis]) / k
-        cos_ = np.cos(k * z[..., axis])
-        d1 = 2.0 * P.d1(s)
-        H = _add_identity((4.0 * P.d2(s) * sin_)[..., None] * _outer(z, z),
-                          d1 * sin_)
-        H += (d1 * cos_)[..., None] * (_outer(z, e_axis) + _outer(e_axis, z))
-        H[..., axis_slot] += -k * np.sin(k * z[..., axis]) * P.f(s)
-        return H
-
+    e = np.eye(4)[axis]
+    sine = (lambda z: np.sin(k * z[..., axis]) / k,
+            lambda z: np.cos(k * z[..., axis])[..., None] * e,
+            lambda z: -k * np.sin(k * z[..., axis])[..., None] * _outer(e, e))
+    value, gradient, hessian = _profiled(profile, sine)
     return Hamiltonian(value, gradient, hessian,
-                       support_hint=(np.zeros(4), float(np.sqrt(P.support))),
+                       support_hint=(np.zeros(4), float(np.sqrt(profile.support))),
                        admissibility_tag="interior",
                        name=name or f"wave(k={k:g},axis={axis})")
 
@@ -430,28 +385,29 @@ def admissibility_residual(f, pts, normals):
 # --------------------------------------------------------------------------
 # test functions adapted to the z1-unit-circle constraint curve
 # --------------------------------------------------------------------------
-def _plateau(rho2, r_in, r_out, derivatives=False):
-    """Smooth cutoff of a squared distance: 1 for rho2 <= r_in^2, 0 for
-    rho2 >= r_out^2, the C^infinity blend P(x) = h(x)/(h(x) + h(1-x)) with
-    h(x) = exp(-1/x) in between, x = (r_out^2 - rho2)/(r_out^2 - r_in^2).
+def _plateau(r_in, r_out):
+    """Smooth cutoff profile of a squared distance rho2: 1 for rho2 <= r_in^2,
+    0 for rho2 >= r_out^2, the C^infinity blend P(x) = h(x)/(h(x) + h(1-x))
+    with h(x) = exp(-1/x) in between, x = (r_out^2 - rho2)/(r_out^2 - r_in^2).
 
-    With ``derivatives`` it returns P and its first two derivatives in
-    rho2, from P' = P Q L and P'' = P Q ((Q - P) L^2 + L'), where
-    Q = 1 - P and L = 1/x^2 + 1/(1-x)^2.
+    Its derivatives in rho2 come from P' = P Q L and
+    P'' = P Q ((Q - P) L^2 + L'), where Q = 1 - P and
+    L = 1/x^2 + 1/(1-x)^2.
     """
     span = r_out ** 2 - r_in ** 2
-    x = np.clip((r_out ** 2 - rho2) / span, 0.0, 1.0)
-    xm = 1.0 - x
-    hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
-    hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
-    P = hx / (hx + hm)
-    if not derivatives:
-        return P
-    Q = hm / (hx + hm)
-    x, xm = np.maximum(x, EPS), np.maximum(xm, EPS)
-    L = 1.0 / x ** 2 + 1.0 / xm ** 2
-    dL = 2.0 / xm ** 3 - 2.0 / x ** 3
-    return P, -P * Q * L / span, P * Q * ((Q - P) * L * L + dL) / span ** 2
+
+    def profile(rho2):
+        x = np.clip((r_out ** 2 - rho2) / span, 0.0, 1.0)
+        xm = 1.0 - x
+        hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
+        hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
+        P, Q = hx / (hx + hm), hm / (hx + hm)
+        x, xm = np.maximum(x, EPS), np.maximum(xm, EPS)
+        L = 1.0 / x ** 2 + 1.0 / xm ** 2
+        dL = 2.0 / xm ** 3 - 2.0 / x ** 3
+        return P, -P * Q * L / span, P * Q * ((Q - P) * L * L + dL) / span ** 2
+
+    return Profile(profile, support=r_out ** 2, plateau=r_in ** 2)
 
 
 def _arc_bump(x, center, width):
@@ -460,7 +416,7 @@ def _arc_bump(x, center, width):
     u = (np.asarray(x, float) - center) / width
     b, d1, d2, d3 = bump_kernel(u * u, third=True)
     return (b, 2.0 * u * d1 / width, (4.0 * u * u * d2 + 2.0 * d1) / width ** 2,
-            (8.0 * u ** 3 * d3 + 12.0 * u * d2) / width ** 3)
+            (8.0 * u * u * u * d3 + 12.0 * u * d2) / width ** 3)
 
 
 # the inner and outer radius of the z1-arc functions' plateau cutoff in |R - 1|
@@ -485,6 +441,7 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
         raise ValueError("phi-arc must avoid 0 and stay inside (-1, 1)")
     w_in, w_out = R_WINDOW
+    window = _plateau(w_in, w_out)
 
     def _terms(phi):
         """A, A', A'' and B, B', B'' at phi on the open arc."""
@@ -516,7 +473,7 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
         out = np.zeros(z.shape[:-1])
         m, R, phi = _support(z)
         (A, _, _), (b, _, _) = _terms(phi)
-        out[m] = _plateau((R - 1.0) ** 2, w_in, w_out) * (A * (R - 1.0) + b)
+        out[m] = window((R - 1.0) ** 2)[0] * (A * (R - 1.0) + b)
         return out
 
     def _polar_partials(z, second):
@@ -525,7 +482,7 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
         f_phiphi when ``second``) on it."""
         m, Rm, pm = _support(z)
         d = Rm - 1.0
-        eta, e1, e2 = _plateau(d * d, w_in, w_out, derivatives=True)
+        eta, e1, e2 = window(d * d)
         eta_R, eta_RR = 2.0 * d * e1, 4.0 * d * d * e2 + 2.0 * e1
         (A, A1, A2), (b, b1, b2) = _terms(pm)
         g, g_phi = A * d + b, A1 * d + b1

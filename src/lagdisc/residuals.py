@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hamiltonians as hams
-from .algebra import (EPS, apply_I, complex_scale, inner, lagrangian_angle,
-                      norm, symplectic, wedge_norm)
+from .algebra import (EPS, angle_defined, apply_I, complex_scale, inner,
+                      lagrangian_angle, norm, symplectic, wedge_norm)
 from .domains import unit_ball
 from .families import DiscreteMap, sample
 from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
@@ -145,12 +145,6 @@ def _singular_balls(u: DiscreteMap):
     return [(pt, 1e-12) for pt in u.singular_points]
 
 
-def _angle_defined(e_x, e_y):
-    """The frames whose Lagrangian angle the checks read, |e_x|^2 + |e_y|^2
-    > 1e-12: clear of where :func:`lagrangian_angle` raises."""
-    return inner(e_x, e_x) + inner(e_y, e_y) > 1e-12
-
-
 def _exact_frames(u: DiscreteMap):
     """The exact nodal frames of a map sampled from a closed form; a flowed
     or relaxed map has none and raises ``ValueError``."""
@@ -208,7 +202,7 @@ def structural_residual(u: DiscreteMap, exclude=()):
     e_x, e_y = _exact_frames(u)
     mesh, src = u.mesh, u.source
     mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
-    mask &= _angle_defined(e_x, e_y)
+    mask &= angle_defined(e_x, e_y)
     if np.any(mask):
         _, ang = lagrangian_angle(e_x[mask], e_y[mask])
         gbar = src.angle(mesh.node_r[mask], mesh.node_theta[mask])
@@ -399,7 +393,8 @@ def _per_row_terms(u_c, S, f):
     integrand = np.zeros(n)
     h_sq = 0.0
     for r in rows:
-        Hu = f.hessian(u_c[r])
+        # one layout, so that einsum's order of summation does not follow f's
+        Hu = np.asfortranarray(f.hessian(u_c[r]))
         integrand[r] = np.einsum("ti,ti->t", Hu, S[r])
         h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
     # sqrt is monotone, so the max norm is the root of the max square (and
@@ -469,8 +464,14 @@ def _check_admissible(f, domain, wall_pts, wall_normals):
             rng = np.random.default_rng(0)
             dirs = rng.normal(size=(128, 4))
             dirs /= norm(dirs)[:, None]
-            shell = center + radius * dirs
-            if np.any(np.asarray(domain.F(shell)) >= -1e-9):
+            F = np.asarray(domain.F(center + radius * dirs))
+            # climb F over the sphere |z - c| = r from its highest sample
+            d = dirs[np.argmax(F)]
+            for _ in range(20):
+                g = np.asarray(domain.gradF(center + radius * d), float)
+                d = g / norm(g)
+            peak = max(np.max(F), float(domain.F(center + radius * d)))
+            if not peak < -1e-9:
                 raise ValueError(f"{f!r} support reaches the boundary")
         else:
             d = norm(domain.curve_points - center)
@@ -701,7 +702,7 @@ def rigidity_verdict(u: DiscreteMap, seed):
     area = float(np.sum(a))
     dist = max(float(np.max(off_plane)),
                abs(float(np.sum(a * wedge_norm(e_x, e_y))) - area) / area)
-    ok = _angle_defined(e_x, e_y)
+    ok = angle_defined(e_x, e_y)
     var = float("inf")          # fully degenerate image: certainly not flat
     if np.any(ok):
         _, ang = lagrangian_angle(e_x[ok], e_y[ok])

@@ -62,10 +62,10 @@ def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
     from lagdisc import hamiltonians as hams
 
     lo, hi = center - width, center + width
-    w_in, w_out = r_window
+    window = hams._plateau(*r_window)
 
     def eta(R):
-        return hams._plateau((R - 1.0) ** 2, w_in, w_out)
+        return window((R - 1.0) ** 2)[0]
 
     def gradient(z):
         z = np.asarray(z, float)
@@ -92,25 +92,26 @@ def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
     return gradient
 
 
-def unbanded_profiled_hessian(P, c=None):
-    """The packed product-rule Hessian of P(|z|^2) Q(z) evaluated on every
-    row, Q the quadratic form of coefficients c (Q = 1 when c is None): the
-    formula of ``hamiltonians._profiled`` without its cutoff bands."""
+def unbanded_profiled_hessian(P, factor=None, center=None, scale=1.0):
+    """The packed product-rule Hessian of P(|z - c|^2/scale) Q(z) evaluated
+    on every row, Q given by its (value, gradient, Hessian) ``factor`` (Q = 1
+    when it is None): the formula of ``hamiltonians._profiled`` without its
+    bands."""
     from lagdisc import algebra as alg
     from lagdisc import hamiltonians as hams
 
-    HQ = None if c is None else hams._quad_hessian(np.asarray(c, float))
-
     def hessian(z):
         z = np.asarray(z, float)
-        s = alg.inner(z, z)
-        Q, gQ = (1.0, None) if c is None else hams._quad_eval(z, np.asarray(c, float))
-        d1 = 2.0 * P.d1(s)
-        H = hams._add_identity((4.0 * P.d2(s) * Q)[..., None] * hams._outer(z, z),
-                               d1 * Q)
-        if c is not None:
-            H += d1[..., None] * (hams._outer(z, gQ) + hams._outer(gQ, z))
-            H += P.f(s)[..., None] * HQ
+        d = z if center is None else z - center
+        p, p1, p2 = P(alg.inner(d, d) / scale)
+        p1 = p1 * 2.0 / scale
+        Q = 1.0 if factor is None else factor[0](z)
+        H = (p2 * (2.0 / scale) ** 2 * Q)[..., None] * hams._outer(d, d)
+        H[..., np.flatnonzero(hams.UPPER_I == hams.UPPER_J)] += (p1 * Q)[..., None]
+        if factor is not None:
+            gQ = factor[1](z)
+            H += p1[..., None] * (hams._outer(d, gQ) + hams._outer(gQ, d))
+            H += p[..., None] * factor[2](z)
         return H
 
     return hessian

@@ -132,15 +132,28 @@ def _old_interior_bump(center, radius, amplitude):
 
 
 def test_interior_bump_bitwise_matches_own_kernel(rng):
-    z = rng.uniform(-1.0, 1.0, size=(2000, 4))
-    for center, radius, amp in [(np.zeros(4), 0.45, 1.0),
-                                (np.array([0.1, -0.2, 0.3, 0.0]), 0.9, -1.3)]:
+    """Values, gradients and Hessians are bitwise the closed form on rows
+    inside, exactly on and past the support sphere; a NaN row gives a NaN
+    gradient and Hessian."""
+    # dyadic centers and radii, so that the rows on the sphere are exact
+    for center, radius, amp in [(np.zeros(4), 0.5, 1.0),
+                                (np.array([0.125, -0.25, 0.375, 0.0]), 0.875,
+                                 -1.3)]:
+        z = rng.uniform(-1.0, 1.0, size=(2000, 4))
+        z[:4] = center + radius * np.eye(4)          # |z - c|^2/R^2 = 1
         f = hams.interior_bump(center, radius, amp)
         hessian = lambda x: hams.unpack_hessian(f.hessian(x))  # noqa: E731
         for got, want in zip((f.value, f.gradient, hessian),
                              _old_interior_bump(center, radius, amp)):
             assert np.array_equal(got(z), want(z))
             assert np.array_equal(got(z[0]), want(z[0]))
+            assert np.array_equal(got(z[5]), want(z[5]))
+        s = alg.inner(z - center, z - center) / radius ** 2
+        assert np.all(s[:4] == 1.0) and np.any(s < 1.0) and np.any(s > 1.0)
+        z[7] = np.nan
+        for fn in (f.gradient, f.hessian):
+            out = fn(z)
+            assert np.all(np.isnan(out[7])) and np.all(np.isfinite(out[8:]))
 
 
 def _old_bump_1d(x, c, w):
@@ -169,10 +182,12 @@ def test_arc_bump_matches_hand_derivatives(center, width):
 
 def test_plateau_cutoff():
     rho = np.linspace(0.0, 1.0, 1001)
-    eta = hams._plateau(rho ** 2, 0.3, 0.6)
+    window = hams._plateau(0.3, 0.6)
+    eta = window(rho ** 2)[0]
     assert np.all(eta[rho <= 0.3] == 1.0) and np.all(eta[rho >= 0.6] == 0.0)
     assert np.all((eta >= 0.0) & (eta <= 1.0)) and np.all(np.diff(eta) <= 0.0)
-    assert 0.0 < hams._plateau(0.45 ** 2, 0.3, 0.6) < 1.0
+    assert 0.0 < window(0.45 ** 2)[0] < 1.0
+    assert (window.plateau, window.support) == (0.3 ** 2, 0.6 ** 2)
 
 
 def test_centred_differences_exact_on_quadratics(rng):
@@ -229,14 +244,14 @@ def test_hopf_values():
                                [-2.5, 1.25, 0.6, -0.9]])
 def test_unprofiled_hopf_is_the_constant_profile_one(rng, c):
     """No profile is P = 1: value, gradient, Hessian and hessian_coeffs are
-    bitwise those of ``_profiled(poly_profile([1.0]), c)`` and of the plain
+    bitwise those of ``_profiled(poly_profile([1.0]), Q)`` and of the plain
     quadratic form Q, grad Q and Hess Q."""
     f = hams.hopf_invariant_quadratic(c)
-    value, gradient, hessian = hams._profiled(hams.poly_profile([1.0]),
-                                              np.asarray(c))
+    factor = hams._quadratic_form(np.asarray(c))
+    value, gradient, hessian = hams._profiled(hams.poly_profile([1.0]), factor)
     z = rng.normal(size=(1000, 4))
-    Q, gQ = hams._quad_eval(z, np.asarray(c))
-    HQ = np.broadcast_to(hams._quad_hessian(np.asarray(c)), (1000, 10))
+    Q, gQ = factor[0](z), factor[1](z)
+    HQ = np.broadcast_to(factor[2](z), (1000, 10))
     for got, want, plain in ((f.value(z), value(z), Q),
                              (f.gradient(z), gradient(z), gQ),
                              (f.hessian(z), hessian(z), HQ)):
@@ -321,39 +336,51 @@ def _quad_basis():
 
 
 def _old_radial_hessian(P, z):
-    s = np.sum(z * z, axis=-1)
+    p, p1, p2 = P(np.sum(z * z, axis=-1))
     outer = z[..., :, None] * z[..., None, :]
-    return 4.0 * P.d2(s)[..., None, None] * outer \
-        + 2.0 * P.d1(s)[..., None, None] * np.eye(4)
+    return 4.0 * p2[..., None, None] * outer \
+        + 2.0 * p1[..., None, None] * np.eye(4)
+
+
+def _quad_form(c, z):
+    """Q and grad Q of the quadratic form of coefficients c (see
+    :func:`_quad_basis`)."""
+    x1, y1, x2, y2 = (z[..., i] for i in range(4))
+    Q = (c[0] * (x1 * x1 + y1 * y1) + c[1] * (x2 * x2 + y2 * y2)
+         + c[2] * (x1 * x2 + y1 * y2) + c[3] * (x1 * y2 - y1 * x2))
+    gQ = np.stack([2 * c[0] * x1 + c[2] * x2 + c[3] * y2,
+                   2 * c[0] * y1 + c[2] * y2 - c[3] * x2,
+                   2 * c[1] * x2 + c[2] * x1 - c[3] * y1,
+                   2 * c[1] * y2 + c[2] * y1 + c[3] * x1], axis=-1)
+    return Q, gQ
+
+
+def _product_rule_hessian(P, Q, gQ, HQ, z):
+    """The full-matrix product rule Hess(P(|z|^2) Q) of a factor Q with
+    gradient gQ and (..., 4, 4) Hessian HQ."""
+    p, p1, p2 = P(np.sum(z * z, axis=-1))
+    outer_zz = z[..., :, None] * z[..., None, :]
+    cross = z[..., :, None] * gQ[..., None, :] + gQ[..., :, None] * z[..., None, :]
+    return (4.0 * p2 * Q)[..., None, None] * outer_zz \
+        + (2.0 * p1 * Q)[..., None, None] * np.eye(4) \
+        + (2.0 * p1)[..., None, None] * cross \
+        + p[..., None, None] * HQ
 
 
 def _old_hopf_hessian(c, P, z):
-    Q, gQ = hams._quad_eval(z, c)
+    Q, gQ = _quad_form(c, z)
     HQ = np.tensordot(c, _quad_basis(), axes=1)
     if P is None:
         return np.broadcast_to(HQ, Q.shape + (4, 4)).copy()
-    s = np.sum(z * z, axis=-1)
-    outer_zz = z[..., :, None] * z[..., None, :]
-    cross = z[..., :, None] * gQ[..., None, :] + gQ[..., :, None] * z[..., None, :]
-    return (4.0 * P.d2(s) * Q)[..., None, None] * outer_zz \
-        + (2.0 * P.d1(s) * Q)[..., None, None] * np.eye(4) \
-        + (2.0 * P.d1(s))[..., None, None] * cross \
-        + P.f(s)[..., None, None] * HQ
+    return _product_rule_hessian(P, Q, gQ, HQ, z)
 
 
-def _old_wave_hessian(k, P, axis, z):
-    e_axis = np.zeros(4)
-    e_axis[axis] = 1.0
-    s = np.sum(z * z, axis=-1)
-    sin_ = np.sin(k * z[..., axis]) / k
-    cos_ = np.cos(k * z[..., axis])
-    outer_zz = z[..., :, None] * z[..., None, :]
-    cross = z[..., :, None] * e_axis[None, :] + e_axis[:, None] * z[..., None, :]
-    return ((4.0 * P.d2(s) * sin_)[..., None, None] * outer_zz
-            + (2.0 * P.d1(s) * sin_)[..., None, None] * np.eye(4)
-            + (2.0 * P.d1(s) * cos_)[..., None, None] * cross
-            + (-k * np.sin(k * z[..., axis]) * P.f(s))[..., None, None]
-            * np.outer(e_axis, e_axis))
+def _wave_hessian(k, P, axis, z):
+    # the factor sin(k z_axis)/k, its gradient and Hessian
+    e_axis = np.eye(4)[axis]
+    gQ = np.cos(k * z[..., axis])[..., None] * e_axis
+    HQ = (-k * np.sin(k * z[..., axis]))[..., None, None] * np.outer(e_axis, e_axis)
+    return _product_rule_hessian(P, np.sin(k * z[..., axis]) / k, gQ, HQ, z)
 
 
 @pytest.mark.parametrize("profile", ["none", "poly", "cutoff"])
@@ -369,7 +396,7 @@ def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
                       lambda x: _old_radial_hessian(P, x)))
     if profile == "cutoff":
         pairs.append((hams.windowed_wave(26.0, P, axis=2),
-                      lambda x: _old_wave_hessian(26.0, P, 2, x)))
+                      lambda x: _wave_hessian(26.0, P, 2, x)))
     for f, old in pairs:
         assert np.array_equal(hams.unpack_hessian(f.hessian(z)), old(z))
         assert np.array_equal(hams.unpack_hessian(f.hessian(z[0])), old(z[0]))
@@ -379,12 +406,13 @@ def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
 def test_cutoff_hessian_bands_match_the_unbanded_formula(rng, c):
     # the product rule runs only on the band s0 < |z|^2 < s1; the plateau
     # rows take Hess Q (0 for a radial invariant) and the outer rows 0, which
-    # must be the formula's values there, in the formula's memory layout
+    # must be the formula's values there
     P = hams.smooth_cutoff_profile(0.25, 0.5625)     # 0.5^2 and 0.75^2
     assert (P.plateau, P.support) == (0.25, 0.5625)
     f = (hams.radial_invariant(P) if c is None
          else hams.hopf_invariant_quadratic(c, profile=P))
-    ref = unbanded_profiled_hessian(P, c)
+    factor = None if c is None else hams._quadratic_form(np.asarray(c))
+    ref = unbanded_profiled_hessian(P, factor)
     d = rng.normal(size=(4, 4))
     d /= alg.norm(d)[:, None]
     e = np.eye(4)
@@ -398,10 +426,9 @@ def test_cutoff_hessian_bands_match_the_unbanded_formula(rng, c):
     rows = np.vstack([pick, rng.normal(size=(1000, 4)) * 0.45])
     for z in [rows, pick.reshape(2, 3, 4)] + list(pick):
         got, want = f.hessian(z), ref(z)
-        assert got.shape == want.shape and got.strides == want.strides
-        assert np.array_equal(got, want)
+        assert got.shape == want.shape and np.array_equal(got, want)
     flat = f.hessian(pick[:2])
-    HQ = 0.0 if c is None else hams._quad_hessian(np.asarray(c))
+    HQ = 0.0 if c is None else factor[2](pick[:2])
     assert np.array_equal(flat, np.broadcast_to(HQ, (2, 10)))
     assert not np.any(f.hessian(pick[3:5]))
 
@@ -489,11 +516,10 @@ def test_z1_arc_fd_gradient(rng):
 
 def test_plateau_derivatives_match_centred_differences():
     rho2 = np.linspace(0.0, 0.2, 4001)
-    eta, d1, d2 = hams._plateau(rho2, 0.15, 0.4, derivatives=True)
-    assert np.array_equal(eta, hams._plateau(rho2, 0.15, 0.4))
+    window = hams._plateau(0.15, 0.4)
+    eta, d1, d2 = window(rho2)
     h = 1e-7
-    up = hams._plateau(rho2 + h, 0.15, 0.4, derivatives=True)
-    dn = hams._plateau(rho2 - h, 0.15, 0.4, derivatives=True)
+    up, dn = window(rho2 + h), window(rho2 - h)
     assert np.max(np.abs((up[0] - dn[0]) / (2 * h) - d1)) <= 1e-7 * np.max(np.abs(d1))
     assert np.max(np.abs((up[1] - dn[1]) / (2 * h) - d2)) <= 1e-7 * np.max(np.abs(d2))
     # flat (all derivatives zero) on the plateau and outside the window
@@ -638,13 +664,13 @@ def test_unpack_hessian_is_symmetric_and_inverts_packing(rng):
 
 def test_profiles():
     P = hams.smooth_cutoff_profile(0.4, 0.95)
-    assert P.f(0.2) == 1.0 and P.f(1.0) == 0.0
-    assert P.d1(0.2) == 0.0 and P.d1(1.1) == 0.0
+    assert P(0.2) == (1.0, 0.0, 0.0) and P(1.0) == (0.0, 0.0, 0.0)
+    assert P(1.1)[1] == 0.0
     s = np.linspace(0.41, 0.94, 100)
-    fd = (P.f(s + 1e-6) - P.f(s - 1e-6)) / 2e-6
-    assert np.max(np.abs(fd - P.d1(s))) <= 1e-6
-    fd2 = (P.d1(s + 1e-6) - P.d1(s - 1e-6)) / 2e-6
-    assert np.max(np.abs(fd2 - P.d2(s))) <= 1e-4
+    p, p1, p2 = P(s)
+    up, dn = P(s + 1e-6), P(s - 1e-6)
+    assert np.max(np.abs((up[0] - dn[0]) / 2e-6 - p1)) <= 1e-6
+    assert np.max(np.abs((up[1] - dn[1]) / 2e-6 - p2)) <= 1e-4
     with pytest.raises(ValueError, match="need s0 < s1"):
         hams.smooth_cutoff_profile(0.9, 0.4)
     assert (P.plateau, P.support) == (0.4, 0.95)

@@ -324,6 +324,12 @@ def test_stationarity_inadmissible(mesh_cache, rng):
     big = hams.interior_bump(np.array([0.8, 0, 0, 0]), 0.4)
     with pytest.raises(ValueError, match="support reaches the boundary"):
         res.stationarity_test(u, BALL, [big])
+    # also when no sampled direction of the support sphere reaches it
+    for radius in (0.501, 0.51):
+        with pytest.raises(ValueError, match="support reaches the boundary"):
+            res.stationarity_test(
+                u, BALL, [hams.interior_bump([0.5, 0, 0, 0], radius)])
+    res.stationarity_test(u, BALL, [hams.interior_bump([0.5, 0, 0, 0], 0.499)])
     # wrong domain object
     other = dom.curve_domain_from_map(fam.nonminimal_map())
     f = hams.radial_invariant(hams.poly_profile([0, 1.0]), domain=other)
@@ -557,22 +563,39 @@ def test_polynomial_hessians_match_the_per_row_path(mesh_cache):
 
 def test_cutoff_functions_integrate_as_the_unbanded_formula(mesh_cache):
     # the banded Hessians of the report batch's cutoff-profiled functions
-    # give bitwise the integral of the formula on every row; the einsum of
-    # the integrand reads the Hessian's memory layout, so this also pins it
+    # give bitwise the integral of the formula on every row
     u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
     cut = [f for f in res.ball_report_batch(BALL) if f.hessian_coeffs is None
            and f.support_hint is None]
     assert [f.name for f in cut] == ["radial#2", "hopf#14", "hopf#15"]
     P = hams.smooth_cutoff_profile(0.4, 0.95)
-    coeffs = [None, [1, 0, 0, 0], [0, 1, 0, 0]]
-    for f, c in zip(cut, coeffs):
+    factors = [None, hams._quadratic_form(np.array([1.0, 0, 0, 0])),
+               hams._quadratic_form(np.array([0.0, 1, 0, 0]))]
+    for f, factor in zip(cut, factors):
         unbanded = hams.Hamiltonian(f.value, f.gradient,
-                                    unbanded_profiled_hessian(P, c),
+                                    unbanded_profiled_hessian(P, factor),
                                     admissibility_tag=f.admissibility_tag)
         for sub in (res.FullDisc(), res.HalfPlane(0.0)):
             value = res.stationarity_integral(u, f, sub)
             assert value != 0.0
             assert value == res.stationarity_integral(u, unbanded, sub)
+
+
+def test_stationarity_terms_do_not_read_the_hessian_layout(mesh_cache):
+    # a C-ordered and an F-ordered copy of the same Hessians give bitwise
+    # the same integral and max norm
+    u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
+    u_c, S, _ = res._frame_tensor(u, np.ones(len(u.mesh.triangles), bool))
+    fs = [f for f in res.ball_report_batch(BALL) if f.hessian_coeffs is None]
+    fs.append(hams.z1_arc_hamiltonian(0.45, 0.35))
+    for f in fs:
+        copies = [hams.Hamiltonian(f.value, f.gradient,
+                                   lambda z, order=order: np.array(
+                                       f.hessian(z), order=order))
+                  for order in "CF"]
+        (c_terms,), (f_terms,) = (res._stationarity_terms(u_c, S, [g])
+                                  for g in copies)
+        assert c_terms == f_terms
 
 
 def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache):

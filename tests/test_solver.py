@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from dataclasses import replace
 
+from lagdisc import algebra as alg
 from lagdisc import domains as dom
 from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
@@ -636,6 +637,28 @@ def test_flat_disc_distance_degenerate(mesh_cache):
                         source=None)
     with pytest.raises(ValueError, match="collapses below two dimensions"):
         res.rigidity_verdict(collapsed, 1)
+
+
+def test_verdict_leaves_out_a_folded_element(mesh_cache):
+    # one interior node moved onto the midpoint of two neighbours collapses
+    # the image of a triangle to a segment, where the Lagrangian angle is
+    # undefined: the verdict leaves it out of the angle variance
+    m = mesh_cache(12, 48)
+    u = fam.sample(fam.flat_disc(np.eye(2)), m)
+    node = 1 + 5 * 48 + 7                  # ring 5, sector 7
+    tri = m.triangles[np.flatnonzero(np.any(m.triangles == node, axis=1))[0]]
+    a, b = tri[tri != node]
+    values = u.values.copy()
+    values[node] = 0.5 * (values[a] + values[b])
+    folded = replace(u, values=values, source=None)
+    e_x, e_y = element_gradient(m, folded.values).transpose(1, 0, 2)
+    ok = alg.angle_defined(e_x, e_y)
+    energy = inner(e_x, e_x) + inner(e_y, e_y)
+    assert 1 <= np.sum(~ok) <= 2 and np.all(energy[~ok] > 1e-12)
+    v = res.rigidity_verdict(folded, 1)
+    assert all(np.isfinite(v[k]) for k in v if k != "passed")
+    _, ang = alg.lagrangian_angle(e_x[ok], e_y[ok])
+    assert v["angle_variance"] == float(np.mean(np.abs(ang - np.mean(ang)) ** 2))
 
 
 def test_normal_wave_perturbation(mesh_cache):
