@@ -21,7 +21,8 @@ Families:
   multiplied by a radial profile -- these generate flows tangent to
   every sphere around the origin;
 * windowed waves: oscillatory interior probes;
-* functions of z1 adapted to the z1-unit-circle constraint curve.
+* functions of z1 adapted to the z1-unit-circle constraint curve,
+  windowed around |z1| = 1 by the quintic :func:`smooth_cutoff_profile`.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def _profiled(P, factor=None, center=None, scale=1.0):
 # interior bumps
 # --------------------------------------------------------------------------
 def bump_kernel(s, third=False):
-    """phi(s) = exp(-1/(1 - s)) for s < 1 and 0 otherwise, with phi' and phi''
-    (and the third derivative after them when ``third``).
+    """phi(s) = exp(-1/(1 - s)) for s < 1, 0 for s >= 1 and NaN for NaN, with
+    phi' and phi'' (and the third derivative after them when ``third``).
 
     The one smooth compactly supported kernel behind every bump: interior
     bumps take s = |z - c|^2/R^2, the z1-arc bump s = u^2, the
@@ -254,7 +255,7 @@ def bump_kernel(s, third=False):
     """
     s = np.asarray(s, float)
     out = tuple(np.zeros_like(s) for _ in range(4 if third else 3))
-    m = s < 1.0
+    m = ~(s >= 1.0)             # NaN rows too, which the outputs keep
     w = 1.0 / (1.0 - s[m])
     p = np.exp(-w)
     out[0][m] = p
@@ -267,7 +268,7 @@ def bump_kernel(s, third=False):
 
 def interior_bump(center, radius, amplitude=1.0):
     """amplitude * exp(-1/(1 - |z-c|^2/R^2)) inside the ball, 0 outside."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("bump radius must be positive")
     center = np.asarray(center, float)
     A = float(amplitude)
@@ -385,31 +386,6 @@ def admissibility_residual(f, pts, normals):
 # --------------------------------------------------------------------------
 # test functions adapted to the z1-unit-circle constraint curve
 # --------------------------------------------------------------------------
-def _plateau(r_in, r_out):
-    """Smooth cutoff profile of a squared distance rho2: 1 for rho2 <= r_in^2,
-    0 for rho2 >= r_out^2, the C^infinity blend P(x) = h(x)/(h(x) + h(1-x))
-    with h(x) = exp(-1/x) in between, x = (r_out^2 - rho2)/(r_out^2 - r_in^2).
-
-    Its derivatives in rho2 come from P' = P Q L and
-    P'' = P Q ((Q - P) L^2 + L'), where Q = 1 - P and
-    L = 1/x^2 + 1/(1-x)^2.
-    """
-    span = r_out ** 2 - r_in ** 2
-
-    def profile(rho2):
-        x = np.clip((r_out ** 2 - rho2) / span, 0.0, 1.0)
-        xm = 1.0 - x
-        hx = np.where(x > 0, np.exp(-1.0 / np.maximum(x, EPS)), 0.0)
-        hm = np.where(xm > 0, np.exp(-1.0 / np.maximum(xm, EPS)), 0.0)
-        P, Q = hx / (hx + hm), hm / (hx + hm)
-        x, xm = np.maximum(x, EPS), np.maximum(xm, EPS)
-        L = 1.0 / x ** 2 + 1.0 / xm ** 2
-        dL = 2.0 / xm ** 3 - 2.0 / x ** 3
-        return P, -P * Q * L / span, P * Q * ((Q - P) * L * L + dL) / span ** 2
-
-    return Profile(profile, support=r_out ** 2, plateau=r_in ** 2)
-
-
 def _arc_bump(x, center, width):
     """exp(-1/(1-u^2)) with u = (x - center)/width, and its first three
     derivatives in x."""
@@ -419,7 +395,7 @@ def _arc_bump(x, center, width):
             (8.0 * u * u * u * d3 + 12.0 * u * d2) / width ** 3)
 
 
-# the inner and outer radius of the z1-arc functions' plateau cutoff in |R - 1|
+# z1-arc window: 1 for |R - 1| <= R_WINDOW[0], 0 for |R - 1| >= R_WINDOW[1]
 R_WINDOW = (0.15, 0.4)
 
 
@@ -427,12 +403,13 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
     """Test function of z1 alone, tangent to the curve {(e^{-ia}, ib)}.
 
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
-    B(phi)) where eta is the plateau cutoff of (R - 1)^2 with radii
-    ``R_WINDOW``, B is a smooth bump supported in the phi-arc
-    [center - width, center + width] (which must avoid phi = 0 and stay
-    inside (-1, 1)), and A = (1 - phi^2) B'/phi.  On the curve R = 1 and
-    phi = -x, so this A solves x f_R = G y f_phi with G = -y, which is
-    <I grad f, X> = 0 (see :class:`lagdisc.families.NonMinimalMap`).
+    B(phi)) where eta is the quintic :func:`smooth_cutoff_profile` of
+    (R - 1)^2 between the squared radii ``R_WINDOW``, B is a smooth bump
+    supported in the phi-arc [center - width, center + width] (which must
+    avoid phi = 0 and stay inside (-1, 1)), and A = (1 - phi^2) B'/phi.
+    On the curve R = 1 and phi = -x, so this A solves x f_R = G y f_phi
+    with G = -y, which is <I grad f, X> = 0 (see
+    :class:`lagdisc.families.NonMinimalMap`).
 
     Gradient and Hessian are closed forms: the partials of f in (R, phi)
     pushed to Cartesian coordinates by the polar chain rule.
@@ -440,8 +417,7 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
     lo, hi = center - width, center + width
     if not (-1.0 < lo < hi < 1.0) or lo * hi <= 0:
         raise ValueError("phi-arc must avoid 0 and stay inside (-1, 1)")
-    w_in, w_out = R_WINDOW
-    window = _plateau(w_in, w_out)
+    window = smooth_cutoff_profile(R_WINDOW[0] ** 2, R_WINDOW[1] ** 2)
 
     def _terms(phi):
         """A, A', A'' and B, B', B'' at phi on the open arc."""
@@ -455,14 +431,14 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
         return A, (b, b1, b2)
 
     def _support(z):
-        """The mask of the rows in the window (R - 1)^2 < w_out^2 and on
+        """The mask of the rows in the window's support (R - 1)^2 < s1 and on
         the open arc lo < phi < hi, with R and phi on them.  Off it A, B
         and all their derivatives vanish, so f and its partials are 0 there
         and the callers' zero rows stand for them (up to the sign of a
         zero)."""
         R = np.hypot(z[..., 0], z[..., 1])
         # an array even for a single point, so that it takes item assignment
-        m = np.asarray((R - 1.0) ** 2 < w_out ** 2)
+        m = np.asarray((R - 1.0) ** 2 < window.support)
         phi = np.arctan2(z[..., 1][m], z[..., 0][m])
         arc = (phi > lo) & (phi < hi)
         m[m] = arc

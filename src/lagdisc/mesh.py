@@ -12,9 +12,10 @@ Areas, hat gradients, centroids and the longest edge come from one
 geometry pass over two (T, 3) gathers of the corner coordinates; node
 radii and angles, hat energies, and the sparse ``D_x``, ``D_y``,
 stiffness, lumped mass and boundary weights are cached one by one.  The
-residuals keep fixed-order ``bincount`` accumulators, so meshes that only
-feed them never build the operators.  The collar pairing evaluates only
-the triangles that meet its collar, about a third at ``collar_r0 = 0.7``.
+weak residuals take real fields and sum per node by one fixed-order
+``bincount`` scatter, so meshes that only feed them never build the
+operators.  The collar pairing runs the one P1 gradient kernel only on the
+triangles that meet its collar, about a third at ``collar_r0 = 0.7``.
 
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
@@ -106,9 +107,8 @@ class DiscMesh:
         over the incident triangles of local vertices 0, 1, 2 in triangle
         order."""
         a, g = self.areas, self.hat_gradients
-        return np.bincount(self.triangles.T.ravel(), np.concatenate(
-            [a * np.sum(g[:, k] ** 2, axis=-1) for k in range(3)]),
-            minlength=len(self.nodes))
+        return _node_scatter(self)([a * np.sum(g[:, k] ** 2, axis=-1)
+                                    for k in range(3)])
 
     @cached_property
     def h_max(self):
@@ -329,18 +329,31 @@ def element_gradient(mesh, values):
     values = np.asarray(values)
     if values.shape[0] != len(mesh.nodes):
         raise ValueError("field must have one value per node")
+    return _p1_gradient(mesh.triangles, mesh.hat_gradients, values)
+
+
+def _p1_gradient(tris, g, values):
+    """The gradients of nodal ``values`` on the triangles ``tris`` (K, 3)
+    with hat gradients ``g`` (K, 3, 2): the one P1 difference kernel."""
     # node axis last, so the products below run over all triangles at once
-    tris = mesh.triangles
     vt = np.ascontiguousarray(np.moveaxis(values, 0, -1))   # (..., N)
     v0 = np.take(vt, tris[:, 0], axis=-1)
-    dv1 = np.take(vt, tris[:, 1], axis=-1) - v0             # (..., T)
+    dv1 = np.take(vt, tris[:, 1], axis=-1) - v0             # (..., K)
     dv2 = np.take(vt, tris[:, 2], axis=-1) - v0
     del vt, v0                  # lowers the peak of the product loop below
-    g = mesh.hat_gradients                                  # (T, 3, 2)
     out = np.empty((len(tris), 2) + values.shape[1:], np.result_type(g, values))
     for d in range(2):
         out[:, d] = np.moveaxis(g[:, 1, d] * dv1 + g[:, 2, d] * dv2, -1, 0)
     return out
+
+
+def _node_scatter(mesh):
+    """A function ``sums(per_vertex)`` adding ``per_vertex[k][t]`` into the
+    node at local vertex k of triangle t: one ``bincount`` over vertices 0,
+    1, 2 in triangle order, a fixed order, on an index built once."""
+    idx, n = mesh.triangles.T.ravel(), len(mesh.nodes)
+    return lambda per_vertex: np.bincount(idx, np.concatenate(per_vertex),
+                                          minlength=n)
 
 
 def interpolate_at_centroids(mesh, values):
@@ -380,18 +393,20 @@ def weak_divergence_residual(mesh, w, exclude=()):
     while discretely divergence-free fields score O(h^2) and exact
     constants score at rounding level.
 
-    ``w`` is one (T, 2) field, or k fields stacked as (T, 2, k), for which
-    the largest of their k residuals is returned; the stack shares one
-    test set.
+    ``w`` is one real (T, 2) field, or k fields stacked as (T, 2, k), for
+    which the largest of their k residuals is returned; the stack shares
+    one test set.
 
     Hat functions at boundary nodes, at nodes inside an exclusion ball,
     or whose support meets an exclusion ball (see :func:`exclusion_masks`)
-    are skipped.  Raises ``ValueError`` when no test function remains or
-    the stack holds no field, since an empty maximum would read as a
-    perfect 0.
+    are skipped.  Raises ``ValueError`` for a complex field, and when no
+    test function remains or the stack holds no field, since an empty
+    maximum would read as a perfect 0.
     """
     w = np.asarray(w)
     fields = w[..., None] if w.ndim == 2 else w
+    if w.dtype.kind == "c":
+        raise ValueError("weak_divergence_residual: the field must be real")
     if fields.shape[-1] == 0:
         raise ValueError("weak_divergence_residual: empty field stack")
     n = len(mesh.nodes)
@@ -402,30 +417,14 @@ def weak_divergence_residual(mesh, w, exclude=()):
     if not np.any(test):
         raise ValueError("weak_divergence_residual: empty test set")
     grad_norm = np.sqrt(mesh.hat_energy[test])
-    a = mesh.areas
-    g = mesh.hat_gradients
-
-    # per-node accumulators: one bincount each over the contributions of
-    # local vertices 0, 1, 2 in triangle order, a fixed summation order
-    idx = mesh.triangles.T.ravel()
-
-    def hat_integrals(v):       # sum_T a_T v_T . grad(phi) per node, v real
-        return np.bincount(idx, np.concatenate(
-            [a * (g[:, k, 0] * v[:, 0] + g[:, k, 1] * v[:, 1]) for k in range(3)]),
-            minlength=n)
-
+    a, g, sums = mesh.areas, mesh.hat_gradients, _node_scatter(mesh)
     worst = 0.0
     for c in range(fields.shape[-1]):
         wc = fields[..., c]
-        if np.iscomplexobj(wc):
-            # real arithmetic: (a + 0i)(c + di) has the parts of a (c + di)
-            integral = np.empty(n, dtype=complex)
-            integral.real = hat_integrals(wc.real)
-            integral.imag = hat_integrals(wc.imag)
-        else:
-            integral = hat_integrals(wc)
-        w2 = np.sum(np.abs(wc) ** 2, axis=-1)
-        w_sq = np.bincount(idx, np.tile(a * w2, 3), minlength=n)
+        # sum_T a_T w_T . grad(phi) and ||w||^2_{L2(supp phi)} per node
+        integral = sums([a * (g[:, k, 0] * wc[:, 0] + g[:, k, 1] * wc[:, 1])
+                         for k in range(3)])
+        w_sq = sums([a * np.sum(wc * wc, axis=-1)] * 3)
         den = np.sqrt(w_sq[test]) * grad_norm + EPS
         # np.maximum, unlike max, keeps a NaN
         worst = np.maximum(worst, np.max(np.abs(integral[test]) / den))
@@ -462,14 +461,10 @@ def boundary_trace_pairing(mesh, w, phis, collar_r0):
     t, g, a = mesh.triangles[tri], mesh.hat_gradients[tri], mesh.areas[tri]
     theta, chi, w = mesh.node_theta[live], chi[live], np.asarray(w)[tri]
     vals, integrand = np.zeros(len(mesh.nodes)), np.zeros(len(mesh.triangles))
-    grad, out = np.empty((len(tri), 2)), np.empty(len(phis))
+    out = np.empty(len(phis))
     for p, phi in enumerate(phis):
-        # element_gradient of the nodal product, on the collar triangles
         vals[live] = np.asarray(phi(theta)) * chi
-        v0 = vals[t[:, 0]]
-        dv1, dv2 = vals[t[:, 1]] - v0, vals[t[:, 2]] - v0
-        for d in range(2):
-            grad[:, d] = g[:, 1, d] * dv1 + g[:, 2, d] * dv2
+        grad = _p1_gradient(t, g, vals)     # on the collar triangles only
         integrand[tri] = a * np.einsum("td,td->t", grad, w)
         out[p] = np.sum(integrand)
     return out
@@ -483,10 +478,10 @@ def loop_integrals(w, center, radius, n_quad=512):
     periodic integrands.
     """
     center = np.asarray(center, float)
-    if np.hypot(*center) + radius >= 1.0 - 1e-12:
-        raise ValueError("quadrature circle exits the open unit disc")
-    if radius <= 0:
+    if not radius > 0:          # NaN fails both bounds
         raise ValueError("radius must be positive")
+    if not np.hypot(*center) + radius < 1.0 - 1e-12:
+        raise ValueError("quadrature circle exits the open unit disc")
     t = 2 * np.pi * np.arange(n_quad) / n_quad
     nu = np.column_stack([np.cos(t), np.sin(t)])
     tau = np.column_stack([-np.sin(t), np.cos(t)])

@@ -223,13 +223,12 @@ def angle_harmonicity(u: DiscreteMap, exclude=()):
 
     ``angle_div`` bounds div(gbar grad g) and ``angle_perp_div`` bounds
     div(i gbar grad_perp g).  Both fields come from the angle flux
-    F = i gbar grad g (see :func:`_angle_flux`): gbar grad g = -i F, and
-    i gbar grad_perp g is the rotation of the real field F.
+    F = i gbar grad g (see :func:`_angle_flux`): gbar grad g = -i F has
+    the residual of the real field F, and i gbar grad_perp g is its rotation.
     """
     F = _angle_flux(u)
-    w_tan = -1j * F
     w_perp = np.stack([-F[:, 1], F[:, 0]], axis=1)
-    return (weak_divergence_residual(u.mesh, w_tan, exclude),
+    return (weak_divergence_residual(u.mesh, F, exclude),
             weak_divergence_residual(u.mesh, w_perp, exclude))
 
 

@@ -58,11 +58,11 @@ def z1_arc_reference_gradient(center, width, a_sign, r_window=(0.15, 0.4)):
     """Gradient of the z1-arc test function f = eta(R) (A(phi)(R - 1) + B(phi))
     with A = a_sign (1 - phi^2) B'/phi, computed as it was before the closed
     form: A' by hand and the window derivative eta'(R) by an h = 1e-6
-    centred difference of the plateau."""
+    centred difference of the window, the z1-arc functions' quintic cutoff."""
     from lagdisc import hamiltonians as hams
 
     lo, hi = center - width, center + width
-    window = hams._plateau(*r_window)
+    window = hams.smooth_cutoff_profile(r_window[0] ** 2, r_window[1] ** 2)
 
     def eta(R):
         return window((R - 1.0) ** 2)[0]

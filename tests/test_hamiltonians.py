@@ -4,7 +4,8 @@ import pytest
 from lagdisc import algebra as alg
 from lagdisc import domains as dom
 from lagdisc import hamiltonians as hams
-from lagdisc.families import nonminimal_map
+from lagdisc import mesh as msh
+from lagdisc.families import nonminimal_map, sample
 from lagdisc.solver import flow_frame_step
 from conftest import (centred_differences, unbanded_profiled_hessian,
                       z1_arc_reference_gradient)
@@ -73,8 +74,9 @@ def test_bump_fd_checks(rng):
 
 
 def test_bump_invalid_radius():
-    with pytest.raises(ValueError, match="bump radius must be positive"):
-        hams.interior_bump(np.zeros(4), -0.1)
+    for bad in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="bump radius must be positive"):
+            hams.interior_bump(np.zeros(4), bad)
 
 
 def test_bump_kernel_derivatives():
@@ -134,7 +136,7 @@ def _old_interior_bump(center, radius, amplitude):
 def test_interior_bump_bitwise_matches_own_kernel(rng):
     """Values, gradients and Hessians are bitwise the closed form on rows
     inside, exactly on and past the support sphere; a NaN row gives a NaN
-    gradient and Hessian."""
+    value, gradient and Hessian."""
     # dyadic centers and radii, so that the rows on the sphere are exact
     for center, radius, amp in [(np.zeros(4), 0.5, 1.0),
                                 (np.array([0.125, -0.25, 0.375, 0.0]), 0.875,
@@ -151,7 +153,7 @@ def test_interior_bump_bitwise_matches_own_kernel(rng):
         s = alg.inner(z - center, z - center) / radius ** 2
         assert np.all(s[:4] == 1.0) and np.any(s < 1.0) and np.any(s > 1.0)
         z[7] = np.nan
-        for fn in (f.gradient, f.hessian):
+        for fn in (f.value, f.gradient, f.hessian):
             out = fn(z)
             assert np.all(np.isnan(out[7])) and np.all(np.isfinite(out[8:]))
 
@@ -181,13 +183,14 @@ def test_arc_bump_matches_hand_derivatives(center, width):
 
 
 def test_plateau_cutoff():
+    # the z1-arc functions' window, a quintic cutoff in rho^2 = (R - 1)^2
     rho = np.linspace(0.0, 1.0, 1001)
-    window = hams._plateau(0.3, 0.6)
+    window = hams.smooth_cutoff_profile(0.15 ** 2, 0.4 ** 2)
     eta = window(rho ** 2)[0]
-    assert np.all(eta[rho <= 0.3] == 1.0) and np.all(eta[rho >= 0.6] == 0.0)
+    assert np.all(eta[rho <= 0.15] == 1.0) and np.all(eta[rho >= 0.4] == 0.0)
     assert np.all((eta >= 0.0) & (eta <= 1.0)) and np.all(np.diff(eta) <= 0.0)
-    assert 0.0 < window(0.45 ** 2)[0] < 1.0
-    assert (window.plateau, window.support) == (0.3 ** 2, 0.6 ** 2)
+    assert 0.0 < window(0.275 ** 2)[0] < 1.0
+    assert (window.plateau, window.support) == (0.15 ** 2, 0.4 ** 2)
 
 
 def test_centred_differences_exact_on_quadratics(rng):
@@ -516,12 +519,19 @@ def test_z1_arc_fd_gradient(rng):
 
 def test_plateau_derivatives_match_centred_differences():
     rho2 = np.linspace(0.0, 0.2, 4001)
-    window = hams._plateau(0.15, 0.4)
+    s0, s1 = 0.15 ** 2, 0.4 ** 2
+    window = hams.smooth_cutoff_profile(s0, s1)
     eta, d1, d2 = window(rho2)
     h = 1e-7
     up, dn = window(rho2 + h), window(rho2 - h)
     assert np.max(np.abs((up[0] - dn[0]) / (2 * h) - d1)) <= 1e-7 * np.max(np.abs(d1))
-    assert np.max(np.abs((up[1] - dn[1]) / (2 * h) - d2)) <= 1e-7 * np.max(np.abs(d2))
+    # the quintic is C^2: its third derivative jumps by 60/(s1 - s0)^3 at s0
+    # and at s1, where a centred difference of P' is off by h/4 of the jump
+    err = np.abs((up[1] - dn[1]) / (2 * h) - d2)
+    corner = (np.abs(rho2 - s0) < h) | (np.abs(rho2 - s1) < h)
+    assert np.count_nonzero(corner) == 2
+    assert np.max(err[~corner]) <= 1e-7 * np.max(np.abs(d2))
+    assert np.max(err[corner]) <= 1.01 * h / 4 * 60.0 / (s1 - s0) ** 3
     # flat (all derivatives zero) on the plateau and outside the window
     flat = (rho2 <= 0.15 ** 2) | (rho2 >= 0.4 ** 2)
     assert np.all(d1[flat] == 0.0) and np.all(d2[flat] == 0.0)
@@ -593,6 +603,24 @@ def test_z1_arc_rows_off_the_arc_are_zero(rng, center, width):
         assert np.all(got[~on] == 0.0)
         assert got[on].tobytes() == fn(pts[on]).tobytes()
         assert np.all(np.any(got[on].reshape(n, -1) != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("size", [(2, 8, 1.0), (2, 8, 0.2), (24, 96, 1.0)])
+def test_nonminimal_image_lies_on_the_z1_window_plateau(mesh_cache, size):
+    """The residuals evaluate z1-arc functions only at the centroid and
+    boundary-node images of the nonminimal map.  All of them lie on the
+    window's plateau, where it reads exactly (1, 0, 0), so the window's
+    shape between its radii moves no output; (2, 8, 0.2) is the coarsest,
+    most graded mesh the CLI accepts."""
+    m = mesh_cache(*size)
+    u = sample(nonminimal_map(), m)
+    pts = np.vstack([msh.interpolate_at_centroids(m, u.values),
+                     u.values[m.is_boundary]])
+    rho2 = (np.hypot(pts[:, 0], pts[:, 1]) - 1.0) ** 2
+    assert np.max(rho2) <= hams.R_WINDOW[0] ** 2
+    window = hams.smooth_cutoff_profile(*np.square(hams.R_WINDOW))
+    eta, d1, d2 = window(rho2)
+    assert np.all(eta == 1.0) and np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
 
 def test_z1_arc_invalid_arc():

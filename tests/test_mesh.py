@@ -397,19 +397,26 @@ def test_weak_divergence_bitwise_matches_add_at(mesh_cache, rng, size):
     m = mesh_cache(*size)
     t = len(m.triangles)
     real = rng.normal(size=(t, 2))
-    cplx = rng.normal(size=(t, 2)) + 1j * rng.normal(size=(t, 2))
+    other = rng.normal(size=(t, 2))
     sw = sw_cone(1, 2).angle_flux_field(m.centroids)
     ball = [((0.0, 0.0), 0.1)]
-    for w, exclude in [(real, ()), (cplx, ()), (sw, ball), (cplx, ball),
+    for w, exclude in [(real, ()), (other, ()), (sw, ball), (other, ball),
                        (real, [((0.3, -0.2), 0.25)])]:
         got = msh.weak_divergence_residual(m, w, exclude)
         assert got == _add_at_weak_divergence_residual(m, w, exclude)
+        # a real field F has the residual of the complex -i F, bitwise:
+        # what angle_harmonicity relies on when it passes F for gbar grad g
+        assert got == _add_at_weak_divergence_residual(m, -1j * w, exclude)
     # a stack of fields shares one test set and reports its worst field
-    stack = np.stack([cplx, 1j * cplx[:, ::-1], sw + 0j], axis=-1)
+    stack = np.stack([other, -other[:, ::-1], sw], axis=-1)
     for exclude in [(), ball]:
         assert msh.weak_divergence_residual(m, stack, exclude) == max(
             _add_at_weak_divergence_residual(m, stack[..., k], exclude)
             for k in range(3))
+    # complex fields, alone or stacked, are rejected
+    for w in (real + 1j * other, stack + 0j):
+        with pytest.raises(ValueError, match="must be real"):
+            msh.weak_divergence_residual(m, w)
 
 
 @pytest.mark.parametrize("size", [(2, 8), (24, 96), (48, 192)])
@@ -551,8 +558,14 @@ def test_loop_invalid():
 
     with pytest.raises(ValueError, match="quadrature circle exits"):
         msh.loop_integrals(w, (0.8, 0.0), 0.5)
-    with pytest.raises(ValueError, match="radius must be positive"):
-        msh.loop_integrals(w, (0.0, 0.0), -0.1)
+    # a NaN radius or centre fails its bound instead of giving (nan, nan)
+    nan = float("nan")
+    for radius in (-0.1, 0.0, nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            msh.loop_integrals(w, (0.0, 0.0), radius)
+    for center in [(nan, 0.0), (0.0, nan), (nan, nan)]:
+        with pytest.raises(ValueError, match="quadrature circle exits"):
+            msh.loop_integrals(w, center, 0.3)
 
 
 # ---------------------------------------------------------------------------
