@@ -13,15 +13,16 @@ dump-mesh        write the mesh as JSON
 Every command writes summary.json to --out: its numbers, the config keys
 it read, "command" and "pass".  All but masses and dump-mesh also write
 the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
-0 success, 1 usage or configuration error (a negative seed, an --out that
-is a file or lies under one, an example other than flat, nonminimal or an
-sw:p,q with a coprime positive pair, one refinement level for
-verify-example or stationarity and more than one stationarity seed
-included), 2 a built-in check failed, 3 the pipeline raised (the message
-names the exception class); --out is created only once the command has
-returned, so exits 1 and 3 create no directory.  A JSON config file
-supplies defaults; flags override it.  Identical config and seed produce
-bitwise-identical outputs.
+0 success, 1 usage or configuration error (a flag argparse rejects, a
+negative seed, an --out that is a file or lies under one, an example
+other than flat, nonminimal or an sw:p,q with a coprime positive pair,
+one refinement level for verify-example or stationarity, a verify-example
+level with no weak-residual test function, and more than one stationarity
+seed included), 2 a built-in check failed, 3 the pipeline raised (the
+message names the exception class); --out is created only once the
+command has returned, so exits 1 and 3 create no directory.  A JSON
+config file supplies defaults; flags override it.  Identical config and
+seed produce bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -39,12 +40,17 @@ import numpy as np
 from . import residuals as res
 from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
-from .mesh import build_polar_mesh
+from .mesh import _weak_test_nodes, build_polar_mesh
 from .solver import rigidity_experiment
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):       # exit 1, not argparse's 2 (a failed check)
+        raise ConfigError(message)
 
 
 @dataclass
@@ -134,7 +140,13 @@ _LEVEL_HEADER = ("example", "domain", "h", "check", "value")
 
 
 def _cmd_verify_example(cfg, example, domain):
-    reports = [res.full_report(example, m, domain) for m in cfg.meshes()]
+    meshes, exclude = cfg.meshes(), res._report_exclusions(example)
+    for m in meshes:
+        if not np.any(_weak_test_nodes(m, exclude)):
+            raise ConfigError("mesh: the {n_rings},{n_sectors},{grading} level "
+                              "leaves no weak-residual test function clear of "
+                              "the singular points".format(**m.polar_info))
+    reports = [res.full_report(example, m, domain) for m in meshes]
     rows = [(cfg.example, cfg.domain, rep.h, check, getattr(rep, check))
             for rep in reports for check in res.ResidualReport.CHECKS]
     failures = []
@@ -265,8 +277,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def parse_args(argv=None) -> RunConfig:
-    ap = argparse.ArgumentParser(prog="lagdisc", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _ArgumentParser(prog="lagdisc", description=__doc__,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", type=str, help="JSON config file")
     ap.add_argument("--command", type=str, choices=COMMANDS)
     ap.add_argument("--example", type=str, help="flat | sw:p,q | nonminimal")

@@ -7,15 +7,15 @@ Rotation-equivariant fields then produce exactly cancelling sums in the
 boundary pairing below, which is what pushes those quadratures to
 rounding level instead of O(h^2).
 
-:class:`DiscMesh` caches its per-mesh quantities, each built on first use.
-Areas, hat gradients, centroids and the longest edge come from one
-geometry pass over two (T, 3) gathers of the corner coordinates; node
-radii and angles, hat energies, and the sparse ``D_x``, ``D_y``,
-stiffness, lumped mass and boundary weights are cached one by one.  The
-weak residuals take real fields and sum per node by one fixed-order
-``bincount`` scatter, so meshes that only feed them never build the
-operators.  The collar pairing runs the one P1 gradient kernel only on the
-triangles that meet its collar, about a third at ``collar_r0 = 0.7``.
+:class:`DiscMesh` computes its geometry at construction (areas, hat
+gradients, centroids and the longest edge from two (T, 3) gathers of the
+corner coordinates, then node radii and angles) and builds its operators
+on first use: hat energies and the sparse ``D_x``, ``D_y``, stiffness,
+lumped mass and boundary weights.  The weak residuals take real fields
+and sum per node by one fixed-order ``bincount`` scatter, so meshes that
+only feed them never build the operators.  The collar pairing runs the
+one P1 gradient kernel only on the triangles that meet its collar, about
+a third at ``collar_r0 = 0.7``.
 
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
@@ -58,6 +58,10 @@ class DiscMesh:
         Present for meshes from :func:`build_polar_mesh`; carries
         (n_rings, n_sectors, grading, radii) and enables fast point
         location.
+
+    Computed at construction: ``areas``, ``hat_gradients`` (T, 3, 2) of
+    each local vertex's hat function, ``centroids``, ``h_max`` (the longest
+    edge, the mesh size of all reports), ``node_r`` and ``node_theta``.
     """
 
     nodes: np.ndarray
@@ -66,11 +70,7 @@ class DiscMesh:
     is_boundary: np.ndarray
     polar_info: dict | None = None
 
-    # -- derived quantities, computed once per mesh ----------------------
-    @cached_property
-    def _geometry(self):
-        """Areas, hat gradients, centroids and longest edge, all read from
-        one pair of (T, 3) corner-coordinate gathers."""
+    def __post_init__(self):
         x = self.nodes[:, 0][self.triangles]
         y = self.nodes[:, 1][self.triangles]
         areas = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
@@ -84,22 +84,11 @@ class DiscMesh:
             g[:, a, 1] = x[:, c] - x[:, b]
             h = max(h, float(np.max(np.hypot(x[:, b] - x[:, a], y[:, b] - y[:, a]))))
         g /= (2.0 * areas)[:, None, None]
-        centroids = np.column_stack([(x[:, 0] + x[:, 1] + x[:, 2]) / 3.0,
-                                     (y[:, 0] + y[:, 1] + y[:, 2]) / 3.0])
-        return areas, g, centroids, h
-
-    @cached_property
-    def areas(self):
-        return self._geometry[0]
-
-    @cached_property
-    def hat_gradients(self):
-        """(T, 3, 2) array: gradient of the hat function of each local vertex."""
-        return self._geometry[1]
-
-    @cached_property
-    def centroids(self):
-        return self._geometry[2]
+        self.areas, self.hat_gradients, self.h_max = areas, g, h
+        self.centroids = np.column_stack([(x[:, 0] + x[:, 1] + x[:, 2]) / 3.0,
+                                          (y[:, 0] + y[:, 1] + y[:, 2]) / 3.0])
+        self.node_r = np.hypot(self.nodes[:, 0], self.nodes[:, 1])
+        self.node_theta = np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
 
     @cached_property
     def hat_energy(self):
@@ -109,11 +98,6 @@ class DiscMesh:
         a, g = self.areas, self.hat_gradients
         return _node_scatter(self)([a * np.sum(g[:, k] ** 2, axis=-1)
                                     for k in range(3)])
-
-    @cached_property
-    def h_max(self):
-        """Longest edge length; the mesh-size parameter of all reports."""
-        return self._geometry[3]
 
     # -- sparse operators (built only on meshes that use them) ------------
     @cached_property
@@ -151,14 +135,6 @@ class DiscMesh:
         return np.bincount(be.ravel(), np.repeat(0.5 * L, 2),
                            minlength=len(self.nodes))
 
-    @cached_property
-    def node_r(self):
-        return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
-
-    @cached_property
-    def node_theta(self):
-        return np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
-
     # -- validation ------------------------------------------------------
     def validate(self):
         """Check the mesh and return it; raise ``ValueError`` if not.
@@ -169,10 +145,10 @@ class DiscMesh:
         cycle, and that every triangle edge is shared by exactly one
         triangle if it is a boundary edge and by exactly two otherwise.
 
-        Reading the areas builds and caches the mesh geometry, so its cost
-        falls here.  Conformity is counted in a canonical (N, N) CSR matrix
-        with an entry per triangle side (i, j), i < j, duplicates summed;
-        the error names the first bad edge in row-major (i, j) order.
+        The geometry it reads was computed at construction.  Conformity is
+        counted in a canonical (N, N) CSR matrix with an entry per triangle
+        side (i, j), i < j, duplicates summed; the error names the first
+        bad edge in row-major (i, j) order.
         """
         if np.any(self.areas < 1e-14):
             raise ValueError("mesh has a non-positive or degenerate triangle")
@@ -382,6 +358,13 @@ def exclusion_masks(mesh, exclude):
     return node_ok, cent_ok & node_ok[mesh.triangles].all(axis=1)
 
 
+def _weak_test_nodes(mesh, exclude):
+    """(N,) mask of the hat functions :func:`weak_divergence_residual` tests."""
+    node_ok, ok_tri = exclusion_masks(mesh, exclude)
+    node_ok[mesh.triangles[~ok_tri].ravel()] = False   # support meets a ball
+    return node_ok & ~mesh.is_boundary
+
+
 def weak_divergence_residual(mesh, w, exclude=()):
     """Scale-invariant weak divergence residual of a per-triangle field.
 
@@ -409,11 +392,7 @@ def weak_divergence_residual(mesh, w, exclude=()):
         raise ValueError("weak_divergence_residual: the field must be real")
     if fields.shape[-1] == 0:
         raise ValueError("weak_divergence_residual: empty field stack")
-    n = len(mesh.nodes)
-    node_ok, ok_tri = exclusion_masks(mesh, exclude)
-    contrib_ok = np.ones(n, dtype=bool)
-    contrib_ok[mesh.triangles[~ok_tri].ravel()] = False
-    test = contrib_ok & ~mesh.is_boundary & node_ok
+    test = _weak_test_nodes(mesh, exclude)
     if not np.any(test):
         raise ValueError("weak_divergence_residual: empty test set")
     grad_norm = np.sqrt(mesh.hat_energy[test])

@@ -35,7 +35,6 @@ from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
                    weak_divergence_residual)
 
 __all__ = [
-    "FullDisc",
     "HalfPlane",
     "ResidualReport",
     "SingularMassRecord",
@@ -50,7 +49,6 @@ __all__ = [
     "pointwise_geometry_report",
     "rigidity_verdict",
     "singular_masses",
-    "stationarity_integral",
     "stationarity_test",
     "structural_residual",
 ]
@@ -59,16 +57,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # subdomain specifications for the stationarity functional
 # --------------------------------------------------------------------------
-class FullDisc:
-    """omega = the whole disc; its boundary meets the open disc nowhere."""
-
-    def contains(self, pts):
-        return np.ones(len(np.atleast_2d(pts)), dtype=bool)
-
-    def interior_boundary_samples(self, n=64):
-        return np.empty((0, 2))
-
-
 class HalfPlane:
     """omega = {x > c} intersected with the disc."""
 
@@ -327,7 +315,7 @@ def _frame_block(grad):
 
 def _frame_tensor(u: DiscreteMap, m):
     """Centroid values, frame tensors and ||grad u||^2_{L2} of the elements
-    in mask ``m``.
+    in mask ``m`` (every element when ``m`` is None).
 
     The frame tensor of element t is S_t = area_t sum_k sym((-I e_k) (x) e_k)
     for the frames e_k = d_k u, stored (T, 10) in the packed order of the
@@ -336,7 +324,7 @@ def _frame_tensor(u: DiscreteMap, m):
     blocks of ``HESSIAN_BLOCK`` elements, on views when ``m`` keeps all.
     """
     mesh = u.mesh
-    m = slice(None) if np.all(m) else m
+    m = slice(None) if m is None or np.all(m) else m
     grad = element_gradient(mesh, u.values)[m]
     areas = mesh.areas[m]
     grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
@@ -427,16 +415,6 @@ def _stationarity_terms(u_c, S, fs):
             else _per_row_terms(u_c, S, f) for f in fs]
 
 
-def stationarity_integral(u: DiscreteMap, f, subdomain=None):
-    """Raw midpoint quadrature of sum_k <d_k(I grad f o u), d_k u> over omega:
-    the unnormalized term of :func:`stationarity_test`, kept public so that
-    the linearity, blocking and support-restriction tests compare the
-    production quadrature with their references."""
-    sub = subdomain or FullDisc()
-    u_c, S, _ = _frame_tensor(u, sub.contains(u.mesh.centroids))
-    return _stationarity_terms(u_c, S, [f])[0][0]
-
-
 def _check_support_clear(f, pts4, what):
     """Require f's support ball to avoid the given ambient points."""
     if len(pts4) == 0:
@@ -491,9 +469,10 @@ def _check_admissible(f, domain, wall_pts, wall_normals):
 def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     """Normalized weak stationarity residual over a batch of Hamiltonians.
 
-    Checks every test function for admissibility (tag plus residual at
-    boundary samples) and for support clear of the image of the interior
-    part of the subdomain boundary, then returns
+    omega is the whole disc when ``subdomain`` is None.  Checks every test
+    function for admissibility (tag plus residual at the boundary nodes in
+    omega) and for support clear of the image of omega's boundary inside
+    the open disc, then returns
 
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
@@ -527,18 +506,15 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     if len(fs) == 0:
         raise ValueError("stationarity_test: empty test set")
     mesh = u.mesh
-    sub = subdomain or FullDisc()
-    m = sub.contains(mesh.centroids)
-    if not np.any(m):
-        raise ValueError("subdomain contains no triangles")
-    boundary_pts = sub.interior_boundary_samples()
-    if len(boundary_pts):
-        u_at = u.mesh.interpolate(u.values, boundary_pts)
-    else:
-        u_at = np.empty((0, 4))
-
-    # admissibility sample set: image of the disc-boundary nodes inside omega
-    wall = mesh.is_boundary & sub.contains(mesh.nodes)
+    # omega's elements (None: all), its disc-boundary nodes, whose images
+    # are the admissibility samples, and the image of its inner boundary
+    m, wall, u_at = None, mesh.is_boundary, np.empty((0, 4))
+    if subdomain is not None:
+        m = subdomain.contains(mesh.centroids)
+        if not np.any(m):
+            raise ValueError("subdomain contains no triangles")
+        wall = wall & subdomain.contains(mesh.nodes)
+        u_at = mesh.interpolate(u.values, subdomain.interior_boundary_samples())
     wall_pts = u.values[wall]
     wall_normals = domain.normal_at(wall_pts)
 
@@ -622,11 +598,16 @@ def curve_report_batch(domain, example, size=12, seed=0):
 # --------------------------------------------------------------------------
 # aggregate report
 # --------------------------------------------------------------------------
+def _report_exclusions(example):
+    """The 0.1 balls around the singular points that full_report excludes."""
+    return [(np.asarray(p, float), 0.1) for p in example.singular_points]
+
+
 def full_report(example, mesh, domain):
     """Evaluate every residual for a closed-form example sampled on a mesh,
-    excluding a ball of radius 0.1 around each singular point."""
+    excluding the balls of :func:`_report_exclusions`."""
     u = sample(example, mesh)
-    exclude = [(np.asarray(p, float), 0.1) for p in example.singular_points]
+    exclude = _report_exclusions(example)
     lag, conf = pointwise_geometry_report(u)
     struct = structural_residual(u, exclude)
     adiv, apdiv = angle_harmonicity(u, exclude)

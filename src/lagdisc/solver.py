@@ -379,12 +379,12 @@ def _flow_step(mesh, vals, f, dt, domain):
     return _project_boundary(domain, vals + dt * V(mid), mesh.is_boundary)
 
 
-def flow_frame_step(z, frame, f, dt, method="rk4"):
-    """Advect a point and a tangent frame along I grad f for one step.
+def flow_frame_step(z, frame, f, dt):
+    """Advect a point and a tangent frame along I grad f by one midpoint
+    (RK2) step, the rule :func:`_flow_step` applies to maps.
 
     The frame evolves by the linearized flow e' = I Hess f(z) e.  Kept for
-    acceptance criterion 5, which fits the order of the frame's symplectic
-    defect from it; the map flows use :func:`_flow_step`.
+    acceptance criterion 5, which fits the order of its symplectic defect.
     """
     def rhs(state):
         z, ex, ey = state
@@ -397,19 +397,7 @@ def flow_frame_step(z, frame, f, dt, method="rk4"):
 
     s0 = (np.asarray(z, float), np.asarray(frame[0], float),
           np.asarray(frame[1], float))
-    if method == "rk2":
-        k1 = rhs(s0)
-        k2 = rhs(add(s0, k1, 0.5 * dt))
-        s1 = add(s0, k2, dt)
-    elif method == "rk4":
-        k1 = rhs(s0)
-        k2 = rhs(add(s0, k1, 0.5 * dt))
-        k3 = rhs(add(s0, k2, 0.5 * dt))
-        k4 = rhs(add(s0, k3, dt))
-        s1 = tuple(a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                   for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
-    else:
-        raise ValueError("method must be 'rk2' or 'rk4'")
+    s1 = add(s0, rhs(add(s0, rhs(s0), 0.5 * dt)), dt)
     return s1[0], (s1[1], s1[2])
 
 

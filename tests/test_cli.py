@@ -36,10 +36,28 @@ def test_invalid_combination_exits_1(tmp_path, capsys):
 
 
 def test_unknown_command_exits_1(tmp_path):
-    # argparse rejects unknown choices with SystemExit(2): catch via config path
+    # from a config file and from the flag, which argparse rejects
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"command": "frobnicate"}))
     assert run_cli("--config", str(cfg)) == 1
+    assert run_cli("--command", "frobnicate") == 1
+
+
+@pytest.mark.parametrize("argv", [["--seed", "abc"], ["--refinements", "x"],
+                                  ["--command", "bogus"], ["--foo", "1"]])
+def test_argparse_usage_errors_exit_1(tmp_path, capsys, argv):
+    # not argparse's own exit 2, which would read as a failed check
+    out = tmp_path / "o"
+    assert run_cli("--command", "dump-mesh", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    assert "Exit codes" in capsys.readouterr().out
 
 
 def test_unknown_config_key_exits_1(tmp_path):
@@ -128,6 +146,28 @@ def test_stationarity_takes_one_seed_and_echoes_it(tmp_path, capsys):
     run_cli(*argv, "--out", str(tmp_path / "b"))
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert summary["seeds"] == [7]
+
+
+@pytest.mark.parametrize("example,mesh", [("sw:1,2", "2,8,1.0"),
+                                          ("sw:2,3", "2,8,1.0"),
+                                          ("sw:1,2", "2,8,0.2"),
+                                          ("sw:2,3", "2,8,0.2"),
+                                          ("sw:1,2", "3,8,0.2")])
+def test_verify_example_without_weak_test_functions_exits_1(
+        tmp_path, capsys, example, mesh):
+    # on the first level every interior hat function's support meets the
+    # ball around the cone point that the weak residuals exclude
+    out = tmp_path / "o"
+    assert run_cli("--command", "verify-example", "--example", example,
+                   "--mesh", mesh, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh: ") and mesh in err
+    assert not out.exists()
+
+
+def test_verify_example_with_weak_test_functions_runs(tmp_path):
+    assert run_cli("--command", "verify-example", "--example", "sw:1,2",
+                   "--mesh", "3,8,0.5", "--out", str(tmp_path / "o")) == 0
 
 
 @pytest.mark.parametrize("mesh", ["1,8,1.0", "2,7,1.0", "4,16,0.1"])

@@ -6,7 +6,6 @@ from lagdisc import domains as dom
 from lagdisc import hamiltonians as hams
 from lagdisc import mesh as msh
 from lagdisc.families import nonminimal_map, sample
-from lagdisc.solver import flow_frame_step
 from conftest import (centred_differences, unbanded_profiled_hessian,
                       z1_arc_reference_gradient)
 
@@ -447,21 +446,6 @@ def test_hamiltonian_field_symplectically_exact(rng):
     g = f.gradient(z)
     resid = alg.symplectic(alg.apply_I(g), w) + alg.inner(g, w)
     assert np.max(np.abs(resid)) <= 1e-12
-
-
-def test_rk4_frame_flow_preserves_omega_to_high_order():
-    f = hams.hopf_invariant_quadratic(
-        [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3),
-        domain=BALL)
-    z0 = np.array([0.5, 0.1, 0.4, -0.2])
-    frame = (np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1.0, 0]))
-    drifts = []
-    dts = (2e-2, 1e-2, 5e-3)
-    for dt in dts:
-        _, fr = flow_frame_step(z0, frame, f, dt, method="rk4")
-        drifts.append(abs(alg.symplectic(fr[0], fr[1])))
-    slope = np.polyfit(np.log(dts), np.log(np.maximum(drifts, 1e-300)), 1)[0]
-    assert slope >= 3.0  # drift <= C t^3 (RK4 is far better)
 
 
 # ---------------------------------------------------------------------------
