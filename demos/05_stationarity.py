@@ -24,7 +24,7 @@ from lagdisc.mesh import build_polar_mesh
 ball = dom.unit_ball()
 
 print("stationary examples: the residual under mesh refinement")
-batch = res.ball_mixed_batch(ball, seed=11, size=24, n_bumps=8)
+batch = res.ball_mixed_batch(seed=11, size=24, n_bumps=8)
 nm = fam.nonminimal_map()
 cd = dom.curve_domain_from_map(nm)
 curve_batch = res.curve_report_batch(cd, nm)
@@ -44,7 +44,7 @@ m = build_polar_mesh(48, 192, 1.0)
 u = fam.sample(fam.flat_disc(np.eye(2)), m)
 up = sol.normal_wave_perturbation(u, amplitude=0.05, wavelength=0.12)
 probe = hams.windowed_wave(np.pi / 0.12, hams.smooth_cutoff_profile(0.75, 0.92))
-fs = res.ball_mixed_batch(ball, seed=11, size=12, n_bumps=4) + [probe]
+fs = res.ball_mixed_batch(seed=11, size=12, n_bumps=4) + [probe]
 print(f"  clean disc:     {res.stationarity_test(u, ball, fs):.2e}")
 print(f"  perturbed disc: {res.stationarity_test(up, ball, fs):.2e}"
       "  (the tester flags it)")

@@ -176,7 +176,7 @@ def _cmd_boundary_report(cfg, example, domain):
 
 def _cmd_stationarity(cfg, example, domain):
     if domain.kind == "levelset":
-        fs = res.ball_mixed_batch(domain, seed=cfg.seeds[0])
+        fs = res.ball_mixed_batch(seed=cfg.seeds[0])
     else:
         fs = res.curve_report_batch(domain, example, seed=cfg.seeds[0])
     meshes = cfg.meshes()

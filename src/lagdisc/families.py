@@ -278,10 +278,6 @@ class DiscreteMap:
         frame = self.source.frame(self.mesh.node_r, self.mesh.node_theta)
         return Frame(np.asarray(frame.e_x, float), np.asarray(frame.e_y, float))
 
-    @property
-    def singular_points(self):
-        return [] if self.source is None else self.source.singular_points
-
 
 def sample(example, mesh):
     """Sample an example map on a mesh: exact values and the source link."""

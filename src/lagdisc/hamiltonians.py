@@ -1,17 +1,15 @@
 """Admissible Hamiltonian test functions on C^2.
 
 A Hamiltonian carries value/gradient/Hessian callables (all batched over
-(..., 4) arrays), an optional support ball, and an admissibility tag.
-The value is (...,), the gradient (..., 4), and the Hessian, being
-symmetric, comes packed: its upper triangle as (..., 10) in
-``np.triu_indices(4)`` order (:data:`UPPER_I`, :data:`UPPER_J`), which
-:func:`unpack_hessian` turns back into the (..., 4, 4) matrix.  The
-admissibility tag is one of:
-
-* ``"interior"`` -- compactly supported away from the constraint
-  boundary, so the generated field I grad(f) is trivially tangent there;
-* ``("boundary_tangent", domain)`` -- satisfies <I grad f, N> = 0 along
-  the relevant boundary set of the domain.
+(..., 4) arrays) and an optional support ball.  The value is (...,), the
+gradient (..., 4), and the Hessian, being symmetric, comes packed: its
+upper triangle as (..., 10) in ``np.triu_indices(4)`` order
+(:data:`UPPER_I`, :data:`UPPER_J`), which :func:`unpack_hessian` turns
+back into the (..., 4, 4) matrix.  The support ball decides which rule
+makes f admissible: a function with one must keep that ball inside the
+domain, so that I grad(f) vanishes near the constraint boundary; a
+function without one must satisfy <I grad f, N> = 0 along that boundary
+(see :func:`admissibility_residual`).
 
 Families:
 
@@ -85,15 +83,18 @@ class Hamiltonian:
     (10, 10) with ``hessian(z) = A + _outer(z, z) @ C`` up to rounding: the
     packed Hessian is a quadratic polynomial in z (see
     :func:`_polarized_coeffs`).
+
+    ``support_hint``, (center (4,), radius) or None, is a ball outside
+    which f vanishes.  f is admissible when that ball lies inside the
+    domain or, without a ball, when I grad f is tangent to its boundary.
     """
 
     def __init__(self, value, gradient, hessian, support_hint=None,
-                 admissibility_tag="interior", name="", hessian_coeffs=None):
+                 name="", hessian_coeffs=None):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
-        self.support_hint = support_hint          # (center (4,), radius) or None
-        self.admissibility_tag = admissibility_tag
+        self.support_hint = support_hint
         self.name = name
         self.hessian_coeffs = hessian_coeffs
 
@@ -277,14 +278,13 @@ def interior_bump(center, radius, amplitude=1.0):
                                          scale=float(radius) ** 2)
     return Hamiltonian(value, gradient, hessian,
                        support_hint=(center, float(radius)),
-                       admissibility_tag="interior",
                        name=f"bump(r={radius:g})")
 
 
 # --------------------------------------------------------------------------
 # phase-invariant families (tangent to all spheres |z| = const)
 # --------------------------------------------------------------------------
-def radial_invariant(profile, domain=None, name="radial"):
+def radial_invariant(profile, name="radial"):
     """f(z) = profile(|z|^2); I grad f is tangent to every centered sphere.
 
     A polynomial profile of degree <= 2 makes the Hessian quadratic in z,
@@ -292,7 +292,6 @@ def radial_invariant(profile, domain=None, name="radial"):
     value, gradient, hessian = _profiled(profile)
     coeffs = _polarized_coeffs(hessian) if _degree(profile) <= 2 else None
     return Hamiltonian(value, gradient, hessian,
-                       admissibility_tag=("boundary_tangent", domain),
                        name=name, hessian_coeffs=coeffs)
 
 
@@ -325,7 +324,7 @@ def _quadratic_form(c):
     return value, gradient, lambda z: HQ
 
 
-def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
+def hopf_invariant_quadratic(c, profile=None, name=None):
     """profile(|z|^2) * (c0 |z1|^2 + c1 |z2|^2 + c2 Re(conj z1 z2) + c3 Im(conj z1 z2)).
 
     Each factor is invariant under z -> e^{it} z, hence so is f; its
@@ -342,7 +341,6 @@ def hopf_invariant_quadratic(c, profile=None, domain=None, name=None):
     value, gradient, hessian = _profiled(profile, _quadratic_form(c))
     coeffs = _polarized_coeffs(hessian) if _degree(profile) <= 1 else None
     return Hamiltonian(value, gradient, hessian,
-                       admissibility_tag=("boundary_tangent", domain),
                        name=name or f"hopf({c.tolist()})",
                        hessian_coeffs=coeffs)
 
@@ -370,7 +368,6 @@ def windowed_wave(k, profile, axis=0, name=None):
     value, gradient, hessian = _profiled(profile, sine)
     return Hamiltonian(value, gradient, hessian,
                        support_hint=(np.zeros(4), float(np.sqrt(profile.support))),
-                       admissibility_tag="interior",
                        name=name or f"wave(k={k:g},axis={axis})")
 
 
@@ -399,7 +396,7 @@ def _arc_bump(x, center, width):
 R_WINDOW = (0.15, 0.4)
 
 
-def z1_arc_hamiltonian(center, width, domain=None, name=None):
+def z1_arc_hamiltonian(center, width, name=None):
     """Test function of z1 alone, tangent to the curve {(e^{-ia}, ib)}.
 
     With R = |z1| and phi = arg z1, set f = eta(R) * (A(phi)(R - 1) +
@@ -492,5 +489,4 @@ def z1_arc_hamiltonian(center, width, domain=None, name=None):
         return out
 
     return Hamiltonian(value, gradient, hessian,
-                       admissibility_tag=("boundary_tangent", domain),
                        name=name or f"z1arc({center:g},{width:g})")

@@ -128,11 +128,6 @@ def _element_frames(u: DiscreteMap):
     return grad[:, 0, :], grad[:, 1, :]
 
 
-def _singular_balls(u: DiscreteMap):
-    """Exclusion balls of radius 1e-12 around the declared singular points."""
-    return [(pt, 1e-12) for pt in u.singular_points]
-
-
 def _exact_frames(u: DiscreteMap):
     """The exact nodal frames of a map sampled from a closed form; a flowed
     or relaxed map has none and raises ``ValueError``."""
@@ -157,16 +152,13 @@ def pointwise_geometry_report(u: DiscreteMap):
     """(lagrangian, conformality) defects, maximized over evaluation points.
 
     Uses the exact per-node frames when the map was sampled from a
-    closed-form family, otherwise the per-element P1 frames.  Triangles
-    or nodes incident to declared singular points are excluded.
+    closed-form family, otherwise the per-element P1 frames.  The exact
+    frame at a singular point is the zero frame, which scores 0 in both.
     """
-    node_ok, tri_ok = exclusion_masks(u.mesh, _singular_balls(u))
     if u.exact_frames is not None:
         e_x, e_y = u.exact_frames
-        e_x, e_y = e_x[node_ok], e_y[node_ok]
     else:
         e_x, e_y = _element_frames(u)
-        e_x, e_y = e_x[tri_ok], e_y[tri_ok]
     grad_sq = inner(e_x, e_x) + inner(e_y, e_y)
     lag = lagrangian_defect(symplectic(e_x, e_y), grad_sq)
     den = 0.5 * grad_sq + EPS
@@ -189,7 +181,7 @@ def structural_residual(u: DiscreteMap, exclude=()):
     """
     e_x, e_y = _exact_frames(u)
     mesh, src = u.mesh, u.source
-    mask, _ = exclusion_masks(mesh, _singular_balls(u) + list(exclude))
+    mask, _ = exclusion_masks(mesh, exclude)
     mask &= angle_defined(e_x, e_y)
     if np.any(mask):
         _, ang = lagrangian_angle(e_x[mask], e_y[mask])
@@ -429,13 +421,10 @@ def _check_support_clear(f, pts4, what):
 
 
 def _check_admissible(f, domain, wall_pts, wall_normals):
-    tag = f.admissibility_tag
-    if tag == "interior":
-        # supported away from the constraint boundary
-        center, radius = (f.support_hint if f.support_hint is not None
-                          else (None, None))
-        if center is None:
-            raise ValueError(f"{f!r} lacks a support ball")
+    """Raise unless f is admissible: its support ball, if it has one, stays
+    inside the domain; without one, I grad f is tangent to the wall."""
+    if f.support_hint is not None:
+        center, radius = f.support_hint
         center = np.asarray(center, float)
         if domain.kind == "levelset":
             rng = np.random.default_rng(0)
@@ -455,11 +444,6 @@ def _check_admissible(f, domain, wall_pts, wall_normals):
             if np.min(d) <= radius + 1e-9:
                 raise ValueError(f"{f!r} support reaches the curve")
         return
-    kind, dom = tag
-    if kind != "boundary_tangent":
-        raise ValueError(f"unknown admissibility tag {tag!r}")
-    if dom is not None and dom is not domain:
-        raise ValueError(f"{f!r} is tangent to a different domain")
     resid = hams.admissibility_residual(f, wall_pts, wall_normals)
     if resid > 1e-6:
         raise ValueError(
@@ -470,7 +454,8 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     """Normalized weak stationarity residual over a batch of Hamiltonians.
 
     omega is the whole disc when ``subdomain`` is None.  Checks every test
-    function for admissibility (tag plus residual at the boundary nodes in
+    function for admissibility (a support ball inside the domain or, for a
+    function without one, the tangency residual at the boundary nodes in
     omega) and for support clear of the image of omega's boundary inside
     the open disc, then returns
 
@@ -535,7 +520,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
 # --------------------------------------------------------------------------
 # standard Hamiltonian batches
 # --------------------------------------------------------------------------
-def ball_report_batch(domain, size=20):
+def ball_report_batch(size=20):
     """Admissible family whose stationarity integrand vanishes pointwise on
     flat equatorial discs and on cones through the origin (position vector
     tangent to the surface): an origin-centered bump, radial invariants and
@@ -544,27 +529,26 @@ def ball_report_batch(domain, size=20):
     profiles = [None, hams.poly_profile([0.0, 1.0]),
                 hams.smooth_cutoff_profile(0.4, 0.95)]
     for P in profiles[1:]:
-        out.append(hams.radial_invariant(P, domain=domain,
-                                         name=f"radial#{len(out)}"))
+        out.append(hams.radial_invariant(P, name=f"radial#{len(out)}"))
     out.append(hams.radial_invariant(hams.poly_profile([0.0, 0.0, 0.5]),
-                                     domain=domain, name="radial-s2"))
+                                     name="radial-s2"))
     coeffs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
               (1, -1, 0, 0), (0, 0, 1, 1), (0.3, 0.1, -0.7, 0.2)]
     k = 0
     while len(out) < size:
         c = coeffs[k % len(coeffs)]
         P = profiles[(k // len(coeffs)) % len(profiles)]
-        out.append(hams.hopf_invariant_quadratic(c, profile=P, domain=domain,
+        out.append(hams.hopf_invariant_quadratic(c, profile=P,
                                                  name=f"hopf#{k}"))
         k += 1
     return out
 
 
-def ball_mixed_batch(domain, seed=0, size=24, n_bumps=8):
+def ball_mixed_batch(seed=0, size=24, n_bumps=8):
     """Report batch plus seeded generic interior bumps (supported inside the
     ball, centers off the origin), which probe honest O(h) behaviour."""
     rng = np.random.default_rng(seed)
-    out = ball_report_batch(domain, size=size - n_bumps)
+    out = ball_report_batch(size=size - n_bumps)
     for _ in range(n_bumps):
         center = rng.normal(size=4)
         center *= rng.uniform(0.15, 0.5) / np.linalg.norm(center)
@@ -584,7 +568,7 @@ def curve_report_batch(domain, example, size=12, seed=0):
     out = []
     for center, width in [(0.45, 0.35), (-0.45, 0.35), (0.6, 0.25),
                           (-0.6, 0.25), (0.35, 0.25), (-0.35, 0.25)]:
-        out.append(hams.z1_arc_hamiltonian(center, width, domain=domain))
+        out.append(hams.z1_arc_hamiltonian(center, width))
     while len(out) < size:
         # interior image points are order-1 away from the constraint curve
         x, y = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
@@ -613,7 +597,7 @@ def full_report(example, mesh, domain):
     adiv, apdiv = angle_harmonicity(u, exclude)
     leg, con, neu = boundary_conditions_report(u, domain)
     if domain.kind == "levelset":
-        fs = ball_report_batch(domain)
+        fs = ball_report_batch()
     else:
         fs = curve_report_batch(domain, example)
     stat = stationarity_test(u, domain, fs)
@@ -661,7 +645,7 @@ def rigidity_verdict(u: DiscreteMap, seed):
     ``element_gradient`` pass.  ``passed`` bounds the distance, the variance
     and the defect by 1e-3, 1e-6 and 1e-3.  ``stationarity_certificate``,
     which it does not read, is :func:`stationarity_test` over
-    ``ball_mixed_batch(unit_ball(), seed=seed)``, whose interior bumps do not
+    ``ball_mixed_batch(seed=seed)``, whose interior bumps do not
     vanish pointwise on flat discs.
     """
     vals = u.values
@@ -687,10 +671,9 @@ def rigidity_verdict(u: DiscreteMap, seed):
     if np.any(ok):
         _, ang = lagrangian_angle(e_x[ok], e_y[ok])
         var = float(np.mean(np.abs(ang - np.mean(ang)) ** 2))
-    domain = unit_ball()
     return dict(
         flat_disc_distance=dist, angle_variance=var, circle_defect=circle,
         plane_is_lagrangian=float(abs(symplectic(plane[0], plane[1]))),
         stationarity_certificate=stationarity_test(
-            u, domain, ball_mixed_batch(domain, seed=seed)),
+            u, unit_ball(), ball_mixed_batch(seed=seed)),
         passed=dist <= 1e-3 and var <= 1e-6 and circle <= 1e-3)

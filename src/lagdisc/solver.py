@@ -401,7 +401,7 @@ def flow_frame_step(z, frame, f, dt):
     return s1[0], (s1[1], s1[2])
 
 
-def random_sphere_tangent_hamiltonians(rng, domain):
+def random_sphere_tangent_hamiltonians(rng):
     """Three seeded admissible generators tangent to the unit sphere.
 
     Drawn from the phase-invariant family (quadratics and radial
@@ -415,13 +415,13 @@ def random_sphere_tangent_hamiltonians(rng, domain):
         # isometry, so the perturbed disc is never just a rotated flat disc
         choice = 1 if k == 0 else int(rng.integers(0, 3))
         if choice == 0:
-            f = hams.hopf_invariant_quadratic(c, domain=domain)
+            f = hams.hopf_invariant_quadratic(c)
         elif choice == 1:
             f = hams.hopf_invariant_quadratic(
-                c, profile=hams.smooth_cutoff_profile(0.6, 1.4), domain=domain)
+                c, profile=hams.smooth_cutoff_profile(0.6, 1.4))
         else:
             f = hams.radial_invariant(
-                hams.poly_profile([0.0, rng.uniform(0.5, 1.5)]), domain=domain)
+                hams.poly_profile([0.0, rng.uniform(0.5, 1.5)]))
         out.append(f)
     return out
 
@@ -503,7 +503,7 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh, lagrangian_penalty_on=True):
     u_start = sample(flat_disc(np.eye(2)), mesh)
     rng = np.random.default_rng(seed)
     if eps > 0:
-        fs = random_sphere_tangent_hamiltonians(rng, domain)
+        fs = random_sphere_tangent_hamiltonians(rng)
         scales = []
         for f in fs:
             gmax = float(np.max(np.linalg.norm(f.gradient(u_start.values), axis=1)))

@@ -34,7 +34,7 @@ def test_criterion_1_sw_verification(pq, mesh_cache):
     t0 = time.time()
     p, q = pq
     cone = fam.sw_cone(p, q)
-    batch = res.ball_mixed_batch(BALL, seed=11, size=24, n_bumps=8)
+    batch = res.ball_mixed_batch(seed=11, size=24, n_bumps=8)
     assert len(batch) >= 20
     reports, stats, hs = [], [], []
     for (R, S) in ACCEPTANCE_MESHES:
@@ -168,15 +168,14 @@ def test_criterion_5_flow_invariance(mesh_cache):
     for k in range(4):
         c = np.zeros(4)
         c[k] = 1.0
-        f = hams.hopf_invariant_quadratic(c, domain=BALL)
+        f = hams.hopf_invariant_quadratic(c)
         lag = res.pointwise_geometry_report(
             sol.perturb_by_hamiltonian_flows(u, [f], [1.0], BALL, n_sub=100))[0]
         worst = max(worst, lag)
         assert lag <= 1e-6
 
     f = hams.hopf_invariant_quadratic(
-        [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3),
-        domain=BALL)
+        [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3))
     z0 = np.array([0.5, 0.1, 0.4, -0.2])
     frame = (np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1.0, 0]))
     dts = (1e-2, 5e-3, 2.5e-3)
@@ -235,7 +234,7 @@ def test_criterion_8_sensitivity(mesh_cache):
     up = sol.normal_wave_perturbation(u, amplitude=0.05, wavelength=wavelength)
     probe = hams.windowed_wave(np.pi / wavelength,
                                hams.smooth_cutoff_profile(0.75, 0.92))
-    batch = res.ball_mixed_batch(BALL, seed=11, size=12, n_bumps=4) + [probe]
+    batch = res.ball_mixed_batch(seed=11, size=12, n_bumps=4) + [probe]
     flagged = res.stationarity_test(up, BALL, batch)
     assert flagged >= 1e-2
     clean = res.stationarity_test(u, BALL, batch)

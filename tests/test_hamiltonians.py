@@ -206,7 +206,7 @@ def test_centred_differences_exact_on_quadratics(rng):
 # radially invariant functions
 # ---------------------------------------------------------------------------
 def test_radial_gradient_and_admissibility(rng):
-    f = hams.radial_invariant(hams.poly_profile([0.0, 1.0]), domain=BALL)
+    f = hams.radial_invariant(hams.poly_profile([0.0, 1.0]))
     z = rng.normal(size=(50, 4))
     assert np.max(np.abs(f.gradient(z) - 2 * z)) <= 1e-13
     s3 = sphere_points(rng)
@@ -230,7 +230,7 @@ def test_radial_s2_fd(rng):
 # phase-invariant quadratics
 # ---------------------------------------------------------------------------
 def test_hopf_admissibility(rng):
-    f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
+    f = hams.hopf_invariant_quadratic([1, 0, 0, 0])
     s3 = sphere_points(rng)
     assert hams.admissibility_residual(f, s3, BALL.normal_at(s3)) <= 1e-14
 
@@ -391,10 +391,10 @@ def test_hessians_bitwise_match_full_identity_expressions(rng, profile):
          "cutoff": hams.smooth_cutoff_profile(0.4, 0.95)}[profile]
     z = rng.uniform(-0.8, 0.8, size=(4096, 4))   # one stationarity block
     c = [0.3, 0.1, -0.7, 0.2]
-    pairs = [(hams.hopf_invariant_quadratic(c, profile=P, domain=BALL),
+    pairs = [(hams.hopf_invariant_quadratic(c, profile=P),
               lambda x: _old_hopf_hessian(np.asarray(c), P, x))]
     if P is not None:
-        pairs.append((hams.radial_invariant(P, domain=BALL),
+        pairs.append((hams.radial_invariant(P),
                       lambda x: _old_radial_hessian(P, x)))
     if profile == "cutoff":
         pairs.append((hams.windowed_wave(26.0, P, axis=2),
@@ -479,7 +479,7 @@ def test_interior_bump_admissibility_zero(rng):
 def test_z1_arc_admissible_on_curve():
     nm = nonminimal_map()
     d = dom.curve_domain_from_map(nm)
-    f = hams.z1_arc_hamiltonian(0.45, 0.35, domain=d)
+    f = hams.z1_arc_hamiltonian(0.45, 0.35)
     th = np.linspace(0, 2 * np.pi, 257)
     pts = nm.value(np.ones_like(th), th)
     assert hams.admissibility_residual(f, pts, d.normal_at(pts)) <= 1e-10
@@ -706,7 +706,7 @@ def _polynomial_families():
                   ([1.5], [0.3, -1.2], [0.2, 0.7, -0.9]))
     c = [0.3, 0.1, -0.7, 0.2]
     return {
-        "hopf": hams.hopf_invariant_quadratic(c, domain=BALL),
+        "hopf": hams.hopf_invariant_quadratic(c),
         "hopf-constant-profile": hams.hopf_invariant_quadratic(c, profile=P0),
         "hopf-linear-profile": hams.hopf_invariant_quadratic(c, profile=P1),
         "hopf-trimmed-profile": hams.hopf_invariant_quadratic(

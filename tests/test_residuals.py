@@ -273,21 +273,20 @@ def _stationarity_integral(u, f, subdomain=None):
 def test_stationarity_linear_in_f(mesh_cache):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.sw_cone(1, 2), m)
-    f1 = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
-    f2 = hams.radial_invariant(hams.poly_profile([0, 0, 1.0]), domain=BALL)
+    f1 = hams.hopf_invariant_quadratic([1, 0, 0, 0])
+    f2 = hams.radial_invariant(hams.poly_profile([0, 0, 1.0]))
     c1, c2 = 1.7, -0.4
     combo = hams.Hamiltonian(
         lambda z: c1 * f1.value(z) + c2 * f2.value(z),
         lambda z: c1 * f1.gradient(z) + c2 * f2.gradient(z),
-        lambda z: c1 * f1.hessian(z) + c2 * f2.hessian(z),
-        admissibility_tag=f1.admissibility_tag)
+        lambda z: c1 * f1.hessian(z) + c2 * f2.hessian(z))
     lhs = _stationarity_integral(u, combo)
     rhs = c1 * _stationarity_integral(u, f1) + c2 * _stationarity_integral(u, f2)
     assert abs(lhs - rhs) <= 1e-12
 
 
 def test_stationarity_flat_mixed_batch_order(mesh_cache):
-    batch = res.ball_mixed_batch(BALL, seed=3, size=22, n_bumps=8)
+    batch = res.ball_mixed_batch(seed=3, size=22, n_bumps=8)
     assert len(batch) >= 20
     vals, hs = [], []
     for n in (8, 16, 32):
@@ -314,7 +313,7 @@ def test_stationarity_support_violation(mesh_cache):
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
     # a global (radial) test function cannot be used on a half disc: it does
     # not vanish near the image of the interior boundary
-    f = hams.radial_invariant(hams.poly_profile([0, 1.0]), domain=BALL)
+    f = hams.radial_invariant(hams.poly_profile([0, 1.0]))
     with pytest.raises(ValueError, match="has unbounded support but must vanish"):
         res.stationarity_test(u, BALL, [f], subdomain=res.HalfPlane(0.0))
     # a bump supported away from the cut is fine
@@ -339,7 +338,7 @@ def test_stationarity_inadmissible(mesh_cache, rng):
         gradient=lambda z: np.broadcast_to(
             np.array([0.0, 1.0, 0, 0]), np.asarray(z).shape).copy(),
         hessian=lambda z: np.zeros(np.asarray(z).shape[:-1] + (10,)),
-        admissibility_tag=("boundary_tangent", None), name="y1")
+        name="y1")
     assert hams.admissibility_residual(lin, sphere, BALL.normal_at(sphere)) > 0.1
     with pytest.raises(ValueError, match=r"admissibility residual .* exceeds 1e-6"):
         res.stationarity_test(u, BALL, [lin])
@@ -353,11 +352,31 @@ def test_stationarity_inadmissible(mesh_cache, rng):
             res.stationarity_test(
                 u, BALL, [hams.interior_bump([0.5, 0, 0, 0], radius)])
     res.stationarity_test(u, BALL, [hams.interior_bump([0.5, 0, 0, 0], 0.499)])
-    # wrong domain object
-    other = dom.curve_domain_from_map(fam.nonminimal_map())
-    f = hams.radial_invariant(hams.poly_profile([0, 1.0]), domain=other)
-    with pytest.raises(ValueError, match="is tangent to a different domain"):
-        res.stationarity_test(u, BALL, [f])
+
+
+def test_admissibility_follows_the_support_ball(mesh_cache):
+    # without a support ball a function is judged by its tangency residual
+    # alone: a bare copy of a radial invariant passes on the ball
+    u = fam.sample(fam.sw_cone(1, 2), mesh_cache(8, 32))
+    f = hams.radial_invariant(hams.poly_profile([0, 1.0]))
+    bare = hams.Hamiltonian(f.value, f.gradient, f.hessian)
+    assert bare.support_hint is None and bare.hessian_coeffs is None
+    assert abs(res.stationarity_test(u, BALL, [bare])
+               - res.stationarity_test(u, BALL, [f])) <= 1e-14
+
+
+def test_curve_domain_rejects_a_bump_on_the_curve(mesh_cache):
+    # with a support ball, the ball must stay clear of the constraint curve
+    nm = fam.nonminimal_map()
+    domain = dom.curve_domain_from_map(nm)
+    u = fam.sample(nm, mesh_cache(8, 32))
+    on_curve = hams.interior_bump(domain.curve_points[17], 0.1)
+    with pytest.raises(ValueError, match="support reaches the curve"):
+        res.stationarity_test(u, domain, [on_curve])
+    bumps = [f for f in res.curve_report_batch(domain, nm)
+             if f.support_hint is not None]
+    assert len(bumps) == 6
+    assert np.isfinite(res.stationarity_test(u, domain, bumps))
 
 
 def test_stationarity_cross_validation_with_angle_pairing(mesh_cache):
@@ -455,7 +474,7 @@ def _stationarity_case(mesh_cache, batch):
     m = mesh_cache(48, 192)
     if batch == "ball_mixed":
         u = fam.sample(fam.sw_cone(1, 2), m)
-        return u, BALL, res.ball_mixed_batch(BALL, seed=5)
+        return u, BALL, res.ball_mixed_batch(seed=5)
     nm = fam.nonminimal_map()
     domain = dom.curve_domain_from_map(nm)
     return fam.sample(nm, m), domain, res.curve_report_batch(domain, nm, seed=5)
@@ -552,8 +571,7 @@ def _per_row(f):
     """f without its ``hessian_coeffs``, so the quadrature evaluates its
     Hessian element by element."""
     return hams.Hamiltonian(f.value, f.gradient, f.hessian,
-                            support_hint=f.support_hint,
-                            admissibility_tag=f.admissibility_tag, name=f.name)
+                            support_hint=f.support_hint, name=f.name)
 
 
 def test_polynomial_hessians_match_the_per_row_path(mesh_cache):
@@ -583,7 +601,7 @@ def test_cutoff_functions_integrate_as_the_unbanded_formula(mesh_cache):
     # the banded Hessians of the report batch's cutoff-profiled functions
     # give bitwise the integral of the formula on every row
     u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
-    cut = [f for f in res.ball_report_batch(BALL) if f.hessian_coeffs is None
+    cut = [f for f in res.ball_report_batch() if f.hessian_coeffs is None
            and f.support_hint is None]
     assert [f.name for f in cut] == ["radial#2", "hopf#14", "hopf#15"]
     P = hams.smooth_cutoff_profile(0.4, 0.95)
@@ -591,8 +609,7 @@ def test_cutoff_functions_integrate_as_the_unbanded_formula(mesh_cache):
                hams._quadratic_form(np.array([0.0, 1, 0, 0]))]
     for f, factor in zip(cut, factors):
         unbanded = hams.Hamiltonian(f.value, f.gradient,
-                                    unbanded_profiled_hessian(P, factor),
-                                    admissibility_tag=f.admissibility_tag)
+                                    unbanded_profiled_hessian(P, factor))
         for sub in (None, res.HalfPlane(0.0)):
             value = _stationarity_integral(u, f, sub)
             assert value != 0.0
@@ -604,7 +621,7 @@ def test_stationarity_terms_do_not_read_the_hessian_layout(mesh_cache):
     # the same integral and max norm
     u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
     u_c, S, _ = res._frame_tensor(u, np.ones(len(u.mesh.triangles), bool))
-    fs = [f for f in res.ball_report_batch(BALL) if f.hessian_coeffs is None]
+    fs = [f for f in res.ball_report_batch() if f.hessian_coeffs is None]
     fs.append(hams.z1_arc_hamiltonian(0.45, 0.35))
     for f in fs:
         copies = [hams.Hamiltonian(f.value, f.gradient,
@@ -627,8 +644,8 @@ def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache):
     M = np.stack([(u_c[:, i] * u_c[:, j]) @ S
                   for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
     W = hams.UPPER_WEIGHTS
-    for fs, n_live in ((res.ball_report_batch(BALL), 8),
-                       (res.ball_mixed_batch(BALL, seed=5), 6)):
+    for fs, n_live in ((res.ball_report_batch(), 8),
+                       (res.ball_mixed_batch(seed=5), 6)):
         poly = [f for f in fs if f.hessian_coeffs is not None]
         assert sum(bool(np.any(f.hessian_coeffs[1])) for f in poly) == n_live
         got = res._stationarity_terms(u_c, S, fs)
@@ -692,8 +709,8 @@ def test_polynomial_coverage_of_the_ball_batches():
     def count(fs):
         return sum(f.hessian_coeffs is not None for f in fs)
 
-    report = res.ball_report_batch(BALL)
-    mixed = res.ball_mixed_batch(BALL)
+    report = res.ball_report_batch()
+    mixed = res.ball_mixed_batch()
     assert (count(report), len(report)) == (16, 20)
     assert (count(mixed), len(mixed)) == (14, 24)
 
@@ -713,8 +730,7 @@ def test_support_restriction_is_exact(mesh_cache, kind):
     u_c = interpolate_at_centroids(m, u.values)
     inside = alg.norm(u_c - center) <= radius
     assert 0 < np.count_nonzero(inside) < len(u_c)
-    unhinted = hams.Hamiltonian(f.value, f.gradient, f.hessian,
-                                admissibility_tag=f.admissibility_tag)
+    unhinted = hams.Hamiltonian(f.value, f.gradient, f.hessian)
     for sub in (None, res.HalfPlane(0.0)):
         value = _stationarity_integral(u, f, sub)
         assert value != 0.0

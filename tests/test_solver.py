@@ -217,7 +217,7 @@ def test_preconditioner_factor_has_symmetric_fill(mesh_cache, monkeypatch):
 
 def _perturbed_start(m, rng, eps=0.05):
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL)
+    fs = sol.random_sphere_tangent_hamiltonians(rng)
     scales = []
     for f in fs:
         gmax = float(np.max(np.linalg.norm(f.gradient(u0.values), axis=1)))
@@ -505,7 +505,7 @@ def test_summation_order_moves_no_iteration_count(mesh_cache, monkeypatch):
 def test_minimize_unitary_equivariance(mesh_cache, rng):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    f = hams.hopf_invariant_quadratic([0.4, -0.2, 0.6, 0.1], domain=BALL)
+    f = hams.hopf_invariant_quadratic([0.4, -0.2, 0.6, 0.1])
     flowed = sol.perturb_by_hamiltonian_flows(u0, [f], [0.03], BALL)
     cfg = small_cfg(grad_tol=1e-10)
     u_a, hist_a = sol.minimize(flowed, BALL, cfg)
@@ -543,7 +543,7 @@ def test_flow_zero_hamiltonian(mesh_cache):
 def test_flow_hopf_invariance(mesh_cache):
     m = mesh_cache(8, 32)
     u = fam.sample(fam.flat_disc(np.eye(2)), m)
-    f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
+    f = hams.hopf_invariant_quadratic([1, 0, 0, 0])
     for _ in range(100):
         u = _one_flow_step(u, f, 1e-2)
         assert np.max(np.abs(BALL.F(u.values[m.is_boundary]))) <= 1e-12
@@ -552,8 +552,7 @@ def test_flow_hopf_invariance(mesh_cache):
 
 def test_flow_drift_single_step_order():
     f = hams.hopf_invariant_quadratic(
-        [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3),
-        domain=BALL)
+        [1.0, -0.5, 0.7, 0.3], profile=hams.smooth_cutoff_profile(0.5, 1.3))
     z0 = np.array([0.5, 0.1, 0.4, -0.2])
     frame = (np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1.0, 0]))
     dts = (1e-2, 5e-3, 2.5e-3)
@@ -567,7 +566,7 @@ def test_flow_drift_single_step_order():
 
 def test_flow_rejects_bad_dt(mesh_cache):
     u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(4, 16))
-    f = hams.hopf_invariant_quadratic([1, 0, 0, 0], domain=BALL)
+    f = hams.hopf_invariant_quadratic([1, 0, 0, 0])
     with pytest.raises(ValueError):
         _one_flow_step(u, f, -1e-2)
 
@@ -576,7 +575,7 @@ def test_flow_rejects_bad_dt(mesh_cache):
 def test_perturbation_rejects_unpaired_generators(mesh_cache, times):
     # zip dropped the generators (or times) that had no partner
     u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(4, 16))
-    fs = [hams.hopf_invariant_quadratic(c, domain=BALL)
+    fs = [hams.hopf_invariant_quadratic(c)
           for c in ([1, 0, 0, 0], [0, 1, 0, 0])]
     with pytest.raises(ValueError):
         sol.perturb_by_hamiltonian_flows(u, fs, times, BALL)
@@ -587,7 +586,7 @@ def test_perturbation_is_bitwise_the_composed_flow_steps(mesh_cache, rng,
     """The composed flow equals stepping one generator and one step at a
     time, and computes no diagnostics: no ``element_gradient`` pass."""
     u0 = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(8, 32))
-    fs = sol.random_sphere_tangent_hamiltonians(rng, BALL)
+    fs = sol.random_sphere_tangent_hamiltonians(rng)
     times = [0.01, 0.02, 0.015]
     want = u0
     for f, t in zip(fs, times):
