@@ -6,11 +6,11 @@ Two representations:
   Newton projection onto the boundary and a globally defined normal
   extension (used by the descent's boundary-tangential projection).
 * ``CurveNormalDomain``: only the boundary data that actually enters the
-  free-boundary checks -- a closed curve in C^2 together with a unit
-  normal field X/|X| along it, both evaluated in closed form from the
-  curve parameter.  This realizes constraint domains that are known only
-  through a normal field along the image of the disc boundary; no global
-  hypersurface is reconstructed.
+  free-boundary checks -- a closed curve in C^2 and a unit normal field
+  X/|X| along it, evaluated in closed form from the curve parameter, which
+  the curve's closed-form inverse reads off a point.  This realizes
+  constraint domains known only through a normal field along the image of
+  the disc boundary; no hypersurface is reconstructed, nothing is searched.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class LevelSetDomain:
     def normal_at(self, z):
         """Unit outward normal; requires |F(z)| <= 1e-6 (point on boundary)."""
         val = np.asarray(self.F(z), float)
-        if np.any(np.abs(val) > 1e-6):
+        if not np.all(np.abs(val) <= 1e-6):
             raise ValueError("point is not on the domain boundary")
         return self.normal_extension(z)
 
@@ -74,26 +74,27 @@ class LevelSetDomain:
 class CurveNormalDomain:
     """Boundary curve with a prescribed unit normal field, periodic in theta.
 
-    ``curve``, ``X`` and ``tangent`` are closed-form callables of theta; the
+    ``curve``, ``X`` and ``tangent`` are closed-form callables of theta and
+    ``theta_of`` is the closed-form inverse of ``curve`` on its image; the
     normal X/|X| is evaluated exactly and checked against ``tangent`` at
-    build time.  Queries must lie within ``CURVE_TOL`` of the curve.
-    ``normal_at`` finds the curve parameter of a whole batch of query
-    points with one vectorized golden-section search (per point it does
-    the same arithmetic as a scalar search).  The point-by-grid distance
-    behind its starting brackets is taken ``GRID_BLOCK`` rows at a time.
+    build time.  ``normal_at`` reads the parameter of each query from
+    ``theta_of`` and requires it within ``CURVE_TOL`` of the curve.  The
+    curve passes at most ``grid_gap`` (pi / N_GRID times the largest
+    |tangent| on the grid) closer to a point than its ``curve_points``.
     """
 
     kind = "curve"
-    GRID_BLOCK = 1024
     N_GRID = 512
     CURVE_TOL = 1e-6
 
-    def __init__(self, curve, X, tangent):
+    def __init__(self, curve, X, tangent, theta_of):
         self._curve = curve
         self._X = X
+        self._theta_of = theta_of
         self.theta_grid = 2 * np.pi * np.arange(self.N_GRID) / self.N_GRID
         self.curve_points = self.curve_at(self.theta_grid)
         tangents = np.asarray(tangent(self.theta_grid), float)
+        self.grid_gap = np.pi / self.N_GRID * np.max(algebra.norm(tangents))
         normals = self.normal_at_theta(self.theta_grid)
         resid = np.abs(np.sum(tangents * normals, axis=-1)) / algebra.norm(tangents)
         self.tangency_residual = float(np.max(resid))
@@ -107,54 +108,23 @@ class CurveNormalDomain:
 
     def normal_at_theta(self, theta):
         """X/|X| at the curve parameters ``theta``; raises ``ValueError``
-        where |X| dips below 1e-6."""
+        unless |X| >= 1e-6 everywhere."""
         X = np.asarray(self._X(theta), float)
         mag = algebra.norm(X)
-        if np.any(mag < 1e-6):
+        if not np.all(mag >= 1e-6):
             raise ValueError("constraint field X degenerates on the boundary")
         return X / mag[..., None]
-
-    def _closest_theta(self, z):
-        """Curve parameter nearest to each row of the (n, 4) array ``z``.
-
-        Starts from the nearest grid angle and runs 60 golden-section steps
-        on the squared distance to the curve, all rows at once: each step
-        evaluates the curve once on the whole batch and keeps, per row, the
-        bracket half its comparison selects.
-        """
-        k = np.empty(len(z), dtype=np.intp)
-        for s in range(0, len(z), self.GRID_BLOCK):
-            blk = z[s:s + self.GRID_BLOCK]
-            d = algebra.norm(self.curve_points - blk[:, None, :])
-            k[s:s + self.GRID_BLOCK] = np.argmin(d, axis=1)
-
-        def f(t):
-            return np.sum((self.curve_at(t) - z) ** 2, axis=-1)
-
-        span = 2 * np.pi / self.N_GRID
-        a, b = self.theta_grid[k] - span, self.theta_grid[k] + span
-        phi = (np.sqrt(5) - 1) / 2
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2 = f(c1), f(c2)
-        for _ in range(60):
-            left = f1 < f2                 # keep [a, c2], else [c1, b]
-            a, b = np.where(left, a, c1), np.where(left, c2, b)
-            t = np.where(left, b - phi * (b - a), a + phi * (b - a))
-            ft = f(t)
-            c1, c2 = np.where(left, t, c2), np.where(left, c1, t)
-            f1, f2 = np.where(left, ft, f2), np.where(left, f1, ft)
-        return 0.5 * (a + b)
 
     def normal_at(self, z):
         """Unit normal at points of the curve, one per row of ``z`` (..., 4).
 
-        Raises ``ValueError`` when any point lies farther than ``CURVE_TOL``
-        from the curve.
+        Raises ``ValueError`` unless every point lies within ``CURVE_TOL``
+        of the curve.
         """
         z = np.asarray(z, float)
         pts = z.reshape(-1, 4)
-        t = self._closest_theta(pts)
-        if np.any(algebra.norm(self.curve_at(t) - pts) > self.CURVE_TOL):
+        t = self._theta_of(pts)
+        if not np.all(algebra.norm(self.curve_at(t) - pts) <= self.CURVE_TOL):
             raise ValueError("point is not on the stored boundary curve")
         return self.normal_at_theta(t).reshape(z.shape)
 
@@ -174,20 +144,15 @@ def unit_ball():
     return LevelSetDomain(F, gradF)
 
 
-def curve_domain_from_map(example, X=None):
-    """Curve domain along u(dD^2) with normals from the field X/|X|.
+def curve_domain_from_map(example):
+    """Curve domain along u(dD^2) with normals X/|X| from the example's
+    ``boundary_X``, the curve parameter read by its ``boundary_theta``.
 
-    ``X`` defaults to the example's ``boundary_X``.  Raises ``ValueError``
-    when |X| dips below 1e-6 on the grid; the orthogonality of X to the
-    boundary tangent is validated at build time.
+    Raises ``ValueError`` when |X| dips below 1e-6 on the grid; the
+    orthogonality of X to ``boundary_tangent`` is validated at build time.
     """
     def curve(theta):
         return example.value(np.ones_like(theta), theta)
 
-    def tangent(theta):
-        frame = example.frame(np.ones_like(theta), theta)
-        return (-np.sin(theta)[:, None] * frame.e_x
-                + np.cos(theta)[:, None] * frame.e_y)
-
-    return CurveNormalDomain(curve, example.boundary_X if X is None else X,
-                             tangent)
+    return CurveNormalDomain(curve, example.boundary_X,
+                             example.boundary_tangent, example.boundary_theta)

@@ -70,6 +70,12 @@ class ExampleMap:
         """Exact field i * gbar * grad(g) evaluated at (k, 2) disc points."""
         raise NotImplementedError
 
+    def boundary_tangent(self, theta):
+        """d_tau u = -sin(theta) e_x + cos(theta) e_y on the circle r = 1."""
+        theta = np.asarray(theta, float)
+        e = self.frame(np.ones_like(theta), theta)
+        return -np.sin(theta)[..., None] * e.e_x + np.cos(theta)[..., None] * e.e_y
+
 
 class FlatDisc(ExampleMap):
     """u = U . (x, y) for U in U(2); angle identically det(U)."""
@@ -197,6 +203,9 @@ class NonMinimalMap(ExampleMap):
     and the boundary term is -oint x f_R = -oint G y f_phi.  The two
     cancel for every admissible f exactly when G = -y; with G = +y they
     add.
+
+    Its boundary curve (e^{-i cos theta}, i sin theta) is inverted in
+    closed form by ``boundary_theta``; no curve domain searches for theta.
     """
 
     kind = "nonminimal"
@@ -232,11 +241,16 @@ class NonMinimalMap(ExampleMap):
         G = -y (see the class docstring)."""
         theta = np.asarray(theta, float)
         x, y = np.cos(theta), np.sin(theta)
-        e = self.frame(np.ones_like(theta), theta)
-        d_tau = -np.sin(theta)[..., None] * e.e_x + np.cos(theta)[..., None] * e.e_y
+        d_tau = self.boundary_tangent(theta)
         gbar = np.exp(-1j * x)
         return (algebra.complex_scale(gbar, algebra.apply_J(d_tau))
                 - y[..., None] * algebra.apply_I(d_tau))
+
+    def boundary_theta(self, z):
+        """Curve parameter in (-pi, pi] of points z (..., 4) of u(dD^2), exact
+        since there arg z1 = -cos(theta) in [-1, 1] and Im z2 = sin(theta)."""
+        z = np.asarray(z, float)
+        return np.arctan2(z[..., 3], -np.arctan2(z[..., 1], z[..., 0]))
 
 
 def flat_disc(U):

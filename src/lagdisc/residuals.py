@@ -441,7 +441,7 @@ def _check_admissible(f, domain, wall_pts, wall_normals):
                 raise ValueError(f"{f!r} support reaches the boundary")
         else:
             d = norm(domain.curve_points - center)
-            if np.min(d) <= radius + 1e-9:
+            if not np.min(d) > radius + domain.grid_gap + 1e-9:
                 raise ValueError(f"{f!r} support reaches the curve")
         return
     resid = hams.admissibility_residual(f, wall_pts, wall_normals)

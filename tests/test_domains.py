@@ -86,43 +86,13 @@ def test_curve_normal_off_curve_rejected():
         d.normal_at(np.array([0.0, 0, 0, 0.5]))
 
 
-def _reference_normal_at(d, z):
-    """Reference: one scalar golden-section search per point."""
-    z = np.asarray(z, float)
-    if z.ndim == 2:
-        return np.stack([_reference_normal_at(d, row) for row in z])
-    k = int(np.argmin(alg.norm(d.curve_points - z)))
-    span = 2 * np.pi / len(d.theta_grid)
-
-    def f(t):
-        return float(np.sum((d.curve_at(np.array([t]))[0] - z) ** 2))
-
-    phi = (np.sqrt(5) - 1) / 2
-    a, b = d.theta_grid[k] - span, d.theta_grid[k] + span
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(60):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-    t = 0.5 * (a + b)
-    if np.linalg.norm(d.curve_at(np.array([t]))[0] - z) > d.CURVE_TOL:
-        raise ValueError("point is not on the stored boundary curve")
-    return d.normal_at_theta(np.array([t]))[0]
-
-
 @pytest.mark.parametrize("rings,sectors", [(24, 96), (48, 192)])
-def test_curve_normal_batch_matches_scalar_search(mesh_cache, rings, sectors):
+def test_curve_normal_batch_reads_the_inverse(mesh_cache, rings, sectors):
     nm = nonminimal_map()
     d = dom.curve_domain_from_map(nm)
     m = mesh_cache(rings, sectors)
     pts = sample(nm, m).values[m.is_boundary]
-    want = _reference_normal_at(d, pts)
+    want = d.normal_at_theta(nm.boundary_theta(pts))
     assert np.array_equal(d.normal_at(pts), want)
     for i in (0, sectors // 3, sectors - 1):
         assert np.array_equal(d.normal_at(pts[i]), want[i])
@@ -130,6 +100,27 @@ def test_curve_normal_batch_matches_scalar_search(mesh_cache, rings, sectors):
     assert np.array_equal(d.normal_at(pts.reshape(2, -1, 4)),
                           want.reshape(2, -1, 4))
     assert d.normal_at(np.empty((0, 4))).shape == (0, 4)
+
+
+def test_boundary_theta_inverts_the_boundary_curve():
+    nm = nonminimal_map()
+    th = np.concatenate([np.linspace(-np.pi, np.pi, 993),
+                         [0.0, np.pi / 2, -np.pi / 2, np.pi,
+                          np.pi - 1e-12, np.pi + 1e-12, -np.pi + 1e-12, 2 * np.pi]])
+    assert len(th) == 1001
+    back = nm.boundary_theta(nm.value(np.ones_like(th), th))
+    wrapped = np.angle(np.exp(1j * (back - th)))
+    assert np.max(np.abs(wrapped)) <= 1e-15
+
+
+def test_nan_boundary_point_rejected():
+    nan = np.array([[np.nan, 0, 0, 0]])
+    with pytest.raises(ValueError, match="not on the domain boundary"):
+        dom.unit_ball().normal_at(nan)
+    d = dom.curve_domain_from_map(nonminimal_map())
+    pts = nonminimal_map().value(np.ones(3), np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="not on the stored boundary curve"):
+        d.normal_at(np.concatenate([pts, nan]))
 
 
 def test_curve_normal_batch_rejects_one_off_curve_row():
@@ -151,8 +142,8 @@ def test_curve_projection_unsupported():
 
 @pytest.mark.parametrize("rings,sectors", [(24, 96), (96, 384)])
 def test_curve_normal_is_the_exact_unit_field(mesh_cache, rings, sectors):
-    """The normal is X/|X| itself, at every curve parameter and, through
-    the golden-section search, at the images of the boundary nodes."""
+    """The normal is X/|X| itself, at every curve parameter and at the
+    images of the boundary nodes."""
     nm = nonminimal_map()
     d = dom.curve_domain_from_map(nm)
     th = np.linspace(-1.0, 2 * np.pi + 1.0, 1001)
@@ -162,20 +153,27 @@ def test_curve_normal_is_the_exact_unit_field(mesh_cache, rings, sectors):
     t = np.arctan2(m.nodes[m.is_boundary, 1], m.nodes[m.is_boundary, 0])
     X = nm.boundary_X(t)
     n = d.normal_at(sample(nm, m).values[m.is_boundary])
-    assert np.max(np.abs(n - X / alg.norm(X)[:, None])) <= 1e-13
+    assert np.max(np.abs(n - X / alg.norm(X)[:, None])) <= 1e-15
+
+
+def _boundary_curve(example):
+    return lambda th: example.value(np.ones_like(th), th)
 
 
 def test_curve_degenerate_normal():
     nm = nonminimal_map()
     with pytest.raises(ValueError, match="constraint field X degenerates"):
-        dom.curve_domain_from_map(nm, X=lambda th: np.zeros((len(th), 4)))
+        dom.CurveNormalDomain(_boundary_curve(nm),
+                              lambda th: np.zeros((len(th), 4)),
+                              nm.boundary_tangent, nm.boundary_theta)
 
 
 def test_flat_disc_curve_reproduces_ball_normals():
     # X := u along the great circle gives back the sphere normal N = u
     fd = flat_disc(np.eye(2))
-    d = dom.curve_domain_from_map(
-        fd, X=lambda th: fd.value(np.ones_like(th), th))
+    d = dom.CurveNormalDomain(_boundary_curve(fd), _boundary_curve(fd),
+                              fd.boundary_tangent,
+                              lambda z: np.arctan2(z[..., 2], z[..., 0]))
     ball = dom.unit_ball()
     for th in np.linspace(0, 2 * np.pi, 17):
         p = fd.value(1.0, th)

@@ -373,6 +373,15 @@ def test_curve_domain_rejects_a_bump_on_the_curve(mesh_cache):
     on_curve = hams.interior_bump(domain.curve_points[17], 0.1)
     with pytest.raises(ValueError, match="support reaches the curve"):
         res.stationarity_test(u, domain, [on_curve])
+    # midway between grid points 100 and 101 the curve passes 5.000e-2 from
+    # the first two centres while the nearest grid point is 5.04e-2 away;
+    # a NaN centre is never clear of the curve
+    th = np.array([2 * np.pi * 100.5 / domain.N_GRID])
+    p, n = domain.curve_at(th)[0], domain.normal_at_theta(th)[0]
+    for centre in (p + 0.05 * n, p - 0.05 * n, np.full(4, np.nan)):
+        with pytest.raises(ValueError, match="support reaches the curve"):
+            res.stationarity_test(u, domain,
+                                  [hams.interior_bump(centre, 0.05000005)])
     bumps = [f for f in res.curve_report_batch(domain, nm)
              if f.support_hint is not None]
     assert len(bumps) == 6
