@@ -41,7 +41,6 @@ from . import residuals as res
 from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
 from .mesh import _weak_test_nodes, build_polar_mesh
-from .solver import rigidity_experiment
 
 
 class ConfigError(ValueError):
@@ -205,6 +204,8 @@ def _cmd_masses(cfg, example, domain):
 
 
 def _cmd_rigidity(cfg, mesh):
+    from .solver import rigidity_experiment     # the one command that loads scipy
+
     rows, results = [], []
     for seed in cfg.seeds:
         rep, _, hist = rigidity_experiment(seed, cfg.eps, mesh)

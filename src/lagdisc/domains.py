@@ -40,7 +40,7 @@ class LevelSetDomain:
         """gradF/|gradF| wherever the gradient is nonzero (off-boundary too)."""
         g = np.asarray(self.gradF(z), float)
         n = algebra.norm(g)
-        if np.any(n < 1e-8):
+        if not np.all(n >= 1e-8):
             raise RuntimeError("level-set gradient vanishes at query point")
         return g / n[..., None]
 
@@ -63,7 +63,7 @@ class LevelSetDomain:
                 break
             g = np.asarray(self.gradF(pts), float)
             gn2 = np.sum(g * g, axis=-1)
-            if np.any(gn2 < 1e-16):
+            if not np.all(gn2 >= 1e-16):
                 raise RuntimeError("gradient vanished during projection")
             pts = pts - (val / gn2)[..., None] * g
         else:

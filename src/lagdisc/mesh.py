@@ -15,7 +15,9 @@ lumped mass and boundary weights.  The weak residuals take real fields
 and sum per node by one fixed-order ``bincount`` scatter, so meshes that
 only feed them never build the operators.  The collar pairing runs the
 one P1 gradient kernel only on the triangles that meet its collar, about
-a third at ``collar_r0 = 0.7``.
+a third at ``collar_r0 = 0.7``.  ``validate`` counts conformity by sorting
+int64 side keys, so scipy is imported only by the two sparse operators
+(``gradient_operators`` and ``stiffness``), which only the solver reads.
 
 All reductions are performed in fixed node/triangle index order so
 repeated runs produce bitwise-identical numbers.
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import EPS
 
@@ -105,6 +106,8 @@ class DiscMesh:
         """``(D_x, D_y)``: CSR (T, N) maps from nodal values to the
         per-triangle partial derivatives, ``D_d[t, v] = hat_gradients[t, a, d]``
         for the local vertex a of triangle t at node v."""
+        import scipy.sparse as sp
+
         shape = (len(self.triangles), len(self.nodes))
         rows = np.repeat(np.arange(shape[0]), 3)
         cols = self.triangles.ravel()
@@ -117,6 +120,8 @@ class DiscMesh:
         """P1 stiffness ``K = D_x^T A D_x + D_y^T A D_y`` (A = diag(areas)),
         CSR (N, N); assembled as ``B^T B`` with ``B = sqrt(A) D`` so it is
         exactly symmetric."""
+        import scipy.sparse as sp
+
         root_a = sp.diags(np.sqrt(self.areas))
         Bx, By = (root_a @ D for D in self.gradient_operators)
         return (Bx.T @ Bx + By.T @ By).tocsr()
@@ -146,9 +151,9 @@ class DiscMesh:
         triangle if it is a boundary edge and by exactly two otherwise.
 
         The geometry it reads was computed at construction.  Conformity is
-        counted in a canonical (N, N) CSR matrix with an entry per triangle
-        side (i, j), i < j, duplicates summed; the error names the first
-        bad edge in row-major (i, j) order.
+        counted by sorting the int64 keys ``i*N + j`` of the triangle sides
+        (i, j), i < j; the error names the first bad edge in row-major
+        (i, j) order.
         """
         if np.any(self.areas < 1e-14):
             raise ValueError("mesh has a non-positive or degenerate triangle")
@@ -159,27 +164,24 @@ class DiscMesh:
         be = self.boundary_edges
         if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
             raise ValueError("boundary edges do not form a single closed cycle")
-        # conformity, counted in int32 (the index type scipy takes below
-        # 2**31 nodes), which halves the temporaries of the count
+        # conformity: one key i*N + j per triangle side (i < j), in int64 so
+        # that it cannot wrap where the default int is 32-bit; the sorted
+        # unique keys run in row-major (i, j) order, so the boundary edges
+        # are found among them by bisection
         n = len(self.nodes)
-        tris = self.triangles.astype(np.int32)
+        tris = self.triangles.astype(np.int64)
         nxt = np.roll(tris, -1, axis=1)
-        count = sp.csr_matrix((np.ones(tris.size, dtype=np.int32),
-                               (np.minimum(tris, nxt).ravel(),
-                                np.maximum(tris, nxt).ravel())), shape=(n, n))
-        count.sum_duplicates()
-        # the entries run in row-major order, so their keys i*N + j ascend
-        # and the boundary edges are found among them by bisection
-        keys = np.repeat(np.arange(n), np.diff(count.indptr)) * n + count.indices
+        keys, count = np.unique(np.minimum(tris, nxt) * n + np.maximum(tris, nxt),
+                                return_counts=True)
         want = np.full(len(keys), 2)
+        be = be.astype(np.int64)
         bkeys = be.min(axis=1) * n + be.max(axis=1)
         at = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
         want[at[keys[at] == bkeys]] = 1
-        bad = np.flatnonzero(count.data != want)
+        bad = np.flatnonzero(count != want)
         if bad.size:
             i, j = divmod(int(keys[bad[0]]), n)
-            raise ValueError(
-                f"edge {(i, j)} shared by {int(count.data[bad[0]])} triangles")
+            raise ValueError(f"edge {(i, j)} shared by {int(count[bad[0]])} triangles")
         return self
 
     # -- serialization -----------------------------------------------------

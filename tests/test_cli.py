@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lagdisc import cli
+from lagdisc import cli, solver
 from lagdisc.mesh import build_polar_mesh
 
 
@@ -234,7 +234,7 @@ def test_failing_check_exits_2(tmp_path, monkeypatch):
         report = SimpleNamespace(to_dict=lambda: {"seed": seed, "passed": False})
         return report, None, {"rows": []}
 
-    monkeypatch.setattr(cli, "rigidity_experiment", failing)
+    monkeypatch.setattr(solver, "rigidity_experiment", failing)
     out = tmp_path / "o"
     assert run_cli("--command", "rigidity", "--mesh", "4,16,1.0",
                    "--out", str(out)) == 2
@@ -245,7 +245,7 @@ def test_pipeline_exception_exits_3(tmp_path, monkeypatch, capsys):
     def raising(seed, eps, mesh):
         raise FloatingPointError("descent diverged")
 
-    monkeypatch.setattr(cli, "rigidity_experiment", raising)
+    monkeypatch.setattr(solver, "rigidity_experiment", raising)
     assert run_cli("--command", "rigidity", "--mesh", "4,16,1.0",
                    "--out", str(tmp_path / "o")) == 3
     assert not (tmp_path / "o").exists()
@@ -272,7 +272,7 @@ def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
         return build_polar_mesh(*args)
 
     monkeypatch.setattr(cli, "build_polar_mesh", build)
-    monkeypatch.setattr(cli, "rigidity_experiment", _fake_rigidity)
+    monkeypatch.setattr(solver, "rigidity_experiment", _fake_rigidity)
     assert run_cli("--command", command, "--mesh", "4,16,1.0",
                    "--refinements", "3", "--out", str(tmp_path / "o")) == 0
     assert built == [(4, 16, 1.0)]

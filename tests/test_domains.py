@@ -42,6 +42,17 @@ def test_ball_projection():
         ball.project_to_boundary(np.zeros(4))
 
 
+def test_nan_level_set_point_rejected():
+    """A NaN gradient fails the nonvanishing-gradient checks, instead of
+    giving a NaN normal or running the Newton projection to its step cap."""
+    ball = dom.unit_ball()
+    pts = np.array([[0.5, 0, 0, 0], [np.nan, 0, 0, 0]])
+    with pytest.raises(RuntimeError, match="level-set gradient vanishes"):
+        ball.normal_extension(pts)
+    with pytest.raises(RuntimeError, match="gradient vanished during projection"):
+        ball.project_to_boundary(pts)
+
+
 def test_ball_projection_idempotent(rng):
     ball = dom.unit_ball()
     z = rng.normal(size=(1000, 4))

@@ -147,9 +147,23 @@ def _delaunay_disc(n_boundary=40, n_interior=120, seed=5):
                         is_boundary)
 
 
-@pytest.mark.parametrize("size", [(2, 8), (3, 12), (6, 24), (9, 40), "not polar"])
+def _int32_mesh(drop=None):
+    """The 100x480 polar mesh, whose N = 48001 > 46341 nodes make a side key
+    i*N + j overflow int32, with int32 triangles (less the one at ``drop``)."""
+    m = msh.build_polar_mesh(100, 480, 1.0)
+    tris = m.triangles if drop is None else np.delete(m.triangles, drop, axis=0)
+    return _with(m, triangles=tris.astype(np.int32))
+
+
+@pytest.mark.parametrize("size", [(2, 8), (3, 12), (6, 24), (9, 40), "not polar",
+                                  "int32, N > 46341"])
 def test_validate_matches_dict_loop_on_valid_meshes(mesh_cache, size):
-    m = _delaunay_disc() if size == "not polar" else mesh_cache(*size)
+    if size == "not polar":
+        m = _delaunay_disc()
+    elif size == "int32, N > 46341":
+        m = _int32_mesh()
+    else:
+        m = mesh_cache(*size)
     assert m.validate() is m
     assert _dict_validate(m) is m
 
@@ -165,10 +179,12 @@ def _skipped_boundary_node():
 
 @pytest.mark.parametrize("case", ["duplicated", "dropped",
                                   "boundary edge in two triangles",
-                                  "boundary edge not a triangle edge"])
+                                  "boundary edge not a triangle edge",
+                                  "dropped, int32, N > 46341"])
 def test_validate_rejects_nonconforming_mesh(case):
     bad = {**dict(_broken_meshes()),
-           "boundary edge not a triangle edge": _skipped_boundary_node()}[case]
+           "boundary edge not a triangle edge": _skipped_boundary_node(),
+           "dropped, int32, N > 46341": _int32_mesh(drop=-1)}[case]
     with pytest.raises(ValueError,
                        match=r"^edge \(\d+, \d+\) shared by \d+ triangles$") as got:
         bad.validate()

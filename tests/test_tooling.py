@@ -6,9 +6,10 @@ without failing any other test.  This loads the recorder from its file,
 installs and uninstalls it around a few calls, and checks that every
 ``__all__`` entry of every module resolves.  It also checks that the
 package defines no exception class but the CLI's ``ConfigError``, that
-importing the CLI loads no ``scipy.interpolate``, that no module,
-test or demo imports a name it never uses, and that the package reads
-every private function, class and module constant it defines.
+importing the CLI loads no scipy module and that only the rigidity
+command does, that no module, test or demo imports a name it never uses,
+and that the package reads every private function, class and module
+constant it defines.
 """
 
 import ast
@@ -124,13 +125,47 @@ def test_config_error_is_the_only_exception_class_and_one_eps():
     assert hams.EPS is algebra.EPS and msh.EPS is algebra.EPS
 
 
-def test_cli_import_loads_no_scipy_interpolate():
-    """Curve domains evaluate their closed forms: no process that imports
-    the CLI pays for ``scipy.interpolate``."""
+def _run_fresh(code, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package, with ``scipy_loaded()`` listing the scipy modules it holds."""
     src = str(Path(lagdisc.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import lagdisc.cli; "
-            "assert 'scipy.interpolate' not in sys.modules, 'loaded'")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    prelude = (f"import sys\nsys.path.insert(0, {src!r})\n"
+               "def scipy_loaded():\n"
+               "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n")
+    subprocess.run([sys.executable, "-c", prelude + code], check=True, **kwargs)
+
+
+def test_cli_import_loads_no_scipy():
+    """Only the rigidity descent factors a sparse matrix: no process that
+    imports the CLI pays for any scipy module."""
+    _run_fresh("import lagdisc.cli\n"
+               "assert not scipy_loaded(), scipy_loaded()\n")
+
+
+def test_only_the_rigidity_command_loads_scipy(tmp_path):
+    """The five verification commands run on numpy alone, while rigidity
+    still loads the sparse solver; every ``lagdisc.__all__`` name resolves
+    after a bare ``import lagdisc``, ``solver`` on first access."""
+    _run_fresh(f"""
+from lagdisc import cli
+out = {str(tmp_path)!r}
+for command, example in [("verify-example", "sw:1,2"), ("stationarity", "sw:1,2"),
+                         ("boundary-report", "sw:1,2"), ("masses", "sw:2,3"),
+                         ("dump-mesh", "sw:1,2")]:
+    code = cli.main(["--command", command, "--example", example, "--mesh", "4,16,1.0",
+                     "--refinements", "2", "--out", f"{{out}}/{{command}}"])
+    assert code in (0, 2), (command, code)
+    assert not scipy_loaded(), (command, scipy_loaded())
+code = cli.main(["--command", "rigidity", "--mesh", "4,16,1.0",
+                 "--out", f"{{out}}/rigidity"])
+assert code in (0, 2), code
+assert "scipy.sparse.linalg" in sys.modules, scipy_loaded()
+""", stdout=subprocess.DEVNULL)
+    _run_fresh("import lagdisc\n"
+               "assert 'lagdisc.solver' not in sys.modules\n"
+               "for name in lagdisc.__all__:\n"
+               "    getattr(lagdisc, name)\n"
+               "assert lagdisc.solver is sys.modules['lagdisc.solver']\n")
 
 
 def _unused_imports(path):
