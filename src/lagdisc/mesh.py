@@ -300,9 +300,11 @@ def element_gradient(mesh, values):
     """Per-triangle constant gradient of a P1 nodal field.
 
     ``values`` has shape (N,) or (N, m); the result has shape (T, 2) or
-    (T, 2, m).  Complex dtypes pass through.  Exact for affine fields,
-    and exactly zero (not rounding-level) for constant fields because
-    the formula differences the nodal values.
+    (T, 2, m), a view over (2, T) or (2, m, T) storage, so that each
+    component ``[:, d, k]`` is a contiguous row.  Complex dtypes pass
+    through.  Exact for affine fields, and exactly zero (not
+    rounding-level) for constant fields because the formula differences
+    the nodal values.
     """
     values = np.asarray(values)
     if values.shape[0] != len(mesh.nodes):
@@ -319,10 +321,12 @@ def _p1_gradient(tris, g, values):
     dv1 = np.take(vt, tris[:, 1], axis=-1) - v0             # (..., K)
     dv2 = np.take(vt, tris[:, 2], axis=-1) - v0
     del vt, v0                  # lowers the peak of the product loop below
-    out = np.empty((len(tris), 2) + values.shape[1:], np.result_type(g, values))
+    # stored component-major, (2, ..., K): each row is written contiguously
+    # and read so by the consumers of the (K, 2, ...) view returned
+    out = np.empty((2,) + values.shape[1:] + (len(tris),), np.result_type(g, values))
     for d in range(2):
-        out[:, d] = np.moveaxis(g[:, 1, d] * dv1 + g[:, 2, d] * dv2, -1, 0)
-    return out
+        out[d] = g[:, 1, d] * dv1 + g[:, 2, d] * dv2
+    return np.moveaxis(out, -1, 0)
 
 
 def _node_scatter(mesh):

@@ -30,6 +30,7 @@ acceptance test of :func:`minimize` are built from.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -72,12 +73,18 @@ class SolverConfig:
                 or self.max_iters < 1):
             raise ValueError("max_iters must be a positive integer")
         # NaN fails every comparison, so each bound is stated as what holds
-        if not self.continuation or not all(
-                len(stage) == 2 and all(0 < lam < np.inf for lam in stage)
-                for stage in self.continuation):
+        if not (isinstance(self.continuation, (tuple, list)) and self.continuation
+                and all(isinstance(stage, (tuple, list)) and len(stage) == 2
+                        and all(_positive_finite(lam) for lam in stage)
+                        for stage in self.continuation)):
             raise ValueError("continuation stages must be positive finite (lam1, lam2)")
-        if not 0 < self.grad_tol < np.inf:
+        if not _positive_finite(self.grad_tol):
             raise ValueError("grad_tol must be positive and finite")
+
+
+def _positive_finite(x):
+    """Whether ``x`` is a real number, not a bool, in (0, inf)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < np.inf
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +95,8 @@ class _EnergyState(NamedTuple):
     gradient is built from."""
 
     E: float
-    grad: np.ndarray        # (T, 2, 4) element frames (e_x, e_y)
+    grad: np.ndarray        # (T, 2, 4) element frames (e_x, e_y), a view
+                            # over (2, 4, T) storage: grad[:, k, i] is a row
     q: np.ndarray           # symplectic density u*omega per element
     grad_sq: np.ndarray     # |grad u|^2 per element
     Fb: np.ndarray          # constraint F at the boundary nodes

@@ -277,6 +277,24 @@ def test_gradient_bitwise_matches_einsum(mesh_cache, rng, size):
         assert np.array_equal(got, want)
 
 
+def test_element_gradient_is_component_major(mesh_cache, rng):
+    """The (T, 2, ...) result is a view over (2, ..., T) storage, so that the
+    descent reads each frame component as a contiguous row."""
+    m = mesh_cache(6, 24)
+    n = len(m.nodes)
+    fields = [rng.normal(size=n), rng.normal(size=(n, 4)),
+              rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))]
+    for vals in fields:
+        g = msh.element_gradient(m, vals)
+        assert g.shape == (len(m.triangles), 2) + vals.shape[1:]
+        assert np.moveaxis(g, 0, -1).flags.c_contiguous
+    # an integer field gives the float64 gradient of its float cast
+    ints = rng.integers(-5, 5, size=n)
+    g = msh.element_gradient(m, ints)
+    want = msh.element_gradient(m, ints.astype(float))
+    assert g.dtype == np.float64 and np.array_equal(g, want)
+
+
 # ---------------------------------------------------------------------------
 # sparse operators
 # ---------------------------------------------------------------------------

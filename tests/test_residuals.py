@@ -688,6 +688,26 @@ def test_frame_block_bitwise_matches_the_fancy_index_formula(rng):
     assert res._frame_block(grad).tobytes() == want.tobytes()
 
 
+def test_frame_consumers_do_not_read_the_frame_layout(mesh_cache, monkeypatch):
+    """The element-frame residuals give the same bits on row-major (T, 2, 4)
+    frames as on the component-major views ``element_gradient`` returns."""
+    m = mesh_cache(12, 48)
+    u = fam.sample(fam.sw_cone(1, 2), m)
+    raw = fam.DiscreteMap(m, u.values)               # no exact frames
+    mask = np.hypot(*m.centroids.T) > 0.3
+
+    def outputs():
+        lag, conf = res.pointwise_geometry_report(raw)
+        tensors = [res._frame_tensor(u, keep) for keep in (None, mask)]
+        return repr((lag, conf)), [(u_c.tobytes(), S.tobytes(), repr(grad_sq))
+                                   for u_c, S, grad_sq in tensors]
+
+    want = outputs()
+    monkeypatch.setattr(res, "element_gradient", lambda mesh, values:
+                        np.ascontiguousarray(element_gradient(mesh, values)))
+    assert outputs() == want
+
+
 # a point 0.41 from every nodal image of sw:1,2 on the 12 x 48 mesh
 MISS = np.array([0.5, 0.5, 0.0, 0.0])
 

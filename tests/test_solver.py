@@ -335,6 +335,25 @@ def test_minimize_counts_two_element_gradient_passes_per_trial(
     assert len(calls) == sum(2 * s["energy_evals"] - 1 for s in stages)
 
 
+def test_descent_does_not_read_the_frame_layout(mesh_cache, monkeypatch):
+    """Rigidity seed 1 gives the same bits whether the element frames are
+    views over component-major storage or row-major (T, 2, 4) arrays: every
+    consumer computes elementwise or reduces fresh arrays."""
+    m = mesh_cache(12, 48)
+
+    def run():
+        report, u, hist = sol.rigidity_experiment(1, 0.05, m)
+        return u.values.tobytes(), repr(hist), repr(report.to_dict())
+
+    def row_major_gradient(mesh, values):
+        return np.ascontiguousarray(element_gradient(mesh, values))
+
+    want = run()
+    monkeypatch.setattr(sol, "element_gradient", row_major_gradient)
+    monkeypatch.setattr(res, "element_gradient", row_major_gradient)
+    assert run() == want
+
+
 def _trace_minimize(monkeypatch, start, cfg, records=None):
     """Run :func:`sol.minimize` recording, in ``records``, every energy
     state it builds, with its map and the last ``element_gradient`` input
@@ -745,6 +764,17 @@ def test_solver_config_validation():
     for stage in [(10.0,), (10.0, 100.0, 5.0)]:
         with pytest.raises(ValueError, match="continuation"):
             sol.SolverConfig(continuation=[stage])
+    # a stage that is no pair or holds a string raised TypeError, and a
+    # bool stage was accepted while max_iters=True is rejected
+    for stage in [5, ("a", 1.0), (True, 2.0)]:
+        with pytest.raises(ValueError, match="continuation"):
+            sol.SolverConfig(continuation=[stage])
+    with pytest.raises(ValueError, match="continuation"):
+        sol.SolverConfig(continuation=5)
+    # grad_tol="1" raised TypeError, and grad_tol=True was accepted
+    for tol in ["1", True]:
+        with pytest.raises(ValueError, match="grad_tol"):
+            sol.SolverConfig(grad_tol=tol)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
