@@ -40,7 +40,7 @@ import numpy as np
 from . import residuals as res
 from .domains import curve_domain_from_map, unit_ball
 from .families import flat_disc, nonminimal_map, sample, sw_cone
-from .mesh import _weak_test_nodes, build_polar_mesh
+from .mesh import _test_set, build_polar_mesh
 
 
 class ConfigError(ValueError):
@@ -141,7 +141,7 @@ _LEVEL_HEADER = ("example", "domain", "h", "check", "value")
 def _cmd_verify_example(cfg, example, domain):
     meshes, exclude = cfg.meshes(), res._report_exclusions(example)
     for m in meshes:
-        if not np.any(_weak_test_nodes(m, exclude)):
+        if not np.any(_test_set(m, exclude)[1]):
             raise ConfigError("mesh: the {n_rings},{n_sectors},{grading} level "
                               "leaves no weak-residual test function clear of "
                               "the singular points".format(**m.polar_info))

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hamiltonians as hams
-from .algebra import (EPS, angle_defined, apply_I, complex_scale, inner,
+from .algebra import (EPS, angle_defined, apply_I, inner,
                       lagrangian_angle, norm, symplectic, wedge_norm)
 from .domains import unit_ball
 from .families import DiscreteMap, sample
-from .mesh import (boundary_trace_pairing, element_gradient, exclusion_masks,
+from .mesh import (_test_set, boundary_trace_pairing, element_gradient,
                    interpolate_at_centroids, loop_integrals,
                    weak_divergence_residual)
 
@@ -181,21 +181,38 @@ def structural_residual(u: DiscreteMap, exclude=()):
     """
     e_x, e_y = _exact_frames(u)
     mesh, src = u.mesh, u.source
-    mask, _ = exclusion_masks(mesh, exclude)
-    mask &= angle_defined(e_x, e_y)
+    node_ok, _ = _test_set(mesh, exclude)
+    mask = node_ok & angle_defined(e_x, e_y)
     if np.any(mask):
         _, ang = lagrangian_angle(e_x[mask], e_y[mask])
         gbar = src.angle(mesh.node_r[mask], mesh.node_theta[mask])
         if np.max(np.abs(ang - gbar)) > 1e-6:
             raise ValueError("nodal angle disagrees with the map's frames")
 
-    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
-    g_c = np.conj(np.asarray(src.angle_xy(x, y), complex))
-    fr = src.frame_xy(x, y)
-    gu = np.stack([complex_scale(g_c, fr.e_x),
-                   complex_scale(g_c, fr.e_y)], axis=1)
     # the 4 components share one test set
-    return weak_divergence_residual(mesh, gu, exclude)
+    return weak_divergence_residual(mesh, _structural_field(src, mesh.centroids),
+                                    exclude)
+
+
+def _structural_field(src, pts):
+    """g grad u of the closed form ``src`` at the (T, 2) points ``pts``:
+    the products of :func:`algebra.complex_scale`, one complex column at a
+    time, written into (4, 2, T) storage behind the (T, 2, 4) view returned."""
+    x, y = pts[:, 0], pts[:, 1]
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    g_c = np.conj(np.asarray(src.angle(r, theta), complex))
+    frame = src.frame(r, theta)
+    del r, theta
+    gu = np.empty((4, 2, len(x)))
+    for k, e in enumerate(frame):
+        for i in (0, 2):
+            # z1 or z2 as algebra.complex_parts forms it; named, because
+            # numpy multiplies into an unnamed temporary in place, by a
+            # loop that rounds g_c * z differently
+            z = e[:, i] + 1j * e[:, i + 1]
+            gz = g_c * z
+            gu[i, k], gu[i + 1, k] = gz.real, gz.imag
+    return gu.transpose(2, 1, 0)
 
 
 def angle_harmonicity(u: DiscreteMap, exclude=()):
@@ -207,7 +224,7 @@ def angle_harmonicity(u: DiscreteMap, exclude=()):
     the residual of the real field F, and i gbar grad_perp g is its rotation.
     """
     F = _angle_flux(u)
-    w_perp = np.stack([-F[:, 1], F[:, 0]], axis=1)
+    w_perp = np.stack([-F[:, 1], F[:, 0]]).T        # component-major, as F
     return (weak_divergence_residual(u.mesh, F, exclude),
             weak_divergence_residual(u.mesh, w_perp, exclude))
 
@@ -291,9 +308,10 @@ HESSIAN_BLOCK = 4096
 def _frame_block(grad):
     """sum_k sym((-I e_k) (x) e_k) for (b, 2, 4) frames e_k = grad[:, k],
     packed as a Hessian is (see :func:`hamiltonians.unpack_hessian`) with
-    the off-diagonal entries doubled; slot by slot, from contiguous frame
-    columns e_k = (x1, y1, x2, y2) and a = -I e_k = (y1, -x1, y2, -x2)."""
-    e = [[grad[:, k, i].copy() for i in range(4)] for k in range(2)]
+    the off-diagonal entries doubled; slot by slot, from the frame columns
+    e_k = (x1, y1, x2, y2) and a = -I e_k = (y1, -x1, y2, -x2), contiguous
+    rows of the component-major frames."""
+    e = [[grad[:, k, i] for i in range(4)] for k in range(2)]
     a = [[x[1], -x[0], x[3], -x[2]] for x in e]
     out = np.empty((len(grad), len(hams.UPPER_I)))
     for slot, (i, j) in enumerate(zip(hams.UPPER_I, hams.UPPER_J)):
@@ -317,7 +335,10 @@ def _frame_tensor(u: DiscreteMap, m):
     """
     mesh = u.mesh
     m = slice(None) if m is None or np.all(m) else m
-    grad = element_gradient(mesh, u.values)[m]
+    # select along the element axis of the component-major storage, so
+    # that each kept frame component stays a contiguous row
+    grad = np.moveaxis(np.moveaxis(element_gradient(mesh, u.values), 0, -1)[..., m],
+                       -1, 0)
     areas = mesh.areas[m]
     grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
                                     + inner(grad[:, 1], grad[:, 1]))))

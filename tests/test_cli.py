@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from lagdisc import cli, solver
-from lagdisc.mesh import build_polar_mesh
+from lagdisc import mesh as msh
+from lagdisc.mesh import build_polar_mesh, exclusion_masks
 
 
 def run_cli(*args):
@@ -168,6 +169,22 @@ def test_verify_example_without_weak_test_functions_exits_1(
 def test_verify_example_with_weak_test_functions_runs(tmp_path):
     assert run_cli("--command", "verify-example", "--example", "sw:1,2",
                    "--mesh", "3,8,0.5", "--out", str(tmp_path / "o")) == 0
+
+
+def test_verify_example_computes_each_test_set_once(tmp_path, monkeypatch):
+    # the CLI's pre-check, the structural residual and both angle residuals
+    # of a level share one computation of its exclusion masks
+    computed = []
+
+    def counted(mesh, exclude):
+        computed.append(len(mesh.nodes))
+        return exclusion_masks(mesh, exclude)
+
+    monkeypatch.setattr(msh, "exclusion_masks", counted)
+    assert run_cli("--command", "verify-example", "--example", "sw:1,2",
+                   "--mesh", "12,48,1.0", "--refinements", "2",
+                   "--out", str(tmp_path / "o")) == 0
+    assert computed == [1 + 12 * 48, 1 + 24 * 96]
 
 
 @pytest.mark.parametrize("mesh", ["1,8,1.0", "2,7,1.0", "4,16,0.1"])

@@ -193,6 +193,32 @@ def test_validate_rejects_nonconforming_mesh(case):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("node,coord", [(5, 0), (-1, 1)],
+                         ids=["interior", "boundary"])
+def test_validate_rejects_a_nan_node(node, coord):
+    # a NaN fails every comparison, so each bound must state what holds
+    m = msh.build_polar_mesh(4, 16, 1.0)
+    nodes = m.nodes.copy()
+    nodes[node, coord] = np.nan
+    bad = _with(m, nodes=nodes)
+    assert bad.is_boundary[node] == (node == -1)
+    assert np.isnan(bad.h_max)
+    with pytest.raises(ValueError, match="non-finite node"):
+        bad.validate()
+
+
+def test_mesh_geometry_is_component_major(mesh_cache):
+    """``triangles``, ``hat_gradients`` and ``centroids`` are (T, ...) views
+    over storage with the triangle axis last, also when the triangles were
+    given row-major."""
+    for m in (mesh_cache(6, 24), _delaunay_disc()):
+        assert m.triangles.shape == (len(m.areas), 3)
+        assert m.hat_gradients.shape == (len(m.areas), 3, 2)
+        assert m.centroids.shape == (len(m.areas), 2)
+        for a in (m.triangles, m.hat_gradients, m.centroids):
+            assert np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
 def _corner_geometry(mesh):
     """Reference: areas, hat gradients, centroids and longest edge from the
     (T, 3, 2) corner array ``nodes[triangles]``, the formulas ``DiscMesh``

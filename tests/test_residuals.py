@@ -6,7 +6,8 @@ from lagdisc import domains as dom
 from lagdisc import families as fam
 from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
-from lagdisc.mesh import element_gradient, interpolate_at_centroids
+from lagdisc.mesh import (build_polar_mesh, element_gradient,
+                          interpolate_at_centroids)
 from conftest import unbanded_profiled_hessian
 
 BALL = dom.unit_ball()
@@ -706,6 +707,42 @@ def test_frame_consumers_do_not_read_the_frame_layout(mesh_cache, monkeypatch):
     monkeypatch.setattr(res, "element_gradient", lambda mesh, values:
                         np.ascontiguousarray(element_gradient(mesh, values)))
     assert outputs() == want
+
+
+@pytest.mark.parametrize("example", [fam.sw_cone(1, 2), fam.sw_cone(2, 3),
+                                     fam.nonminimal_map()],
+                         ids=["sw:1,2", "sw:2,3", "nonminimal"])
+def test_structural_field_bitwise_matches_complex_scale(mesh_cache, example):
+    # 18240 elements: numpy's vector loops run with remainders, and an
+    # in-place product of an unnamed temporary would round differently
+    pts = mesh_cache(48, 192).centroids
+    x, y = pts.T
+    g = np.conj(np.asarray(example.angle_xy(x, y), complex))
+    fr = example.frame_xy(x, y)
+    want = np.stack([alg.complex_scale(g, fr.e_x), alg.complex_scale(g, fr.e_y)],
+                    axis=1)
+    got = res._structural_field(example, pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("example", ["sw:1,2", "nonminimal"])
+def test_residuals_do_not_read_the_mesh_layout(example):
+    """``full_report`` gives the same bits on a mesh whose triangles, hat
+    gradients and centroids are row-major as on the component-major views
+    ``DiscMesh`` stores."""
+    if example == "nonminimal":
+        ex = fam.nonminimal_map()
+        domain = dom.curve_domain_from_map(ex)
+    else:
+        ex, domain = fam.sw_cone(1, 2), BALL
+    reports = []
+    for row_major in (False, True):
+        m = build_polar_mesh(12, 48)       # fresh: nothing derived is cached
+        if row_major:
+            for name in ("triangles", "hat_gradients", "centroids"):
+                setattr(m, name, np.ascontiguousarray(getattr(m, name)))
+        reports.append(repr(res.full_report(ex, m, domain)))
+    assert reports[0] == reports[1]
 
 
 # a point 0.41 from every nodal image of sw:1,2 on the 12 x 48 mesh
