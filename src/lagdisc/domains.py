@@ -11,6 +11,8 @@ Two representations:
   the curve's closed-form inverse reads off a point.  This realizes
   constraint domains known only through a normal field along the image of
   the disc boundary; no hypersurface is reconstructed, nothing is searched.
+
+Both answer ``contains_ball``, the admissibility test of a support ball.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ class LevelSetDomain:
     def __init__(self, F, gradF):
         self.F = F
         self.gradF = gradF
+
+    def contains_ball(self, center, radius):
+        """Whether the ball |z - center| <= radius lies in {F < -1e-9}: F on
+        its sphere, climbed along gradF from the best of 128 seeded samples."""
+        center = np.asarray(center, float)
+        dirs = np.random.default_rng(0).normal(size=(128, 4))
+        dirs /= algebra.norm(dirs)[:, None]
+        F = np.asarray(self.F(center + radius * dirs))
+        d = dirs[np.argmax(F)]
+        for _ in range(20):
+            g = np.asarray(self.gradF(center + radius * d), float)
+            d = g / algebra.norm(g)
+        peak = max(np.max(F), float(self.F(center + radius * d)))
+        return bool(peak < -1e-9)
 
     def normal_extension(self, z):
         """gradF/|gradF| wherever the gradient is nonzero (off-boundary too)."""
@@ -80,7 +96,7 @@ class CurveNormalDomain:
     build time.  ``normal_at`` reads the parameter of each query from
     ``theta_of`` and requires it within ``CURVE_TOL`` of the curve.  The
     curve passes at most ``grid_gap`` (pi / N_GRID times the largest
-    |tangent| on the grid) closer to a point than its ``curve_points``.
+    |tangent| on the grid) closer to a point than its ``grid_distance``.
     """
 
     kind = "curve"
@@ -102,6 +118,15 @@ class CurveNormalDomain:
             raise ValueError(
                 f"normals not orthogonal to curve tangent (residual "
                 f"{self.tangency_residual:.2e})")
+
+    def grid_distance(self, z):
+        """The distance from the point ``z`` to the nearest grid point."""
+        return np.min(algebra.norm(self.curve_points - z))
+
+    def contains_ball(self, center, radius):
+        """Whether the ball |z - center| <= radius stays clear of the curve,
+        by a margin of 1e-9 beyond ``grid_gap``."""
+        return bool(self.grid_distance(center) > radius + self.grid_gap + 1e-9)
 
     def curve_at(self, theta):
         return np.asarray(self._curve(theta), float)

@@ -361,6 +361,8 @@ def windowed_wave(k, profile, axis=0, name=None):
                          "0 < s < 1")
     if not (np.isfinite(k) and k != 0):
         raise ValueError("windowed_wave needs a finite nonzero k")
+    if not (isinstance(axis, (int, np.integer)) and 0 <= axis <= 3):
+        raise ValueError("windowed_wave needs an int axis in 0..3")
     e = np.eye(4)[axis]
     sine = (lambda z: np.sin(k * z[..., axis]) / k,
             lambda z: np.cos(k * z[..., axis])[..., None] * e,

@@ -29,7 +29,7 @@ repeated runs produce bitwise-identical numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,28 +57,28 @@ class DiscMesh:
     nodes : (N, 2) float array
     triangles : (T, 3) int array, counterclockwise
     boundary_edges : (B, 2) int array, a single CCW cycle tracing r = 1
-    is_boundary : (N,) bool array
-    polar_info : dict or None
+    polar_info : dict or None, keyword-only
         Present for meshes from :func:`build_polar_mesh`; carries
         (n_rings, n_sectors, grading, radii) and enables fast point
         location.
 
-    Computed at construction: ``areas``, ``hat_gradients`` (T, 3, 2) of
-    each local vertex's hat function, ``centroids`` (T, 2), ``h_max`` (the
-    longest edge, the mesh size of all reports), ``node_r`` and
-    ``node_theta``.  ``triangles``, ``hat_gradients`` and ``centroids`` are
-    stored as views over (3, T), (3, 2, T) and (2, T) arrays, so that each
-    vertex or component column is a contiguous row; no result depends on
-    this layout.
+    Computed at construction: ``is_boundary`` (N,), the nodes of the
+    boundary edges, ``areas``, ``hat_gradients`` (T, 3, 2) of each local
+    vertex's hat function, ``centroids`` (T, 2), ``h_max`` (the longest
+    edge, the mesh size of all reports), ``node_r`` and ``node_theta``.
+    ``triangles``, ``hat_gradients`` and ``centroids`` are stored as views
+    over (3, T), (3, 2, T) and (2, T) arrays, so that each vertex or
+    component column is a contiguous row; no result depends on this layout.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    is_boundary: np.ndarray
-    polar_info: dict | None = None
+    polar_info: dict | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
+        self.is_boundary = np.zeros(len(self.nodes), dtype=bool)
+        self.is_boundary[np.asarray(self.boundary_edges, int).ravel()] = True
         # triangle axis last: every per-vertex and per-component row below,
         # and in the consumers of the (T, ...) views, is contiguous
         t = np.ascontiguousarray(np.asarray(self.triangles).T)
@@ -303,10 +303,7 @@ def build_polar_mesh(n_rings, n_sectors, grading=1.0):
 
     outer = 1 + (n_rings - 1) * n_sectors
     boundary_edges = np.column_stack([outer + j, outer + j1])
-    is_boundary = np.zeros(len(nodes), dtype=bool)
-    is_boundary[outer:] = True
-
-    mesh = DiscMesh(nodes, triangles, boundary_edges, is_boundary,
+    mesh = DiscMesh(nodes, triangles, boundary_edges,
                     polar_info={"n_rings": n_rings, "n_sectors": n_sectors,
                                 "grading": grading, "radii": radii})
     return mesh.validate()

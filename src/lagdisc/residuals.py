@@ -61,7 +61,7 @@ class HalfPlane:
     """omega = {x > c} intersected with the disc."""
 
     def __init__(self, c=0.0):
-        if abs(c) >= 1:
+        if not abs(c) < 1:             # a NaN fails it
             raise ValueError("cut must intersect the open disc")
         self.c = float(c)
 
@@ -428,57 +428,30 @@ def _stationarity_terms(u_c, S, fs):
             else _per_row_terms(u_c, S, f) for f in fs]
 
 
-def _check_support_clear(f, pts4, what):
-    """Require f's support ball to avoid the given ambient points."""
-    if len(pts4) == 0:
-        return
+def _check_admissible(f, domain, wall_pts, wall_normals, cut):
+    """Raise unless f is admissible on omega: a support ball in the domain
+    or, without one, I grad f tangent to the wall at ``wall_pts``; and f
+    vanishing near ``cut``, the image of omega's boundary in the open disc."""
+    what = "u(boundary of omega in the open disc)"
     if f.support_hint is None:
-        raise ValueError(
-            f"{f!r} has unbounded support but must vanish near {what}")
-    center, radius = f.support_hint
-    d = norm(np.atleast_2d(pts4) - np.asarray(center, float))
-    if np.any(d <= radius):
-        raise ValueError(f"{f!r} support meets {what}")
-
-
-def _check_admissible(f, domain, wall_pts, wall_normals):
-    """Raise unless f is admissible: its support ball, if it has one, stays
-    inside the domain; without one, I grad f is tangent to the wall."""
-    if f.support_hint is not None:
-        center, radius = f.support_hint
-        center = np.asarray(center, float)
-        if domain.kind == "levelset":
-            rng = np.random.default_rng(0)
-            dirs = rng.normal(size=(128, 4))
-            dirs /= norm(dirs)[:, None]
-            F = np.asarray(domain.F(center + radius * dirs))
-            # climb F over the sphere |z - c| = r from its highest sample
-            d = dirs[np.argmax(F)]
-            for _ in range(20):
-                g = np.asarray(domain.gradF(center + radius * d), float)
-                d = g / norm(g)
-            peak = max(np.max(F), float(domain.F(center + radius * d)))
-            if not peak < -1e-9:
-                raise ValueError(f"{f!r} support reaches the boundary")
-        else:
-            d = norm(domain.curve_points - center)
-            if not np.min(d) > radius + domain.grid_gap + 1e-9:
-                raise ValueError(f"{f!r} support reaches the curve")
+        resid = hams.admissibility_residual(f, wall_pts, wall_normals)
+        if resid > 1e-6:
+            raise ValueError(f"{f!r} admissibility residual {resid:.2e} exceeds 1e-6")
+        if len(cut):
+            raise ValueError(f"{f!r} has unbounded support but must vanish near {what}")
         return
-    resid = hams.admissibility_residual(f, wall_pts, wall_normals)
-    if resid > 1e-6:
-        raise ValueError(
-            f"{f!r} admissibility residual {resid:.2e} exceeds 1e-6")
+    center, radius = f.support_hint
+    if not domain.contains_ball(center, radius):
+        raise ValueError(f"{f!r} support reaches the boundary")
+    if len(cut) and np.any(norm(cut - center) <= radius):
+        raise ValueError(f"{f!r} support meets {what}")
 
 
 def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     """Normalized weak stationarity residual over a batch of Hamiltonians.
 
     omega is the whole disc when ``subdomain`` is None.  Checks every test
-    function for admissibility (a support ball inside the domain or, for a
-    function without one, the tangency residual at the boundary nodes in
-    omega) and for support clear of the image of omega's boundary inside
-    the open disc, then returns
+    function with :func:`_check_admissible`, then returns
 
         max_f |integral| / (||Hess f||_inf ||grad u||^2_{L2(omega)} + eps)
 
@@ -525,8 +498,7 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     wall_normals = domain.normal_at(wall_pts)
 
     for f in fs:
-        _check_admissible(f, domain, wall_pts, wall_normals)
-        _check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
+        _check_admissible(f, domain, wall_pts, wall_normals, u_at)
     u_c, S, grad_sq = _frame_tensor(u, m)
     terms = _stationarity_terms(u_c, S, fs)
     if all(h_inf == 0 for _, h_inf in terms):
@@ -545,7 +517,10 @@ def ball_report_batch(size=20):
     """Admissible family whose stationarity integrand vanishes pointwise on
     flat equatorial discs and on cones through the origin (position vector
     tangent to the surface): an origin-centered bump, radial invariants and
-    phase-invariant quadratics.  Used for null tests."""
+    phase-invariant quadratics.  Used for null tests.  ``size`` counts
+    the four fixed functions, so below 4 it raises ``ValueError``."""
+    if not size >= 4:
+        raise ValueError("ball_report_batch: size is below its 4 fixed functions")
     out = [hams.interior_bump(np.zeros(4), 0.45, 1.0)]
     profiles = [None, hams.poly_profile([0.0, 1.0]),
                 hams.smooth_cutoff_profile(0.4, 0.95)]
@@ -567,7 +542,10 @@ def ball_report_batch(size=20):
 
 def ball_mixed_batch(seed=0, size=24, n_bumps=8):
     """Report batch plus seeded generic interior bumps (supported inside the
-    ball, centers off the origin), which probe honest O(h) behaviour."""
+    ball, centers off the origin), which probe honest O(h) behaviour.
+    ``n_bumps < 0`` and ``size - n_bumps < 4`` raise ``ValueError``."""
+    if not n_bumps >= 0:
+        raise ValueError("ball_mixed_batch: n_bumps must be >= 0")
     rng = np.random.default_rng(seed)
     out = ball_report_batch(size=size - n_bumps)
     for _ in range(n_bumps):
@@ -594,8 +572,7 @@ def curve_report_batch(domain, example, size=12, seed=0):
         # interior image points are order-1 away from the constraint curve
         x, y = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
         center = example.value_xy(x, y)
-        d = np.min(norm(domain.curve_points - center))
-        radius = min(0.3, 0.8 * d)
+        radius = min(0.3, 0.8 * domain.grid_distance(center))
         out.append(hams.interior_bump(center, radius, rng.uniform(0.5, 1.5)))
     return out
 
@@ -633,13 +610,15 @@ def fit_order(hs, values):
 
     Values at or below 1e-13 mean the quantity has hit rounding level; if
     all are floored the order is reported as infinity.  Fewer than two
-    distinct h, or a value that is not finite, raise ``ValueError``.
+    distinct h, an h outside (0, inf) or a non-finite value raise ``ValueError``.
     """
     floor = 1e-13
     hs = np.asarray(hs, float)
     values = np.asarray(values, float)
     if len(np.unique(hs)) < 2:
         raise ValueError("fit_order: needs at least two distinct h")
+    if not np.all((hs > 0) & (hs < np.inf)):       # a NaN fails it
+        raise ValueError("fit_order: an h is not a finite positive number")
     if not np.all(np.isfinite(values)):
         raise ValueError("fit_order: a value is not finite")
     if np.all(values <= floor):

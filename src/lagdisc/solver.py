@@ -369,8 +369,13 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 # --------------------------------------------------------------------------
 # Hamiltonian flows
 # --------------------------------------------------------------------------
+def _midpoint(rhs, y, dt):
+    """One midpoint (RK2) step of y' = rhs(y) from the array ``y``."""
+    return y + dt * rhs(y + 0.5 * dt * rhs(y))
+
+
 def _flow_step(mesh, vals, f, dt, domain):
-    """The nodal values after one midpoint (RK2) step of du/dt = I grad
+    """The nodal values after one :func:`_midpoint` step of du/dt = I grad
     f(u) from ``vals``, with the boundary nodes reprojected.
 
     The continuum flow preserves the Lagrangian condition exactly; the
@@ -379,34 +384,24 @@ def _flow_step(mesh, vals, f, dt, domain):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-
-    def V(y):
-        return apply_I(f.gradient(y))
-
-    mid = vals + 0.5 * dt * V(vals)
-    return _project_boundary(domain, vals + dt * V(mid), mesh.is_boundary)
+    vals = _midpoint(lambda y: apply_I(f.gradient(y)), vals, dt)
+    return _project_boundary(domain, vals, mesh.is_boundary)
 
 
 def flow_frame_step(z, frame, f, dt):
-    """Advect a point and a tangent frame along I grad f by one midpoint
-    (RK2) step, the rule :func:`_flow_step` applies to maps.
+    """Advect a point and a tangent frame along I grad f by one
+    :func:`_midpoint` step, the rule :func:`_flow_step` applies to maps.
 
     The frame evolves by the linearized flow e' = I Hess f(z) e.  Kept for
     acceptance criterion 5, which fits the order of its symplectic defect.
     """
-    def rhs(state):
-        z, ex, ey = state
-        H = hams.unpack_hessian(f.hessian(z))
-        return (apply_I(f.gradient(z)),
-                apply_I(H @ ex), apply_I(H @ ey))
+    def rhs(s):
+        H = hams.unpack_hessian(f.hessian(s[0]))
+        return np.stack([apply_I(f.gradient(s[0])),
+                         apply_I(H @ s[1]), apply_I(H @ s[2])])
 
-    def add(s, ds, c):
-        return tuple(a + c * b for a, b in zip(s, ds))
-
-    s0 = (np.asarray(z, float), np.asarray(frame[0], float),
-          np.asarray(frame[1], float))
-    s1 = add(s0, rhs(add(s0, rhs(s0), 0.5 * dt)), dt)
-    return s1[0], (s1[1], s1[2])
+    z1, ex, ey = _midpoint(rhs, np.stack([z, frame[0], frame[1]], dtype=float), dt)
+    return z1, (ex, ey)
 
 
 def random_sphere_tangent_hamiltonians(rng):

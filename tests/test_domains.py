@@ -26,6 +26,25 @@ def test_ball_constraint_bitwise_matches_axis_sum(rng):
     assert F.shape == (4096,)
 
 
+def test_ball_contains_ball_is_the_exact_rule():
+    # |c| + r < 1 on seeded balls: generic ones, ones 1e-6 inside and 1e-6
+    # outside tangency (radii up to 0.6, where the 20-step climb converges),
+    # and the centred ones, whose sphere samples are all the peak
+    ball = dom.unit_ball()
+    rng = np.random.default_rng(7)
+    balls = [(np.zeros(4), 1.0 + s) for s in (-1e-6, 1e-6)]
+    for _ in range(200):
+        d = rng.normal(size=4)
+        d /= np.linalg.norm(d)
+        balls.append((rng.uniform(0.0, 0.9) * d, rng.uniform(0.01, 0.6)))
+        r = rng.uniform(0.01, 0.6)
+        balls += [((1.0 - r) * d, r + s) for s in (-1e-6, 1e-6)]
+    got = [ball.contains_ball(c, r) for c, r in balls]
+    want = [np.linalg.norm(c) + r < 1.0 for c, r in balls]
+    assert got == want
+    assert 0 < sum(got) < len(got)
+
+
 def test_ball_normal_at_requires_boundary():
     ball = dom.unit_ball()
     with pytest.raises(ValueError, match="not on the domain boundary"):

@@ -321,6 +321,13 @@ def test_windowed_wave_rejects_a_degenerate_k(k):
         hams.windowed_wave(k, hams.smooth_cutoff_profile(0.75, 0.92))
 
 
+@pytest.mark.parametrize("axis", [-1, 4, 1.0])
+def test_windowed_wave_rejects_an_axis_outside_0_to_3(axis):
+    # axis=-1 once built the axis-3 wave silently, and axis=4 an IndexError
+    with pytest.raises(ValueError, match="int axis in 0..3"):
+        hams.windowed_wave(10.0, hams.smooth_cutoff_profile(0.75, 0.92), axis=axis)
+
+
 # ---------------------------------------------------------------------------
 # packed Hessians with the identity term on the diagonal only, against the
 # full-matrix expressions they replace

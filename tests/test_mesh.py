@@ -104,11 +104,10 @@ def _dict_validate(mesh):
     return mesh
 
 
-def _with(mesh, nodes=None, triangles=None, is_boundary=None):
+def _with(mesh, nodes=None, triangles=None):
     return msh.DiscMesh(mesh.nodes if nodes is None else nodes,
                         mesh.triangles if triangles is None else triangles,
-                        mesh.boundary_edges,
-                        mesh.is_boundary if is_boundary is None else is_boundary)
+                        mesh.boundary_edges)
 
 
 def _broken_meshes():
@@ -121,8 +120,7 @@ def _broken_meshes():
     mid = 0.6 * (m.nodes[i] + m.nodes[j])
     nodes = np.vstack([m.nodes, mid])
     yield "boundary edge in two triangles", _with(
-        m, nodes=nodes, triangles=np.vstack([tris, [j, i, len(m.nodes)]]),
-        is_boundary=np.append(m.is_boundary, False))
+        m, nodes=nodes, triangles=np.vstack([tris, [j, i, len(m.nodes)]]))
 
 
 def _delaunay_disc(n_boundary=40, n_interior=120, seed=5):
@@ -142,9 +140,7 @@ def _delaunay_disc(n_boundary=40, n_interior=120, seed=5):
           - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])) < 0
     tris[cw] = tris[cw][:, ::-1]
     j = np.arange(n_boundary)
-    is_boundary = np.arange(len(nodes)) < n_boundary
-    return msh.DiscMesh(nodes, tris, np.column_stack([j, (j + 1) % n_boundary]),
-                        is_boundary)
+    return msh.DiscMesh(nodes, tris, np.column_stack([j, (j + 1) % n_boundary]))
 
 
 def _int32_mesh(drop=None):
@@ -174,7 +170,7 @@ def _skipped_boundary_node():
     m = msh.build_polar_mesh(4, 16, 1.0)
     be = m.boundary_edges
     return msh.DiscMesh(m.nodes, m.triangles,
-                        np.vstack([[be[0, 0], be[1, 1]], be[2:]]), m.is_boundary)
+                        np.vstack([[be[0, 0], be[1, 1]], be[2:]]))
 
 
 @pytest.mark.parametrize("case", ["duplicated", "dropped",
@@ -191,6 +187,27 @@ def test_validate_rejects_nonconforming_mesh(case):
     with pytest.raises(ValueError, match="shared by") as want:
         _dict_validate(bad)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", [(2, 8), (6, 24), (9, 40), "not polar",
+                                  "boundary edge not a triangle edge"])
+def test_is_boundary_is_the_node_set_of_the_boundary_edges(mesh_cache, case):
+    # derived at construction, so no mask can disagree with the cycle: the
+    # cycle that skips outer node 1 leaves that node interior
+    m = {"not polar": _delaunay_disc,
+         "boundary edge not a triangle edge": _skipped_boundary_node}.get(
+        case, lambda: mesh_cache(*case))()
+    assert m.is_boundary.dtype == bool
+    assert np.array_equal(np.flatnonzero(m.is_boundary),
+                          np.unique(m.boundary_edges))
+
+
+def test_a_boundary_mask_argument_is_rejected():
+    # the mask is no longer a constructor argument, and polar_info is
+    # keyword-only, so a call that still passes the mask cannot bind it
+    m = msh.build_polar_mesh(4, 16, 1.0)
+    with pytest.raises(TypeError):
+        msh.DiscMesh(m.nodes, m.triangles, m.boundary_edges, m.is_boundary)
 
 
 @pytest.mark.parametrize("node,coord", [(5, 0), (-1, 1)],

@@ -372,7 +372,7 @@ def test_curve_domain_rejects_a_bump_on_the_curve(mesh_cache):
     domain = dom.curve_domain_from_map(nm)
     u = fam.sample(nm, mesh_cache(8, 32))
     on_curve = hams.interior_bump(domain.curve_points[17], 0.1)
-    with pytest.raises(ValueError, match="support reaches the curve"):
+    with pytest.raises(ValueError, match="support reaches the boundary"):
         res.stationarity_test(u, domain, [on_curve])
     # midway between grid points 100 and 101 the curve passes 5.000e-2 from
     # the first two centres while the nearest grid point is 5.04e-2 away;
@@ -380,7 +380,7 @@ def test_curve_domain_rejects_a_bump_on_the_curve(mesh_cache):
     th = np.array([2 * np.pi * 100.5 / domain.N_GRID])
     p, n = domain.curve_at(th)[0], domain.normal_at_theta(th)[0]
     for centre in (p + 0.05 * n, p - 0.05 * n, np.full(4, np.nan)):
-        with pytest.raises(ValueError, match="support reaches the curve"):
+        with pytest.raises(ValueError, match="support reaches the boundary"):
             res.stationarity_test(u, domain,
                                   [hams.interior_bump(centre, 0.05000005)])
     bumps = [f for f in res.curve_report_batch(domain, nm)
@@ -426,6 +426,15 @@ def _unblocked_stationarity_integral(u, f, subdomain=None):
     return float(total)
 
 
+def _wall(u, domain, subdomain):
+    """The images of the disc-boundary nodes in omega and their normals."""
+    mesh = u.mesh
+    wall = mesh.is_boundary & (True if subdomain is None
+                               else subdomain.contains(mesh.nodes))
+    wall_pts = u.values[wall]
+    return wall_pts, domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
+
+
 def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
     """Reference: ``stationarity_test`` with one (T, 4, 4) Hessian per f."""
     mesh = u.mesh
@@ -433,10 +442,7 @@ def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
     if not np.any(m):
         raise ValueError("subdomain contains no triangles")
     u_at = _cut_image(u, subdomain)
-    wall = mesh.is_boundary & (True if subdomain is None
-                               else subdomain.contains(mesh.nodes))
-    wall_pts = u.values[wall]
-    wall_normals = domain.normal_at(wall_pts) if len(wall_pts) else wall_pts
+    wall_pts, wall_normals = _wall(u, domain, subdomain)
     grad = element_gradient(mesh, u.values)
     u_c = interpolate_at_centroids(mesh, u.values)
     grad_sq = float(np.sum(mesh.areas[m]
@@ -444,8 +450,7 @@ def _unblocked_stationarity_test(u, domain, fs, subdomain=None):
                               + alg.inner(grad[m, 1], grad[m, 1]))))
     worst = 0.0
     for f in fs:
-        res._check_admissible(f, domain, wall_pts, wall_normals)
-        res._check_support_clear(f, u_at, "u(boundary of omega in the open disc)")
+        res._check_admissible(f, domain, wall_pts, wall_normals, u_at)
         H = hams.unpack_hessian(f.hessian(u_c[m]))
         total = 0.0
         for k in range(2):
@@ -506,12 +511,13 @@ def test_stationarity_bitwise_matches_unblocked(mesh_cache, batch):
             ref = _unblocked_stationarity_integral(u, f, sub)
             assert abs(_stationarity_integral(u, f, sub) - ref) <= \
                 1e-12 * _integral_rounding_scale(u, f, sub)
-        # the test functions whose support avoids the image of the cut
-        cut = _cut_image(u, sub)
+        # the test functions admissible on omega: here, those whose
+        # support avoids the image of the cut
+        cut, wall = _cut_image(u, sub), _wall(u, domain, sub)
         clear = []
         for f in fs:
             try:
-                res._check_support_clear(f, cut, "the cut")
+                res._check_admissible(f, domain, *wall, cut)
             except ValueError as exc:
                 assert "support" in str(exc)
                 continue
@@ -879,3 +885,29 @@ def test_fit_order_rejects_a_non_finite_value(bad):
 def test_fit_order_needs_two_distinct_h(hs, vals):
     with pytest.raises(ValueError, match="needs at least two distinct h"):
         res.fit_order(hs, vals)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.05, float("nan"), float("inf")])
+def test_fit_order_rejects_an_h_that_is_not_finite_positive(h):
+    # log(h) of these once reached LAPACK, which failed to converge
+    with pytest.raises(ValueError, match="h is not a finite positive number"):
+        res.fit_order([0.1, h], [1e-3, 1e-4])
+
+
+def test_ball_batches_reject_sizes_below_their_fixed_functions():
+    # the report batch always holds its 4 fixed functions, so a smaller size
+    # once returned 4, and ball_mixed_batch(size=10, n_bumps=8) returned 12
+    assert len(res.ball_report_batch(4)) == 4
+    assert len(res.ball_mixed_batch(size=12, n_bumps=8)) == 12
+    for make in (lambda: res.ball_report_batch(2),
+                 lambda: res.ball_mixed_batch(size=10, n_bumps=8),
+                 lambda: res.ball_mixed_batch(size=24, n_bumps=-1)):
+        with pytest.raises(ValueError, match="4 fixed functions|n_bumps"):
+            make()
+
+
+@pytest.mark.parametrize("c", [float("nan"), 1.0, -1.5])
+def test_half_plane_rejects_a_cut_missing_the_open_disc(c):
+    # a NaN cut once passed, to fail later as an empty subdomain
+    with pytest.raises(ValueError, match="cut must intersect the open disc"):
+        res.HalfPlane(c)
