@@ -301,7 +301,8 @@ def boundary_conditions_report(u: DiscreteMap, domain):
 # --------------------------------------------------------------------------
 # stationarity functional
 # --------------------------------------------------------------------------
-# elements per Hessian block in the stationarity quadrature
+# elements per Hessian block in the stationarity quadrature; it sets only
+# the rounding of the moment matrix M, summed block by block
 HESSIAN_BLOCK = 4096
 
 
@@ -357,18 +358,21 @@ def _polynomial_terms(u_c, S, coeffs):
     The integral is A . sum_t S_t + <C, M>, with row k of the (10, 10)
     moment matrix M = sum_t u_i u_j S_t for (i, j) = (UPPER_I[k], UPPER_J[k]).
     The max norm is ||A||_F when C = 0; the functions with C != 0 share one
-    _outer(z, z) monomial block per ``HESSIAN_BLOCK`` rows.
+    _outer(z, z) monomial block per ``HESSIAN_BLOCK`` rows, and M is summed
+    from zero in block order, one (10, b) @ (b, 10) product per block.  No
+    length-T reduction goes through BLAS, whose threads would split it and
+    make its bits follow the thread count; the block size sets only the
+    rounding of M.
     """
     total = np.sum(S, axis=0) if coeffs else None
     live = [(k, A, C) for k, (A, C) in enumerate(coeffs) if np.any(C)]
     h_sq = [0.0 if np.any(C) else (A * A) @ hams.UPPER_WEIGHTS for A, C in coeffs]
     if live:
-        # one monomial column at a time: no (T, 10) monomial array is made
-        M = np.stack([(u_c[:, i] * u_c[:, j]) @ S
-                      for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
+        M = np.zeros((len(hams.UPPER_I), len(hams.UPPER_I)))
         for s in range(0, len(u_c), HESSIAN_BLOCK):
             zb = u_c[s:s + HESSIAN_BLOCK]
             mono = hams._outer(zb, zb)
+            M += mono.T @ S[s:s + HESSIAN_BLOCK]
             for k, A, C in live:
                 Hu = mono @ C + A
                 h_sq[k] = np.maximum(h_sq[k], np.max((Hu * Hu) @ hams.UPPER_WEIGHTS))
@@ -469,8 +473,8 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     is evaluated only on the elements whose centroid image lies in it, and
     a cutoff-profiled one runs its product rule only where the cutoff
     varies (see :func:`hamiltonians._profiled`); both give exactly the
-    value of evaluating every element.  No result depends on
-    ``HESSIAN_BLOCK``.
+    value of evaluating every element.  Only M (below) depends on
+    ``HESSIAN_BLOCK``, and only in its rounding.
 
     A function whose packed Hessian is a quadratic polynomial in z,
     A + mono(z) C with mono(z) the 10 monomials z_i z_j
@@ -480,7 +484,9 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
     per call and only when some function has C != 0; its max norm is
     ||A||_F when C = 0, and otherwise one (b, 10) @ (10, 10) product per
     block of b rows, on a monomial block mono(u_c) that all such functions
-    share.
+    share.  M is summed block by block from that shared block, so no
+    length-T reduction goes through BLAS and no bit follows its thread
+    count.
     """
     if len(fs) == 0:
         raise ValueError("stationarity_test: empty test set")

@@ -370,7 +370,10 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
 # Hamiltonian flows
 # --------------------------------------------------------------------------
 def _midpoint(rhs, y, dt):
-    """One midpoint (RK2) step of y' = rhs(y) from the array ``y``."""
+    """One midpoint (RK2) step of y' = rhs(y) from the array ``y``; a dt
+    that is not finite and positive raises ``ValueError``."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must satisfy 0 < dt < inf")
     return y + dt * rhs(y + 0.5 * dt * rhs(y))
 
 
@@ -382,8 +385,6 @@ def _flow_step(mesh, vals, f, dt, domain):
     per-step defect of the discrete step is third order in dt (and zero
     to rounding for complex-linear generator fields).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     vals = _midpoint(lambda y: apply_I(f.gradient(y)), vals, dt)
     return _project_boundary(domain, vals, mesh.is_boundary)
 

@@ -338,6 +338,29 @@ def test_determinism_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_determinism_across_blas_threads(tmp_path):
+    """Two fresh interpreters with one and with two BLAS threads write the
+    same bytes, so no reduction's order of summation follows the thread
+    count; OpenBLAS splits a reduction only when it is long, hence the
+    96x384 level."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        subprocess.run([sys.executable, "-m", "lagdisc.cli", "--command",
+                        "verify-example", "--example", "sw:3,4",
+                        "--mesh", "48,192,1.0", "--refinements", "2",
+                        "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(outs[0]) == {"report.csv", "summary.json"}
+    assert outs[0] == outs[1]
+
+
 _FILES = {
     "verify-example": {"report.csv", "summary.json"},
     "boundary-report": {"report.csv", "summary.json"},

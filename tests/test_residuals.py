@@ -649,16 +649,20 @@ def test_stationarity_terms_do_not_read_the_hessian_layout(mesh_cache):
         assert c_terms == f_terms
 
 
-def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache):
+def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache,
+                                                          monkeypatch):
     # the functions with C != 0 share one monomial block per HESSIAN_BLOCK
     # rows; their max norms and integrals are bitwise those of one
-    # polynomial evaluation per function and block
+    # polynomial evaluation per function and block, with the moment matrix
+    # summed block by block in block order
     u = fam.sample(fam.sw_cone(2, 3), mesh_cache(48, 192))
-    u_c, S, _ = res._frame_tensor(u, np.ones(len(u.mesh.triangles), bool))
+    u_c, S, grad_sq = res._frame_tensor(u, np.ones(len(u.mesh.triangles), bool))
     assert len(u_c) > res.HESSIAN_BLOCK
     total = np.sum(S, axis=0)
-    M = np.stack([(u_c[:, i] * u_c[:, j]) @ S
-                  for i, j in zip(hams.UPPER_I, hams.UPPER_J)])
+    M = np.zeros((10, 10))
+    for s in range(0, len(u_c), res.HESSIAN_BLOCK):
+        zb = u_c[s:s + res.HESSIAN_BLOCK]
+        M += hams._outer(zb, zb).T @ S[s:s + res.HESSIAN_BLOCK]
     W = hams.UPPER_WEIGHTS
     for fs, n_live in ((res.ball_report_batch(), 8),
                        (res.ball_mixed_batch(seed=5), 6)):
@@ -680,6 +684,14 @@ def test_shared_monomial_terms_match_the_per_function_loop(mesh_cache):
                     Hu = hams._outer(zb, zb) @ C + A
                     h_sq = np.maximum(h_sq, np.max((Hu * Hu) @ W))
             assert (integral, h_inf) == (float(want), float(np.sqrt(h_sq)))
+        # the block size sets only the rounding of M, within the bound of
+        # test_polynomial_hessians_match_the_per_row_path
+        monkeypatch.setattr(res, "HESSIAN_BLOCK", 1000)
+        small = res._stationarity_terms(u_c, S, fs)
+        monkeypatch.undo()
+        for f, (integral, h_inf), (other, _) in zip(fs, got, small):
+            if f.hessian_coeffs is not None:
+                assert abs(integral - other) <= 1e-14 * (h_inf * grad_sq + alg.EPS)
 
 
 def test_frame_block_bitwise_matches_the_fancy_index_formula(rng):

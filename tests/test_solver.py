@@ -590,6 +590,22 @@ def test_flow_rejects_bad_dt(mesh_cache):
         _one_flow_step(u, f, -1e-2)
 
 
+@pytest.mark.parametrize("dt", [np.nan, 0.0, -0.1, np.inf])
+def test_flow_steps_reject_a_dt_that_is_not_finite_positive(mesh_cache, dt):
+    # both flow steps and the composed perturbation share the midpoint
+    # step's rule, stated so that NaN fails it
+    u = fam.sample(fam.flat_disc(np.eye(2)), mesh_cache(4, 16))
+    f = hams.hopf_invariant_quadratic([1, 0, 0, 0])
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        sol._flow_step(u.mesh, u.values, f, dt, BALL)
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        sol.flow_frame_step(np.array([0.3, 0.1, 0.2, 0.0]),
+                            (np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])),
+                            f, dt)
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        sol.perturb_by_hamiltonian_flows(u, [f], [dt], BALL)
+
+
 @pytest.mark.parametrize("times", [[0.05], [0.05, 0.05, 0.05]])
 def test_perturbation_rejects_unpaired_generators(mesh_cache, times):
     # zip dropped the generators (or times) that had no partner
