@@ -2,9 +2,10 @@
 
 Two representations:
 
-* ``LevelSetDomain``: Omega = {F < 0} with outward normal gradF/|gradF|,
-  Newton projection onto the boundary and a globally defined normal
-  extension (used by the descent's boundary-tangential projection).
+* ``LevelSetDomain``: Omega = {<A z, z> < 1} for a positive diagonal A,
+  with outward normal gradF/|gradF|, Newton projection onto the boundary
+  and a globally defined normal extension (used by the descent's
+  boundary-tangential projection).
 * ``CurveNormalDomain``: only the boundary data that actually enters the
   free-boundary checks -- a closed curve in C^2 and a unit normal field
   X/|X| along it, evaluated in closed form from the curve parameter, which
@@ -12,7 +13,8 @@ Two representations:
   constraint domains known only through a normal field along the image of
   the disc boundary; no hypersurface is reconstructed, nothing is searched.
 
-Both answer ``contains_ball``, the admissibility test of a support ball.
+Both answer ``contains_ball``, the admissibility test of a support ball (a
+bound on F over it, exact on the ball; a grid distance past the grid gap).
 """
 
 from __future__ import annotations
@@ -30,27 +32,33 @@ __all__ = [
 
 
 class LevelSetDomain:
-    """Omega = {F < 0} for a scalar level-set function with gradient."""
+    """Omega = {F < 0} for F(z) = <A z, z> - 1, ``A`` a diagonal of 4
+    positive finite numbers (1 for the unit ball, 1/a^2 for an ellipsoid)."""
 
     kind = "levelset"
 
-    def __init__(self, F, gradF):
-        self.F = F
-        self.gradF = gradF
+    def __init__(self, A):
+        self.A = np.array(A, float)
+        if self.A.shape != (4,) or not np.all((self.A > 0) & np.isfinite(self.A)):
+            raise ValueError("A must be 4 positive finite numbers")
+
+    def F(self, z):
+        z = np.asarray(z, float)
+        return algebra.inner(self.A * z, z) - 1.0
+
+    def gradF(self, z):
+        return 2.0 * self.A * np.asarray(z, float)
+
+    def peak_bound(self, center, radius):
+        """F(c) + 2 r |A c| + max(A) r^2, which bounds F on the ball |z - c|
+        <= r by Cauchy-Schwarz and is its maximum when all of A are equal."""
+        c = np.asarray(center, float)
+        return float(self.F(c) + 2.0 * radius * algebra.norm(self.A * c)
+                     + np.max(self.A) * radius ** 2)
 
     def contains_ball(self, center, radius):
-        """Whether the ball |z - center| <= radius lies in {F < -1e-9}: F on
-        its sphere, climbed along gradF from the best of 128 seeded samples."""
-        center = np.asarray(center, float)
-        dirs = np.random.default_rng(0).normal(size=(128, 4))
-        dirs /= algebra.norm(dirs)[:, None]
-        F = np.asarray(self.F(center + radius * dirs))
-        d = dirs[np.argmax(F)]
-        for _ in range(20):
-            g = np.asarray(self.gradF(center + radius * d), float)
-            d = g / algebra.norm(g)
-        peak = max(np.max(F), float(self.F(center + radius * d)))
-        return bool(peak < -1e-9)
+        """Whether ``peak_bound`` < -1e-9, so the ball lies in {F < -1e-9}."""
+        return self.peak_bound(center, radius) < -1e-9
 
     def normal_extension(self, z):
         """gradF/|gradF| wherever the gradient is nonzero (off-boundary too)."""
@@ -159,14 +167,7 @@ class CurveNormalDomain:
 
 def unit_ball():
     """The unit ball: F(z) = |z|^2 - 1, normal z/|z| on the 3-sphere."""
-    def F(z):
-        z = np.asarray(z, float)
-        return algebra.inner(z, z) - 1.0
-
-    def gradF(z):
-        return 2.0 * np.asarray(z, float)
-
-    return LevelSetDomain(F, gradF)
+    return LevelSetDomain(np.ones(4))
 
 
 def curve_domain_from_map(example):

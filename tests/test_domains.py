@@ -28,21 +28,52 @@ def test_ball_constraint_bitwise_matches_axis_sum(rng):
 
 def test_ball_contains_ball_is_the_exact_rule():
     # |c| + r < 1 on seeded balls: generic ones, ones 1e-6 inside and 1e-6
-    # outside tangency (radii up to 0.6, where the 20-step climb converges),
-    # and the centred ones, whose sphere samples are all the peak
+    # outside tangency at radii up to 0.99, and the centred ones
     ball = dom.unit_ball()
     rng = np.random.default_rng(7)
     balls = [(np.zeros(4), 1.0 + s) for s in (-1e-6, 1e-6)]
-    for _ in range(200):
+    radii = np.concatenate([rng.uniform(0.01, 0.6, 200),
+                            rng.uniform(0.6, 0.99, 200), [0.8, 0.95, 0.99]])
+    for r in radii:
         d = rng.normal(size=4)
         d /= np.linalg.norm(d)
-        balls.append((rng.uniform(0.0, 0.9) * d, rng.uniform(0.01, 0.6)))
-        r = rng.uniform(0.01, 0.6)
+        balls.append((rng.uniform(0.0, 0.9) * d, rng.uniform(0.01, 0.99)))
         balls += [((1.0 - r) * d, r + s) for s in (-1e-6, 1e-6)]
     got = [ball.contains_ball(c, r) for c, r in balls]
     want = [np.linalg.norm(c) + r < 1.0 for c, r in balls]
     assert got == want
     assert 0 < sum(got) < len(got)
+
+
+@pytest.mark.parametrize("axes", [(1, 1.3, 1, 1.3), (1, 0.8, 1, 0.8),
+                                  (1, 1, 1.3, 1.3)])
+def test_level_set_wall_test_is_sound(axes):
+    # every accepted ball keeps F < 0 on 4096 seeded points of its sphere
+    # and at c +- r e_i; on the unit ball the bound is the exact peak
+    axes = np.asarray(axes, float)
+    domain = dom.LevelSetDomain(1 / axes ** 2)
+    ball = dom.unit_ball()
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(4096, 4))
+    dirs = np.concatenate([dirs / alg.norm(dirs)[:, None], np.eye(4), -np.eye(4)])
+    accepted = 0
+    for r in rng.uniform(0.2, 0.99, 200):
+        d = rng.normal(size=4)
+        c = rng.uniform(0.0, 0.9) * axes * d / np.linalg.norm(d)
+        peak = np.max(domain.F(c + r * dirs))
+        assert domain.peak_bound(c, r) >= peak
+        if domain.contains_ball(c, r):
+            accepted += 1
+            assert peak < 0
+        assert abs(ball.peak_bound(c, r) - ((np.linalg.norm(c) + r) ** 2 - 1)) <= 1e-12
+    assert 0 < accepted < 200
+
+
+@pytest.mark.parametrize("A", [np.ones(3), [1, 0, 1, 1], [1, 1, -1, 1],
+                               [1, np.nan, 1, 1], [1, 1, 1, np.inf]])
+def test_level_set_rejects_a_that_is_not_four_positive_finite_numbers(A):
+    with pytest.raises(ValueError, match="A must be 4 positive finite numbers"):
+        dom.LevelSetDomain(A)
 
 
 def test_ball_normal_at_requires_boundary():
