@@ -35,7 +35,7 @@ for (p, q) in [(1, 2), (2, 3)]:
     rec = res.singular_masses(cone.angle_flux_field, (0.0, 0.0),
                               radii=(0.2, 0.35, 0.5))
     oracle = res.singular_masses(lambda pts: fd_field(cone, pts),
-                                 (0.0, 0.0), radii=(0.3, 0.5), n_quad=256)
+                                 (0.0, 0.0), radii=(0.3, 0.5))
     print(f"({p},{q})".rjust(8)
           + f" {rec.degree:14.9f} {rec.flux_mass:12.2e} "
           f"{rec.degree_spread:10.1e} {oracle.degree:18.6f}")

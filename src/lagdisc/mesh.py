@@ -215,7 +215,7 @@ class DiscMesh:
         """Triangle index and barycentric coordinates for disc points.
 
         Only available on meshes built by :func:`build_polar_mesh`.  Points
-        must lie in the closed unit disc; ``r > 1 + 1e-12`` raises
+        must lie in the closed unit disc; ``r > 1 + 1e-12`` or a NaN raises
         ``ValueError``.  Each point is tested against the triangles
         of its polar cell (ring k, sector j), then of cells k - 1 and
         k + 1, and takes the first triangle whose smallest barycentric
@@ -230,7 +230,7 @@ class DiscMesh:
         n_s, n_rings = info["n_sectors"], info["n_rings"]
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
-        if np.any(r > 1 + 1e-12):
+        if not np.all(r <= 1 + 1e-12):         # NaN fails the bound
             raise ValueError("point outside the closed unit disc")
         dth = 2 * np.pi / n_s
         j = np.minimum((th / dth).astype(int), n_s - 1)
@@ -483,24 +483,27 @@ def boundary_trace_pairing(mesh, w, phis, collar_r0):
     return out
 
 
-def loop_integrals(w, center, radius, n_quad=512):
+N_QUAD = 512
+
+
+def loop_integrals(w, center, radius):
     """Flux and circulation of a field around a circle inside the disc.
 
     ``w`` is a callable mapping (k, 2) points to real (k, 2) vectors.
-    Trapezoidal quadrature on the circle is spectrally accurate for smooth
-    periodic integrands.
+    Trapezoidal quadrature at ``N_QUAD`` points on the circle is spectrally
+    accurate for smooth periodic integrands.
     """
     center = np.asarray(center, float)
     if not radius > 0:          # NaN fails both bounds
         raise ValueError("radius must be positive")
     if not np.hypot(*center) + radius < 1.0 - 1e-12:
         raise ValueError("quadrature circle exits the open unit disc")
-    t = 2 * np.pi * np.arange(n_quad) / n_quad
+    t = 2 * np.pi * np.arange(N_QUAD) / N_QUAD
     nu = np.column_stack([np.cos(t), np.sin(t)])
     tau = np.column_stack([-np.sin(t), np.cos(t)])
     pts = center + radius * nu
     vals = np.asarray(w(pts))
-    ds = 2 * np.pi * radius / n_quad
+    ds = 2 * np.pi * radius / N_QUAD
     flux = np.sum(np.sum(vals * nu, axis=-1)) * ds
     circ = np.sum(np.sum(vals * tau, axis=-1)) * ds
     return float(flux), float(circ)

@@ -229,7 +229,7 @@ def angle_harmonicity(u: DiscreteMap, exclude=()):
             weak_divergence_residual(u.mesh, w_perp, exclude))
 
 
-def singular_masses(angle_flux, point, radii, n_quad=512):
+def singular_masses(angle_flux, point, radii):
     """Degree and flux mass of the field i gbar grad g around a point.
 
     ``degree = mean over radii of circulation / 2 pi`` and ``flux_mass``
@@ -238,8 +238,7 @@ def singular_masses(angle_flux, point, radii, n_quad=512):
     (for the conical families the degree equals p - q).
     """
     point = np.asarray(point, float)
-    fluxes, circs = zip(*(loop_integrals(angle_flux, point, r, n_quad)
-                          for r in radii))
+    fluxes, circs = zip(*(loop_integrals(angle_flux, point, r) for r in radii))
     degs = np.asarray(circs) / (2 * np.pi)
     rec = SingularMassRecord(point=point,
                              degree=float(np.mean(degs)),
@@ -519,14 +518,19 @@ def stationarity_test(u: DiscreteMap, domain, fs, subdomain=None):
 # --------------------------------------------------------------------------
 # standard Hamiltonian batches
 # --------------------------------------------------------------------------
+def _is_count(n):
+    """Whether ``n`` is an int (numpy's too) and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def ball_report_batch(size=20):
     """Admissible family whose stationarity integrand vanishes pointwise on
     flat equatorial discs and on cones through the origin (position vector
     tangent to the surface): an origin-centered bump, radial invariants and
     phase-invariant quadratics.  Used for null tests.  ``size`` counts
-    the four fixed functions, so below 4 it raises ``ValueError``."""
-    if not size >= 4:
-        raise ValueError("ball_report_batch: size is below its 4 fixed functions")
+    the four fixed functions; one that is not an int >= 4 raises ValueError."""
+    if not (_is_count(size) and size >= 4):
+        raise ValueError("ball_report_batch: size must be an int >= 4 fixed functions")
     out = [hams.interior_bump(np.zeros(4), 0.45, 1.0)]
     profiles = [None, hams.poly_profile([0.0, 1.0]),
                 hams.smooth_cutoff_profile(0.4, 0.95)]
@@ -549,9 +553,10 @@ def ball_report_batch(size=20):
 def ball_mixed_batch(seed=0, size=24, n_bumps=8):
     """Report batch plus seeded generic interior bumps (supported inside the
     ball, centers off the origin), which probe honest O(h) behaviour.
-    ``n_bumps < 0`` and ``size - n_bumps < 4`` raise ``ValueError``."""
-    if not n_bumps >= 0:
-        raise ValueError("ball_mixed_batch: n_bumps must be >= 0")
+    ``size`` and ``n_bumps`` that are not ints, ``n_bumps < 0`` and
+    ``size - n_bumps < 4`` raise ``ValueError``."""
+    if not (_is_count(size) and _is_count(n_bumps) and n_bumps >= 0):
+        raise ValueError("ball_mixed_batch: size and n_bumps must be ints, n_bumps >= 0")
     rng = np.random.default_rng(seed)
     out = ball_report_batch(size=size - n_bumps)
     for _ in range(n_bumps):
@@ -568,7 +573,10 @@ def ball_mixed_batch(seed=0, size=24, n_bumps=8):
 def curve_report_batch(domain, example, size=12, seed=0):
     """Admissible family for the curve-constrained problem: test functions of
     z1 alone whose Hamiltonian field is tangent to the constraint curve, plus
-    interior bumps supported away from the curve."""
+    interior bumps supported away from the curve.  A ``size`` that is not
+    an int raises ``ValueError``."""
+    if not _is_count(size):
+        raise ValueError("curve_report_batch: size must be an int")
     rng = np.random.default_rng(seed)
     out = []
     for center, width in [(0.45, 0.35), (-0.45, 0.35), (0.6, 0.25),

@@ -16,7 +16,8 @@ operator K+M, factored once per :func:`minimize` call and solved for all
 four components at once; it is equivariant under the unitary group.  K+M
 is symmetric positive definite, so SuperLU factors it in symmetric mode:
 minimum-degree ordering on A+A^T and the diagonal as pivots, with no
-pivoting search.
+pivoting search.  Module constants set the descent's schedule: the stages
+``CONTINUATION``, ``MAX_ITERS`` per stage and the tolerance ``GRAD_TOL``.
 
 :func:`perturb_by_hamiltonian_flows` composes midpoint steps of
 Hamiltonian flows; :func:`rigidity_experiment` flows the flat disc,
@@ -30,8 +31,7 @@ acceptance test of :func:`minimize` are built from.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,6 @@ from .mesh import DiscMesh, element_gradient
 
 __all__ = [
     "RigidityReport",
-    "SolverConfig",
     "energy_and_gradient",
     "flow_frame_step",
     "minimize",
@@ -57,34 +56,9 @@ __all__ = [
     "rigidity_experiment",
 ]
 
-
-def default_continuation():
-    return [(10.0, 1e2), (1e2, 1e3), (1e3, 1e4)]
-
-
-@dataclass
-class SolverConfig:
-    max_iters: int = 400                      # per continuation stage
-    grad_tol: float = 1e-7
-    continuation: list = field(default_factory=default_continuation)  # of (lam1, lam2)
-
-    def __post_init__(self):
-        if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
-                or self.max_iters < 1):
-            raise ValueError("max_iters must be a positive integer")
-        # NaN fails every comparison, so each bound is stated as what holds
-        if not (isinstance(self.continuation, (tuple, list)) and self.continuation
-                and all(isinstance(stage, (tuple, list)) and len(stage) == 2
-                        and all(_positive_finite(lam) for lam in stage)
-                        for stage in self.continuation)):
-            raise ValueError("continuation stages must be positive finite (lam1, lam2)")
-        if not _positive_finite(self.grad_tol):
-            raise ValueError("grad_tol must be positive and finite")
-
-
-def _positive_finite(x):
-    """Whether ``x`` is a real number, not a bool, in (0, inf)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < np.inf
+CONTINUATION = ((10.0, 1e2), (1e2, 1e3), (1e3, 1e4))
+MAX_ITERS = 400
+GRAD_TOL = 1e-7
 
 
 # --------------------------------------------------------------------------
@@ -224,10 +198,11 @@ def _energy_change(mesh, st: _EnergyState, new: _EnergyState, lam1, lam2):
             + lam2 * float(np.sum(w * (new.Fb - st.Fb) * (new.Fb + st.Fb))))
 
 
-def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
+def minimize(u0: DiscreteMap, domain):
     """Preconditioned Polak-Ribiere+ conjugate gradients under a zero
     barycentre constraint, with an exact line search on the energy's quartic
-    restriction.
+    restriction, over the penalty stages (lam1, lam2) of ``CONTINUATION``;
+    a stage runs at most ``MAX_ITERS`` iterations, to gradient ``GRAD_TOL``.
 
     The constraint is sum_i m_i u_i = 0, with m the lumped mass
     (:attr:`DiscMesh.lumped_mass`).  Without it the descent slides the disc
@@ -314,14 +289,14 @@ def minimize(u0: DiscreteMap, domain, cfg: SolverConfig):
     factor = spla.splu((mesh.stiffness + sp.diags(m)).tocsc(),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-    for lam1, lam2 in cfg.continuation:
+    for lam1, lam2 in CONTINUATION:
         st = _energy_state(u, domain, lam1, lam2)    # lam changes E
         Gp = project_gradient(u.values, _energy_gradient(u, domain, lam1, lam2, st))
         evals, restarts = 1, 0
         d = None
-        for it in range(cfg.max_iters):
+        for it in range(MAX_ITERS):
             # st and Gp belong to u: the stage start or the accepted trial
-            if record(st, Gp) <= cfg.grad_tol:
+            if record(st, Gp) <= GRAD_TOL:
                 reason = "converged"
                 break
             z = project_direction(u.values, factor.solve(Gp))
@@ -483,7 +458,7 @@ class RigidityReport:
     iterations: int
     stages: list        # per stage: lam1, lam2, iters, the reason it ended,
                         # energy_evals and restarts (see minimize)
-    config: dict
+    config: dict        # the schedule minimize ran
 
     def to_dict(self):
         return asdict(self)
@@ -492,8 +467,7 @@ class RigidityReport:
 def rigidity_experiment(seed, eps, mesh: DiscMesh):
     """Perturb the flat equatorial disc of the unit ball by admissible
     Hamiltonian flows (:func:`random_sphere_tangent_hamiltonians`) of total
-    amplitude ``eps``, relax it by :func:`minimize` under the default
-    :class:`SolverConfig`, and report the
+    amplitude ``eps``, relax it by :func:`minimize`, and report the
     :func:`~lagdisc.residuals.rigidity_verdict` of the relaxed map.
 
     Returns ``(report, u_final, history)``.
@@ -501,7 +475,6 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh):
     if not 0.0 <= eps <= 0.1:
         raise ValueError("perturbation amplitude must satisfy 0 <= eps <= 0.1")
     domain = unit_ball()
-    cfg = SolverConfig()
 
     u_start = sample(flat_disc(np.eye(2)), mesh)
     rng = np.random.default_rng(seed)
@@ -513,7 +486,7 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh):
             scales.append((eps / 3.0) / max(gmax, 1e-9))
         u_start = perturb_by_hamiltonian_flows(u_start, fs, scales, domain)
 
-    u_final, history = minimize(u_start, domain, cfg)
+    u_final, history = minimize(u_start, domain)
     verdict = res.rigidity_verdict(u_final, seed)
     last = history["rows"][-1]
     return RigidityReport(
@@ -521,5 +494,5 @@ def rigidity_experiment(seed, eps, mesh: DiscMesh):
         final_lagrangian=last["lagrangian"],
         final_boundary_violation=last["boundary_violation"],
         iterations=len(history["rows"]), stages=history["stages"],
-        config={"stages": list(cfg.continuation), "grad_tol": cfg.grad_tol,
-                "max_iters": cfg.max_iters}), u_final, history
+        config={"stages": list(CONTINUATION), "grad_tol": GRAD_TOL,
+                "max_iters": MAX_ITERS}), u_final, history

@@ -423,5 +423,7 @@ def test_rigidity_command(tmp_path):
     assert [s["reason"] for s in result["stages"]] == ["converged"] * 3
     assert all(set(s) == {"lam1", "lam2", "iters", "reason", "energy_evals",
                           "restarts"} for s in result["stages"])
+    assert result["config"] == {"grad_tol": 1e-07, "max_iters": 400, "stages": [
+        [10.0, 100.0], [100.0, 1000.0], [1000.0, 10000.0]]}
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "seed,iter,E,grad_norm,lagrangian,boundary_violation"

@@ -597,7 +597,7 @@ def test_loop_grad_log_r():
         r2 = p[:, 0] ** 2 + p[:, 1] ** 2
         return p / r2[:, None]
 
-    flux, circ = msh.loop_integrals(w, (0.0, 0.0), 0.5, 512)
+    flux, circ = msh.loop_integrals(w, (0.0, 0.0), 0.5)
     assert abs(flux - 2 * np.pi) <= 1e-10
     assert abs(circ) <= 1e-10
 
@@ -606,7 +606,7 @@ def test_loop_sw_field_circulation():
     # i gbar grad g of the (1,2) cone: circulation 2 pi (p - q) = -2 pi,
     # zero flux; frozen by the finite-difference oracle in test_residuals
     sw = sw_cone(1, 2)
-    flux, circ = msh.loop_integrals(sw.angle_flux_field, (0.0, 0.0), 0.5, 512)
+    flux, circ = msh.loop_integrals(sw.angle_flux_field, (0.0, 0.0), 0.5)
     assert abs(flux) <= 1e-10
     assert abs(circ + 2 * np.pi) <= 1e-10
 
@@ -615,7 +615,7 @@ def test_loop_constant_field():
     def w(p):
         return np.tile([1.0, 0.0], (len(p), 1))
 
-    flux, circ = msh.loop_integrals(w, (0.2, -0.1), 0.3, 256)
+    flux, circ = msh.loop_integrals(w, (0.2, -0.1), 0.3)
     assert abs(flux) <= 1e-12 and abs(circ) <= 1e-12
 
 
@@ -624,7 +624,7 @@ def test_loop_radius_independence():
         r2 = p[:, 0] ** 2 + p[:, 1] ** 2
         return np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
 
-    circs = [msh.loop_integrals(w, (0.0, 0.0), r, 512)[1]
+    circs = [msh.loop_integrals(w, (0.0, 0.0), r)[1]
              for r in (0.2, 0.4, 0.8)]
     assert max(circs) - min(circs) <= 1e-10
 
@@ -756,6 +756,14 @@ def test_locate_on_circle_between_boundary_nodes(mesh_cache):
     assert np.max(np.abs(m.interpolate(vals, pts) - pts[:, 0])) <= (2 * np.pi / n_s) ** 2
     with pytest.raises(ValueError, match="point outside the closed unit disc"):
         m.locate([[1.0 + 1e-9, 0.0]])
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [0.3, np.nan], [np.inf, 0.0]])
+def test_locate_rejects_a_point_that_is_not_finite(point):
+    # a NaN coordinate once passed the disc bound and was located in
+    # triangle 80 with NaN barycentrics
+    with pytest.raises(ValueError, match="closed unit disc"):
+        msh.build_polar_mesh(4, 16).locate([[0.0, 0.0], point])
 
 
 def _clear_node_mask(mesh, singular_points, radius=0.0):

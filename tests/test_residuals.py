@@ -170,7 +170,7 @@ def fd_angle_flux(example, pts, h=1e-6):
 def test_degree_sign_oracle(pq):
     sw = fam.sw_cone(*pq)
     rec = res.singular_masses(lambda pts: fd_angle_flux(sw, pts),
-                              (0.0, 0.0), radii=(0.3, 0.5), n_quad=256)
+                              (0.0, 0.0), radii=(0.3, 0.5))
     assert abs(rec.degree - (pq[0] - pq[1])) <= 1e-4
     # and the closed-form field agrees with the oracle pointwise
     pts = np.array([[0.3, 0.2], [-0.4, 0.1], [0.0, -0.5]])
@@ -916,6 +916,33 @@ def test_ball_batches_reject_sizes_below_their_fixed_functions():
                  lambda: res.ball_mixed_batch(size=24, n_bumps=-1)):
         with pytest.raises(ValueError, match="4 fixed functions|n_bumps"):
             make()
+
+
+@pytest.mark.parametrize("size", [4.5, 12.0, True])
+def test_ball_report_batch_rejects_a_size_that_is_not_an_int(size):
+    # size=4.5 returned 5 functions
+    assert len(res.ball_report_batch(np.int64(5))) == 5
+    with pytest.raises(ValueError, match="size must be an int"):
+        res.ball_report_batch(size)
+
+
+@pytest.mark.parametrize("counts", [(12.5, 4), (12, 2.5), (12, True), (12.0, 4)])
+def test_ball_mixed_batch_rejects_counts_that_are_not_ints(counts):
+    # n_bumps=2.5 raised TypeError from range
+    size, n_bumps = counts
+    assert len(res.ball_mixed_batch(size=np.int64(12), n_bumps=np.int32(4))) == 12
+    with pytest.raises(ValueError, match="size and n_bumps must be ints"):
+        res.ball_mixed_batch(size=size, n_bumps=n_bumps)
+
+
+@pytest.mark.parametrize("size", [12.5, 12.0, True])
+def test_curve_report_batch_rejects_a_size_that_is_not_an_int(size):
+    # size=12.5 returned 13 functions
+    nm = fam.nonminimal_map()
+    domain = dom.curve_domain_from_map(nm)
+    assert len(res.curve_report_batch(domain, nm, size=np.int64(8))) == 8
+    with pytest.raises(ValueError, match="size must be an int"):
+        res.curve_report_batch(domain, nm, size=size)
 
 
 @pytest.mark.parametrize("c", [float("nan"), 1.0, -1.5])

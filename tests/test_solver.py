@@ -16,10 +16,14 @@ from conftest import half_turn, random_unitary
 BALL = dom.unit_ball()
 
 
-def small_cfg(**kw):
-    defaults = dict(grad_tol=1e-9, max_iters=200)
-    defaults.update(kw)
-    return sol.SolverConfig(**defaults)
+@pytest.fixture
+def small_schedule(monkeypatch):
+    """Set the descent's ``GRAD_TOL`` and ``MAX_ITERS`` for one test, to 1e-9
+    and 200 unless given."""
+    def set_schedule(grad_tol=1e-9, max_iters=200):
+        monkeypatch.setattr(sol, "GRAD_TOL", grad_tol)
+        monkeypatch.setattr(sol, "MAX_ITERS", max_iters)
+    return set_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +56,7 @@ def _ellipsoid(axes):
     return dom.LevelSetDomain(1 / np.asarray(axes) ** 2)
 
 
-@pytest.mark.parametrize("lams", sol.default_continuation(),
+@pytest.mark.parametrize("lams", sol.CONTINUATION,
                          ids=["stage1", "stage2", "stage3"])
 @pytest.mark.parametrize("case", ["sw_cone/ball", "noisy/ball", "noisy/ellipsoid"])
 def test_gradient_finite_difference(mesh_cache, rng, case, lams):
@@ -90,7 +94,7 @@ def test_energy_needs_level_set(mesh_cache):
     with pytest.raises(TypeError, match="energy penalties need a level-set domain"):
         sol.energy_and_gradient(u, d, 1.0, 1.0)
     with pytest.raises(TypeError, match="energy penalties need a level-set domain"):
-        sol.minimize(u, d, sol.SolverConfig())
+        sol.minimize(u, d)
 
 
 def _add_at_energy_and_gradient(u, domain, lam1, lam2):
@@ -128,7 +132,7 @@ def _add_at_energy_and_gradient(u, domain, lam1, lam2):
 def test_energy_and_gradient_bitwise_matches_add_at(mesh_cache, rng, size):
     m = mesh_cache(*size)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    for lam1, lam2 in sol.default_continuation():
+    for lam1, lam2 in sol.CONTINUATION:
         vals = u0.values + 0.1 * rng.normal(size=u0.values.shape)
         u = replace(u0, values=vals, source=None)
         E, G = sol.energy_and_gradient(u, BALL, lam1, lam2)
@@ -153,10 +157,11 @@ def test_boundary_weights_bitwise_match_edge_loop(size):
 # ---------------------------------------------------------------------------
 # minimize
 # ---------------------------------------------------------------------------
-def test_minimize_flat_disc_immediate(mesh_cache):
+def test_minimize_flat_disc_immediate(mesh_cache, small_schedule):
     m = mesh_cache(12, 48)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
-    u_star, hist = sol.minimize(u0, BALL, small_cfg(grad_tol=1e-7))
+    small_schedule(grad_tol=1e-7)
+    u_star, hist = sol.minimize(u0, BALL)
     # converged in at most 5 accepted iterations per stage: the flat disc is
     # an exact critical point of the projected scheme
     assert all(s["iters"] <= 5 for s in hist["stages"])
@@ -164,12 +169,13 @@ def test_minimize_flat_disc_immediate(mesh_cache):
     assert abs(hist["rows"][-1]["E"] - float(np.sum(m.areas))) <= 1e-10
 
 
-def test_minimize_requires_projection_tube(mesh_cache):
+def test_minimize_requires_projection_tube(mesh_cache, small_schedule):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     bad = replace(u0, values=2.5 * u0.values, source=None)
+    small_schedule()
     with pytest.raises(ValueError):
-        sol.minimize(bad, BALL, small_cfg())
+        sol.minimize(bad, BALL)
 
 
 def _minimize_factor(monkeypatch, mesh):
@@ -183,8 +189,9 @@ def _minimize_factor(monkeypatch, mesh):
         return built[-1][1]
 
     monkeypatch.setattr(sol.spla, "splu", capturing)
-    sol.minimize(fam.sample(fam.flat_disc(np.eye(2)), mesh), BALL,
-                 small_cfg(max_iters=1))
+    monkeypatch.setattr(sol, "GRAD_TOL", 1e-9)
+    monkeypatch.setattr(sol, "MAX_ITERS", 1)
+    sol.minimize(fam.sample(fam.flat_disc(np.eye(2)), mesh), BALL)
     monkeypatch.undo()
     (A, factor), = built
     return A, factor, splu(A)
@@ -255,30 +262,30 @@ def test_minimize_relaxes_starts_that_are_not_odd(mesh_cache, size, seed):
     m = mesh_cache(*size)
     start = _off_centre_start(m, seed)
     assert np.max(np.abs(start.values + start.values[half_turn(m)])) >= 1e-3
-    cfg = sol.SolverConfig()
-    u, hist = sol.minimize(start, BALL, cfg)
+    u, hist = sol.minimize(start, BALL)
     assert all(s["reason"] == "converged" for s in hist["stages"])
     verdict = res.rigidity_verdict(u, seed)
     assert verdict["flat_disc_distance"] <= 1e-6
     assert verdict["angle_variance"] <= 1e-10
-    assert _barycentre_multiplier(u, *cfg.continuation[-1]) <= 10 * cfg.grad_tol
+    assert _barycentre_multiplier(u, *sol.CONTINUATION[-1]) <= 10 * sol.GRAD_TOL
 
 
-def test_minimize_needs_no_polar_structure(mesh_cache):
+def test_minimize_needs_no_polar_structure(mesh_cache, small_schedule):
     m = mesh_cache(8, 32)
     start = _off_centre_start(m, 3)
     bare = replace(start, mesh=replace(m, polar_info=None))
-    cfg = small_cfg(grad_tol=1e-8)
-    u_a, hist_a = sol.minimize(start, BALL, cfg)
-    u_b, hist_b = sol.minimize(bare, BALL, cfg)
+    small_schedule(grad_tol=1e-8)
+    u_a, hist_a = sol.minimize(start, BALL)
+    u_b, hist_b = sol.minimize(bare, BALL)
     assert all(s["reason"] == "converged" for s in hist_b["stages"])
     assert hist_b == hist_a
     assert np.array_equal(u_b.values, u_a.values)
 
 
-def test_minimize_perturbed_recovers(mesh_cache, rng):
+def test_minimize_perturbed_recovers(mesh_cache, rng, small_schedule):
     u_start = _perturbed_start(mesh_cache(12, 48), rng)
-    u_star, hist = sol.minimize(u_start, BALL, small_cfg(grad_tol=1e-8))
+    small_schedule(grad_tol=1e-8)
+    u_star, hist = sol.minimize(u_start, BALL)
     last = hist["rows"][-1]
     assert last["E"] <= np.pi + 1e-3
     assert last["lagrangian"] <= 1e-6
@@ -291,22 +298,23 @@ def test_minimize_perturbed_recovers(mesh_cache, rng):
         start = stop
 
 
-def test_stage_ending_on_max_iters_closes_with_the_returned_map(mesh_cache, rng):
+def test_stage_ending_on_max_iters_closes_with_the_returned_map(mesh_cache, rng,
+                                                               monkeypatch):
     """The last row describes the returned map, so the report's final
     energy and defects are those of that map, not of the iterate before."""
     start = _perturbed_start(mesh_cache(8, 32), rng)
-    cfg = sol.SolverConfig(max_iters=3)
-    u, hist = sol.minimize(start, BALL, cfg)
+    monkeypatch.setattr(sol, "MAX_ITERS", 3)
+    u, hist = sol.minimize(start, BALL)
     assert all(s["reason"] == "max_iters" for s in hist["stages"])
     assert len(hist["rows"]) == sum(s["iters"] + 1 for s in hist["stages"])
     assert [r["iter"] for r in hist["rows"]] == list(range(len(hist["rows"])))
-    want = sol._diagnostics(sol._energy_state(u, BALL, *cfg.continuation[-1]))
+    want = sol._diagnostics(sol._energy_state(u, BALL, *sol.CONTINUATION[-1]))
     last = hist["rows"][-1]
     assert {k: last[k] for k in want} == want
 
 
 def test_minimize_counts_two_element_gradient_passes_per_trial(
-        mesh_cache, rng, monkeypatch):
+        mesh_cache, rng, monkeypatch, small_schedule):
     start = _perturbed_start(mesh_cache(8, 32), rng)
     calls = []
 
@@ -315,7 +323,8 @@ def test_minimize_counts_two_element_gradient_passes_per_trial(
         return element_gradient(mesh, values)
 
     monkeypatch.setattr(sol, "element_gradient", counted)
-    _, hist = sol.minimize(start, BALL, small_cfg(grad_tol=1e-7))
+    small_schedule(grad_tol=1e-7)
+    _, hist = sol.minimize(start, BALL)
     stages = hist["stages"]
     for s in stages:
         # every iteration steps once, except the last of a stage that
@@ -348,7 +357,7 @@ def test_descent_does_not_read_the_frame_layout(mesh_cache, monkeypatch):
     assert run() == want
 
 
-def _trace_minimize(monkeypatch, start, cfg, records=None):
+def _trace_minimize(monkeypatch, start, records=None):
     """Run :func:`sol.minimize` recording, in ``records``, every energy
     state it builds, with its map and the last ``element_gradient`` input
     before it (for a trial, its search direction).  Returns the history
@@ -370,7 +379,7 @@ def _trace_minimize(monkeypatch, start, cfg, records=None):
 
     monkeypatch.setattr(sol, "element_gradient", recorded_element_gradient)
     monkeypatch.setattr(sol, "_energy_state", recorded_energy_state)
-    _, hist = sol.minimize(start, BALL, cfg)
+    _, hist = sol.minimize(start, BALL)
     # a row stores the very float object of its state's energy
     rows = [next(r for r in records if r[1].E is row["E"])
             for row in hist["rows"]]
@@ -392,7 +401,7 @@ def _projected_gradient(u, st, lam1, lam2):
 
 
 def test_every_accepted_step_descends_or_meets_the_derivative_condition(
-        mesh_cache, monkeypatch):
+        mesh_cache, monkeypatch, small_schedule):
     """Every third CG trial overshoots its quartic minimizer 2.5-fold, which
     raises the energy, so the rule has trials to reject as well.  Trials
     along the steepest direction -z (a stage's first trial and every
@@ -425,8 +434,8 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
     monkeypatch.setattr(sol.spla, "splu",
                         lambda *a, **k: RecordedFactor(splu(*a, **k)))
     monkeypatch.setattr(sol, "_quartic_step", overshooting)
-    hist, rows = _trace_minimize(monkeypatch, start, small_cfg(grad_tol=1e-10),
-                                 records)
+    small_schedule(grad_tol=1e-10)
+    hist, rows = _trace_minimize(monkeypatch, start, records)
     assert all(s["reason"] == "converged" for s in hist["stages"])
     assert sum(s["restarts"] for s in hist["stages"]) > 0    # -z retries
     # -z is recognised, or every trial would count as a CG trial
@@ -454,7 +463,7 @@ def test_every_accepted_step_descends_or_meets_the_derivative_condition(
 
 
 def test_stage_that_cannot_descend_ends_on_line_search(mesh_cache, rng,
-                                                       monkeypatch):
+                                                       monkeypatch, small_schedule):
     """Once no trial lowers the energy, the CG direction and then -z are
     tried, and the stage ends as ``line_search``."""
     start = _perturbed_start(mesh_cache(8, 32), rng)
@@ -466,7 +475,8 @@ def test_stage_that_cannot_descend_ends_on_line_search(mesh_cache, rng,
         return energy_change(*args) if len(changes) <= 3 else 1.0
 
     monkeypatch.setattr(sol, "_energy_change", rising_after_three)
-    _, hist = sol.minimize(start, BALL, small_cfg())
+    small_schedule()
+    _, hist = sol.minimize(start, BALL)
     first, *rest = hist["stages"]
     assert first["reason"] == "line_search"
     assert first["iters"] == 4
@@ -498,11 +508,10 @@ def test_summation_order_moves_no_iteration_count(mesh_cache, monkeypatch):
     stage ends (it once turned rigidity seed 4 at 48x192 from 225/7/400
     iterations into 225/5/5)."""
     start = _perturbed_start(mesh_cache(12, 48), np.random.default_rng(4))
-    cfg = sol.SolverConfig()
     runs = []
     for gradient in (sol._energy_gradient, _reordered_energy_gradient):
         monkeypatch.setattr(sol, "_energy_gradient", gradient)
-        u, hist = sol.minimize(start, BALL, cfg)
+        u, hist = sol.minimize(start, BALL)
         runs.append((u, hist))
     (u_a, hist_a), (u_b, hist_b) = runs
     assert not np.array_equal(u_a.values, u_b.values)   # rounding differs
@@ -515,13 +524,13 @@ def test_summation_order_moves_no_iteration_count(mesh_cache, monkeypatch):
     assert hist_b["rows"][-1]["E"] == pytest.approx(hist_a["rows"][-1]["E"], rel=0.01)
 
 
-def test_minimize_unitary_equivariance(mesh_cache, rng):
+def test_minimize_unitary_equivariance(mesh_cache, rng, small_schedule):
     m = mesh_cache(8, 32)
     u0 = fam.sample(fam.flat_disc(np.eye(2)), m)
     f = hams.hopf_invariant_quadratic([0.4, -0.2, 0.6, 0.1])
     flowed = sol.perturb_by_hamiltonian_flows(u0, [f], [0.03], BALL)
-    cfg = small_cfg(grad_tol=1e-10)
-    u_a, hist_a = sol.minimize(flowed, BALL, cfg)
+    small_schedule(grad_tol=1e-10)
+    u_a, hist_a = sol.minimize(flowed, BALL)
     U = random_unitary(rng)
     Ur = np.zeros((4, 4))
     Ur[0::2, 0::2] = U.real
@@ -529,7 +538,7 @@ def test_minimize_unitary_equivariance(mesh_cache, rng):
     Ur[1::2, 0::2] = U.imag
     Ur[1::2, 1::2] = U.real
     rotated = replace(flowed, values=flowed.values @ Ur.T)
-    u_b, hist_b = sol.minimize(rotated, BALL, cfg)
+    u_b, hist_b = sol.minimize(rotated, BALL)
     Ea, Eb = hist_a["rows"][-1]["E"], hist_b["rows"][-1]["E"]
     assert abs(Ea - Eb) <= 1e-8
     va, vb = res.rigidity_verdict(u_a, 1), res.rigidity_verdict(u_b, 1)
@@ -765,41 +774,9 @@ def test_rigidity_rejects_negative_or_nan_eps(mesh_cache, eps):
         sol.rigidity_experiment(seed=1, eps=eps, mesh=mesh_cache(4, 16))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        sol.SolverConfig(continuation=[(-1.0, 100.0)])
-    with pytest.raises(ValueError):
-        sol.SolverConfig(grad_tol=0.0)
-    # stages that are not (lam1, lam2) pairs failed in minimize with a TypeError
-    for stage in [(10.0,), (10.0, 100.0, 5.0)]:
-        with pytest.raises(ValueError, match="continuation"):
-            sol.SolverConfig(continuation=[stage])
-    # a stage that is no pair or holds a string raised TypeError, and a
-    # bool stage was accepted while max_iters=True is rejected
-    for stage in [5, ("a", 1.0), (True, 2.0)]:
-        with pytest.raises(ValueError, match="continuation"):
-            sol.SolverConfig(continuation=[stage])
-    with pytest.raises(ValueError, match="continuation"):
-        sol.SolverConfig(continuation=5)
-    # grad_tol="1" raised TypeError, and grad_tol=True was accepted
-    for tol in ["1", True]:
-        with pytest.raises(ValueError, match="grad_tol"):
-            sol.SolverConfig(grad_tol=tol)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_solver_config_rejects_non_finite_parameters(bad):
-    # a NaN grad_tol ran every stage to max_iters
-    with pytest.raises(ValueError, match="grad_tol"):
-        sol.SolverConfig(grad_tol=bad)
-    for stage in [(bad, 1.0), (10.0, bad)]:
-        with pytest.raises(ValueError, match="continuation"):
-            sol.SolverConfig(continuation=[(10.0, 1e2), stage])
-
-
-@pytest.mark.parametrize("max_iters", [0, 2.5, True])
-def test_solver_config_rejects_bad_max_iters(max_iters):
-    # max_iters=0 left the history without rows, and rigidity_experiment
-    # failed on history["rows"][-1]
-    with pytest.raises(ValueError, match="max_iters"):
-        sol.SolverConfig(max_iters=max_iters)
+def test_rigidity_echoes_the_schedule_it_ran(mesh_cache, monkeypatch):
+    monkeypatch.setattr(sol, "MAX_ITERS", 3)
+    rep, _, _ = sol.rigidity_experiment(seed=1, eps=0.05, mesh=mesh_cache(6, 24))
+    assert rep.config == {"stages": list(sol.CONTINUATION), "grad_tol": sol.GRAD_TOL,
+                          "max_iters": 3}
+    assert [(s["iters"], s["reason"]) for s in rep.stages] == [(3, "max_iters")] * 3

@@ -89,7 +89,8 @@ def test_recorder_times_the_solver_layers(monkeypatch):
     rec = _load_spans().Recorder()
     try:
         rec.install()
-        sol.minimize(u, dom.unit_ball(), sol.SolverConfig(max_iters=2))
+        monkeypatch.setattr(sol, "MAX_ITERS", 2)
+        sol.minimize(u, dom.unit_ball())
     finally:
         rec.uninstall()
     totals = rec.totals()
