@@ -120,10 +120,11 @@ class RunConfig:
             raise ConfigError(f"example: {self.example!r}: {exc}")
 
     def meshes(self, levels=None):
-        """The first ``levels`` refinement levels (default: all of them)."""
+        """The first ``levels`` refinement levels (default: all of them),
+        each built when asked for: drop it before the next to hold one."""
         R, S, G = int(self.mesh[0]), int(self.mesh[1]), float(self.mesh[2])
-        return [build_polar_mesh(R * 2 ** lev, S * 2 ** lev, G)
-                for lev in range(self.refinements if levels is None else levels)]
+        for lev in range(self.refinements if levels is None else levels):
+            yield build_polar_mesh(R * 2 ** lev, S * 2 ** lev, G)
 
 
 def _is_int(x):
@@ -139,13 +140,14 @@ _LEVEL_HEADER = ("example", "domain", "h", "check", "value")
 
 
 def _cmd_verify_example(cfg, example, domain):
-    meshes, exclude = cfg.meshes(), res._report_exclusions(example)
-    for m in meshes:
+    exclude, reports = res._report_exclusions(example), []
+    for m in cfg.meshes():
         if not np.any(_test_set(m, exclude)[1]):
             raise ConfigError("mesh: the {n_rings},{n_sectors},{grading} level "
                               "leaves no weak-residual test function clear of "
                               "the singular points".format(**m.polar_info))
-    reports = [res.full_report(example, m, domain) for m in meshes]
+        reports.append(res.full_report(example, m, domain))
+        del m                   # before the next level is built
     rows = [(cfg.example, cfg.domain, rep.h, check, getattr(rep, check))
             for rep in reports for check in res.ResidualReport.CHECKS]
     failures = []
@@ -168,6 +170,7 @@ def _cmd_boundary_report(cfg, example, domain):
     for m in cfg.meshes():
         values = res.boundary_conditions_report(sample(example, m), domain)
         levels.append({"h": m.h_max, **dict(zip(_BOUNDARY_CHECKS, values))})
+        del m                   # before the next level is built
     rows = [(cfg.example, cfg.domain, lev["h"], check, lev[check])
             for lev in levels for check in _BOUNDARY_CHECKS]
     return (_LEVEL_HEADER, rows), {"levels": levels}, True
@@ -178,9 +181,11 @@ def _cmd_stationarity(cfg, example, domain):
         fs = res.ball_mixed_batch(seed=cfg.seeds[0])
     else:
         fs = res.curve_report_batch(domain, example, seed=cfg.seeds[0])
-    meshes = cfg.meshes()
-    vals = [res.stationarity_test(sample(example, m), domain, fs) for m in meshes]
-    hs = [m.h_max for m in meshes]
+    vals, hs = [], []
+    for m in cfg.meshes():
+        vals.append(res.stationarity_test(sample(example, m), domain, fs))
+        hs.append(m.h_max)
+        del m                   # before the next level is built
     rows = [(cfg.example, cfg.domain, h, "stationarity", v)
             for h, v in zip(hs, vals)]
     order = res.fit_order(hs, vals)
@@ -252,7 +257,7 @@ def run(cfg: RunConfig) -> int:
                       else curve_domain_from_map(example))
         table, summary, ok = command(cfg, example, domain)
     else:
-        mesh = cfg.meshes(1)[0]
+        mesh = next(cfg.meshes(1))
         table, summary, ok = command(cfg, mesh)
     # only now: a command that raises leaves no directory behind
     out = Path(cfg.output_dir)

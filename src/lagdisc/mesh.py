@@ -163,9 +163,9 @@ class DiscMesh:
         edge and by exactly two otherwise.
 
         The geometry it reads was computed at construction.  Conformity is
-        counted by sorting the int64 keys ``i*N + j`` of the triangle sides
-        (i, j), i < j; the error names the first bad edge in row-major
-        (i, j) order.
+        counted by sorting in place the (3T,) int64 keys ``i*N + j`` of the
+        triangle sides (i, j), i < j; the error names the first bad edge in
+        row-major (i, j) order.
         """
         if not np.all(np.isfinite(self.nodes)):
             raise ValueError("mesh has a non-finite node coordinate")
@@ -180,14 +180,21 @@ class DiscMesh:
         if len(be) and (np.any(be[1:, 0] != be[:-1, 1]) or be[0, 0] != be[-1, 1]):
             raise ValueError("boundary edges do not form a single closed cycle")
         # conformity: one key i*N + j per triangle side (i < j), in int64 so
-        # that it cannot wrap where the default int is 32-bit; the sorted
-        # unique keys run in row-major (i, j) order, so the boundary edges
-        # are found among them by bisection
-        n = len(self.nodes)
-        tris = self.triangles.astype(np.int64)
-        nxt = np.roll(tris, -1, axis=1)
-        keys, count = np.unique(np.minimum(tris, nxt) * n + np.maximum(tris, nxt),
-                                return_counts=True)
+        # that it cannot wrap where the default int is 32-bit, formed in
+        # place and sorted in place; the sorted keys run in row-major (i, j)
+        # order, one run per edge, so the boundary edges are found among the
+        # runs by bisection
+        n, t = len(self.nodes), self.triangles.T
+        keys = np.empty((3, t.shape[1]), np.int64)
+        for a, key in enumerate(keys):      # the sides (t[a], t[a + 1])
+            np.minimum(t[a], t[(a + 1) % 3], out=key)
+            key *= n
+            key += np.maximum(t[a], t[(a + 1) % 3])
+        keys = keys.ravel()
+        keys.sort()
+        start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        count = np.diff(start, append=len(keys))
+        keys = keys[start]
         want = np.full(len(keys), 2)
         be = be.astype(np.int64)
         bkeys = be.min(axis=1) * n + be.max(axis=1)
@@ -288,22 +295,24 @@ def build_polar_mesh(n_rings, n_sectors, grading=1.0):
     # node(k, j) = 1 + (k - 1) * n_sectors + j mod n_sectors on ring k >= 1
     j = np.arange(n_sectors)
     j1 = (j + 1) % n_sectors
-    # built local vertex first, as DiscMesh stores the triangles
-    fan = np.stack([np.zeros(n_sectors, dtype=int), 1 + j, 1 + j1])
+    # written local vertex first into the (3, T) storage DiscMesh keeps
+    tris = np.empty((3, (2 * n_rings - 1) * n_sectors), dtype=int)
+    tris[0, :n_sectors], tris[1:, :n_sectors] = 0, (1 + j, 1 + j1)
     # CCW quad of ring k, sector j: inner theta_j, outer theta_j,
     # outer theta_j+1, inner theta_j+1; its two triangles follow each other
     k = np.arange(1, n_rings)[:, None]
-    p0, p1 = 1 + (k - 1) * n_sectors + j, 1 + k * n_sectors + j
-    p2, p3 = 1 + k * n_sectors + j1, 1 + (k - 1) * n_sectors + j1
+    ring, ring1 = 1 + (k - 1) * n_sectors, 1 + k * n_sectors  # node(k, 0), node(k+1, 0)
     even = (j + k) % 2 == 0
-    first = np.stack([p0, p1, np.where(even, p2, p3)])
-    second = np.stack([np.where(even, p0, p1), p2, p3])
-    quads = np.stack([first, second], axis=-1).reshape(3, -1)
-    triangles = np.concatenate([fan, quads], axis=1).T
+    first, second = np.moveaxis(                # views: they write into tris
+        tris[:, n_sectors:].reshape(3, n_rings - 1, n_sectors, 2), -1, 0)
+    first[0], first[1], first[2] = (ring + j, ring1 + j,
+                                    np.where(even, ring1 + j1, ring + j1))
+    second[0], second[1], second[2] = (np.where(even, ring + j, ring1 + j),
+                                       ring1 + j1, ring + j1)
 
     outer = 1 + (n_rings - 1) * n_sectors
     boundary_edges = np.column_stack([outer + j, outer + j1])
-    mesh = DiscMesh(nodes, triangles, boundary_edges,
+    mesh = DiscMesh(nodes, tris.T, boundary_edges,
                     polar_info={"n_rings": n_rings, "n_sectors": n_sectors,
                                 "grading": grading, "radii": radii})
     return mesh.validate()
@@ -347,8 +356,7 @@ def _node_scatter(mesh):
     node at local vertex k of triangle t: one ``bincount`` over vertices 0,
     1, 2 in triangle order, a fixed order, on an index built once."""
     idx, n = mesh.triangles.T.ravel(), len(mesh.nodes)
-    return lambda per_vertex: np.bincount(idx, np.concatenate(per_vertex),
-                                          minlength=n)
+    return lambda per_vertex: np.bincount(idx, np.ravel(per_vertex), minlength=n)
 
 
 def interpolate_at_centroids(mesh, values):
@@ -412,7 +420,7 @@ def weak_divergence_residual(mesh, w, exclude=()):
 
     ``w`` is one real (T, 2) field, or k fields stacked as (T, 2, k), for
     which the largest of their k residuals is returned; the stack shares
-    one test set.
+    one test set, and every ``bincount`` one (3, T) weight buffer.
 
     Hat functions at boundary nodes, at nodes inside an exclusion ball,
     or whose support meets an exclusion ball (see :func:`exclusion_masks`)
@@ -431,13 +439,16 @@ def weak_divergence_residual(mesh, w, exclude=()):
         raise ValueError("weak_divergence_residual: empty test set")
     grad_norm = np.sqrt(mesh.hat_energy[test])
     a, g, sums = mesh.areas, mesh.hat_gradients, _node_scatter(mesh)
+    per_vertex = np.empty((3, len(a)))      # the weights of every scatter
     worst = 0.0
     for c in range(fields.shape[-1]):
         wc = fields[..., c]
         # sum_T a_T w_T . grad(phi) and ||w||^2_{L2(supp phi)} per node
-        integral = sums([a * (g[:, k, 0] * wc[:, 0] + g[:, k, 1] * wc[:, 1])
-                         for k in range(3)])
-        w_sq = sums([a * np.sum(wc * wc, axis=-1)] * 3)
+        for k in range(3):
+            per_vertex[k] = a * (g[:, k, 0] * wc[:, 0] + g[:, k, 1] * wc[:, 1])
+        integral = sums(per_vertex)
+        per_vertex[:] = a * np.sum(wc * wc, axis=-1)
+        w_sq = sums(per_vertex)
         den = np.sqrt(w_sq[test]) * grad_norm + EPS
         # np.maximum, unlike max, keeps a NaN
         worst = np.maximum(worst, np.max(np.abs(integral[test]) / den))

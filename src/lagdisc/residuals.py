@@ -30,9 +30,8 @@ from .algebra import (EPS, angle_defined, apply_I, inner,
                       lagrangian_angle, norm, symplectic, wedge_norm)
 from .domains import unit_ball
 from .families import DiscreteMap, sample
-from .mesh import (_test_set, boundary_trace_pairing, element_gradient,
-                   interpolate_at_centroids, loop_integrals,
-                   weak_divergence_residual)
+from .mesh import (_p1_gradient, _test_set, boundary_trace_pairing,
+                   element_gradient, loop_integrals, weak_divergence_residual)
 
 __all__ = [
     "HalfPlane",
@@ -197,21 +196,22 @@ def structural_residual(u: DiscreteMap, exclude=()):
 def _structural_field(src, pts):
     """g grad u of the closed form ``src`` at the (T, 2) points ``pts``:
     the products of :func:`algebra.complex_scale`, one complex column at a
-    time, written into (4, 2, T) storage behind the (T, 2, 4) view returned."""
-    x, y = pts[:, 0], pts[:, 1]
-    r, theta = np.hypot(x, y), np.arctan2(y, x)
-    g_c = np.conj(np.asarray(src.angle(r, theta), complex))
-    frame = src.frame(r, theta)
-    del r, theta
-    gu = np.empty((4, 2, len(x)))
-    for k, e in enumerate(frame):
-        for i in (0, 2):
-            # z1 or z2 as algebra.complex_parts forms it; named, because
-            # numpy multiplies into an unnamed temporary in place, by a
-            # loop that rounds g_c * z differently
-            z = e[:, i] + 1j * e[:, i + 1]
-            gz = g_c * z
-            gu[i, k], gu[i + 1, k] = gz.real, gz.imag
+    time, written into (4, 2, T) storage behind the (T, 2, 4) view returned;
+    ``src.angle`` and ``src.frame`` run on blocks of ``HESSIAN_BLOCK`` points."""
+    gu = np.empty((4, 2, len(pts)))
+    for s in range(0, len(pts), HESSIAN_BLOCK):
+        blk = slice(s, s + HESSIAN_BLOCK)
+        x, y = pts[blk, 0], pts[blk, 1]
+        r, theta = np.hypot(x, y), np.arctan2(y, x)
+        g_c = np.conj(np.asarray(src.angle(r, theta), complex))
+        for k, e in enumerate(src.frame(r, theta)):
+            for i in (0, 2):
+                # z1 or z2 as algebra.complex_parts forms it; named, because
+                # numpy multiplies into an unnamed temporary in place, by a
+                # loop that rounds g_c * z differently
+                z = e[:, i] + 1j * e[:, i + 1]
+                gz = g_c * z
+                gu[i, k, blk], gu[i + 1, k, blk] = gz.real, gz.imag
     return gu.transpose(2, 1, 0)
 
 
@@ -300,8 +300,9 @@ def boundary_conditions_report(u: DiscreteMap, domain):
 # --------------------------------------------------------------------------
 # stationarity functional
 # --------------------------------------------------------------------------
-# elements per Hessian block in the stationarity quadrature; it sets only
-# the rounding of the moment matrix M, summed block by block
+# elements per block of the per-element passes: the structural field, the
+# frame tensor and the stationarity Hessians.  It bounds their working set
+# and sets only the rounding of the moment matrix M, summed block by block
 HESSIAN_BLOCK = 4096
 
 
@@ -330,25 +331,27 @@ def _frame_tensor(u: DiscreteMap, m):
     The frame tensor of element t is S_t = area_t sum_k sym((-I e_k) (x) e_k)
     for the frames e_k = d_k u, stored (T, 10) in the packed order of the
     Hessians with the off-diagonal entries doubled, so that <H, S_t>_F is
-    the plain dot product of the packed Hessian with S_t.  It is built in
-    blocks of ``HESSIAN_BLOCK`` elements, on views when ``m`` keeps all.
+    the plain dot product of the packed Hessian with S_t.  The P1 frames
+    (by ``mesh._p1_gradient``), the rows of S, the terms of ||grad u||^2 and
+    the centroid values (averaged as :func:`mesh.interpolate_at_centroids`
+    does) are formed in blocks of ``HESSIAN_BLOCK`` kept elements from one
+    node-axis-last copy of the values, so no (T, 2, 4) frames exist; the
+    terms are summed once over a full-length array, so no bit follows the
+    blocking.
     """
-    mesh = u.mesh
-    m = slice(None) if m is None or np.all(m) else m
-    # select along the element axis of the component-major storage, so
-    # that each kept frame component stays a contiguous row
-    grad = np.moveaxis(np.moveaxis(element_gradient(mesh, u.values), 0, -1)[..., m],
-                       -1, 0)
-    areas = mesh.areas[m]
-    grad_sq = float(np.sum(areas * (inner(grad[:, 0], grad[:, 0])
-                                    + inner(grad[:, 1], grad[:, 1]))))
-    S = np.empty((len(areas), len(hams.UPPER_I)))
-    for s in range(0, len(areas), HESSIAN_BLOCK):
-        blk = slice(s, s + HESSIAN_BLOCK)
-        S[blk] = areas[blk, None] * _frame_block(grad[blk])
-    # free the (T, 2, 4) frames before the centroid values are built
-    del grad
-    return interpolate_at_centroids(mesh, u.values)[m], S, grad_sq
+    mesh, keep = u.mesh, None if m is None else np.flatnonzero(m)
+    n = len(mesh.areas) if keep is None else len(keep)
+    vt = np.ascontiguousarray(u.values.T)               # (4, N)
+    u_c, S, sq = np.empty((n, 4)), np.empty((n, len(hams.UPPER_I))), np.empty(n)
+    for s in range(0, n, HESSIAN_BLOCK):
+        rows = slice(s, s + HESSIAN_BLOCK)
+        blk = rows if keep is None else keep[rows]
+        t, a = mesh.triangles[blk], mesh.areas[blk]
+        grad = _p1_gradient(t, mesh.hat_gradients[blk], vt.T)   # (b, 2, 4)
+        sq[rows] = a * (inner(grad[:, 0], grad[:, 0]) + inner(grad[:, 1], grad[:, 1]))
+        S[rows] = a[:, None] * _frame_block(grad)
+        u_c[rows] = ((vt[:, t[:, 0]] + vt[:, t[:, 1]] + vt[:, t[:, 2]]) / 3.0).T
+    return u_c, S, float(np.sum(sq))
 
 
 def _polynomial_terms(u_c, S, coeffs):
@@ -573,10 +576,10 @@ def ball_mixed_batch(seed=0, size=24, n_bumps=8):
 def curve_report_batch(domain, example, size=12, seed=0):
     """Admissible family for the curve-constrained problem: test functions of
     z1 alone whose Hamiltonian field is tangent to the constraint curve, plus
-    interior bumps supported away from the curve.  A ``size`` that is not
-    an int raises ``ValueError``."""
-    if not _is_count(size):
-        raise ValueError("curve_report_batch: size must be an int")
+    interior bumps supported away from the curve.  ``size`` counts the six
+    fixed functions; one that is not an int >= 6 raises ``ValueError``."""
+    if not (_is_count(size) and size >= 6):
+        raise ValueError("curve_report_batch: size must be an int >= 6 fixed functions")
     rng = np.random.default_rng(seed)
     out = []
     for center, width in [(0.45, 0.35), (-0.45, 0.35), (0.6, 0.25),

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,20 @@ def mesh_cache():
         return _MESHES[key]
 
     return get
+
+
+def traced(fn):
+    """``(fn(), kept, peak)``: the bytes that the call leaves allocated and
+    the most it held at once, by tracemalloc, from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
 
 
 @pytest.fixture()

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -293,6 +295,29 @@ def test_single_level_commands_build_one_mesh(tmp_path, monkeypatch, command):
     assert run_cli("--command", command, "--mesh", "4,16,1.0",
                    "--refinements", "3", "--out", str(tmp_path / "o")) == 0
     assert built == [(4, 16, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-example", "--example", "sw:1,2"),
+    ("stationarity", "--example", "sw:1,2", "--seed", "7"),
+    ("boundary-report", "--example", "nonminimal", "--domain", "curve"),
+], ids=["verify-example", "stationarity", "boundary-report"])
+def test_level_commands_hold_one_mesh_at_a_time(tmp_path, monkeypatch, argv):
+    # each level's mesh, and the map sampled on it, is dropped before the
+    # next level is built (weak references: a DiscMesh is not hashable)
+    refs, held = [], []
+
+    def build(*args):
+        gc.collect()
+        held.append(sum(r() is not None for r in refs))
+        mesh = build_polar_mesh(*args)
+        refs.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(cli, "build_polar_mesh", build)
+    assert run_cli("--command", *argv, "--mesh", "6,24,1.0", "--refinements", "3",
+                   "--out", str(tmp_path / "o")) == 0
+    assert held == [0, 0, 0]
 
 
 @pytest.mark.parametrize("argv", [

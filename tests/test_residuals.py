@@ -8,7 +8,7 @@ from lagdisc import hamiltonians as hams
 from lagdisc import residuals as res
 from lagdisc.mesh import (build_polar_mesh, element_gradient,
                           interpolate_at_centroids)
-from conftest import unbanded_profiled_hessian
+from conftest import traced, unbanded_profiled_hessian
 
 BALL = dom.unit_ball()
 
@@ -743,6 +743,59 @@ def test_structural_field_bitwise_matches_complex_scale(mesh_cache, example):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("example", [fam.sw_cone(1, 2), fam.sw_cone(2, 3),
+                                     fam.nonminimal_map()],
+                         ids=["sw:1,2", "sw:2,3", "nonminimal"])
+def test_structural_field_independent_of_block_size(mesh_cache, monkeypatch,
+                                                    example):
+    # 18240 points: blocks of 4096 and of 1000 both end in a remainder
+    pts = mesh_cache(48, 192).centroids
+    want = res._structural_field(example, pts)
+    monkeypatch.setattr(res, "HESSIAN_BLOCK", 1000)
+    assert res._structural_field(example, pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sub", [None, res.HalfPlane(0.0)], ids=["all", "half"])
+def test_frame_tensor_matches_the_one_shot_pass(mesh_cache, monkeypatch, sub):
+    """The blocked frame tensor gives the bytes of the pass over all the
+    (T, 2, 4) frames at once, whatever the block size."""
+    m = mesh_cache(48, 192)
+    u = fam.sample(fam.sw_cone(1, 2), m)
+    keep = _in_omega(u, sub)
+    grad, a = element_gradient(m, u.values)[keep], m.areas[keep]
+    want = (interpolate_at_centroids(m, u.values)[keep].tobytes(),
+            (a[:, None] * res._frame_block(grad)).tobytes(),
+            repr(float(np.sum(a * (alg.inner(grad[:, 0], grad[:, 0])
+                                   + alg.inner(grad[:, 1], grad[:, 1]))))))
+    for block in (res.HESSIAN_BLOCK, 1000):
+        monkeypatch.setattr(res, "HESSIAN_BLOCK", block)
+        u_c, S, grad_sq = res._frame_tensor(u, None if sub is None else keep)
+        assert (u_c.tobytes(), S.tobytes(), repr(grad_sq)) == want
+
+
+def _peak_over_mesh(call):
+    """The tracemalloc peak of ``call(u)`` for sw:1,2 on a fresh 96x384
+    mesh, over the bytes that the mesh keeps."""
+    mesh, kept, _ = traced(lambda: build_polar_mesh(96, 384))
+    u = fam.sample(fam.sw_cone(1, 2), mesh)
+    return traced(lambda: call(u))[2] / kept
+
+
+def test_structural_residual_peak_stays_near_what_the_mesh_keeps():
+    # the structural field is formed block by block: 1.62x what the mesh
+    # keeps, against 2.30x with the (T, 4) frames of one src.frame call
+    exclude = res._report_exclusions(fam.sw_cone(1, 2))
+    assert _peak_over_mesh(lambda u: res.structural_residual(u, exclude)) <= 2.0
+
+
+def test_stationarity_peak_stays_near_what_the_mesh_keeps():
+    # the frame tensor is formed block by block: 1.42x what the mesh keeps,
+    # against 1.71x with the (T, 2, 4) frames; 20% headroom, because the
+    # per-row Hessian blocks set the rest of the peak
+    batch = res.ball_report_batch()
+    assert _peak_over_mesh(lambda u: res.stationarity_test(u, BALL, batch)) <= 1.7
+
+
 @pytest.mark.parametrize("example", ["sw:1,2", "nonminimal"])
 def test_residuals_do_not_read_the_mesh_layout(example):
     """``full_report`` gives the same bits on a mesh whose triangles, hat
@@ -943,6 +996,26 @@ def test_curve_report_batch_rejects_a_size_that_is_not_an_int(size):
     assert len(res.curve_report_batch(domain, nm, size=np.int64(8))) == 8
     with pytest.raises(ValueError, match="size must be an int"):
         res.curve_report_batch(domain, nm, size=size)
+
+
+@pytest.mark.parametrize("size", [2, 5, -5])
+def test_curve_report_batch_rejects_a_size_below_its_fixed_functions(size):
+    # size=2 and size=-5 returned the six z1-arc functions
+    nm = fam.nonminimal_map()
+    with pytest.raises(ValueError, match="size must be an int >= 6"):
+        res.curve_report_batch(dom.curve_domain_from_map(nm), nm, size=size)
+
+
+def test_curve_report_batch_counts_its_fixed_functions():
+    nm = fam.nonminimal_map()
+    domain = dom.curve_domain_from_map(nm)
+    fixed = [f"z1arc({c})" for c in ("0.45,0.35", "-0.45,0.35", "0.6,0.25",
+                                      "-0.6,0.25", "0.35,0.25", "-0.35,0.25")]
+    assert [f.name for f in res.curve_report_batch(domain, nm, size=6)] == fixed
+    full = res.curve_report_batch(domain, nm, size=12)
+    assert [f.name for f in full[:6]] == fixed
+    # and six interior bumps
+    assert all(f.support_hint is not None for f in full[6:]) and len(full) == 12
 
 
 @pytest.mark.parametrize("c", [float("nan"), 1.0, -1.5])
