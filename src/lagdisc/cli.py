@@ -10,19 +10,19 @@ masses           degree/flux record of the angle field at the origin
 rigidity         the flat-disc rigidity experiment over a seed list
 dump-mesh        write the mesh as JSON
 
-Every command writes summary.json to --out: its numbers, the config keys
-it read, "command" and "pass".  All but masses and dump-mesh also write
-the per-level table report.csv; dump-mesh writes mesh.json.  Exit codes:
-0 success, 1 usage or configuration error (a flag argparse rejects, a
-negative seed, an --out that is a file or lies under one, an example
-other than flat, nonminimal or an sw:p,q with a coprime positive pair,
-one refinement level for verify-example or stationarity, a verify-example
-level with no weak-residual test function, and more than one stationarity
-seed included), 2 a built-in check failed, 3 the pipeline raised (the
-message names the exception class); --out is created only once the
-command has returned, so exits 1 and 3 create no directory.  A JSON
-config file supplies defaults; flags override it.  Identical config and
-seed produce bitwise-identical outputs.
+Every setting is a flag.  Every command writes summary.json to --out:
+its numbers, the settings it read, "command" and "pass".  All but masses
+and dump-mesh also write the per-level table report.csv; dump-mesh
+writes mesh.json.  Exit codes: 0 success, 1 usage or configuration error
+(an unknown flag, a flag value of the wrong type, a negative seed, an
+--out that is a file or lies under one, an example other than flat,
+nonminimal or an sw:p,q with a coprime positive pair, one refinement
+level for verify-example or stationarity, a verify-example level with no
+weak-residual test function, and more than one stationarity seed
+included), 2 a built-in check failed, 3 the pipeline raised (the message
+names the exception class); --out is created only once the command has
+returned, so exits 1 and 3 create no directory.  Identical settings and
+seeds produce bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,43 +64,34 @@ class RunConfig:
     eps: float = 0.05
 
     def validate(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command: unknown command {self.command!r}")
-        for key in ("example", "domain", "output_dir"):
-            if not (isinstance(getattr(self, key), str) and getattr(self, key)):
-                raise ConfigError(f"{key}: must be a non-empty string")
+        """The range and cross-setting rules; argparse owns types and choices."""
         out = Path(self.output_dir)
-        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-            raise ConfigError(f"output_dir: {out} is a file or lies under one")
+        if not self.output_dir or any(p.exists() and not p.is_dir()
+                                      for p in (out, *out.parents)):
+            raise ConfigError(f"output_dir: {self.output_dir!r} is empty, a "
+                              "file or under one")
         kind = self.build_example().kind
-        if self.domain not in ("ball", "curve"):
-            raise ConfigError(f"domain: unknown domain {self.domain!r}")
         if self.domain == "curve" and kind != "nonminimal":
             raise ConfigError("domain: curve domain is only valid with the "
                               "nonminimal example")
         if kind == "nonminimal" and self.domain != "curve":
             raise ConfigError("example: the nonminimal example requires the "
                               "curve domain")
-        if not (isinstance(self.mesh, (list, tuple)) and len(self.mesh) == 3):
-            raise ConfigError("mesh: expected R,S,G")
         R, S, G = self.mesh
-        if not (_is_int(R) and _is_int(S) and R >= 2 and S >= 8):
-            raise ConfigError("mesh: R and S must be integers with R >= 2 "
-                              "and S >= 8")
-        if not (_is_real(G) and 0.2 <= G <= 1.0):
+        if not (R >= 2 and S >= 8):
+            raise ConfigError("mesh: R >= 2 and S >= 8 required")
+        if not 0.2 <= G <= 1.0:
             raise ConfigError("mesh: G must be a number in [0.2, 1]")
-        if not (_is_int(self.refinements) and self.refinements >= 1):
-            raise ConfigError("refinements: must be an integer >= 1")
+        if self.refinements < 1:
+            raise ConfigError("refinements: must be >= 1")
         if (self.command in ("verify-example", "stationarity")
                 and self.refinements < 2):
             raise ConfigError(f"refinements: {self.command} needs at least 2")
-        if not (isinstance(self.seeds, list) and self.seeds
-                and all(_is_int(s) and s >= 0 for s in self.seeds)):
-            raise ConfigError("seeds: must be a non-empty list of integers "
-                              ">= 0")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds: must be >= 0")
         if self.command == "stationarity" and len(self.seeds) > 1:
             raise ConfigError("seeds: stationarity takes exactly one seed")
-        if not (_is_real(self.eps) and 0.0 <= self.eps <= 0.1):
+        if not 0.0 <= self.eps <= 0.1:
             raise ConfigError("eps: must be a number in [0, 0.1]")
         return self
 
@@ -119,20 +110,20 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"example: {self.example!r}: {exc}")
 
-    def meshes(self, levels=None):
-        """The first ``levels`` refinement levels (default: all of them),
-        each built when asked for: drop it before the next to hold one."""
-        R, S, G = int(self.mesh[0]), int(self.mesh[1]), float(self.mesh[2])
-        for lev in range(self.refinements if levels is None else levels):
+    def meshes(self):
+        """Each refinement level, built when asked for: drop it to hold one."""
+        R, S, G = self.mesh
+        for lev in range(self.refinements):
             yield build_polar_mesh(R * 2 ** lev, S * 2 ** lev, G)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x):
-    return _is_int(x) or isinstance(x, float)
+def _mesh(text):
+    """The --mesh value R,S,G as (int, int, float)."""
+    try:
+        r, s, g = text.split(",")
+        return int(r), int(s), float(g)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as R,S,G")
 
 
 _BOUNDARY_CHECKS = ("legendrian", "conormal", "neumann_trace")
@@ -257,7 +248,7 @@ def run(cfg: RunConfig) -> int:
                       else curve_domain_from_map(example))
         table, summary, ok = command(cfg, example, domain)
     else:
-        mesh = next(cfg.meshes(1))
+        mesh = next(cfg.meshes())
         table, summary, ok = command(cfg, mesh)
     # only now: a command that raises leaves no directory behind
     out = Path(cfg.output_dir)
@@ -282,50 +273,25 @@ def run(cfg: RunConfig) -> int:
     return code
 
 
-def parse_args(argv=None) -> RunConfig:
+def _parser():
     ap = _ArgumentParser(prog="lagdisc", description=__doc__,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", type=str, help="JSON config file")
-    ap.add_argument("--command", type=str, choices=COMMANDS)
-    ap.add_argument("--example", type=str, help="flat | sw:p,q | nonminimal")
-    ap.add_argument("--domain", type=str, help="ball | curve")
-    ap.add_argument("--mesh", type=str, help="R,S,G")
+    ap.add_argument("--command", required=True, choices=COMMANDS)
+    ap.add_argument("--example", help="flat | sw:p,q | nonminimal")
+    ap.add_argument("--domain", choices=("ball", "curve"))
+    ap.add_argument("--mesh", type=_mesh, help="R,S,G")
     ap.add_argument("--refinements", type=int)
     ap.add_argument("--seed", dest="seeds", type=int, action="append",
                     help="repeatable")
     ap.add_argument("--eps", type=float)
-    ap.add_argument("--out", dest="output_dir", type=str)
-    ns = ap.parse_args(argv)
+    ap.add_argument("--out", dest="output_dir")
+    return ap
 
-    data = {}
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"config: expected a JSON object, got "
-                              f"{type(data).__name__}")
-    if ns.mesh is not None:
-        try:
-            r, s, g = ns.mesh.split(",")
-            ns.mesh = (int(r), int(s), float(g))
-        except ValueError:
-            raise ConfigError(f"mesh: cannot parse {ns.mesh!r}")
-    keys = [f.name for f in fields(RunConfig)]
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    cfg = RunConfig()
-    for key in keys:            # a flag overrides the config file
-        if getattr(ns, key) is not None:
-            setattr(cfg, key, getattr(ns, key))
-        elif key in data:
-            setattr(cfg, key, data[key])
-    if not cfg.command:
-        raise ConfigError("command: required (flag --command or config file)")
-    return cfg
+
+def parse_args(argv=None) -> RunConfig:
+    """The RunConfig of the flags given, with defaults for the others."""
+    ns = _parser().parse_args(argv)
+    return RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,16 +39,14 @@ def test_invalid_combination_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_command_exits_1(tmp_path):
-    # from a config file and from the flag, which argparse rejects
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"command": "frobnicate"}))
-    assert run_cli("--config", str(cfg)) == 1
+def test_unknown_command_exits_1():
     assert run_cli("--command", "frobnicate") == 1
 
 
 @pytest.mark.parametrize("argv", [["--seed", "abc"], ["--refinements", "x"],
-                                  ["--command", "bogus"], ["--foo", "1"]])
+                                  ["--command", "bogus"], ["--foo", "1"],
+                                  ["--config", "c.json"], ["--domain", "disc"],
+                                  ["--mesh", "4,16"]])
 def test_argparse_usage_errors_exit_1(tmp_path, capsys, argv):
     # not argparse's own exit 2, which would read as a failed check
     out = tmp_path / "o"
@@ -61,12 +60,6 @@ def test_help_exits_0(capsys):
         run_cli("--help")
     assert exc.value.code == 0
     assert "Exit codes" in capsys.readouterr().out
-
-
-def test_unknown_config_key_exits_1(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"command": "dump-mesh", "bogus": 1}))
-    assert run_cli("--config", str(cfg)) == 1
 
 
 def test_missing_command_exits_1(tmp_path):
@@ -111,23 +104,6 @@ def test_boundary_report_nonminimal_curve(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["levels"][0]["legendrian"] >= 0.5
-
-
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"command": "dump-mesh", "mesh": [2, 8, 1.0],
-                               "output_dir": str(tmp_path / "a")}))
-    code = run_cli("--config", str(cfg), "--out", str(tmp_path / "b"))
-    assert code == 0
-    assert (tmp_path / "b" / "mesh.json").exists()
-    assert not (tmp_path / "a").exists()
-
-
-def test_string_refinements_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"command": "dump-mesh", "refinements": "3"}))
-    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o")) == 1
-    assert "refinements" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify-example", "stationarity"])
@@ -208,29 +184,31 @@ def test_rigidity_runs_on_a_mesh_without_half_turn_symmetry(tmp_path):
         == ["converged"] * 3
 
 
-@pytest.mark.parametrize("bad", [
-    {"seeds": 3}, {"seeds": [1.5]}, {"seeds": [-1]}, {"eps": "0.05"},
-    {"eps": 0.5}, {"mesh": 5}, {"example": 5}, {"output_dir": 5},
-    {"output_dir": ""}, {"output_dir": "c.json"}, {"output_dir": "c.json/o"},
-    5, [[1]],
-], ids=["seeds-int", "seeds-float", "seeds-negative", "eps-string",
-        "eps-large", "mesh-int", "example-int", "output_dir-int",
-        "output_dir-empty", "output_dir-file", "output_dir-under-file",
-        "not-object-int", "not-object-list"])
-def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, bad):
-    """A wrongly typed key, an output directory that is (or lies under) an
-    existing file, or a file whose JSON is not an object at all, is a
-    configuration error naming its culprit."""
-    monkeypatch.chdir(tmp_path)          # no --out: it would mask output_dir
-    cfg = tmp_path / "c.json"
-    if isinstance(bad, dict):
-        cfg.write_text(json.dumps({"command": "rigidity", **bad}))
-        culprit = next(iter(bad))
-    else:
-        cfg.write_text(json.dumps(bad))
-        culprit = "config"
-    assert run_cli("--config", str(cfg)) == 1
-    assert f"{culprit}:" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,culprit", [
+    (["--seed", "1.5"], "--seed:"), (["--seed", "-1"], "seeds:"),
+    (["--eps", "abc"], "--eps:"), (["--eps", "0.5"], "eps:"),
+    (["--eps", "nan"], "eps:"), (["--mesh", "5"], "--mesh:"),
+    (["--example", "5"], "example:"), (["--out", ""], "output_dir:"),
+    (["--out", "c.json"], "output_dir:"), (["--out", "c.json/o"], "output_dir:"),
+], ids=["seeds-float", "seeds-negative", "eps-string", "eps-large", "eps-nan",
+        "mesh-int", "example-int", "output_dir-empty", "output_dir-file",
+        "output_dir-under-file"])
+def test_config_type_errors_exit_1(tmp_path, monkeypatch, capsys, argv, culprit):
+    """A flag value of the wrong type or out of range, or an --out that is
+    empty or is (or lies under) an existing file, is a configuration error
+    naming its culprit, and creates no output directory."""
+    monkeypatch.chdir(tmp_path)          # the default --out is ./out
+    (tmp_path / "c.json").write_text("{}")
+    assert run_cli("--command", "rigidity", *argv) == 1
+    assert culprit in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+    assert (tmp_path / "c.json").is_file()
+
+
+def test_every_setting_has_one_flag():
+    # a RunConfig field without a flag would silently keep its default
+    dests = {a.dest for a in cli._parser()._actions} - {"help"}
+    assert dests == {f.name for f in fields(cli.RunConfig)}
 
 
 @pytest.mark.parametrize("example", ["sw:2,4", "sw:0,1", "flat:junk",

@@ -9,7 +9,7 @@ package defines no exception class but the CLI's ``ConfigError``, that
 importing the CLI loads no scipy module and that only the rigidity
 command does, that no module, test or demo imports a name it never uses,
 and that the package reads every private function, class and module
-constant it defines.
+constant it defines, and that every command line README.md shows parses.
 """
 
 import ast
@@ -18,6 +18,7 @@ import importlib.util
 import inspect
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -227,3 +228,17 @@ def test_no_unread_private_names():
                 read.add(n.attr)
     assert len(defined) > 50
     assert [f"{loc} {name}" for loc, name in defined if name not in read] == []
+
+
+def test_readme_command_lines_parse():
+    """Every ``lagdisc --command`` line of README.md's "Command line" block
+    (with its backslash continuations joined) parses and validates, so the
+    README cannot show a flag that the parser no longer has."""
+    from lagdisc import cli
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line) for line in lines if line.startswith("lagdisc --command")]
+    assert len(argvs) >= 4
+    for argv in argvs:
+        cli.parse_args(argv[1:]).validate()
